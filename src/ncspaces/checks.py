@@ -29,9 +29,7 @@ class CheckConfig:
     metric_pairs: int = 60
     hermitian_pairs: int = 100
     moyal_points: int = 32
-    holder_resolution: int = 64
     holder_max_k: int = 5  # offsets 1/8 .. 1/2^k
-    jobs: int = 1
 
 
 CheckResult = Tuple[str, bool, str]
@@ -222,9 +220,7 @@ def check_audit(cfg: CheckConfig) -> List[CheckResult]:
 
 def check_holder(cfg: CheckConfig) -> List[CheckResult]:
     offsets = [Fraction(1, 2**k) for k in range(3, cfg.holder_max_k + 1)]
-    res = spectra.holder_scan(
-        Fraction(0), offsets, cfg.holder_resolution, jobs=cfg.jobs
-    )
+    res = spectra.holder_scan(Fraction(0), offsets)
     return [
         (
             "spectra/lip-half-pointwise",

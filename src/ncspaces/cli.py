@@ -26,13 +26,12 @@ from . import finite_reps as fr
 from . import moyal as moyal_mod
 from . import spectra, symplectic
 from . import weyl_dynamics as wd
+from .checks import DEFAULT_SEED
 from .errors import ValidationError
 from .gridfn import GridFunction, read_gridfn, write_gridfn
 from .serialize import matrix_to_json, poly_from_json, poly_to_json
 from .skew import SkewMatrix, upper_pairs
 from . import twisted_algebra as ta
-
-DEFAULT_SEED = 0xA1B2C3D4
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -49,10 +48,6 @@ class ExperimentConfig:
     params: Dict[str, object] = field(default_factory=dict)
     out: Optional[str] = None
     seed: int = DEFAULT_SEED
-    jobs: int = 0  # 0 = logical cores
-
-    def resolved_jobs(self) -> int:
-        return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
 
 _KNOWN_KEYS = {
@@ -61,8 +56,8 @@ _KNOWN_KEYS = {
     "symplectic": {"theta", "d"},
     "moyal": {"f", "g", "theta", "method", "grid", "d"},
     "weyl": {"theta", "s", "t", "grids", "L"},
-    "butterfly": {"qmax", "resolution"},
-    "holder": {"base", "offsets", "resolution", "qmax"},
+    "butterfly": {"qmax"},
+    "holder": {"base", "offsets", "qmax"},
     "audit": {"k", "target", "levels"},
     "all-checks": {
         "algebra_triples",
@@ -71,11 +66,10 @@ _KNOWN_KEYS = {
         "metric_pairs",
         "hermitian_pairs",
         "moyal_points",
-        "holder_resolution",
         "holder_max_k",
     },
 }
-_SHARED_KEYS = {"out", "seed", "jobs"}
+_SHARED_KEYS = {"out", "seed"}
 
 
 def load_config(command: str, path: Optional[str], flag_params: Dict) -> ExperimentConfig:
@@ -109,8 +103,6 @@ def load_config(command: str, path: Optional[str], flag_params: Dict) -> Experim
     cfg = ExperimentConfig(command, params)
     if "seed" in shared:
         cfg.seed = int(shared["seed"])
-    if "jobs" in shared:
-        cfg.jobs = int(shared["jobs"])
     if "out" in shared:
         cfg.out = str(shared["out"])
     return cfg
@@ -323,22 +315,9 @@ def cmd_butterfly(cfg: ExperimentConfig) -> int:
     qmax = int(qmax)
     if qmax < 1:
         raise ValidationError(f"--qmax must be >= 1, got {qmax}")
-    resolution = int(cfg.params.get("resolution") or 64)
-    fluxes = spectra.coprime_fluxes(qmax)
-    jobs = cfg.resolved_jobs()
-
-    def work(fl):
-        return spectra.amo_spectrum(fl.numerator, fl.denominator, resolution)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            specs = list(ex.map(work, fluxes))
-    else:
-        specs = [work(fl) for fl in fluxes]
     rows = ["p,q,band_index,a,b"]
-    for fl, sp in zip(fluxes, specs):
+    for fl in spectra.coprime_fluxes(qmax):
+        sp = spectra.amo_spectrum(fl.numerator, fl.denominator)
         for i, (a, b) in enumerate(sp.bands):
             rows.append(f"{fl.numerator},{fl.denominator},{i},{fmt(a)},{fmt(b)}")
     emit(cfg, "\n".join(rows) + "\n")
@@ -351,12 +330,10 @@ def cmd_holder(cfg: ExperimentConfig) -> int:
     base = Fraction(str(cfg.params.get("base") or "0"))
     offsets = [Fraction(str(x)) for x in (cfg.params.get("offsets")
                or ["1/8", "1/16", "1/32", "1/64", "1/128"])]
-    resolution = int(cfg.params.get("resolution") or 128)
     qcap = int(cfg.params.get("qmax") or spectra.DEFAULT_Q_CAP)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # decade span is reported in the CSV
-        res = spectra.holder_scan(base, offsets, resolution, q_cap=qcap,
-                                  jobs=cfg.resolved_jobs())
+        res = spectra.holder_scan(base, offsets, q_cap=qcap)
     rows = ["delta,distance"]
     for x, dist in zip(res.offsets, res.distances):
         rows.append(f"{float(x)!r},{fmt(dist)}")
@@ -391,7 +368,7 @@ def cmd_audit(cfg: ExperimentConfig) -> int:
 
 def cmd_all_checks(cfg: ExperimentConfig) -> int:
     kwargs = {k: int(v) for k, v in cfg.params.items()}
-    ccfg = checks_mod.CheckConfig(seed=cfg.seed, jobs=cfg.resolved_jobs(), **kwargs)
+    ccfg = checks_mod.CheckConfig(seed=cfg.seed, **kwargs)
     results = checks_mod.run_all_checks(ccfg)
     lines = []
     failed = 0
@@ -428,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON parameter file (flags override it)")
         sp.add_argument("--out", help="output path (atomic write); stdout if omitted")
-        sp.add_argument("--jobs", type=int, help="worker threads (default: logical cores)")
         sp.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED:#x})")
         sp.add_argument("--theta", help="theta spec: zero|canonical|random|p/q|float|file.csv")
         sp.add_argument("--d", type=int, help="number of generators / dimension")
@@ -436,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--qmax", type=int, help="largest flux denominator")
         sp.add_argument("--k", type=int, help="refinement division count")
         sp.add_argument("--target", type=float, help="constant budget for the audit")
-        sp.add_argument("--resolution", type=int, help="phase-grid resolution")
         sp.add_argument("--input", help="input file (algebra polynomials)")
         sp.add_argument("--f", help="first grid-function file (moyal)")
         sp.add_argument("--g", help="second grid-function file (moyal)")
@@ -457,8 +432,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = load_config(command, args.config, flag_params)
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
         if args.out is not None:
             cfg.out = args.out
         return _COMMANDS[command](cfg)

@@ -104,11 +104,14 @@ def _measure_relations(t: UnitaryTuple) -> RelationReport:
 
 def clock_shift(p: int, q: int, tol: float = 1e-14) -> UnitaryTuple:
     """Clock U = diag(w^0..w^{q-1}) and cyclic shift V e_k = e_{k+1 mod q},
-    w = exp(2 pi i p/q); they satisfy U V = w V U exactly."""
+    w = exp(2 pi i p/q); they satisfy U V = w V U exactly.
+
+    Each w^j is evaluated as exp(2 pi i (p j mod q)/q): powers of the rounded
+    w drift past the default tolerance (1.15e-14 at p/q = 11/15)."""
     if q < 1:
         raise ValidationError("q must be a positive integer")
     w = np.exp(1j * TWO_PI * (Fraction(p, q) % 1).__float__())
-    u = np.diag(w ** np.arange(q)).astype(complex)
+    u = np.diag(np.exp(1j * TWO_PI * (p % q * np.arange(q) % q) / q))
     v = np.zeros((q, q), dtype=complex)
     v[(np.arange(q) + 1) % q, np.arange(q)] = 1.0
     sigma = np.array([[1.0, w], [np.conj(w), 1.0]], dtype=complex)

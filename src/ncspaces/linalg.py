@@ -42,12 +42,6 @@ def spectral_norm(a: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> fl
     return est_prev
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    """``||U*U - I||`` in spectral norm."""
-    u = np.asarray(u)
-    return spectral_norm(u.conj().T @ u - np.eye(u.shape[1]))
-
-
 def hermiticity_defect(p: np.ndarray) -> float:
     return spectral_norm(p - p.conj().T)
 

@@ -37,23 +37,9 @@ class PhaseExponent:
     def from_float(cls, x: float) -> "PhaseExponent":
         return cls(x % 1.0, None)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
-
     def phase(self) -> complex:
         e = float(self.exact) if self.exact is not None else self.value
         return cmath.exp(1j * TWO_PI * e)
-
-    def __add__(self, other: "PhaseExponent") -> "PhaseExponent":
-        if self.exact is not None and other.exact is not None:
-            return PhaseExponent.from_fraction(self.exact + other.exact)
-        return PhaseExponent.from_float(self.value + other.value)
-
-    def __neg__(self) -> "PhaseExponent":
-        if self.exact is not None:
-            return PhaseExponent.from_fraction(-self.exact)
-        return PhaseExponent.from_float(-self.value)
 
     def circle_distance_to_zero(self) -> float:
         """Distance of the exponent to 0 on R/Z."""

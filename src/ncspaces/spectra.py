@@ -8,16 +8,20 @@ At flux p/q the operator reduces over two Bloch phases to the q x q family
                   with corner entries e^{+-i q k1};
 
 its spectrum is the union over (k1, k2) of the q eigenvalue curves, and each
-sorted eigenvalue branch sweeps out one closed band.
+sorted eigenvalue branch sweeps out one closed band.  By Chambers' relation
+(W. G. Chambers, Phys. Rev. 140, A135, 1965) the characteristic polynomial
+of H(k1, k2) depends on the phases only through cos(q k1) + cos(q k2), whose
+range [-2, 2] is attained at (0, 0) and (pi/q, pi/q).  Each branch is
+monotone in that sum, so band j is the hull of the j-th eigenvalue at those
+two points and no phase grid is needed.
 """
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,12 +50,11 @@ def bloch_matrix(p: int, q: int, k1: float, k2: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BandSpectrum:
-    """Sorted disjoint closed intervals approximating a spectrum."""
+    """Sorted disjoint closed intervals: the spectrum at flux p/q."""
 
     bands: Tuple[Tuple[float, float], ...]
     p: int
     q: int
-    phase_grid: int
 
     def __post_init__(self):
         for a, b in self.bands:
@@ -91,58 +94,19 @@ def merge_intervals(
     return tuple((a, b) for a, b in out)
 
 
-def _eigenvalue_sweep(p: int, q: int, resolution: int, chunk: int = 0) -> np.ndarray:
-    """Min/max of each sorted eigenvalue branch over the phase grid: (2, q)."""
-    if chunk <= 0:
-        # keep the staged Bloch stack around 60 MB
-        chunk = max(1, int(6e7 / (resolution * q * q * 16)))
-    ks = 2.0 * np.pi * np.arange(resolution) / resolution
-    j = np.arange(q)
-    lo = np.full(q, np.inf)
-    hi = np.full(q, -np.inf)
-    base = np.zeros((q, q), dtype=complex)
-    if q > 1:
-        for i in range(q - 1):
-            base[i + 1, i] = 1.0
-            base[i, i + 1] = 1.0
-    for start in range(0, resolution, chunk):
-        k1s = ks[start : start + chunk]
-        stack = np.broadcast_to(base, (len(k1s), resolution, q, q)).copy()
-        if q > 1:
-            corner = np.exp(1j * q * k1s)
-            stack[:, :, 0, q - 1] += corner[:, None]
-            stack[:, :, q - 1, 0] += np.conj(corner)[:, None]
-        else:
-            stack[:, :, 0, 0] += 2.0 * np.cos(k1s)[:, None]
-        diag = 2.0 * np.cos(ks[None, :, None] + 2.0 * np.pi * p * j[None, None, :] / q)
-        ii = np.arange(q)
-        stack[:, :, ii, ii] += diag
-        evs = np.linalg.eigvalsh(stack.reshape(-1, q, q))
-        lo = np.minimum(lo, evs.min(axis=0))
-        hi = np.maximum(hi, evs.max(axis=0))
-    return np.stack([lo, hi])
-
-
-def amo_spectrum(
-    p: int,
-    q: int,
-    phase_resolution: int = 128,
-    q_cap: int = DEFAULT_Q_CAP,
-) -> BandSpectrum:
-    """Union of the Bloch eigenvalue branches at flux p/q over the phase grid.
-
-    Branch extrema are smooth in the phases, so the interval hull of each
-    branch converges to the true band at second order in the grid pitch.
-    """
+def amo_spectrum(p: int, q: int, *, q_cap: int = DEFAULT_Q_CAP) -> BandSpectrum:
+    """Bands of h at flux p/q from the Bloch eigenvalues at (0, 0) and
+    (pi/q, pi/q), where q is the reduced denominator (Chambers' relation)."""
     if q < 1:
         raise ValidationError("q must be a positive integer")
-    if phase_resolution < 16:
-        raise ValidationError("phase resolution must be >= 16")
     if q > q_cap:
         raise SizeCapError(f"q = {q} exceeds the cost guard {q_cap}")
-    sweep = _eigenvalue_sweep(p % q if q else p, q, phase_resolution)
-    bands = merge_intervals(zip(sweep[0], sweep[1]))
-    return BandSpectrum(bands, p, q, phase_resolution)
+    g = gcd(p, q)
+    pr, qr = p // g, q // g
+    e0 = np.linalg.eigvalsh(bloch_matrix(pr, qr, 0.0, 0.0))
+    e1 = np.linalg.eigvalsh(bloch_matrix(pr, qr, np.pi / qr, np.pi / qr))
+    bands = merge_intervals(zip(np.minimum(e0, e1), np.maximum(e0, e1)))
+    return BandSpectrum(bands, p, q)
 
 
 # -- Hausdorff distance ----------------------------------------------------------
@@ -194,9 +158,8 @@ class HolderScanResult:
 def holder_scan(
     base: Fraction,
     offsets: Sequence[Fraction],
-    phase_resolution: int = 128,
+    *,
     q_cap: int = DEFAULT_Q_CAP,
-    jobs: Optional[int] = None,
 ) -> HolderScanResult:
     """Hausdorff distance D(delta) between the spectra at base and base+delta
     for each offset, with a least-squares fit of log D against log delta.
@@ -222,15 +185,7 @@ def holder_scan(
             raise SizeCapError(
                 f"flux {fl} has q = {fl.denominator} > cost guard {q_cap}"
             )
-
-    def spectrum(fl: Fraction) -> BandSpectrum:
-        return amo_spectrum(fl.numerator, fl.denominator, phase_resolution, q_cap)
-
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            specs = list(ex.map(spectrum, fluxes))
-    else:
-        specs = [spectrum(fl) for fl in fluxes]
+    specs = [amo_spectrum(fl.numerator, fl.denominator, q_cap=q_cap) for fl in fluxes]
     base_spec, rest = specs[0], specs[1:]
     dists = [hausdorff_distance(base_spec, s) for s in rest]
 

@@ -53,15 +53,6 @@ class SkewDecomposition:
     basis: np.ndarray  # rows: x_1, y_1, ..., x_r, y_r, kernel directions
     residual: float
 
-    def block_form(self) -> np.ndarray:
-        """The target basis @ theta @ basis.T: r planes [[0,1],[-1,0]] then zeros."""
-        d = self.theta.shape[0]
-        out = np.zeros((d, d))
-        for i in range(self.rank // 2):
-            out[2 * i, 2 * i + 1] = 1.0
-            out[2 * i + 1, 2 * i] = -1.0
-        return out
-
 
 def _pair_reduction(arr: np.ndarray, tol: float):
     """Shared deflation loop: returns (pairs [(x, y), ...], leftover vectors)."""

@@ -179,7 +179,7 @@ def test_criterion_06_holder_continuity():
     offsets = [Fraction(1, 2**k) for k in range(3, 8)]
     t0 = time.time()
     with pytest.warns(UserWarning):
-        res = holder_scan(Fraction(0), offsets, 128, q_cap=128, jobs=2)
+        res = holder_scan(Fraction(0), offsets, q_cap=128)
     elapsed = time.time() - t0
     in_window = 0.40 <= res.slope <= 0.60
     ok = in_window and res.lip_half_ok and elapsed <= 300.0

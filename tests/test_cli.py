@@ -68,9 +68,18 @@ class TestCliBasics:
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        assert main(["audit", "--config", str(cfg)]) == EXIT_INVALID
-        assert "unknown config key" in capsys.readouterr().err
+        for command, key in [("audit", "bogus"), ("butterfly", "resolution"),
+                             ("holder", "jobs"), ("all-checks", "holder_resolution")]:
+            cfg.write_text(json.dumps({key: 1}))
+            assert main([command, "--config", str(cfg)]) == EXIT_INVALID
+            assert "unknown config key" in capsys.readouterr().err
+
+    def test_unknown_flag_exits_2(self, capsys):
+        for argv in (["butterfly", "--qmax", "3", "--resolution", "64"],
+                     ["holder", "--jobs", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_INVALID
 
     def test_malformed_config_line_diagnostic(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -90,8 +99,7 @@ class TestCliPipelines:
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         for out in (out1, out2):
-            assert main(["butterfly", "--qmax", "3", "--resolution", "24",
-                         "--out", str(out), "--jobs", "2"]) == EXIT_OK
+            assert main(["butterfly", "--qmax", "3", "--out", str(out)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
         header = out1.read_text().splitlines()[0]
         assert header == "p,q,band_index,a,b"
@@ -100,7 +108,7 @@ class TestCliPipelines:
         out = tmp_path / "scan.csv"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "base": "0", "offsets": ["1/4", "1/8", "1/16"], "resolution": 32,
+            "base": "0", "offsets": ["1/4", "1/8", "1/16"],
         }))
         code = main(["holder", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_OK
@@ -173,9 +181,9 @@ class TestCliPipelines:
         cfg.write_text(json.dumps({
             "algebra_triples": 5, "tensor_max_d": 3, "symplectic_cases": 5,
             "metric_pairs": 5, "hermitian_pairs": 5, "moyal_points": 16,
-            "holder_resolution": 24, "holder_max_k": 4,
+            "holder_max_k": 4,
         }))
-        code = main(["all-checks", "--config", str(cfg), "--jobs", "2"])
+        code = main(["all-checks", "--config", str(cfg)])
         out = capsys.readouterr().out
         assert code == EXIT_OK, out
         assert "PASS" in out and "FAIL" not in out

@@ -45,6 +45,11 @@ class TestClockShift:
         with pytest.raises(ValidationError):
             clock_shift(1, 0)
 
+    def test_default_tolerance_holds_for_every_flux(self):
+        for q in range(1, 33):
+            for p in range(q):
+                assert verify_relations(clock_shift(p, q)).max_commutation <= 5e-15
+
 
 class TestVerifyRelations:
     def test_detects_seeded_defect(self):

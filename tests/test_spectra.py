@@ -18,7 +18,21 @@ from ncspaces.spectra import (
 
 
 def spectrum_from_bands(bands, p=0, q=1):
-    return BandSpectrum(tuple(bands), p, q, 0)
+    return BandSpectrum(tuple(bands), p, q)
+
+
+def sweep_branch_hulls(p, q, res):
+    """Brute-force oracle: min/max of each sorted Bloch eigenvalue branch over
+    the res x res phase grid 2 pi (i1, i2) / res."""
+    ks = 2 * np.pi * np.arange(res) / res
+    evs = np.array(
+        [[np.linalg.eigvalsh(bloch_matrix(p, q, k1, k2)) for k2 in ks] for k1 in ks]
+    )
+    return evs.min(axis=(0, 1)), evs.max(axis=(0, 1))
+
+
+def distance_to_bands(x, bands):
+    return min(0.0 if a <= x <= b else min(abs(x - a), abs(x - b)) for a, b in bands)
 
 
 class TestBlochMatrix:
@@ -46,17 +60,19 @@ class TestBlochMatrix:
 
 class TestAmoSpectrum:
     def test_zero_flux_full_band(self):
-        sp = amo_spectrum(0, 1, 64)
+        sp = amo_spectrum(0, 1)
         assert sp.bands == ((-4.0, 4.0),)
 
     def test_half_flux(self):
-        sp = amo_spectrum(1, 2, 128)
+        sp = amo_spectrum(1, 2)
         assert len(sp.bands) == 1
         assert sp.min == pytest.approx(-2 * np.sqrt(2), abs=1e-9)
         assert sp.max == pytest.approx(2 * np.sqrt(2), abs=1e-9)
+        # an unreduced flux names the same operator
+        assert amo_spectrum(2, 4).bands == sp.bands
 
     def test_third_flux_three_symmetric_bands(self):
-        sp = amo_spectrum(1, 3, 128)
+        sp = amo_spectrum(1, 3)
         assert len(sp.bands) == 3
         flipped = sorted((-b, -a) for a, b in sp.bands)
         assert all(
@@ -65,33 +81,48 @@ class TestAmoSpectrum:
         )
 
     def test_flux_reflection_symmetry(self):
-        a = amo_spectrum(2, 5, 64)
-        b = amo_spectrum(3, 5, 64)
+        a = amo_spectrum(2, 5)
+        b = amo_spectrum(3, 5)
         assert hausdorff_distance(a, b) <= 1e-9
 
     def test_spectrum_inside_norm_bound(self):
         for p, q in [(1, 4), (2, 7), (5, 11)]:
-            sp = amo_spectrum(p, q, 32)
+            sp = amo_spectrum(p, q)
             assert sp.min >= -4.0 - 1e-12 and sp.max <= 4.0 + 1e-12
             assert len(sp.bands) <= q
 
     def test_matches_bloch_oracle(self):
-        # independent route: assemble the sweep from bloch_matrix directly
-        res = 32
-        ks = 2 * np.pi * np.arange(res) / res
-        evs = np.array(
-            [[np.linalg.eigvalsh(bloch_matrix(2, 5, k1, k2)) for k2 in ks] for k1 in ks]
-        )
-        lo, hi = evs.min(axis=(0, 1)), evs.max(axis=(0, 1))
-        assert amo_spectrum(2, 5, res).bands == merge_intervals(zip(lo, hi))
+        # the two routes differ by rounding (about 3e-15), so no exact ==
+        for p, q in [(1, 4), (2, 5), (3, 7)]:
+            bands = amo_spectrum(p, q).bands
+            # a grid holding no odd multiple of pi/q sees each branch only partly
+            lo, hi = sweep_branch_hulls(p, q, 4 * q + 1)
+            for a, b in zip(lo, hi):
+                assert any(x - 1e-12 <= a and b <= y + 1e-12 for x, y in bands)
+            # a grid holding the phases 0 and pi/q reaches every edge
+            lo, hi = sweep_branch_hulls(p, q, 4 * q)
+            swept = merge_intervals(zip(lo, hi))
+            assert len(swept) == len(bands)
+            assert np.abs(np.subtract(swept, bands)).max() <= 1e-12
 
-    def test_resolution_guard(self):
-        with pytest.raises(ValidationError):
-            amo_spectrum(1, 3, 8)
+    def test_edges_at_large_dyadic_q(self):
+        # odd multiples of pi/q lie off every 2^k-point grid with 2^k < 2q,
+        # so a phase sweep at q = 128 misses edges; the two-point relation
+        # does not
+        for p, q in [(1, 128), (3, 128)]:
+            bands = amo_spectrum(p, q).bands
+            for k in (0.0, np.pi / q):
+                for e in np.linalg.eigvalsh(bloch_matrix(p, q, k, k)):
+                    assert distance_to_bands(e, bands) <= 1e-12
+        assert len(amo_spectrum(3, 128).bands) == 87
 
     def test_q_cap(self):
         with pytest.raises(SizeCapError):
-            amo_spectrum(1, 500, 32)
+            amo_spectrum(1, 500)
+        with pytest.raises(SizeCapError):
+            amo_spectrum(1, 9, q_cap=8)
+        with pytest.raises(TypeError):  # the cap is keyword-only
+            amo_spectrum(1, 3, 128)
 
 
 class TestHausdorff:
@@ -110,8 +141,8 @@ class TestHausdorff:
         assert hausdorff_distance(a, b) == pytest.approx(1.0)
 
     def test_against_half_flux(self):
-        base = amo_spectrum(0, 1, 64)
-        half = amo_spectrum(1, 2, 128)
+        base = amo_spectrum(0, 1)
+        half = amo_spectrum(1, 2)
         assert hausdorff_distance(base, half) == pytest.approx(
             4 - 2 * np.sqrt(2), abs=1e-9
         )
@@ -119,7 +150,7 @@ class TestHausdorff:
     def test_empty_rejected(self):
         a = spectrum_from_bands([(-1.0, 1.0)])
         with pytest.raises(ValidationError):
-            hausdorff_distance(a, BandSpectrum((), 0, 1, 0))
+            hausdorff_distance(a, BandSpectrum((), 0, 1))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -140,7 +171,7 @@ class TestHausdorff:
 class TestBandSpectrumInvariants:
     def test_rejects_unsorted(self):
         with pytest.raises(ValidationError):
-            BandSpectrum(((0.0, 2.0), (1.0, 3.0)), 0, 1, 0)
+            BandSpectrum(((0.0, 2.0), (1.0, 3.0)), 0, 1)
 
     def test_merge_tolerance(self):
         merged = merge_intervals([(0.0, 1.0), (1.0 + 1e-12, 2.0)])
@@ -150,12 +181,12 @@ class TestBandSpectrumInvariants:
 class TestHolderScan:
     def test_degenerate_offsets_rejected(self):
         with pytest.raises(DegenerateFitError):
-            holder_scan(Fraction(0), [Fraction(1, 8), Fraction(1, 8)], 16)
+            holder_scan(Fraction(0), [Fraction(1, 8), Fraction(1, 8)])
 
     def test_zero_offset_excluded_but_counted(self):
         with pytest.warns(UserWarning):
             res = holder_scan(
-                Fraction(0), [Fraction(0), Fraction(1, 4), Fraction(1, 8)], 32
+                Fraction(0), [Fraction(0), Fraction(1, 4), Fraction(1, 8)]
             )
         assert res.excluded_zero_offsets == 1
         assert len(res.distances) == 2
@@ -163,7 +194,7 @@ class TestHolderScan:
     def test_pointwise_bound_and_positive_slope(self):
         offsets = [Fraction(1, 8), Fraction(1, 16), Fraction(1, 32)]
         with pytest.warns(UserWarning):
-            res = holder_scan(Fraction(0), offsets, 32)
+            res = holder_scan(Fraction(0), offsets)
         assert res.lip_half_ok
         assert res.slope > 0
         assert all(d <= res.c_fit * float(x) ** 0.5 + 1e-12
@@ -174,14 +205,14 @@ class TestHolderScan:
         # the smallest-offset pair of the scan exhibits the limiting exponent
         offsets = [Fraction(1, 2**k) for k in (5, 6, 7)]
         with pytest.warns(UserWarning):
-            res = holder_scan(Fraction(1, 2), offsets, 64)
+            res = holder_scan(Fraction(1, 2), offsets)
         # offsets (and distances) come back sorted ascending
         local = np.log(res.distances[1] / res.distances[0]) / np.log(2.0)
         assert 0.4 <= local <= 0.6
 
     def test_q_cap_guard(self):
         with pytest.raises(SizeCapError):
-            holder_scan(Fraction(0), [Fraction(1, 8), Fraction(1, 256)], 32, q_cap=128)
+            holder_scan(Fraction(0), [Fraction(1, 8), Fraction(1, 256)], q_cap=128)
 
 
 class TestCoprimeFluxes:
