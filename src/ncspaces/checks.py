@@ -186,7 +186,7 @@ def check_moyal(cfg: CheckConfig) -> List[CheckResult]:
     prod0 = moyal.moyal_direct(f, g, zero)
     point = float(np.abs(prod0.values - f.values * g.values).max())
     tr = abs(
-        integral(moyal.star_product_fourier(f, g, theta))
+        integral(fourier)
         - integral(GridFunction(2, 8.0, m, f.values * g.values))
     )
     return [

@@ -190,16 +190,26 @@ def to_frequency(f: GridFunction) -> GridFunction:
     return GridFunction(d, L, m, vals, side="frequency")
 
 
+def inverse_transform(values: np.ndarray, grid: GridFunction) -> np.ndarray:
+    """Inverse transform over the last grid.dim axes of ascending-order
+    frequency samples on grid's box; any leading axes of values are a batch.
+
+    With s = (pi/L)(k - M/2) and x_n = -L + n (2L/M) on each axis,
+    exp(i s x_n) = (-1)^(k + n + M/2) exp(2 pi i k n / M), so the transform is
+    one unshifted inverse FFT between two sign grids: no ifftshift copy.
+    """
+    m, d = grid.points, grid.dim
+    signs = reduce(np.multiply.outer, [(-1.0) ** np.arange(m)] * d)
+    scale = (-1.0) ** (d * (m // 2)) * (2.0 * np.pi) ** d / grid.step**d
+    vals = np.fft.ifftn(values * signs, axes=tuple(range(-d, 0)))
+    return vals * (signs * scale)
+
+
 def to_position(fhat: GridFunction) -> GridFunction:
     if fhat.side != "frequency":
         raise ValidationError("to_position expects a frequency-side function")
-    m, L, d = fhat.points, fhat.half_length, fhat.dim
-    j = np.arange(m) - m // 2
-    signs = (-1.0) ** (j % 2)
-    phase = reduce(np.multiply.outer, [signs] * d) if d > 1 else signs
-    raw = np.fft.ifftshift(fhat.values * phase)
-    vals = np.fft.ifftn(raw) * (2.0 * np.pi) ** d / (fhat.step**d)
-    return GridFunction(d, L, m, vals, side="position")
+    vals = inverse_transform(fhat.values, fhat)
+    return GridFunction(fhat.dim, fhat.half_length, fhat.points, vals, side="position")
 
 
 def freq_grid_vectors(f: GridFunction) -> np.ndarray:

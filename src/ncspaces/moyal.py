@@ -21,8 +21,15 @@ double quadrature factorizes exactly on the extended lattice:
 
 moyal_direct evaluates that s-quadrature with trigonometric interpolation for
 the shifted f samples; twisted_convolve performs the frequency-side sum with
-zero padding (no wraparound).  The two routes share only the transform
-utilities, so their agreement is a meaningful cross-check.
+zero padding (no wraparound).  Since Theta_dd = 0, the twist splits as
+
+    theta(s, t) = (Theta^T s') . t + s_d sum_{k<d} Theta_dk t_k,   s = (s', s_d),
+
+a phase in t times a chirp in s_d, so for each of the M^(d-1) values of s'
+the sum over s_d is one batched FFT convolution along the last axis: the
+frequency route costs O(M^(d+1) log M), O(M^3 log M) on the plane.  The two
+routes share only the transform utilities, so their agreement is a
+meaningful cross-check.
 
 A "full" phase convention exp(i theta(s, t-s)) is also reachable: it is the
 symmetric convention at doubled theta, which is exactly how the adapter
@@ -32,6 +39,7 @@ equivalence exists; see regular_rep_matrix).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gamma, pi, sqrt
 from typing import List
 
@@ -41,6 +49,7 @@ from .errors import SizeCapError, ValidationError
 from .gridfn import (
     GridFunction,
     freq_grid_vectors,
+    inverse_transform,
     l2_norm,
     to_frequency,
     to_position,
@@ -101,7 +110,7 @@ def moyal_direct(f: GridFunction, g: GridFunction, theta: SkewMatrix) -> GridFun
             shape = [len(sblock)] + [1] * d
             shape[1 + ax] = m
             twist *= ph.reshape(shape)
-        shifted = _inverse_many(fhat.values[None, ...] * twist, f)
+        shifted = inverse_transform(fhat.values[None, ...] * twist, f)
         carrier = np.ones((len(sblock),) + (m,) * d, dtype=complex)
         for ax in range(d):
             ph = np.exp(1j * np.outer(sblock[:, ax], x))
@@ -111,19 +120,6 @@ def moyal_direct(f: GridFunction, g: GridFunction, theta: SkewMatrix) -> GridFun
         coeff = ghat_flat[start : start + chunk].reshape((-1,) + (1,) * d)
         out += (coeff * shifted * carrier).sum(axis=0)
     return GridFunction(d, f.half_length, m, out * ds)
-
-
-def _inverse_many(fhat_stack: np.ndarray, like: GridFunction) -> np.ndarray:
-    """Batched inverse transform over the leading axis (ascending freq order)."""
-    m, d = like.points, like.dim
-    j = np.arange(m) - m // 2
-    signs = (-1.0) ** (j % 2)
-    phase = signs
-    for _ in range(d - 1):
-        phase = np.multiply.outer(phase, signs)
-    raw = np.fft.ifftshift(fhat_stack * phase, axes=tuple(range(1, d + 1)))
-    vals = np.fft.ifftn(raw, axes=tuple(range(1, d + 1)))
-    return vals * (2.0 * np.pi) ** d / (like.step**d)
 
 
 # -- star product: frequency-side twisted convolution --------------------------
@@ -137,41 +133,46 @@ def twisted_convolve(
     ghat is zero-padded outside its box (linear, not cyclic, convolution): the
     twist phase is not periodic in s, so wraparound would be wrong.  Output is
     reported on the input frequency box.
+
+    Write s = (s', s_d) and t = (t', t_d) with s', t' the first d-1
+    coordinates.  Because Theta_dd = 0 the twist separates as
+
+        theta(s, t) = (Theta^T s') . t + s_d c(t'),   c(t') = sum_{k<d} Theta_dk t_k,
+
+    with (Theta^T s')_b = sum_{a<d} s_a Theta_ab.  For each s' the sum over s_d
+    is then, for every t' at once, a linear convolution along the last axis of
+    fhat(s', .) exp((i/2) s_d c(t')) with the row ghat(t' - s', .): one batched
+    FFT of length 2M (zero padding, so no wraparound), against row transforms
+    of ghat computed once per call, followed by the phase
+    exp((i/2) (Theta^T s') . t).  Only the M^(d-1) values of s' run as a Python
+    loop, so the cost is O(M^(d+1) log M): O(M^3 log M) on the plane, where the
+    per-point sum costs O(M^4).
     """
     fhat.require_same_grid(ghat)
     _check_theta(fhat, theta)
     if fhat.side != "frequency":
         raise ValidationError("twisted_convolve expects frequency-side functions")
     m, d = fhat.points, fhat.dim
+    lead, half = d - 1, m // 2
     theta_arr = theta.as_array()
     freqs = fhat.freq_axis()
     ds = fhat.freq_step**d
 
-    pad = np.zeros((2 * m,) * d, dtype=complex)
-    pad[tuple(slice(m // 2, m // 2 + m) for _ in range(d))] = ghat.values
+    c = reduce(np.add.outer, [theta_arr[lead, k] * freqs for k in range(lead)], np.zeros(()))
+    chirp = np.exp(0.5j * c[..., None] * freqs)  # (t', s_d)
+    gspec = np.fft.fft(ghat.values, n=2 * m, axis=-1)
 
     out = np.zeros((m,) * d, dtype=complex)
-    fvals = fhat.values
-    # skip negligible rows of fhat: they cannot contribute above round-off
-    fmax = np.abs(fvals).max()
-    if fmax == 0.0:
-        return GridFunction(d, fhat.half_length, m, out, side="frequency")
-    threshold = fmax * 1e-18
-    idx_iter = np.ndindex(*(m,) * d)
-    for idx in idx_iter:
-        c = fvals[idx]
-        if abs(c) <= threshold:
-            continue
-        s = np.array([freqs[i] for i in idx])
-        w = theta_arr.T @ s  # theta(s, t) = (Theta^T s) . t
-        phase = np.ones((m,) * d, dtype=complex)
-        for ax in range(d):
-            ph = np.exp(0.5j * w[ax] * freqs)
-            shape = [1] * d
-            shape[ax] = m
-            phase *= ph.reshape(shape)
-        block = pad[tuple(slice(m - i, 2 * m - i) for i in idx)]
-        out += c * phase * block
+    for idx in np.ndindex(*(m,) * lead):
+        # the t' whose row t' - s' lies inside the box, and those rows of ghat
+        tbox = tuple(slice(max(0, i - half), min(m, i + half)) for i in idx)
+        gbox = tuple(slice(max(0, half - i), min(m, m + half - i)) for i in idx)
+        spec = np.fft.fft(fhat.values[idx] * chirp[tbox], n=2 * m, axis=-1) * gspec[gbox]
+        conv = np.fft.ifft(spec, axis=-1)[..., half : half + m]
+        w = theta_arr[:lead].T @ freqs[list(idx)]  # Theta^T s'
+        factors = [np.exp(0.5j * w[k] * freqs[tbox[k]]) for k in range(lead)]
+        factors.append(np.exp(0.5j * w[lead] * freqs))
+        out[tbox] += conv * reduce(np.multiply.outer, factors)
     return GridFunction(d, fhat.half_length, m, out * ds, side="frequency")
 
 
@@ -373,40 +374,17 @@ def dimension_reduction_check(
 
     # coupling frequency: w(s) = sum_{j<d} theta_jd s_j for every s in the box
     coup = np.array([theta.entry(j, d - 1) for j in range(d - 1)], dtype=float)
-    w_all = svec @ coup
+    fvals = fhat.values
+    w = (svec @ coup).reshape(fvals.shape)
+    w_active = w[fvals != 0]
+    if len(w_active) == 0:
+        raise ValidationError("f has no frequency support left after truncation")
 
     norm_f = l2_norm(f)
     norm_g = l2_norm(g)
     ref_l2 = float(
         np.sqrt(((np.abs(ref.values) ** 2).sum() * ds) * (2.0 * np.pi) ** (d - 1))
     )
-
-    fflat = fhat.values.reshape(-1)
-    # the (d-1)-dimensional twisted shift of ghat for every support point of fhat
-    active = np.nonzero(np.abs(fflat) > 0)[0]
-    m = fhat.points
-    pad = np.zeros((2 * m,) * (d - 1), dtype=complex)
-    pad[tuple(slice(m // 2, m // 2 + m) for _ in range(d - 1))] = ghat.values
-    freqs = fhat.freq_axis()
-    theta_hat_arr = theta_hat.as_array()
-
-    if len(active) == 0:
-        raise ValidationError("f has no frequency support left after truncation")
-
-    shifted_terms = []
-    for flat_idx in active:
-        idx = np.unravel_index(flat_idx, (m,) * (d - 1))
-        s = np.array([freqs[i] for i in idx])
-        wv = theta_hat_arr.T @ s
-        phase = np.ones((m,) * (d - 1), dtype=complex)
-        for ax in range(d - 1):
-            ph = np.exp(0.5j * wv[ax] * freqs)
-            shape = [1] * (d - 1)
-            shape[ax] = m
-            phase *= ph.reshape(shape)
-        block = pad[tuple(slice(m - i, 2 * m - i) for i in idx)]
-        shifted_terms.append(fflat[flat_idx] * phase * block)
-    shifted_terms = np.array(shifted_terms)  # (n_active, grid...)
 
     epsilons, norms, devs, bounds, betas = [], [], [], [], []
     for nstep in range(1, n_steps + 1):
@@ -415,13 +393,17 @@ def dimension_reduction_check(
         dt = tgrid[1] - tgrid[0]
         # scaled so the synthesized d-dimensional state has the same L2 norm as g
         phi = _bump(tgrid, eps) / np.sqrt(2.0 * np.pi)
-        beta = float(np.abs(np.exp(0.5j * np.outer(w_all[active], tgrid)) - 1).max())
+        beta = float(np.abs(np.exp(0.5j * np.outer(w_active, tgrid)) - 1).max())
 
         norm_sq = 0.0
         dev_sq = 0.0
         for td, ph_val in zip(tgrid, phi):
-            osc = np.exp(0.5j * w_all[active] * td).reshape((-1,) + (1,) * (d - 1))
-            t_slice = (shifted_terms * osc).sum(axis=0) * ds
+            # the slice at t_d is the (d-1)-dimensional product of the tilted fhat
+            tilted = GridFunction(
+                d - 1, fhat.half_length, fhat.points, fvals * np.exp(0.5j * w * td),
+                side="frequency",
+            )
+            t_slice = twisted_convolve(tilted, ghat, theta_hat).values
             norm_sq += (np.abs(t_slice) ** 2).sum() * ds * ph_val**2 * dt
             dev_sq += (np.abs(t_slice - ref.values) ** 2).sum() * ds * ph_val**2 * dt
         norms.append(float(np.sqrt(norm_sq * two_pi_d)))
