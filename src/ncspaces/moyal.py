@@ -20,8 +20,12 @@ double quadrature factorizes exactly on the extended lattice:
     (f * g)(x) = integral f(x + (1/2) Theta s) ghat(s) e^{i s.x} ds.
 
 moyal_direct evaluates that s-quadrature with trigonometric interpolation for
-the shifted f samples; twisted_convolve performs the frequency-side sum with
-zero padding (no wraparound).  Since Theta_dd = 0, the twist splits as
+the shifted f samples.  On the plane the shift x + (1/2) Theta s moves x_1 by
+-theta s_0 / 2 and x_0 by theta s_1 / 2, so the sum factorizes one axis at a
+time: rows of fhat and ghat interpolated along x_1 at sheared points, then two
+sums over the first axis, O(M^3 log M) in all.  twisted_convolve performs the
+frequency-side sum with zero padding (no wraparound).  Since Theta_dd = 0, the
+twist splits as
 
     theta(s, t) = (Theta^T s') . t + s_d sum_{k<d} Theta_dk t_k,   s = (s', s_d),
 
@@ -73,9 +77,18 @@ def moyal_direct(f: GridFunction, g: GridFunction, theta: SkewMatrix) -> GridFun
     """Star product by quadrature of the double oscillatory integral.
 
     The inner t-integral is done in closed form (it is the transform of g);
-    the remaining s-quadrature uses trigonometric interpolation of f at the
-    sheared points x + (1/2) Theta s.  Cost is O(M^{2d} log M); guarded to
-    d <= 2 and M^d <= DIRECT_CAP.
+    the remaining s-quadrature reads f at the sheared points x + (1/2) Theta s
+    by trigonometric interpolation.  Expanding f in its modes m, that sum is
+
+        out(x) = ds^2 sum_{m,s} fhat(m) ghat(s) e^{i (m + s).x} e^{(i/2) theta (m_0 s_1 - m_1 s_0)}
+
+    on the plane (theta = Theta_01), and it factorizes one axis at a time:
+    row m_0 of fhat is interpolated along x_1 at x_1 - theta s_0 / 2, row s_0
+    of ghat at x_1 + theta m_0 / 2, their product is summed over s_0 against
+    e^{i s_0 x_0} (one batched 1-D inverse transform) and then over m_0
+    against e^{i m_0 x_0}.  Every step is O(M^3 log M) work on (M, M, M)
+    arrays.  For d = 1, Theta = 0 and the sum is the product of the two
+    interpolants.  Guarded to d <= 2 and M^d <= DIRECT_CAP.
     """
     f.require_same_grid(g)
     _check_theta(f, theta)
@@ -90,36 +103,20 @@ def moyal_direct(f: GridFunction, g: GridFunction, theta: SkewMatrix) -> GridFun
 
     fhat = to_frequency(f)
     ghat = to_frequency(g)
-    svecs = freq_grid_vectors(f if f.side == "frequency" else fhat)  # (n, d)
-    theta_arr = theta.as_array()
-    freqs = fhat.freq_axis()
-    x = f.axis()
-    ds = fhat.freq_step**d
+    if d == 1:
+        out = inverse_transform(fhat.values, f) * inverse_transform(ghat.values, f)
+        return GridFunction(d, f.half_length, m, out)
 
-    out = np.zeros((m,) * d, dtype=complex)
-    ghat_flat = ghat.values.reshape(-1)
-    chunk = max(1, 262144 // n)
-    # f(x + a) = sum_m fhat(m) e^{i m.x} e^{i m.a}: one phase twist per shift a
-    mode_axes = [freqs] * d
-    for start in range(0, n, chunk):
-        sblock = svecs[start : start + chunk]            # (c, d)
-        shifts = 0.5 * sblock @ theta_arr.T              # a = (1/2) Theta s
-        twist = np.ones((len(sblock),) + (m,) * d, dtype=complex)
-        for ax in range(d):
-            ph = np.exp(1j * np.outer(shifts[:, ax], mode_axes[ax]))
-            shape = [len(sblock)] + [1] * d
-            shape[1 + ax] = m
-            twist *= ph.reshape(shape)
-        shifted = inverse_transform(fhat.values[None, ...] * twist, f)
-        carrier = np.ones((len(sblock),) + (m,) * d, dtype=complex)
-        for ax in range(d):
-            ph = np.exp(1j * np.outer(sblock[:, ax], x))
-            shape = [len(sblock)] + [1] * d
-            shape[1 + ax] = m
-            carrier *= ph.reshape(shape)
-        coeff = ghat_flat[start : start + chunk].reshape((-1,) + (1,) * d)
-        out += (coeff * shifted * carrier).sum(axis=0)
-    return GridFunction(d, f.half_length, m, out * ds)
+    line = GridFunction(1, f.half_length, m, np.zeros(m))  # one axis of the grid
+    freqs = fhat.freq_axis()
+    # shear[s_0, m_1] = e^{-(i/2) theta s_0 m_1}; symmetric in its two indices
+    shear = np.exp(-0.5j * theta.as_array()[0, 1] * np.outer(freqs, freqs))
+    fsheared = inverse_transform(fhat.values[:, None, :] * shear, line)  # [m_0, s_0, x_1]
+    gsheared = inverse_transform(ghat.values[:, None, :] * shear.conj(), line)  # [s_0, m_0, x_1]
+    rows = inverse_transform((fsheared * gsheared.transpose(1, 0, 2)).transpose(0, 2, 1), line)
+    carrier = np.exp(1j * np.outer(freqs, f.axis())) * fhat.freq_step  # [m_0, x_0]
+    out = np.einsum("mx,myx->xy", carrier, rows)  # rows: [m_0, x_1, x_0]
+    return GridFunction(d, f.half_length, m, out)
 
 
 # -- star product: frequency-side twisted convolution --------------------------

@@ -167,6 +167,15 @@ class TestCliPipelines:
         prod = read_gridfn(out)
         assert np.isfinite(prod.values).all()
 
+    def test_moyal_direct_deterministic_bytes(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": "32,6.0", "theta": "1"}))
+        out1, out2 = tmp_path / "a.gridfn", tmp_path / "b.gridfn"
+        for out in (out1, out2):
+            assert main(["moyal", "--config", str(cfg), "--method", "direct",
+                         "--out", str(out)]) == EXIT_OK
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_weyl_scan_csv(self, tmp_path):
         out = tmp_path / "weyl.csv"
         cfg = tmp_path / "cfg.json"

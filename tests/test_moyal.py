@@ -65,6 +65,27 @@ def brute_twisted_convolve(fhat, ghat, theta):
     return out * fhat.freq_step**d
 
 
+def brute_moyal_direct(f, g, theta):
+    """The defining s-quadrature: one interpolated, sheared copy of f per s."""
+    m, d = f.points, f.dim
+    fhat, ghat = to_frequency(f), to_frequency(g)
+    theta_arr = theta.as_array()
+    freqs = fhat.freq_axis()
+    modes = np.meshgrid(*([freqs] * d), indexing="ij")
+    xs = np.meshgrid(*([f.axis()] * d), indexing="ij")
+    out = np.zeros((m,) * d, dtype=complex)
+    for idx in np.ndindex(*(m,) * d):
+        s = freqs[list(idx)]
+        a = 0.5 * theta_arr @ s  # f(x + a) = sum_m fhat(m) e^{i m.x} e^{i m.a}
+        twist = np.exp(1j * sum(k * ak for k, ak in zip(modes, a)))
+        shifted = to_position(
+            GridFunction(d, f.half_length, m, fhat.values * twist, side="frequency")
+        ).values
+        carrier = np.exp(1j * sum(sk * x for sk, x in zip(s, xs)))
+        out += ghat.values[idx] * shifted * carrier
+    return out * fhat.freq_step**d
+
+
 class TestGridFunction:
     def test_roundtrip_transform(self):
         f = GridFunction.gaussian(2, 8.0, 32, sigma=1.2, center=(0.4, -0.6))
@@ -169,9 +190,38 @@ class TestStarProduct:
             moyal_direct(f, g, THETA)
 
     def test_direct_guards(self):
+        cube = GridFunction.gaussian(3, 8.0, 4)
+        with pytest.raises(ValidationError, match="d <= 2") as err:
+            moyal_direct(cube, cube, SkewMatrix.from_upper(3, {(0, 1): 1.0}))
+        assert not isinstance(err.value, SizeCapError)
+        fhat = to_frequency(GridFunction.gaussian(2, 8.0, 16))
+        with pytest.raises(ValidationError, match="position-side") as err:
+            moyal_direct(fhat, fhat, THETA)
+        assert not isinstance(err.value, SizeCapError)
+        at_cap = GridFunction.gaussian(2, 8.0, 64)  # M^2 = DIRECT_CAP
+        assert np.isfinite(moyal_direct(at_cap, at_cap, THETA).values).all()
         f = GridFunction.gaussian(2, 8.0, 128)
         with pytest.raises(SizeCapError):
             moyal_direct(f, f, THETA)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("points", [8, 16, 32])
+    def test_direct_matches_quadrature_oracle(self, dim, points):
+        rng = np.random.default_rng(100 * dim + points)
+        shape = (points,) * dim
+        f, g = (
+            GridFunction(dim, 5.0, points,
+                         rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            for _ in range(2)
+        )
+        if dim == 1:
+            thetas = [SkewMatrix.zero(1)]
+        else:
+            thetas = [SkewMatrix.rotation(sign * rng.uniform(0.3, 2.0)) for sign in (1, -1)]
+        for theta in thetas:
+            want = brute_moyal_direct(f, g, theta)
+            got = moyal_direct(f, g, theta).values
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestTwistedConvolve:
