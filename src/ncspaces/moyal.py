@@ -58,7 +58,6 @@ from .gridfn import (
     to_frequency,
     to_position,
 )
-from .linalg import spectral_norm
 from .skew import SkewMatrix
 
 DIRECT_CAP = 4096  # M^d cap for the position-side quadrature
@@ -229,10 +228,6 @@ def regular_rep_matrix(
     # theta(t - t', t') = theta(t, t') because theta(t', t') = 0
     phase = np.exp(0.5j * (tvecs @ theta_arr @ tvecs.T))
     return entries * phase * ds
-
-
-def rep_operator_norm(mat: np.ndarray) -> float:
-    return spectral_norm(mat)
 
 
 def interior_frequency_mask(f: GridFunction, margin_fraction: float = 0.5) -> np.ndarray:

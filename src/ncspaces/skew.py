@@ -145,12 +145,6 @@ class SkewMatrix:
             a[k, j] = -float(v)
         return a
 
-    def bilinear(self, s, t) -> float:
-        """The form theta(s, t) = sum_jk theta_jk s_j t_k."""
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return float(s @ self.as_array() @ t)
-
     def principal_submatrix(self, dim: int) -> "SkewMatrix":
         """Leading dim x dim block."""
         if not (1 <= dim <= self.dim):

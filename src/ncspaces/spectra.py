@@ -76,9 +76,6 @@ class BandSpectrum:
     def max(self) -> float:
         return self.bands[-1][1]
 
-    def total_width(self) -> float:
-        return sum(b - a for a, b in self.bands)
-
 
 def merge_intervals(
     intervals: Sequence[Tuple[float, float]], tol: float = MERGE_TOL

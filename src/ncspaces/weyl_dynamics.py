@@ -23,18 +23,15 @@ from .symplectic import GridSpec
 # -- translation / modulation groups ------------------------------------------
 
 
-def _dft_matrices(grid: GridSpec):
-    m = grid.points
-    idx = np.arange(m)
-    w = np.exp(-2j * np.pi * np.outer(idx, idx) / m)
-    return w, w.conj().T / m  # forward, inverse
-
-
 def translation_unitary(s: float, grid: GridSpec) -> np.ndarray:
-    """(u(s) f)(x) = f(x + s) as a dense unitary, diagonal in the Fourier basis."""
-    fwd, inv = _dft_matrices(grid)
-    phases = np.exp(1j * grid.frequencies() * s)
-    return inv @ (phases[:, None] * fwd)
+    """(u(s) f)(x) = f(x + s) as a dense unitary, diagonal in the Fourier basis.
+
+    A circulant (Davis, *Circulant Matrices*, 1979): entry (a, b) is
+    ``ifft(exp(i k s))[(a - b) mod M]``, so building it costs O(M^2).
+    """
+    col = np.fft.ifft(np.exp(1j * grid.frequencies() * s))
+    idx = np.arange(grid.points)
+    return col[(idx[:, None] - idx[None, :]) % grid.points]
 
 
 def modulation_unitary(t: float, grid: GridSpec) -> np.ndarray:
@@ -64,12 +61,16 @@ def weyl_residual(
     residual is the defect applied to a reference Gaussian state of width
     L / state_width_fraction, which the refining grid progressively resolves.
     The raw operator norm is reported alongside.
+
+    Cost: O(M^2) for the defect (u is a circulant, v diagonal), plus one
+    O(M^3) SVD for its norm unless the defect is round-off (see spectral_norm).
     """
     shift = theta * s
     u = translation_unitary(shift, grid)
-    v = modulation_unitary(t, grid)
+    v = np.diag(modulation_unitary(t, grid))
     phase = np.exp(1j * s * t * theta)
-    defect = u @ v - phase * (v @ u)
+    # u v - phase v u with v diagonal: scale the columns and rows of u
+    defect = u * (v[None, :] - phase * v[:, None])
     x = grid.axis()
     sigma = grid.half_length / state_width_fraction
     psi = np.exp(-(x**2) / (2.0 * sigma**2)).astype(complex)

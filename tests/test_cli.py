@@ -185,6 +185,15 @@ class TestCliPipelines:
         assert lines[0].startswith("M,L,theta,s,t,residual")
         assert len(lines) == 3
 
+    def test_weyl_deterministic_bytes(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grids": [64, 512], "s": [0.37], "t": [0.37, 0.51]}))
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out in (out1, out2):
+            assert main(["weyl", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert out1.read_bytes() == out2.read_bytes()
+        assert len(out1.read_text().splitlines()) == 5
+
     def test_all_checks_smoke(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -16,13 +16,13 @@ from ncspaces.gridfn import (
     to_position,
     write_gridfn,
 )
+from ncspaces.linalg import spectral_norm
 from ncspaces.moyal import (
     dimension_reduction_check,
     interior_frequency_mask,
     moyal_direct,
     quantization_constant,
     regular_rep_matrix,
-    rep_operator_norm,
     sobolev_norm,
     sphere_surface,
     star_product_fourier,
@@ -317,7 +317,7 @@ class TestRegularRepresentation:
     def test_zero_theta_norm_close_to_sup(self):
         f = GridFunction.gaussian(1, 10.0, 256, sigma=1.0)
         mat = regular_rep_matrix(f, SkewMatrix.zero(1))
-        norm = rep_operator_norm(mat)
+        norm = spectral_norm(mat)
         peak = np.abs(f.values).max()
         assert norm <= peak + 1e-10
         assert norm == pytest.approx(peak, rel=2e-3)

@@ -74,8 +74,19 @@ class TestWeylResidual:
         assert np.log2(vals[0] / vals[1]) >= 1.0
 
     def test_operator_defect_is_an_upper_bound(self):
-        rep = weyl_residual(1.0, 0.37, 0.37, GridSpec(64, 10.0))
-        assert rep.operator_defect >= rep.residual
+        for m in (64, 512, 1024):
+            rep = weyl_residual(1.0, 0.37, 0.37, GridSpec(m, 10.0))
+            assert rep.operator_defect >= rep.residual
+
+    def test_operator_defect_is_not_below_the_exact_norm(self):
+        grid = GridSpec.self_dual(1024)
+        rep = weyl_residual(1.0, 0.37, 0.51, grid)
+        u = translation_unitary(0.37, grid)
+        v = modulation_unitary(0.51, grid)
+        defect = u @ v - np.exp(1j * 0.37 * 0.51) * (v @ u)
+        exact = np.linalg.svd(defect, compute_uv=False)[0]
+        # the two evaluation orders of the defect differ by round-off only
+        assert rep.operator_defect >= exact * (1.0 - 1e-12)
 
 
 class TestGeneratorBound:
