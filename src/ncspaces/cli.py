@@ -11,10 +11,10 @@ for identical configs and seeds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -28,7 +28,7 @@ from . import spectra, symplectic
 from . import weyl_dynamics as wd
 from .checks import DEFAULT_SEED
 from .errors import ValidationError
-from .gridfn import GridFunction, read_gridfn, write_gridfn
+from .gridfn import GridFunction, atomic_open, read_gridfn, write_gridfn
 from .serialize import matrix_to_json, poly_from_json, poly_to_json
 from .skew import SkewMatrix, upper_pairs
 from . import twisted_algebra as ta
@@ -54,22 +54,28 @@ _KNOWN_KEYS = {
     "algebra": {"input"},
     "relations": {"theta", "d"},
     "symplectic": {"theta", "d"},
-    "moyal": {"f", "g", "theta", "method", "grid", "d"},
+    "moyal": {"f", "g", "theta", "method", "grid"},
     "weyl": {"theta", "s", "t", "grids", "L"},
     "butterfly": {"qmax"},
     "holder": {"base", "offsets", "qmax"},
     "audit": {"k", "target", "levels"},
-    "all-checks": {
-        "algebra_triples",
-        "tensor_max_d",
-        "symplectic_cases",
-        "metric_pairs",
-        "hermitian_pairs",
-        "moyal_points",
-        "holder_max_k",
-    },
+    "all-checks": {f.name for f in dataclasses.fields(checks_mod.CheckConfig)} - {"seed"},
 }
 _SHARED_KEYS = {"out", "seed"}
+# the flags a subcommand accepts: --config, --out, --seed and these for its own keys
+_FLAGS = {
+    "theta": dict(help="theta spec: zero|canonical|random|p/q|float|file.csv"),
+    "d": dict(type=int, help="number of generators / dimension"),
+    "grid": dict(help="grid spec 'M,L'"),
+    "qmax": dict(type=int, help="largest flux denominator"),
+    "k": dict(type=int, help="refinement division count"),
+    "target": dict(type=float, help="constant budget for the audit"),
+    "input": dict(help="input file (algebra polynomials)"),
+    "f": dict(help="first grid-function file (moyal)"),
+    "g": dict(help="second grid-function file (moyal)"),
+    "method": dict(help="moyal method: direct|fourier"),
+    "base": dict(help="base flux p/q (holder)"),
+}
 
 
 def load_config(command: str, path: Optional[str], flag_params: Dict) -> ExperimentConfig:
@@ -111,22 +117,10 @@ def load_config(command: str, path: Optional[str], flag_params: Dict) -> Experim
 # -- output helpers ------------------------------------------------------------
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def emit(cfg: ExperimentConfig, text: str) -> None:
     if cfg.out:
-        atomic_write_text(cfg.out, text)
+        with atomic_open(cfg.out) as fh:
+            fh.write(text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 
@@ -151,7 +145,7 @@ def parse_theta_spec(spec: str, d: Optional[int], rng) -> SkewMatrix:
                 if line:
                     rows.append([float(x) for x in line.split(",")])
         return SkewMatrix.from_matrix(rows)
-    dd = d or 2
+    dd = 2 if d is None else d
     if spec == "zero":
         return SkewMatrix.zero(dd)
     if spec == "canonical":
@@ -220,8 +214,8 @@ def _pair_table_from_spec(spec: str, d: int, rng) -> dict:
 
 
 def cmd_relations(cfg: ExperimentConfig) -> int:
-    d = int(cfg.params.get("d") or 3)
-    spec = str(cfg.params.get("theta") or "identity-pairs")
+    d = int(cfg.params.get("d", 3))
+    spec = str(cfg.params.get("theta", "identity-pairs"))
     rng = np.random.default_rng(cfg.seed)
     table = _pair_table_from_spec(spec, d, rng)
     t = fr.tensor_construct(table)
@@ -253,18 +247,18 @@ def cmd_symplectic(cfg: ExperimentConfig) -> int:
 
 def cmd_moyal(cfg: ExperimentConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
-    method = str(cfg.params.get("method") or "fourier")
+    method = str(cfg.params.get("method", "fourier"))
     if "f" in cfg.params or "g" in cfg.params:
         if not ("f" in cfg.params and "g" in cfg.params):
             raise ValidationError("moyal needs both 'f' and 'g' grid files")
         f = read_gridfn(str(cfg.params["f"]))
         g = read_gridfn(str(cfg.params["g"]))
     else:
-        grid = parse_grid(str(cfg.params.get("grid") or "64,8.0"))
+        grid = parse_grid(str(cfg.params.get("grid", "64,8.0")))
         f = GridFunction.gaussian(2, grid.half_length, grid.points, sigma=1.0)
         g = GridFunction.gaussian(2, grid.half_length, grid.points, sigma=1.3,
                                   center=(0.4, -0.3))
-    theta = parse_theta_spec(str(cfg.params.get("theta") or "1"), f.dim, rng)
+    theta = parse_theta_spec(str(cfg.params.get("theta", "1")), f.dim, rng)
     if method == "direct":
         prod = moyal_mod.moyal_direct(f, g, theta)
     elif method == "fourier":
@@ -279,14 +273,14 @@ def cmd_moyal(cfg: ExperimentConfig) -> int:
 
 
 def cmd_weyl(cfg: ExperimentConfig) -> int:
-    theta = float(cfg.params.get("theta") or 1.0)
-    svals = [float(x) for x in (cfg.params.get("s") or [0.37])]
-    tvals = [float(x) for x in (cfg.params.get("t") or [0.37])]
-    grids = [int(x) for x in (cfg.params.get("grids") or [64, 128, 256])]
+    theta = float(cfg.params.get("theta", 1.0))
+    svals = [float(x) for x in cfg.params.get("s", [0.37])]
+    tvals = [float(x) for x in cfg.params.get("t", [0.37])]
+    grids = [int(x) for x in cfg.params.get("grids", [64, 128, 256])]
     L = cfg.params.get("L")
     rows = ["M,L,theta,s,t,residual,commensurate_shift,commensurate_modulation"]
     for m in grids:
-        grid = symplectic.GridSpec(m, float(L)) if L else symplectic.GridSpec.self_dual(m)
+        grid = symplectic.GridSpec.self_dual(m) if L is None else symplectic.GridSpec(m, float(L))
         for s in svals:
             for t in tvals:
                 rep = wd.weyl_residual(theta, s, t, grid)
@@ -327,10 +321,10 @@ def cmd_butterfly(cfg: ExperimentConfig) -> int:
 def cmd_holder(cfg: ExperimentConfig) -> int:
     import warnings
 
-    base = Fraction(str(cfg.params.get("base") or "0"))
-    offsets = [Fraction(str(x)) for x in (cfg.params.get("offsets")
-               or ["1/8", "1/16", "1/32", "1/64", "1/128"])]
-    qcap = int(cfg.params.get("qmax") or spectra.DEFAULT_Q_CAP)
+    base = Fraction(str(cfg.params.get("base", "0")))
+    offsets = [Fraction(str(x)) for x in
+               cfg.params.get("offsets", ["1/8", "1/16", "1/32", "1/64", "1/128"])]
+    qcap = int(cfg.params.get("qmax", spectra.DEFAULT_Q_CAP))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # decade span is reported in the CSV
         res = spectra.holder_scan(base, offsets, q_cap=qcap)
@@ -348,10 +342,10 @@ def cmd_holder(cfg: ExperimentConfig) -> int:
 
 
 def cmd_audit(cfg: ExperimentConfig) -> int:
-    k = int(cfg.params.get("k") or 8100)
-    target = cfg.params.get("target") or 2500
+    k = int(cfg.params.get("k", 8100))
+    target = cfg.params.get("target", 2500)
     target = int(target) if float(target) == int(float(target)) else float(target)
-    levels = int(cfg.params.get("levels") or 6)
+    levels = int(cfg.params.get("levels", 6))
     rep = wd.audit_interpolation_constants(k, target, levels)
     lines = [
         f"k: {k} (sqrt {'exact' if rep.exact else 'inexact'})",
@@ -406,28 +400,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON parameter file (flags override it)")
         sp.add_argument("--out", help="output path (atomic write); stdout if omitted")
         sp.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED:#x})")
-        sp.add_argument("--theta", help="theta spec: zero|canonical|random|p/q|float|file.csv")
-        sp.add_argument("--d", type=int, help="number of generators / dimension")
-        sp.add_argument("--grid", help="grid spec 'M,L'")
-        sp.add_argument("--qmax", type=int, help="largest flux denominator")
-        sp.add_argument("--k", type=int, help="refinement division count")
-        sp.add_argument("--target", type=float, help="constant budget for the audit")
-        sp.add_argument("--input", help="input file (algebra polynomials)")
-        sp.add_argument("--f", help="first grid-function file (moyal)")
-        sp.add_argument("--g", help="second grid-function file (moyal)")
-        sp.add_argument("--method", help="moyal method: direct|fourier")
-        sp.add_argument("--base", help="base flux p/q (holder)")
+        for key, spec in _FLAGS.items():
+            if key in _KNOWN_KEYS[name]:
+                sp.add_argument(f"--{key}", **spec)
     return ap
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
-    flag_params = {
-        k: getattr(args, k, None)
-        for k in _KNOWN_KEYS[command]
-        if getattr(args, k, None) is not None
-    }
+    flag_params = {k: v for k, v in vars(args).items() if k in _KNOWN_KEYS[command]}
     try:
         cfg = load_config(command, args.config, flag_params)
         if args.seed is not None:

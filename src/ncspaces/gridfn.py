@@ -14,7 +14,10 @@ with axes in ascending frequency order.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Sequence
@@ -55,7 +58,6 @@ class GridFunction:
                 f"values shape {vals.shape} != {(self.points,) * self.dim}"
             )
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "boundary_decay", self._boundary_ratio())
 
     # -- grid geometry ------------------------------------------------------
 
@@ -92,7 +94,11 @@ class GridFunction:
 
     # -- diagnostics ---------------------------------------------------------
 
-    def _boundary_ratio(self) -> float:
+    def boundary_ratio(self) -> float:
+        """Max modulus on the outer sample shell over the global max modulus.
+
+        Large values are fine for deliberately periodic (band-limited) data
+        but mean the samples cannot be read as a decaying function on R^d."""
         v = np.abs(self.values)
         peak = v.max()
         if peak == 0.0:
@@ -106,19 +112,12 @@ class GridFunction:
             mask[tuple(sl)] = True
         return float(v[mask].max() / peak)
 
-    def boundary_ratio(self) -> float:
-        """Max modulus on the outer sample shell over the global max modulus.
-
-        Stored at construction as `boundary_decay`.  Large values are fine for
-        deliberately periodic (band-limited) data but mean the samples cannot
-        be read as a decaying function on R^d."""
-        return self.boundary_decay
-
     def warn_if_boundary_heavy(self):
-        if self.boundary_decay > BOUNDARY_DECAY_WARN:
+        ratio = self.boundary_ratio()
+        if ratio > BOUNDARY_DECAY_WARN:
             warnings.warn(
                 f"samples do not decay at the box boundary (ratio "
-                f"{self.boundary_decay:.2e}); continuum readings will alias",
+                f"{ratio:.2e}); continuum readings will alias",
                 stacklevel=2,
             )
 
@@ -224,6 +223,22 @@ def freq_grid_vectors(f: GridFunction) -> np.ndarray:
 # newline, then M^d little-endian complex64 values in row-major order.
 
 
+@contextmanager
+def atomic_open(path):
+    """Binary file handle on a temp file beside path, renamed onto path when
+    the block ends; on any error the temp file is removed and path keeps its
+    old contents."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_gridfn(f: GridFunction, path) -> None:
     header = {
         "d": f.dim,
@@ -231,7 +246,7 @@ def write_gridfn(f: GridFunction, path) -> None:
         "M": f.points,
         "side": f.side,
     }
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write((json.dumps(header) + "\n").encode("utf-8"))
         fh.write(np.ascontiguousarray(f.values, dtype="<c8").tobytes())
 

@@ -76,10 +76,29 @@ class TestCliBasics:
 
     def test_unknown_flag_exits_2(self, capsys):
         for argv in (["butterfly", "--qmax", "3", "--resolution", "64"],
-                     ["holder", "--jobs", "2"]):
+                     ["holder", "--jobs", "2"],
+                     ["butterfly", "--qmax", "3", "--theta", "1/3"],
+                     ["weyl", "--grid", "64,8"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == EXIT_INVALID
+
+    @pytest.mark.parametrize("command, params", [
+        ("audit", {"k": 0}),
+        ("relations", {"d": 0}),
+        ("weyl", {"L": 0, "grids": [32]}),
+        ("holder", {"qmax": 0}),
+    ])
+    def test_explicit_zero_is_not_replaced_by_default(self, tmp_path, command, params):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        assert main([command, "--config", str(cfg)]) == EXIT_INVALID
+
+    def test_weyl_explicit_zero_theta(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"theta": 0, "grids": [32]}))
+        assert main(["weyl", "--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].split(",")[2] == "0.0"
 
     def test_malformed_config_line_diagnostic(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -4,6 +4,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from ncspaces.checks import random_pair_table, random_tuple_pair
 from ncspaces.errors import SizeCapError, ValidationError
 from ncspaces.finite_reps import (
     UnitaryTuple,
@@ -125,14 +126,8 @@ class TestTensorConstruct:
     @given(st.integers(0, 2**32 - 1))
     def test_randomized_residual_additivity(self, seed):
         rng = np.random.default_rng(seed)
-        d = int(rng.integers(2, 6))
-        qmax = {2: 16, 3: 5, 4: 3, 5: 2}[d]
-        table = {}
-        for jk in upper_pairs(d):
-            q = int(rng.integers(2, qmax + 1))
-            table[jk] = clock_shift(int(rng.integers(0, q)), q)
-        t = tensor_construct(table)
-        rep = verify_relations(t)
+        table = random_pair_table(rng, int(rng.integers(2, 6)))
+        rep = verify_relations(tensor_construct(table))
         assert rep.max_commutation <= sum(p.tol for p in table.values()) + 1e-13
 
 
@@ -189,17 +184,7 @@ class TestDistanceLowerBound:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_never_fails_on_valid_tuples(self, seed):
-        rng = np.random.default_rng(seed)
-        qa, qb = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        a = tensor_translate(
-            clock_shift(int(rng.integers(0, qa)), qa), UnitaryTuple.identity(2, qb)
-        )
-        b = tensor_translate(
-            UnitaryTuple.identity(2, qa), clock_shift(int(rng.integers(0, qb)), qb)
-        )
-        z = rng.standard_normal((qa * qb, qa * qb)) + 1j * rng.standard_normal((qa * qb, qa * qb))
-        u, _ = np.linalg.qr(z)
-        b = UnitaryTuple(tuple(u @ m @ u.conj().T for m in b.matrices), b.sigma, b.tol + 1e-12)
+        a, b = random_tuple_pair(np.random.default_rng(seed))
         assert distance_lower_bound_check(a, b).holds
 
 

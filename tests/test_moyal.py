@@ -133,6 +133,22 @@ class TestGridFunction:
         with pytest.raises(ValidationError):
             read_gridfn(path)
 
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "f.gridfn"
+        write_gridfn(GridFunction.gaussian(1, 6.0, 16), path)
+        old = path.read_bytes()
+
+        class Unwritable:
+            def __array__(self, dtype=None, copy=None):
+                raise OSError("disk full")
+
+        g = GridFunction.gaussian(1, 6.0, 32)
+        object.__setattr__(g, "values", Unwritable())  # raises after the header is out
+        with pytest.raises(OSError):
+            write_gridfn(g, path)
+        assert path.read_bytes() == old
+        assert list(tmp_path.glob(".tmp-*")) == []
+
 
 class TestStarProduct:
     def test_zero_theta_is_pointwise_direct(self):
