@@ -9,7 +9,7 @@ and band spectra with continuity scans (`spectra`).
 """
 
 from .skew import SkewMatrix
-from .phases import Cyclotomic, PhaseExponent
+from .phases import Cyclotomic
 from .twisted_algebra import (
     NCPolynomial,
     cocycle_validate,

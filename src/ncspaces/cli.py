@@ -30,7 +30,7 @@ from .checks import DEFAULT_SEED
 from .errors import ValidationError
 from .gridfn import GridFunction, atomic_open, read_gridfn, write_gridfn
 from .serialize import matrix_to_json, poly_from_json, poly_to_json
-from .skew import SkewMatrix, upper_pairs
+from .skew import Entry, SkewMatrix, upper_pairs
 from . import twisted_algebra as ta
 
 EXIT_OK = 0
@@ -132,11 +132,21 @@ def fmt(x: float) -> str:
 # -- theta specification --------------------------------------------------------
 
 
-def parse_theta_spec(spec: str, d: Optional[int], rng) -> SkewMatrix:
+def parse_theta_value(spec) -> Entry:
+    """A scalar theta: a rational 'p/q' or a float."""
+    spec = str(spec)
+    try:
+        return Fraction(spec) if "/" in spec else float(spec)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValidationError(f"cannot parse theta spec {spec!r}: {e}") from e
+
+
+def parse_theta_spec(spec, d: Optional[int], rng) -> SkewMatrix:
     """Accepted forms: 'zero', 'canonical', 'random', a rational 'p/q', a float,
     or a path to a CSV file holding the full matrix."""
     if spec is None:
         raise ValidationError("missing --theta")
+    spec = str(spec)
     if os.path.exists(spec) and spec.endswith(".csv"):
         rows = []
         with open(spec, "r", encoding="utf-8") as fh:
@@ -152,10 +162,7 @@ def parse_theta_spec(spec: str, d: Optional[int], rng) -> SkewMatrix:
         return SkewMatrix.canonical(dd)
     if spec == "random":
         return SkewMatrix.random(dd, rng)
-    try:
-        value = Fraction(spec) if "/" in spec else float(spec)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValidationError(f"cannot parse theta spec {spec!r}: {e}") from e
+    value = parse_theta_value(spec)
     return SkewMatrix.from_upper(dd, {jk: value for jk in upper_pairs(dd)})
 
 
@@ -233,7 +240,7 @@ def cmd_relations(cfg: ExperimentConfig) -> int:
 
 def cmd_symplectic(cfg: ExperimentConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
-    theta = parse_theta_spec(str(cfg.params.get("theta")), cfg.params.get("d"), rng)
+    theta = parse_theta_spec(cfg.params.get("theta"), cfg.params.get("d"), rng)
     sf = symplectic.symplectic_normalize(theta)
     out = {
         "residual": sf.residual,
@@ -258,7 +265,7 @@ def cmd_moyal(cfg: ExperimentConfig) -> int:
         f = GridFunction.gaussian(2, grid.half_length, grid.points, sigma=1.0)
         g = GridFunction.gaussian(2, grid.half_length, grid.points, sigma=1.3,
                                   center=(0.4, -0.3))
-    theta = parse_theta_spec(str(cfg.params.get("theta", "1")), f.dim, rng)
+    theta = parse_theta_spec(cfg.params.get("theta", "1"), f.dim, rng)
     if method == "direct":
         prod = moyal_mod.moyal_direct(f, g, theta)
     elif method == "fourier":
@@ -273,7 +280,7 @@ def cmd_moyal(cfg: ExperimentConfig) -> int:
 
 
 def cmd_weyl(cfg: ExperimentConfig) -> int:
-    theta = float(cfg.params.get("theta", 1.0))
+    theta = float(parse_theta_value(cfg.params.get("theta", 1.0)))
     svals = [float(x) for x in cfg.params.get("s", [0.37])]
     tvals = [float(x) for x in cfg.params.get("t", [0.37])]
     grids = [int(x) for x in cfg.params.get("grids", [64, 128, 256])]

@@ -227,11 +227,15 @@ def freq_grid_vectors(f: GridFunction) -> np.ndarray:
 def atomic_open(path):
     """Binary file handle on a temp file beside path, renamed onto path when
     the block ends; on any error the temp file is removed and path keeps its
-    old contents."""
+    old contents.  The file gets the mode a plain open would give it
+    (0o666 less the umask), not mkstemp's 0o600."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

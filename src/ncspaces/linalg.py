@@ -1,4 +1,5 @@
-"""Dense linear-algebra helpers: spectral norms, Hermitian exponentials."""
+"""Dense linear-algebra helpers: spectral norms, Hermitian exponentials,
+Fourier multipliers."""
 from __future__ import annotations
 
 import numpy as np
@@ -32,12 +33,6 @@ def hermiticity_defect(p: np.ndarray) -> float:
     return spectral_norm(p - p.conj().T)
 
 
-def expm_i_hermitian(p: np.ndarray, t: float) -> np.ndarray:
-    """``exp(i t P)`` for Hermitian P via eigendecomposition."""
-    w, v = np.linalg.eigh(p)
-    return (v * np.exp(1j * t * w)) @ v.conj().T
-
-
 class HermitianExponential:
     """Caches the eigendecomposition of P so that exp(iPt) is cheap in t."""
 
@@ -46,6 +41,18 @@ class HermitianExponential:
 
     def at(self, t: float) -> np.ndarray:
         return (self._v * np.exp(1j * t * self._w)) @ self._v.conj().T
+
+
+def fourier_multiplier(symbol: np.ndarray) -> np.ndarray:
+    """Dense matrix of the operator with eigenvalues ``symbol`` (fft order)
+    on the discrete Fourier basis.
+
+    A circulant (Davis, *Circulant Matrices*, 1979): entry (a, b) is
+    ``ifft(symbol)[(a - b) mod M]``, so building it costs O(M^2).
+    """
+    col = np.fft.ifft(symbol)
+    idx = np.arange(len(col))
+    return col[(idx[:, None] - idx[None, :]) % len(col)]
 
 
 def kernel_dimension(a: np.ndarray, rel_tol: float = 1e-10) -> int:

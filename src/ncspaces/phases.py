@@ -1,53 +1,17 @@
-"""Exact phase bookkeeping.
-
-Phases of the form exp(2*pi*i*c) are tracked through their exponents c taken
-mod 1.  For rational deformation parameters the exponents are Fractions and
-all identities can be checked with zero error; the float path reduces the
-exponent into [0, 1) before exponentiating so large multi-indices do not
-lose precision.
+"""Exact cyclotomic scalars.
 
 ``Cyclotomic`` is an exact scalar sum_r c_r * zeta^r with zeta = exp(2*pi*i/Q)
 and rational c_r.  It is the coefficient ring that keeps products of torus
-monomials exact when the deformation is rational: structure phases rotate
-exponents by integers, Gaussian-rational inputs embed via i = zeta^(Q/4).
+monomials exact when the deformation is rational: a structure phase
+exp(2*pi*i*c) with Q*c an integer rotates exponents by that integer mod Q,
+and Gaussian-rational inputs embed via i = zeta^(Q/4).
 """
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 TWO_PI = 2.0 * 3.141592653589793
-
-
-@dataclass(frozen=True)
-class PhaseExponent:
-    """A phase exp(2*pi*i*value); exact rational exponent kept when available."""
-
-    value: float
-    exact: Optional[Fraction] = None
-
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "PhaseExponent":
-        f = f % 1
-        return cls(float(f), f)
-
-    @classmethod
-    def from_float(cls, x: float) -> "PhaseExponent":
-        return cls(x % 1.0, None)
-
-    def phase(self) -> complex:
-        e = float(self.exact) if self.exact is not None else self.value
-        return cmath.exp(1j * TWO_PI * e)
-
-    def circle_distance_to_zero(self) -> float:
-        """Distance of the exponent to 0 on R/Z."""
-        if self.exact is not None:
-            f = self.exact % 1
-            return float(min(f, 1 - f))
-        v = self.value % 1.0
-        return min(v, 1.0 - v)
 
 
 class Cyclotomic:
@@ -83,13 +47,9 @@ class Cyclotomic:
     def root(cls, order: int, r: int, scale=1) -> "Cyclotomic":
         return cls(order, {r: Fraction(scale)})
 
-    def rotate(self, turns: Fraction) -> "Cyclotomic":
-        """Multiply by exp(2*pi*i*turns); turns*order must be an integer."""
-        shift = turns * self.order
-        if shift.denominator != 1:
-            raise ValueError(f"rotation by {turns} leaves the zeta_{self.order} lattice")
-        s = int(shift)
-        return Cyclotomic(self.order, {r + s: c for r, c in self.terms.items()})
+    def rotate(self, shift: int) -> "Cyclotomic":
+        """Multiply by zeta^shift."""
+        return Cyclotomic(self.order, {r + shift: c for r, c in self.terms.items()})
 
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._check(other)
@@ -106,12 +66,19 @@ class Cyclotomic:
 
     def __mul__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._check(other)
+        return Cyclotomic.sum_of_products(self.order, [(self, other, 0)])
+
+    @classmethod
+    def sum_of_products(cls, order: int, products) -> "Cyclotomic":
+        """sum of x * y * zeta^shift over the (x, y, shift) triples, all of
+        the given order, normalised once at the end."""
         out: dict = {}
-        for r1, c1 in self.terms.items():
-            for r2, c2 in other.terms.items():
-                r = (r1 + r2) % self.order
-                out[r] = out.get(r, Fraction(0)) + c1 * c2
-        return Cyclotomic(self.order, out)
+        for x, y, shift in products:
+            for r1, c1 in x.terms.items():
+                for r2, c2 in y.terms.items():
+                    r = (r1 + r2 + shift) % order
+                    out[r] = out.get(r, 0) + c1 * c2
+        return cls(order, out)
 
     def conjugate(self) -> "Cyclotomic":
         return Cyclotomic(self.order, {-r: c for r, c in self.terms.items()})

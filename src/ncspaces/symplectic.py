@@ -19,6 +19,7 @@ from .errors import (
     SizeCapError,
     ValidationError,
 )
+from .linalg import fourier_multiplier
 from .skew import SkewMatrix
 
 DEFAULT_GRID_CAP = 4096
@@ -160,11 +161,9 @@ class GridSpec:
 
 
 def spectral_derivative_matrix(grid: GridSpec) -> np.ndarray:
-    """Dense matrix of -i d/dx, diagonal in the discrete Fourier basis."""
-    m = grid.points
-    f = np.fft.fft(np.eye(m), axis=0)
-    finv = np.fft.ifft(np.eye(m), axis=0)
-    return finv @ (grid.frequencies()[:, None] * f)
+    """Dense matrix of -i d/dx: the Fourier multiplier k, a circulant built
+    in O(M^2)."""
+    return fourier_multiplier(grid.frequencies())
 
 
 def position_matrix(grid: GridSpec) -> np.ndarray:

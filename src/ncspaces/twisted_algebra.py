@@ -3,11 +3,13 @@
 Monomials u^m = u_1^{m_1} ... u_d^{m_d} multiply by
 
     u^m u^{m'} = exp(2*pi*i * c(m, m')) u^{m+m'},
-    c(m, m')   = - sum_{j<k} theta_{jk} m_k m'_j,
+    c(m, m')   = - sum_{j<k} theta_{jk} m_k m'_j = - m'.U m,
 
-which is the multiplication induced by letting u^m act on the l2(Z^d) basis
-|m'> with that same phase.  c is bilinear in (m, m'), so the cocycle identity
-holds exactly; for rational theta every phase exponent is an exact Fraction.
+U the strict upper triangle of theta: the multiplication induced by letting
+u^m act on the l2(Z^d) basis |m'> with that same phase.  c is bilinear, so
+the cocycle identity holds exactly; every phase comes from this one form on
+whole exponent arrays, and for rational theta Q c is an exact integer used
+mod Q = phase_order(theta).
 
 Polynomials carry either complex (float) coefficients or exact Cyclotomic
 coefficients; the exact mode is available whenever theta is rational and
@@ -18,13 +20,14 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from typing import Dict, Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ThetaMismatchError, ValidationError
-from .phases import TWO_PI, Cyclotomic, PhaseExponent
+from .phases import TWO_PI, Cyclotomic
 from .skew import SkewMatrix, upper_pairs
 
 MultiIndex = Tuple[int, ...]
@@ -53,40 +56,54 @@ def phase_order(theta: SkewMatrix) -> int:
     return lcm(4, theta.denominator_lcm())
 
 
+class _Twist:
+    """The structure exponent c(m, m') = -m'.U m of one theta, U the strict
+    upper triangle of theta, as one bilinear form.
+
+    For rational theta ``order`` is Q = phase_order(theta) and ``form`` is the
+    integer matrix K = Q U held as Python ints (dtype object), so Q c is exact
+    for exponents of any size; otherwise ``order`` is 1 and ``form`` is U.
+    """
+
+    def __init__(self, theta: SkewMatrix):
+        self.order = phase_order(theta) if theta.is_rational else 1
+        self.form = np.zeros((theta.dim, theta.dim), dtype=object if theta.is_rational else float)
+        for (j, k), v in zip(upper_pairs(theta.dim), theta.upper):
+            self.form[j, k] = int(v * self.order) if theta.is_rational else float(v)
+
+    def scaled(self, m, m2):
+        """order * c(m, m') for multi-index arrays of shape (..., d), broadcast."""
+        m, m2 = (np.array(x, dtype=self.form.dtype) for x in (m, m2))
+        return -((m @ self.form.T) * m2).sum(axis=-1)
+
+    def phases(self, m, m2) -> np.ndarray:
+        """exp(2 pi i c(m, m')), c reduced mod 1 first (exactly, for rational theta)."""
+        turns = np.asarray(self.scaled(m, m2) % self.order / self.order, dtype=float)
+        return np.exp(1j * TWO_PI * turns)
+
+    def circle_distance(self, scaled) -> np.ndarray:
+        """Distance of c = scaled / order to 0 on R/Z."""
+        r = scaled % self.order
+        return np.asarray(np.minimum(r, self.order - r) / self.order, dtype=float)
+
+
 def structure_exponent(m: Sequence[int], m2: Sequence[int], theta: SkewMatrix):
-    """Raw exponent c(m, m') = -sum_{j<k} theta_jk m_k m'_j (not reduced)."""
-    m = as_multi_index(m)
-    m2 = as_multi_index(m2)
+    """Raw exponent c(m, m') = -sum_{j<k} theta_jk m_k m'_j (not reduced):
+    a Fraction for rational theta, a float otherwise."""
+    m, m2 = as_multi_index(m), as_multi_index(m2)
     if len(m) != theta.dim or len(m2) != theta.dim:
         raise ValidationError(
             f"multi-index dimension {len(m)}/{len(m2)} != theta dimension {theta.dim}"
         )
-    if theta.is_rational:
-        total = Fraction(0)
-    else:
-        total = 0.0
-    for (j, k), v in zip(upper_pairs(theta.dim), theta.upper):
-        mk = m[k] * m2[j]
-        if mk:
-            total = total - v * mk
-    return total
+    twist = _Twist(theta)
+    c = twist.scaled(m, m2)
+    return Fraction(int(c), twist.order) if theta.is_rational else float(c)
 
 
-def structure_phase(m: Sequence[int], m2: Sequence[int], theta: SkewMatrix) -> PhaseExponent:
-    """Phase exponent with u^m u^{m'} = exp(2*pi*i*c) u^{m+m'}, reduced mod 1."""
-    c = structure_exponent(m, m2, theta)
-    if isinstance(c, Fraction):
-        return PhaseExponent.from_fraction(c)
-    return PhaseExponent.from_float(c)
-
-
-def _phase_complex(c) -> complex:
-    """exp(2*pi*i*c) with the exponent reduced into [0,1) first."""
-    if isinstance(c, Fraction):
-        c = float(c % 1)
-    else:
-        c = c % 1.0
-    return cmath.exp(1j * TWO_PI * c)
+def structure_phase(m: Sequence[int], m2: Sequence[int], theta: SkewMatrix):
+    """Exponent c with u^m u^{m'} = exp(2*pi*i*c) u^{m+m'}, reduced into [0, 1):
+    a Fraction for rational theta, a float otherwise."""
+    return structure_exponent(m, m2, theta) % 1
 
 
 class NCPolynomial:
@@ -244,33 +261,41 @@ class NCPolynomial:
 
 
 def poly_mul(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
-    """Product with coefficients sum_{m+m'=n} alpha_m beta_m' exp(2 pi i c(m,m'))."""
+    """Product with coefficients sum_{m+m'=n} alpha_m beta_m' exp(2 pi i c(m,m')).
+
+    The exponents of all term pairs come from one bilinear form of the two
+    exponent arrays; exact products are rotated by the integer Q c mod Q.
+    """
     a._check_compatible(b)
-    out: Dict[MultiIndex, Coefficient] = {}
-    for m, ca in a.coeffs.items():
-        for m2, cb in b.coeffs.items():
-            n = add_index(m, m2)
-            c = structure_exponent(m, m2, a.theta)
-            if a.exact:
-                term = (ca * cb).rotate(c)
-                out[n] = out[n] + term if n in out else term
-            else:
-                term = ca * cb * _phase_complex(c)
-                out[n] = out.get(n, 0j) + term
+    if not (a.coeffs and b.coeffs):
+        return NCPolynomial(a.theta, {}, exact=a.exact)
+    twist = _Twist(a.theta)
+    ma, mb = [[m] for m in a.coeffs], [list(b.coeffs)]
+    # per term pair: the integer Q c when exact, else the phase exp(2 pi i c)
+    factors = (twist.scaled(ma, mb) if a.exact else twist.phases(ma, mb)).tolist()
+    groups: Dict[MultiIndex, list] = {}
+    for (m, ca), row in zip(a.coeffs.items(), factors):
+        for (m2, cb), f in zip(b.coeffs.items(), row):
+            groups.setdefault(add_index(m, m2), []).append((ca, cb, f))
+    if a.exact:
+        out = {n: Cyclotomic.sum_of_products(twist.order, g) for n, g in groups.items()}
+    else:
+        out = {n: reduce(lambda s, t: s + t[0] * t[1] * t[2], g, 0j) for n, g in groups.items()}
     return NCPolynomial(a.theta, out, exact=a.exact)
 
 
 def poly_adjoint(a: NCPolynomial) -> NCPolynomial:
-    """Involution: (u^m)* = exp(-2 pi i c(m,-m)) u^{-m}, coefficients conjugated."""
-    out: Dict[MultiIndex, Coefficient] = {}
-    for m, c in a.coeffs.items():
-        nm = neg_index(m)
-        e = structure_exponent(m, nm, a.theta)
-        if a.exact:
-            out[nm] = c.conjugate().rotate(-e)
-        else:
-            out[nm] = c.conjugate() * _phase_complex(-e)
-    return NCPolynomial(a.theta, out, exact=a.exact)
+    """Involution: (u^m)* = exp(2 pi i c(m,m)) u^{-m}, coefficients conjugated
+    (c(m, m) = -c(m, -m) by bilinearity)."""
+    if not a.coeffs:
+        return NCPolynomial(a.theta, {}, exact=a.exact)
+    twist = _Twist(a.theta)
+    ms, cs = list(a.coeffs), list(a.coeffs.values())
+    if a.exact:
+        new = [c.conjugate().rotate(s) for c, s in zip(cs, twist.scaled(ms, ms).tolist())]
+    else:
+        new = [c.conjugate() * p for c, p in zip(cs, twist.phases(ms, ms).tolist())]
+    return NCPolynomial(a.theta, dict(zip(map(neg_index, ms), new)), exact=a.exact)
 
 
 def trace(a: NCPolynomial) -> Coefficient:
@@ -315,9 +340,12 @@ def transference(a: NCPolynomial, z: Sequence) -> NCPolynomial:
     for m, c in a.coeffs.items():
         t = sum((x * mj for x, mj in zip(tz, m)), Fraction(0))
         if a.exact:
-            out[m] = c.rotate(t)
+            shift = t * c.order
+            if shift.denominator != 1:
+                raise ValidationError(f"rotation by {t} turns leaves the zeta_{c.order} lattice")
+            out[m] = c.rotate(int(shift))
         else:
-            out[m] = c * _phase_complex(t)
+            out[m] = c * cmath.exp(1j * TWO_PI * float(t % 1))
     return NCPolynomial(a.theta, out, exact=a.exact)
 
 
@@ -344,24 +372,20 @@ def gns_matrix(a: NCPolynomial, radius: int) -> np.ndarray:
     box = _box_indices(d, radius)
     n = box.shape[0]
     side = 2 * radius + 1
-    theta_arr = a.theta.as_array()
     out = np.zeros((n, n), dtype=complex)
     af = a.to_float()
-    for m, coeff in af.coeffs.items():
-        mv = np.array(m)
-        # c(m, m') is linear in m': c = -(v . m') with v_j = sum_{k>j} theta_jk m_k
-        v = np.array(
-            [sum(theta_arr[j, k] * m[k] for k in range(j + 1, d)) for j in range(d)]
-        )
-        phases = np.exp(-1j * TWO_PI * (box @ v))
-        target = box + mv
+    if not af.coeffs:
+        return out
+    phases = _Twist(a.theta).phases([[m] for m in af.coeffs], [box])
+    for (m, coeff), phase in zip(af.coeffs.items(), phases):
+        target = box + np.array(m)
         ok = np.all(np.abs(target) <= radius, axis=1)
         cols = np.nonzero(ok)[0]
         shifted = target[cols] + radius
         rows = np.zeros(len(cols), dtype=int)
         for ax in range(d):
             rows = rows * side + shifted[:, ax]
-        out[rows, cols] += coeff * phases[cols]
+        out[rows, cols] += coeff * phase[cols]
     return out
 
 
@@ -395,20 +419,14 @@ def cocycle_validate(theta: SkewMatrix, triples: Iterable) -> CocycleReport:
     triples = [tuple(as_multi_index(m) for m in t) for t in triples]
     if not triples:
         raise ValidationError("sample list must be nonempty")
-    zero = (0,) * theta.dim
-    max_assoc = 0.0
-    max_norm = 0.0
-    for m, m2, m3 in triples:
-        lhs = structure_exponent(m, m2, theta) + structure_exponent(add_index(m, m2), m3, theta)
-        rhs = structure_exponent(m, add_index(m2, m3), theta) + structure_exponent(m2, m3, theta)
-        diff = lhs - rhs
-        if isinstance(diff, Fraction):
-            dv = PhaseExponent.from_fraction(diff).circle_distance_to_zero()
-        else:
-            dv = PhaseExponent.from_float(diff).circle_distance_to_zero()
-        max_assoc = max(max_assoc, dv)
-        for g in (m, m2, m3):
-            e1 = structure_phase(g, zero, theta).circle_distance_to_zero()
-            e2 = structure_phase(zero, g, theta).circle_distance_to_zero()
-            max_norm = max(max_norm, e1, e2)
+    if any(len(m) != theta.dim for t in triples for m in t):
+        raise ValidationError(f"a multi-index dimension != theta dimension {theta.dim}")
+    twist = _Twist(theta)
+    m1, m2, m3 = (np.array(ms, dtype=twist.form.dtype) for ms in zip(*triples))
+    c = twist.scaled
+    assoc = c(m1, m2) + c(m1 + m2, m3) - c(m1, m2 + m3) - c(m2, m3)
+    zero = 0 * m1
+    norm = [c(g, zero) for g in (m1, m2, m3)] + [c(zero, g) for g in (m1, m2, m3)]
+    max_assoc = float(twist.circle_distance(assoc).max())
+    max_norm = max(float(twist.circle_distance(e).max()) for e in norm)
     return CocycleReport(len(triples), max_assoc, max_norm, theta.is_rational)

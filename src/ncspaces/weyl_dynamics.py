@@ -16,7 +16,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import HermitianExponential, hermiticity_defect, spectral_norm
+from .linalg import HermitianExponential, fourier_multiplier, hermiticity_defect, spectral_norm
 from .symplectic import GridSpec
 
 
@@ -24,14 +24,9 @@ from .symplectic import GridSpec
 
 
 def translation_unitary(s: float, grid: GridSpec) -> np.ndarray:
-    """(u(s) f)(x) = f(x + s) as a dense unitary, diagonal in the Fourier basis.
-
-    A circulant (Davis, *Circulant Matrices*, 1979): entry (a, b) is
-    ``ifft(exp(i k s))[(a - b) mod M]``, so building it costs O(M^2).
-    """
-    col = np.fft.ifft(np.exp(1j * grid.frequencies() * s))
-    idx = np.arange(grid.points)
-    return col[(idx[:, None] - idx[None, :]) % grid.points]
+    """(u(s) f)(x) = f(x + s) as a dense unitary: the Fourier multiplier
+    exp(i k s), a circulant built in O(M^2)."""
+    return fourier_multiplier(np.exp(1j * grid.frequencies() * s))
 
 
 def modulation_unitary(t: float, grid: GridSpec) -> np.ndarray:
@@ -171,8 +166,6 @@ class UnitaryField:
     fn: Callable[[float, float], np.ndarray]
     step: float = 1e-3
     box: float = 50.0
-    dfdx: Optional[Callable[[float, float], np.ndarray]] = None
-    dfdy: Optional[Callable[[float, float], np.ndarray]] = None
 
     def sample(self, x: float, y: float) -> np.ndarray:
         if abs(x) > self.box or abs(y) > self.box:

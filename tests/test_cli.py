@@ -1,5 +1,8 @@
 """End-to-end tests of the command-line interface and the JSON schemas."""
 import json
+import os
+import stat
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -99,6 +102,35 @@ class TestCliBasics:
         cfg.write_text(json.dumps({"theta": 0, "grids": [32]}))
         assert main(["weyl", "--config", str(cfg)]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[1].split(",")[2] == "0.0"
+
+    def test_weyl_rational_theta(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grids": [32]}))
+        assert main(["weyl", "--config", str(cfg), "--theta", "1/3"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].split(",")[2] == repr(1 / 3)
+
+    def test_weyl_unparsable_theta_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grids": [32]}))
+        for theta in ("1/0", "abc"):
+            assert main(["weyl", "--config", str(cfg), "--theta", theta]) == EXIT_INVALID
+            assert "cannot parse theta spec" in capsys.readouterr().err
+
+    def test_symplectic_missing_theta(self, capsys):
+        assert main(["symplectic"]) == EXIT_INVALID
+        assert "missing --theta" in capsys.readouterr().err
+
+    def test_out_file_gets_plain_open_mode(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            out = tmp_path / "a.txt"
+            assert main(["audit", "--k", "8100", "--target", "2500", "--out", str(out)]) == EXIT_OK
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE(os.stat(out).st_mode)
+        assert mode == stat.S_IMODE(os.stat(tmp_path / "plain.txt").st_mode) == 0o644
 
     def test_malformed_config_line_diagnostic(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

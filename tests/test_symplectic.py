@@ -10,7 +10,7 @@ from ncspaces.errors import (
     SizeCapError,
     ValidationError,
 )
-from ncspaces.linalg import expm_i_hermitian
+from ncspaces.linalg import HermitianExponential
 from ncspaces.skew import SkewMatrix
 from ncspaces.symplectic import (
     GridSpec,
@@ -19,6 +19,7 @@ from ncspaces.symplectic import (
     gaussian_state,
     schrodinger_generators,
     skew_rank_decompose,
+    spectral_derivative_matrix,
     symplectic_normalize,
 )
 
@@ -104,6 +105,16 @@ class TestRankDecompose:
             assert dec.rank == int((sv > 1e-10 * max(sv[0], 1.0)).sum())
 
 
+@pytest.mark.parametrize("m", [16, 64])
+def test_spectral_derivative_matches_dense_dft(m):
+    # oracle: the dense F^-1 diag(k) F product with both DFT matrices
+    grid = GridSpec(m, 6.0)
+    f = np.fft.fft(np.eye(m), axis=0)
+    finv = np.fft.ifft(np.eye(m), axis=0)
+    dense = finv @ (grid.frequencies()[:, None] * f)
+    assert np.abs(spectral_derivative_matrix(grid) - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
 class TestSchrodingerGenerators:
     def test_canonical_pair_commutator(self):
         sf = symplectic_normalize(SkewMatrix.canonical(2))
@@ -159,8 +170,8 @@ class TestSchrodingerGenerators:
             grid = GridSpec(m, 6.0)
             p = schrodinger_generators(sf, grid)
             v = gaussian_state(grid, 1, sigma=0.55)
-            u1 = expm_i_hermitian(p[0], s)
-            u2 = expm_i_hermitian(p[1], t)
+            u1 = HermitianExponential(p[0]).at(s)
+            u2 = HermitianExponential(p[1]).at(t)
             errs.append(
                 np.linalg.norm(u1 @ (u2 @ v) - np.exp(1j * s * t) * (u2 @ (u1 @ v)))
             )

@@ -1,4 +1,6 @@
 """Tests for the twisted polynomial algebra over Z^d."""
+import cmath
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -46,13 +48,12 @@ def random_poly(rng, theta, terms=5, max_exp=2):
 
 class TestStructurePhase:
     def test_no_cross_term(self):
-        ph = structure_phase((1, 0), (0, 1), THETA_QUARTER)
-        assert ph.exact == 0
+        assert structure_phase((1, 0), (0, 1), THETA_QUARTER) == 0
 
     def test_quarter_phase_value(self):
-        ph = structure_phase((0, 1), (1, 0), THETA_QUARTER)
-        assert ph.exact == Fraction(3, 4)  # -1/4 mod 1
-        assert ph.phase() == pytest.approx(-1j, abs=1e-15)
+        c = structure_phase((0, 1), (1, 0), THETA_QUARTER)
+        assert c == Fraction(3, 4)  # -1/4 mod 1
+        assert cmath.exp(2j * cmath.pi * c) == pytest.approx(-1j, abs=1e-15)
 
     def test_quarter_phase_against_clock_shift(self):
         # independent oracle: 4x4 clock/shift matrices at 1/4
@@ -60,18 +61,68 @@ class TestStructurePhase:
         vu = v @ u
         uv = u @ v
         scalar = vu[np.abs(uv) > 0.5][0] / uv[np.abs(uv) > 0.5][0]
-        assert scalar == pytest.approx(
-            structure_phase((0, 1), (1, 0), THETA_QUARTER).phase(), abs=1e-14
-        )
+        c = structure_phase((0, 1), (1, 0), THETA_QUARTER)
+        assert scalar == pytest.approx(cmath.exp(2j * cmath.pi * c), abs=1e-14)
 
     def test_zero_theta(self):
         theta = SkewMatrix.zero(3)
-        ph = structure_phase((2, -1, 3), (1, 4, -2), theta)
-        assert ph.exact == 0
+        assert structure_phase((2, -1, 3), (1, 4, -2), theta) == 0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             structure_phase((1, 0, 0), (0, 1), THETA_QUARTER)
+
+
+class TestLargeExponents:
+    # Q = lcm(4, 9, 5, 7) = 1260; exponents near 2^40 make the products
+    # m_k m'_j near 2^80, which int64 arithmetic would wrap
+    THETA = SkewMatrix.from_upper(3, [Fraction(4, 9), Fraction(-3, 5), Fraction(5, 7)])
+    M = (2**40 + 3, -(2**40) + 7, 2**40 - 11)
+    M2 = (-(2**40) - 5, 2**40 + 13, -(2**40) + 1)
+
+    def definition(self, m, m2):
+        return -sum(
+            self.THETA.entry(j, k) * m[k] * m2[j] for j in range(3) for k in range(j + 1, 3)
+        )
+
+    def test_phase_order(self):
+        assert ta.phase_order(self.THETA) == 1260
+
+    def test_structure_exponent_matches_fraction_definition(self):
+        for m, m2 in ((self.M, self.M2), (self.M2, self.M), (self.M, self.M)):
+            assert ta.structure_exponent(m, m2, self.THETA) == self.definition(m, m2)
+            assert structure_phase(m, m2, self.THETA) == self.definition(m, m2) % 1
+
+    def test_exact_monomial_product_matches_fraction_definition(self):
+        a = NCPolynomial.exact_monomial(self.THETA, self.M)
+        b = NCPolynomial.exact_monomial(self.THETA, self.M2)
+        shift = self.definition(self.M, self.M2) * 1260
+        assert shift.denominator == 1
+        n = tuple(x + y for x, y in zip(self.M, self.M2))
+        assert poly_mul(a, b).coeffs == {n: Cyclotomic.root(1260, int(shift))}
+
+    def test_exact_product_matches_pairwise_definition(self):
+        # reference: the term-pair loop, each phase from the Fraction definition
+        rng = np.random.default_rng(15)
+
+        def rand_exact():
+            coeffs = {}
+            for _ in range(6):
+                m = tuple(int(x) + 2**40 * int(s) for x, s in
+                          zip(rng.integers(-2, 3, size=3), rng.integers(-1, 2, size=3)))
+                c = Cyclotomic.root(1260, int(rng.integers(0, 1260)), int(rng.integers(1, 4)))
+                coeffs[m] = coeffs[m] + c if m in coeffs else c
+            return NCPolynomial(self.THETA, coeffs)
+
+        for _ in range(5):
+            a, b = rand_exact(), rand_exact()
+            want = {}
+            for m, ca in a.coeffs.items():
+                for m2, cb in b.coeffs.items():
+                    n = tuple(x + y for x, y in zip(m, m2))
+                    term = (ca * cb).rotate(int(self.definition(m, m2) * 1260))
+                    want[n] = want[n] + term if n in want else term
+            assert poly_mul(a, b) == NCPolynomial(self.THETA, want, exact=True)
 
 
 class TestPolyMul:
@@ -297,7 +348,7 @@ class TestTransference:
         a = NCPolynomial.exact_monomial(THETA_THIRD, (1, 2))
         out = transference(a, [Fraction(1, 4), Fraction(1, 3)])
         # z^m rotates by 1/4 + 2/3 = 11/12
-        expected = Cyclotomic.one(ta.phase_order(THETA_THIRD)).rotate(Fraction(11, 12))
+        expected = Cyclotomic.one(ta.phase_order(THETA_THIRD)).rotate(11)  # Q = 12
         assert out.coeffs[(1, 2)] == expected
 
     def test_rejects_non_unimodular(self):
