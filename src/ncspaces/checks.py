@@ -38,20 +38,23 @@ class CheckConfig:
 CheckResult = Tuple[str, bool, str]
 
 
-def random_rational_theta(rng, d: int, max_den: int = 9) -> SkewMatrix:
+def random_rational_theta(rng, d: int) -> SkewMatrix:
+    """Upper entries n/den with den uniform in 1..9 and n in -den..den."""
     entries = {}
     for jk in upper_pairs(d):
-        den = int(rng.integers(1, max_den + 1))
+        den = int(rng.integers(1, 10))
         num = int(rng.integers(-den, den + 1))
         entries[jk] = Fraction(num, den)
     return SkewMatrix.from_upper(d, entries)
 
 
-def random_exact_poly(rng, theta: SkewMatrix, max_terms: int = 8, max_exp: int = 2):
+def random_exact_poly(rng, theta: SkewMatrix):
+    """1..8 draws of a monomial with exponents in -2..2 and an exact
+    coefficient c zeta^r, c a nonzero integer in -3..3."""
     q = ta.phase_order(theta)
     coeffs = {}
-    for _ in range(int(rng.integers(1, max_terms + 1))):
-        m = tuple(int(x) for x in rng.integers(-max_exp, max_exp + 1, size=theta.dim))
+    for _ in range(int(rng.integers(1, 9))):
+        m = tuple(int(x) for x in rng.integers(-2, 3, size=theta.dim))
         r = int(rng.integers(0, q))
         num = int(rng.integers(-3, 4)) or 1
         c = Cyclotomic.root(q, r, Fraction(num))

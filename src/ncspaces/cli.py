@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -108,7 +108,7 @@ def load_config(command: str, path: Optional[str], flag_params: Dict) -> Experim
             params[key] = value
     cfg = ExperimentConfig(command, params)
     if "seed" in shared:
-        cfg.seed = int(shared["seed"])
+        cfg.seed = parse_value("seed", shared["seed"], int)
     if "out" in shared:
         cfg.out = str(shared["out"])
     return cfg
@@ -129,16 +129,25 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-# -- theta specification --------------------------------------------------------
+# -- parameter values -------------------------------------------------------------
+
+
+def parse_value(key: str, value, kind: Callable):
+    """kind(value) for the config or flag value of key; a value kind rejects is
+    invalid input (exit 2), reported with its key."""
+    try:
+        return kind(value)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as e:
+        raise ValidationError(f"cannot parse {key} spec {value!r}: {e}") from e
+
+
+def _floats(values) -> List[float]:
+    return [float(x) for x in values]
 
 
 def parse_theta_value(spec) -> Entry:
     """A scalar theta: a rational 'p/q' or a float."""
-    spec = str(spec)
-    try:
-        return Fraction(spec) if "/" in spec else float(spec)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValidationError(f"cannot parse theta spec {spec!r}: {e}") from e
+    return parse_value("theta", str(spec), lambda s: Fraction(s) if "/" in s else float(s))
 
 
 def parse_theta_spec(spec, d: Optional[int], rng) -> SkewMatrix:
@@ -153,9 +162,9 @@ def parse_theta_spec(spec, d: Optional[int], rng) -> SkewMatrix:
             for line in fh:
                 line = line.strip()
                 if line:
-                    rows.append([float(x) for x in line.split(",")])
+                    rows.append(parse_value("theta", line, lambda row: _floats(row.split(","))))
         return SkewMatrix.from_matrix(rows)
-    dd = 2 if d is None else d
+    dd = 2 if d is None else parse_value("d", d, int)
     if spec == "zero":
         return SkewMatrix.zero(dd)
     if spec == "canonical":
@@ -166,12 +175,14 @@ def parse_theta_spec(spec, d: Optional[int], rng) -> SkewMatrix:
     return SkewMatrix.from_upper(dd, {jk: value for jk in upper_pairs(dd)})
 
 
-def parse_grid(spec: str) -> symplectic.GridSpec:
-    try:
-        m_str, l_str = spec.split(",")
+def parse_grid(spec) -> symplectic.GridSpec:
+    """A grid 'M,L': M points on [-L, L)."""
+
+    def grid(text: str) -> symplectic.GridSpec:
+        m_str, l_str = text.split(",")
         return symplectic.GridSpec(int(m_str), float(l_str))
-    except (ValueError, TypeError) as e:
-        raise ValidationError(f"bad grid spec {spec!r}, expected 'M,L': {e}") from e
+
+    return parse_value("grid", str(spec), grid)
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -196,9 +207,10 @@ def cmd_algebra(cfg: ExperimentConfig) -> int:
         result["product_ab"] = poly_to_json(ta.poly_mul(a, b))
         result["product_ba"] = poly_to_json(ta.poly_mul(b, a))
     if "axis" in obj:
-        result["expectation"] = poly_to_json(ta.cond_expectation(a, int(obj["axis"])))
+        axis = parse_value("axis", obj["axis"], int)
+        result["expectation"] = poly_to_json(ta.cond_expectation(a, axis))
     if "z" in obj:
-        z = [complex(re, im) for re, im in obj["z"]]
+        z = parse_value("z", obj["z"], lambda pairs: [complex(re, im) for re, im in pairs])
         result["transferred"] = poly_to_json(ta.transference(a, z))
     emit(cfg, json.dumps(result, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -210,7 +222,7 @@ def _pair_table_from_spec(spec: str, d: int, rng) -> dict:
         if spec == "identity-pairs":
             table[jk] = fr.clock_shift(1, 2)
         elif "/" in spec:
-            frac = Fraction(spec)
+            frac = parse_value("theta", spec, Fraction)
             table[jk] = fr.clock_shift(frac.numerator, frac.denominator)
         elif spec == "random":
             q = int(rng.integers(2, 5))
@@ -221,7 +233,7 @@ def _pair_table_from_spec(spec: str, d: int, rng) -> dict:
 
 
 def cmd_relations(cfg: ExperimentConfig) -> int:
-    d = int(cfg.params.get("d", 3))
+    d = parse_value("d", cfg.params.get("d", 3), int)
     spec = str(cfg.params.get("theta", "identity-pairs"))
     rng = np.random.default_rng(cfg.seed)
     table = _pair_table_from_spec(spec, d, rng)
@@ -261,7 +273,7 @@ def cmd_moyal(cfg: ExperimentConfig) -> int:
         f = read_gridfn(str(cfg.params["f"]))
         g = read_gridfn(str(cfg.params["g"]))
     else:
-        grid = parse_grid(str(cfg.params.get("grid", "64,8.0")))
+        grid = parse_grid(cfg.params.get("grid", "64,8.0"))
         f = GridFunction.gaussian(2, grid.half_length, grid.points, sigma=1.0)
         g = GridFunction.gaussian(2, grid.half_length, grid.points, sigma=1.3,
                                   center=(0.4, -0.3))
@@ -281,13 +293,15 @@ def cmd_moyal(cfg: ExperimentConfig) -> int:
 
 def cmd_weyl(cfg: ExperimentConfig) -> int:
     theta = float(parse_theta_value(cfg.params.get("theta", 1.0)))
-    svals = [float(x) for x in cfg.params.get("s", [0.37])]
-    tvals = [float(x) for x in cfg.params.get("t", [0.37])]
-    grids = [int(x) for x in cfg.params.get("grids", [64, 128, 256])]
+    svals = parse_value("s", cfg.params.get("s", [0.37]), _floats)
+    tvals = parse_value("t", cfg.params.get("t", [0.37]), _floats)
+    grids = parse_value("grids", cfg.params.get("grids", [64, 128, 256]),
+                        lambda ms: [int(m) for m in ms])
     L = cfg.params.get("L")
+    L = None if L is None else parse_value("L", L, float)
     rows = ["M,L,theta,s,t,residual,commensurate_shift,commensurate_modulation"]
     for m in grids:
-        grid = symplectic.GridSpec.self_dual(m) if L is None else symplectic.GridSpec(m, float(L))
+        grid = symplectic.GridSpec.self_dual(m) if L is None else symplectic.GridSpec(m, L)
         for s in svals:
             for t in tvals:
                 rep = wd.weyl_residual(theta, s, t, grid)
@@ -313,7 +327,7 @@ def cmd_butterfly(cfg: ExperimentConfig) -> int:
     qmax = cfg.params.get("qmax")
     if qmax is None:
         raise ValidationError("butterfly needs --qmax")
-    qmax = int(qmax)
+    qmax = parse_value("qmax", qmax, int)
     if qmax < 1:
         raise ValidationError(f"--qmax must be >= 1, got {qmax}")
     rows = ["p,q,band_index,a,b"]
@@ -328,10 +342,11 @@ def cmd_butterfly(cfg: ExperimentConfig) -> int:
 def cmd_holder(cfg: ExperimentConfig) -> int:
     import warnings
 
-    base = Fraction(str(cfg.params.get("base", "0")))
-    offsets = [Fraction(str(x)) for x in
-               cfg.params.get("offsets", ["1/8", "1/16", "1/32", "1/64", "1/128"])]
-    qcap = int(cfg.params.get("qmax", spectra.DEFAULT_Q_CAP))
+    base = parse_value("base", str(cfg.params.get("base", "0")), Fraction)
+    offsets = parse_value("offsets",
+                          cfg.params.get("offsets", ["1/8", "1/16", "1/32", "1/64", "1/128"]),
+                          lambda xs: [Fraction(str(x)) for x in xs])
+    qcap = parse_value("qmax", cfg.params.get("qmax", spectra.DEFAULT_Q_CAP), int)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # decade span is reported in the CSV
         res = spectra.holder_scan(base, offsets, q_cap=qcap)
@@ -349,10 +364,10 @@ def cmd_holder(cfg: ExperimentConfig) -> int:
 
 
 def cmd_audit(cfg: ExperimentConfig) -> int:
-    k = int(cfg.params.get("k", 8100))
-    target = cfg.params.get("target", 2500)
-    target = int(target) if float(target) == int(float(target)) else float(target)
-    levels = int(cfg.params.get("levels", 6))
+    k = parse_value("k", cfg.params.get("k", 8100), int)
+    target = parse_value("target", cfg.params.get("target", 2500),
+                         lambda x: int(x) if float(x) == int(float(x)) else float(x))
+    levels = parse_value("levels", cfg.params.get("levels", 6), int)
     rep = wd.audit_interpolation_constants(k, target, levels)
     lines = [
         f"k: {k} (sqrt {'exact' if rep.exact else 'inexact'})",
@@ -368,7 +383,7 @@ def cmd_audit(cfg: ExperimentConfig) -> int:
 
 
 def cmd_all_checks(cfg: ExperimentConfig) -> int:
-    kwargs = {k: int(v) for k, v in cfg.params.items()}
+    kwargs = {k: parse_value(k, v, int) for k, v in cfg.params.items()}
     ccfg = checks_mod.CheckConfig(seed=cfg.seed, **kwargs)
     results = checks_mod.run_all_checks(ccfg)
     lines = []

@@ -14,7 +14,7 @@ class GridMismatchError(ValidationError):
 
 
 class SizeCapError(ValidationError):
-    """A construction would exceed the configured size cap."""
+    """A construction would exceed its cost guard."""
 
 
 class OddDimensionError(ValidationError):

@@ -7,7 +7,7 @@ independent components.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from typing import Dict, List, Optional, Tuple
@@ -29,6 +29,8 @@ class UnitaryTuple:
     matrices: Tuple[np.ndarray, ...]
     sigma: np.ndarray
     tol: float = 1e-12
+    # measured once at construction; the matrices are immutable afterwards
+    relation_report: RelationReport = field(init=False, repr=False)
 
     def __post_init__(self):
         d = len(self.matrices)
@@ -47,7 +49,7 @@ class UnitaryTuple:
         if np.abs(sigma - sigma.conj().T).max() > 1e-12:
             raise ValidationError("sigma must satisfy sigma_kj = conj(sigma_jk)")
         rep = _measure_relations(self)
-        object.__setattr__(self, "_relation_report", rep)
+        object.__setattr__(self, "relation_report", rep)
         if max(rep.max_commutation, rep.max_unitarity) > self.tol:
             raise ValidationError(
                 f"tuple violates declared tolerance {self.tol:.1e}: "
@@ -76,14 +78,9 @@ class RelationReport:
 
 
 def verify_relations(t: UnitaryTuple) -> RelationReport:
-    """Measure max_{j<k} ||u_j u_k - sigma_jk u_k u_j|| and max_j ||u_j* u_j - I||.
-
-    The report is measured once at construction and reused; the matrices are
-    immutable afterwards."""
-    cached = getattr(t, "_relation_report", None)
-    if cached is not None:
-        return cached
-    return _measure_relations(t)
+    """max_{j<k} ||u_j u_k - sigma_jk u_k u_j|| and max_j ||u_j* u_j - I||, as
+    measured when t was constructed."""
+    return t.relation_report
 
 
 def _measure_relations(t: UnitaryTuple) -> RelationReport:
@@ -102,12 +99,13 @@ def _measure_relations(t: UnitaryTuple) -> RelationReport:
     return RelationReport(max_comm, max_unit, worst)
 
 
-def clock_shift(p: int, q: int, tol: float = 1e-14) -> UnitaryTuple:
+def clock_shift(p: int, q: int) -> UnitaryTuple:
     """Clock U = diag(w^0..w^{q-1}) and cyclic shift V e_k = e_{k+1 mod q},
-    w = exp(2 pi i p/q); they satisfy U V = w V U exactly.
+    w = exp(2 pi i p/q); they satisfy U V = w V U exactly, and the tuple
+    declares tolerance 1e-14.
 
     Each w^j is evaluated as exp(2 pi i (p j mod q)/q): powers of the rounded
-    w drift past the default tolerance (1.15e-14 at p/q = 11/15)."""
+    w drift past that tolerance (1.15e-14 at p/q = 11/15)."""
     if q < 1:
         raise ValidationError("q must be a positive integer")
     w = np.exp(1j * TWO_PI * (Fraction(p, q) % 1).__float__())
@@ -115,20 +113,17 @@ def clock_shift(p: int, q: int, tol: float = 1e-14) -> UnitaryTuple:
     v = np.zeros((q, q), dtype=complex)
     v[(np.arange(q) + 1) % q, np.arange(q)] = 1.0
     sigma = np.array([[1.0, w], [np.conj(w), 1.0]], dtype=complex)
-    return UnitaryTuple((u, v), sigma, tol)
+    return UnitaryTuple((u, v), sigma, 1e-14)
 
 
-def tensor_construct(
-    pair_table: Dict[Tuple[int, int], UnitaryTuple],
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> UnitaryTuple:
+def tensor_construct(pair_table: Dict[Tuple[int, int], UnitaryTuple]) -> UnitaryTuple:
     """Assemble d generators from one d=2 tuple per index pair (j, k), j < k.
 
     On the tensor product over all pairs (lexicographic), generator j carries
     the first leg of pair (j, k) for every k > j and the second leg of pair
     (i, j) for every i < j; every other leg is the identity.  Each pair of
     generators then overlaps in exactly one component, so sigma_jk is the
-    phase of pair (j, k).
+    phase of pair (j, k).  Guarded to a tensor dimension <= DEFAULT_SIZE_CAP.
     """
     if not pair_table:
         raise ValidationError("pair table is empty")
@@ -146,9 +141,9 @@ def tensor_construct(
         if pt.d != 2:
             raise ValidationError(f"pair {jk} is not a 2-tuple")
         total *= pt.dim_hilbert
-        if total > size_cap:
+        if total > DEFAULT_SIZE_CAP:
             raise SizeCapError(
-                f"tensor dimension {total}+ exceeds size cap {size_cap}"
+                f"tensor dimension {total}+ exceeds size cap {DEFAULT_SIZE_CAP}"
             )
     mats: List[np.ndarray] = []
     for g in range(d):
@@ -242,16 +237,16 @@ _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def clifford_generators(n: int, max_n: int = 12) -> CliffordSet:
-    """n anticommuting self-adjoint involutions on C^(2^ceil(n/2)).
+def clifford_generators(n: int) -> CliffordSet:
+    """n anticommuting self-adjoint involutions on C^(2^ceil(n/2)), n <= 12.
 
     Standard tensor ladder: c_{2m-1} = Z^(m-1) (x) X (x) I..., and
     c_{2m} = Z^(m-1) (x) Y (x) I...
     """
     if n < 1:
         raise ValidationError("need at least one generator")
-    if n > max_n:
-        raise ValidationError(f"n={n} exceeds the size guard {max_n}")
+    if n > 12:
+        raise ValidationError(f"n={n} exceeds the size guard 12")
     qubits = (n + 1) // 2
     mats = []
     for idx in range(1, n + 1):
@@ -296,9 +291,7 @@ class FockReport:
     kernel_dim: int                    # ker of A* restricted to interior vectors
 
 
-def fock_identities_check(
-    n: int, cutoff: int, size_cap: int = DEFAULT_SIZE_CAP
-) -> FockReport:
+def fock_identities_check(n: int, cutoff: int) -> FockReport:
     """Build A = sum_j c_j (x) a_j* on C^N (x) Fock(cutoff) and measure how the
     operator identities close on interior occupation vectors (all m_j <= cutoff-1).
 
@@ -306,13 +299,13 @@ def fock_identities_check(
     ker A* = C^N (x) phi_0; for two or more modes the mixed terms
     c_k c_j (x) (a_k a_j* - a_j a_k*) do not cancel, the product residual is
     O(1), and the interior kernel acquires one C^N-worth of vectors per total
-    occupation level.
+    occupation level.  Guarded to N (cutoff + 1)^n <= DEFAULT_SIZE_CAP.
     """
     cliff = clifford_generators(n)
     N = cliff.rep_dim
     dim_fock = (cutoff + 1) ** n
-    if N * dim_fock > size_cap:
-        raise SizeCapError(f"dimension {N * dim_fock} exceeds size cap {size_cap}")
+    if N * dim_fock > DEFAULT_SIZE_CAP:
+        raise SizeCapError(f"dimension {N * dim_fock} exceeds size cap {DEFAULT_SIZE_CAP}")
     modes = _mode_operators(n, cutoff)
     eye_n = np.eye(N, dtype=complex)
     a_mat = sum(np.kron(c, am.conj().T) for c, am in zip(cliff.matrices, modes))

@@ -55,8 +55,9 @@ def fourier_multiplier(symbol: np.ndarray) -> np.ndarray:
     return col[(idx[:, None] - idx[None, :]) % len(col)]
 
 
-def kernel_dimension(a: np.ndarray, rel_tol: float = 1e-10) -> int:
-    """Dimension of ker(A) for a dense matrix, by singular-value threshold."""
+def kernel_dimension(a: np.ndarray) -> int:
+    """Dimension of ker(A) for a dense matrix: singular values at most 1e-10
+    times the largest count as zero."""
     a = np.asarray(a)
     if a.size == 0:
         return a.shape[1]
@@ -64,5 +65,5 @@ def kernel_dimension(a: np.ndarray, rel_tol: float = 1e-10) -> int:
     top = s.max() if s.size else 0.0
     if top == 0.0:
         return a.shape[1]
-    rank = int(np.count_nonzero(s > rel_tol * top))
+    rank = int(np.count_nonzero(s > 1e-10 * top))
     return a.shape[1] - rank

@@ -34,11 +34,6 @@ the sum over s_d is one batched FFT convolution along the last axis: the
 frequency route costs O(M^(d+1) log M), O(M^3 log M) on the plane.  The two
 routes share only the transform utilities, so their agreement is a
 meaningful cross-check.
-
-A "full" phase convention exp(i theta(s, t-s)) is also reachable: it is the
-symmetric convention at doubled theta, which is exactly how the adapter
-implements it (the two multipliers differ, so no same-theta unitary
-equivalence exists; see regular_rep_matrix).
 """
 from __future__ import annotations
 
@@ -182,33 +177,21 @@ def star_product_fourier(
 # -- regular representation ----------------------------------------------------
 
 
-def regular_rep_matrix(
-    f: GridFunction,
-    theta: SkewMatrix,
-    convention: str = "half",
-    size_cap: int = MATRIX_CAP,
-) -> np.ndarray:
+def regular_rep_matrix(f: GridFunction, theta: SkewMatrix) -> np.ndarray:
     """Dense matrix of the twisted left multiplication by f on the frequency grid.
 
     With the engine's cocycle the action on a frequency vector g is
 
         (L_f g)(t) = sum_{t'} fhat(t - t') exp((i/2) theta(t - t', t')) g(t') ds,
 
-    where fhat vanishes outside its box.  convention="full" uses the phase
-    exp(i theta(s, t-s)) instead; that multiplier is the square of the
-    symmetric one, so the full convention is implemented as (and tested to be)
-    the symmetric convention at 2 theta.
+    where fhat vanishes outside its box.  Guarded to M^d <= MATRIX_CAP.
     """
     _check_theta(f, theta)
-    if convention == "full":
-        return regular_rep_matrix(f, theta.scaled(2), convention="half", size_cap=size_cap)
-    if convention != "half":
-        raise ValidationError(f"unknown convention {convention!r}")
     fhat = to_frequency(f) if f.side == "position" else f
     m, d = fhat.points, fhat.dim
     n = m**d
-    if n > size_cap:
-        raise SizeCapError(f"matrix dimension M^d = {n} exceeds cap {size_cap}")
+    if n > MATRIX_CAP:
+        raise SizeCapError(f"matrix dimension M^d = {n} exceeds cap {MATRIX_CAP}")
     tvecs = freq_grid_vectors(fhat)  # (n, d)
     theta_arr = theta.as_array()
     ds = fhat.freq_step**d
@@ -318,18 +301,13 @@ def _bump(tgrid: np.ndarray, eps: float) -> np.ndarray:
 
 
 def dimension_reduction_check(
-    f: GridFunction,
-    theta: SkewMatrix,
-    n_steps: int,
-    g: GridFunction = None,
-    support_fraction: float = 0.5,
-    allow_singular: bool = False,
-    quad_points: int = 129,
+    f: GridFunction, theta: SkewMatrix, n_steps: int, allow_singular: bool = False
 ) -> DimensionReductionReport:
     """Compare the twisted action of f restricted to the first d-1 frequency
     axes against the (d-1)-dimensional twisted multiplication, through states
     whose last-axis frequency profile is a unit bump phi_n on [-eps_n, eps_n],
-    eps_n = 2^{-n}.
+    eps_n = 2^{-n}, sampled at 129 points.  f is truncated to the frequencies
+    with |s|_sup <= s_max / 2; g is the normalized unit Gaussian on f's grid.
 
     The defect comes only from the phase exp((i/2) sum_j theta_jd s_j t_d) - 1,
     so it is bounded by beta_n ||phi_n||_2 ||f||_2 ||g||_2 and vanishes
@@ -345,15 +323,13 @@ def dimension_reduction_check(
             raise ValidationError("theta is singular; pass allow_singular=True to probe anyway")
     if n_steps < 1:
         raise ValidationError("need at least one step")
-    if g is None:
-        g = GridFunction.gaussian(f.dim, f.half_length, f.points, sigma=1.0)
-    f.require_same_grid(g)
+    g = GridFunction.gaussian(f.dim, f.half_length, f.points, sigma=1.0)
 
     fhat = to_frequency(f)
     # enforce a compactly supported frequency profile by hard truncation
     svec = freq_grid_vectors(fhat)
     smax = np.abs(fhat.freq_axis()).max()
-    mask = np.all(np.abs(svec) <= support_fraction * smax, axis=1).reshape(fhat.values.shape)
+    mask = np.all(np.abs(svec) <= 0.5 * smax, axis=1).reshape(fhat.values.shape)
     fhat = GridFunction(
         fhat.dim, fhat.half_length, fhat.points, fhat.values * mask, side="frequency"
     )
@@ -374,14 +350,12 @@ def dimension_reduction_check(
 
     norm_f = l2_norm(f)
     norm_g = l2_norm(g)
-    ref_l2 = float(
-        np.sqrt(((np.abs(ref.values) ** 2).sum() * ds) * (2.0 * np.pi) ** (d - 1))
-    )
+    ref_l2 = l2_norm(ref)
 
     epsilons, norms, devs, bounds, betas = [], [], [], [], []
     for nstep in range(1, n_steps + 1):
         eps = 2.0 ** (-nstep)
-        tgrid = np.linspace(-eps, eps, quad_points)
+        tgrid = np.linspace(-eps, eps, 129)
         dt = tgrid[1] - tgrid[0]
         # scaled so the synthesized d-dimensional state has the same L2 norm as g
         phi = _bump(tgrid, eps) / np.sqrt(2.0 * np.pi)

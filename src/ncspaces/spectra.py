@@ -65,10 +65,6 @@ class BandSpectrum:
                 raise ValidationError("bands must be sorted and disjoint")
 
     @property
-    def flux(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
-    @property
     def min(self) -> float:
         return self.bands[0][0]
 
@@ -77,14 +73,12 @@ class BandSpectrum:
         return self.bands[-1][1]
 
 
-def merge_intervals(
-    intervals: Sequence[Tuple[float, float]], tol: float = MERGE_TOL
-) -> Tuple[Tuple[float, float], ...]:
-    """Sort and merge intervals that overlap or touch within tol."""
+def merge_intervals(intervals: Sequence[Tuple[float, float]]) -> Tuple[Tuple[float, float], ...]:
+    """Sort and merge intervals that overlap or touch within MERGE_TOL."""
     ivs = sorted((float(a), float(b)) for a, b in intervals)
     out: List[List[float]] = []
     for a, b in ivs:
-        if out and a <= out[-1][1] + tol:
+        if out and a <= out[-1][1] + MERGE_TOL:
             out[-1][1] = max(out[-1][1], b)
         else:
             out.append([a, b])

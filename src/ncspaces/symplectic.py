@@ -80,14 +80,16 @@ def _pair_reduction(arr: np.ndarray, tol: float):
     return pairs, cand
 
 
-def symplectic_normalize(theta: SkewMatrix, rel_tol: float = 1e-8) -> SymplecticForm:
-    """Return T with T theta T^t = S for nonsingular theta of even dimension."""
+def symplectic_normalize(theta: SkewMatrix) -> SymplecticForm:
+    """Return T with T theta T^t = S for nonsingular theta of even dimension;
+    theta counts as singular when its smallest singular value is at most
+    1e-8 times its largest."""
     d = theta.dim
     arr = theta.as_array()
     if d % 2:
         raise OddDimensionError(f"dimension {d} is odd; no symplectic normal form")
     svals = np.linalg.svd(arr, compute_uv=False)
-    if svals[0] == 0 or svals[-1] <= rel_tol * svals[0]:
+    if svals[0] == 0 or svals[-1] <= 1e-8 * svals[0]:
         rank = int(np.count_nonzero(svals > 1e-10 * max(svals[0], 1.0)))
         raise RankDeficientError(
             f"theta is rank-deficient (rank {rank} < {d}); cannot normalize", rank
@@ -103,11 +105,12 @@ def symplectic_normalize(theta: SkewMatrix, rel_tol: float = 1e-8) -> Symplectic
     return SymplecticForm(arr, t, res)
 
 
-def skew_rank_decompose(theta: SkewMatrix, tol: float = 1e-10) -> SkewDecomposition:
-    """Block-diagonalize theta into rank/2 standard planes plus a kernel block."""
+def skew_rank_decompose(theta: SkewMatrix) -> SkewDecomposition:
+    """Block-diagonalize theta into rank/2 standard planes plus a kernel block;
+    pairings below 1e-10 max(max |theta_jk|, 1) count as zero."""
     arr = theta.as_array()
     scale = max(np.abs(arr).max(), 1.0)
-    pairs, leftovers = _pair_reduction(arr, tol=tol * scale)
+    pairs, leftovers = _pair_reduction(arr, tol=1e-10 * scale)
     rows: List[np.ndarray] = []
     for x, y in pairs:
         rows.extend([x, y])
@@ -170,9 +173,7 @@ def position_matrix(grid: GridSpec) -> np.ndarray:
     return np.diag(grid.axis()).astype(complex)
 
 
-def schrodinger_generators(
-    sf: SymplecticForm, grid: GridSpec, size_cap: int = DEFAULT_GRID_CAP
-) -> List[np.ndarray]:
+def schrodinger_generators(sf: SymplecticForm, grid: GridSpec) -> List[np.ndarray]:
     """d = 2n Hermitian matrices combining -i d/dx_k and x_k legs on the grid.
 
     The combination coefficients are the rows of T^{-1}: with T theta T^t = S,
@@ -181,9 +182,9 @@ def schrodinger_generators(
     """
     d = sf.dim
     n = d // 2
-    if grid.points ** n > size_cap:
+    if grid.points ** n > DEFAULT_GRID_CAP:
         raise SizeCapError(
-            f"grid dimension {grid.points ** n} exceeds size cap {size_cap}"
+            f"grid dimension {grid.points ** n} exceeds size cap {DEFAULT_GRID_CAP}"
         )
     coeff = np.linalg.inv(sf.transform)
     deriv = spectral_derivative_matrix(grid)
@@ -205,17 +206,15 @@ def schrodinger_generators(
     return out
 
 
-def gaussian_state(grid: GridSpec, n: int, sigma: float = None, centers: Sequence[float] = None) -> np.ndarray:
-    """Normalized Gaussian on the n-fold grid, well separated from the boundary."""
+def gaussian_state(grid: GridSpec, n: int, sigma: float = None) -> np.ndarray:
+    """Normalized centred Gaussian on the n-fold grid, well separated from the
+    boundary."""
     if sigma is None:
         # balance position-tail and frequency-tail truncation errors
         kmax = np.pi / grid.step
         sigma = float(np.sqrt(grid.half_length / kmax))
-    x = grid.axis()
-    if centers is None:
-        centers = [0.0] * n
-    axes = [np.exp(-((x - c) ** 2) / (2.0 * sigma**2)) for c in centers]
-    v = reduce(np.kron, axes).astype(complex)
+    axis = np.exp(-(grid.axis() ** 2) / (2.0 * sigma**2))
+    v = reduce(np.kron, [axis] * n).astype(complex)
     return v / np.linalg.norm(v)
 
 

@@ -171,10 +171,6 @@ class NCPolynomial:
             return cls.exact_monomial(theta, (0,) * theta.dim, 1)
         return cls.monomial(theta, (0,) * theta.dim, 1.0)
 
-    @classmethod
-    def zero(cls, theta: SkewMatrix) -> "NCPolynomial":
-        return cls(theta, {})
-
     # -- basic queries ---------------------------------------------------
 
     @property

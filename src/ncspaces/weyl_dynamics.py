@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import HermitianExponential, fourier_multiplier, hermiticity_defect, spectral_norm
-from .symplectic import GridSpec
+from .symplectic import GridSpec, gaussian_state
 
 
 # -- translation / modulation groups ------------------------------------------
@@ -43,9 +43,7 @@ class WeylResidualReport:
     commensurate_modulation: bool  # t on the dual lattice
 
 
-def weyl_residual(
-    theta: float, s: float, t: float, grid: GridSpec, state_width_fraction: float = 32.0
-) -> WeylResidualReport:
+def weyl_residual(theta: float, s: float, t: float, grid: GridSpec) -> WeylResidualReport:
     """Defect of u(theta s) v(t) = exp(i s t theta) v(t) u(theta s) on the grid.
 
     The translation group is built for the generator theta * (-i d/dx), i.e.
@@ -54,7 +52,7 @@ def weyl_residual(
     lattices its full operator norm stays O(1) however fine the grid is (the
     modulation symbol leaks across the periodic wrap), so the headline
     residual is the defect applied to a reference Gaussian state of width
-    L / state_width_fraction, which the refining grid progressively resolves.
+    L / 32, which the refining grid progressively resolves.
     The raw operator norm is reported alongside.
 
     Cost: O(M^2) for the defect (u is a circulant, v diagonal), plus one
@@ -66,10 +64,7 @@ def weyl_residual(
     phase = np.exp(1j * s * t * theta)
     # u v - phase v u with v diagonal: scale the columns and rows of u
     defect = u * (v[None, :] - phase * v[:, None])
-    x = grid.axis()
-    sigma = grid.half_length / state_width_fraction
-    psi = np.exp(-(x**2) / (2.0 * sigma**2)).astype(complex)
-    psi /= np.linalg.norm(psi)
+    psi = gaussian_state(grid, 1, grid.half_length / 32.0)
     res = float(np.linalg.norm(defect @ psi))
     tol = 1e-9
     com_s = abs(shift / grid.step - round(shift / grid.step)) < tol
@@ -114,15 +109,14 @@ class GeneratorBoundReport:
     slope_relative_error: float
 
 
-def generator_bound_check(
-    pair: HermitianPair, ts: Sequence[float], small_t_count: int = 8
-) -> GeneratorBoundReport:
+def generator_bound_check(pair: HermitianPair, ts: Sequence[float]) -> GeneratorBoundReport:
     """Matrix form of the equivalence between a bounded generator difference
     and a Lipschitz bound on the unitary groups.
 
     Necessity: ||exp(iPt) - exp(iP't)|| <= ||P - P'|| |t| for every sampled t.
     Sufficiency direction: the small-t ratio sup_t ||...||/|t| recovers
-    ||P - P'||; only the samples below 0.01/||P - P'|| enter the estimate.
+    ||P - P'||; only the samples below 0.01/||P - P'|| enter the estimate, or
+    the 8 smallest when none lies below.
     """
     ts = [float(t) for t in ts if t != 0.0]
     if not ts:
@@ -139,7 +133,7 @@ def generator_bound_check(
     cutoff = 0.01 / dnorm if dnorm > 0 else float("inf")
     small = [r for t, r in ratios if t <= cutoff]
     if not small:
-        small = [r for _, r in sorted(ratios)[:small_t_count]]
+        small = [r for _, r in sorted(ratios)[:8]]
     slope = max(small)
     rel = abs(slope - dnorm) / dnorm if dnorm > 0 else 0.0
     return GeneratorBoundReport(
@@ -347,10 +341,10 @@ def assembly_convergence_order(
     return devs, order
 
 
-def richardson_step_probe(w: UnitaryField, x: float, y: float, h0: float = 1e-2) -> float:
-    """Three-point probe for a finite-difference step: shrink h0 until the
-    Richardson estimate of the x-derivative stabilizes to ~1% and return it."""
-    h = h0
+def richardson_step_probe(w: UnitaryField, x: float, y: float) -> float:
+    """Three-point probe for a finite-difference step: shrink h from 1e-2 until
+    the Richardson estimate of the x-derivative stabilizes to ~1% and return it."""
+    h = 1e-2
     for _ in range(8):
         d1 = w.fd_x(x, y, h)
         d2 = w.fd_x(x, y, h / 2.0)

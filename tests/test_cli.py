@@ -116,6 +116,25 @@ class TestCliBasics:
             assert main(["weyl", "--config", str(cfg), "--theta", theta]) == EXIT_INVALID
             assert "cannot parse theta spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, config, key", [
+        pytest.param(["symplectic", "--theta", "{csv}"], None, "theta", id="symplectic-csv-cell"),
+        pytest.param(["relations", "--theta", "1/0"], None, "theta", id="relations-zero-den"),
+        pytest.param(["relations", "--theta", "a/b"], None, "theta", id="relations-non-numeric"),
+        pytest.param(["holder", "--base", "x"], None, "base", id="holder-base"),
+        pytest.param(["audit"], {"target": "abc"}, "target", id="audit-target"),
+        pytest.param(["weyl"], {"s": ["a"]}, "s", id="weyl-s"),
+    ])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, argv, config, key):
+        csv = tmp_path / "bad.csv"
+        csv.write_text("0,x\n-1,0\n")
+        argv = [arg.format(csv=csv) for arg in argv]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_INVALID
+        assert f"cannot parse {key} spec" in capsys.readouterr().err
+
     def test_symplectic_missing_theta(self, capsys):
         assert main(["symplectic"]) == EXIT_INVALID
         assert "missing --theta" in capsys.readouterr().err

@@ -357,12 +357,6 @@ class TestRegularRepresentation:
         lfstar = regular_rep_matrix(to_position(twisted_involution(fhat)), THETA)
         assert np.abs(lfstar - lf.conj().T).max() <= 1e-14
 
-    def test_full_convention_is_doubled_half(self):
-        f = GridFunction.gaussian(2, 8.0, 16, sigma=1.0)
-        full = regular_rep_matrix(f, THETA, convention="full")
-        half2 = regular_rep_matrix(f, THETA.scaled(2), convention="half")
-        assert np.abs(full - half2).max() == 0
-
     def test_size_cap(self):
         f = GridFunction.gaussian(2, 8.0, 128)
         with pytest.raises(SizeCapError):

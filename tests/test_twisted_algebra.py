@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from ncspaces.checks import random_rational_theta
 from ncspaces.errors import ThetaMismatchError, ValidationError
 from ncspaces.phases import Cyclotomic
 from ncspaces.skew import SkewMatrix
@@ -27,15 +28,6 @@ from ncspaces.finite_reps import clock_shift
 
 THETA_QUARTER = SkewMatrix.from_upper(2, {(0, 1): Fraction(1, 4)})
 THETA_THIRD = SkewMatrix.from_upper(2, {(0, 1): Fraction(1, 3)})
-
-
-def rational_theta(rng, d, max_den=9):
-    entries = {}
-    for j in range(d):
-        for k in range(j + 1, d):
-            den = int(rng.integers(1, max_den + 1))
-            entries[(j, k)] = Fraction(int(rng.integers(-den, den + 1)), den)
-    return SkewMatrix.from_upper(d, entries)
 
 
 def random_poly(rng, theta, terms=5, max_exp=2):
@@ -153,7 +145,7 @@ class TestPolyMul:
 
     def test_unit_element(self):
         rng = np.random.default_rng(0)
-        theta = rational_theta(rng, 3)
+        theta = random_rational_theta(rng, 3)
         b = random_poly(rng, theta)
         one = NCPolynomial.one(theta)
         assert poly_mul(one, b).allclose(b, 1e-14)
@@ -168,7 +160,7 @@ class TestPolyMul:
     def test_commutation_phase_identity(self):
         # u_j u_k = exp(2 pi i theta_jk) u_k u_j as single-term polynomials
         rng = np.random.default_rng(1)
-        theta = rational_theta(rng, 4)
+        theta = random_rational_theta(rng, 4)
         for j in range(4):
             for k in range(4):
                 if j == k:
@@ -192,7 +184,7 @@ class TestExactArithmetic:
         rng = np.random.default_rng(2)
         for _ in range(20):
             d = int(rng.integers(1, 5))
-            theta = rational_theta(rng, d)
+            theta = random_rational_theta(rng, d)
             q = ta.phase_order(theta)
 
             def rand_exact():
@@ -236,13 +228,13 @@ class TestAdjoint:
 
     def test_involution_is_involutive(self):
         rng = np.random.default_rng(4)
-        theta = rational_theta(rng, 3)
+        theta = random_rational_theta(rng, 3)
         a = random_poly(rng, theta)
         assert poly_adjoint(poly_adjoint(a)).allclose(a, 1e-14)
 
     def test_antihomomorphism(self):
         rng = np.random.default_rng(5)
-        theta = rational_theta(rng, 2)
+        theta = random_rational_theta(rng, 2)
         a, b = random_poly(rng, theta), random_poly(rng, theta)
         assert poly_adjoint(poly_mul(a, b)).allclose(
             poly_mul(poly_adjoint(b), poly_adjoint(a)), 1e-12
@@ -250,7 +242,7 @@ class TestAdjoint:
 
     def test_positivity_of_trace(self):
         rng = np.random.default_rng(6)
-        theta = rational_theta(rng, 2)
+        theta = random_rational_theta(rng, 2)
         a = random_poly(rng, theta)
         val = trace(poly_mul(poly_adjoint(a), a))
         expected = sum(abs(c) ** 2 for c in a.coeffs.values())
@@ -273,7 +265,7 @@ class TestTrace:
     @given(st.integers(0, 2**32 - 1))
     def test_trace_commutation(self, seed):
         rng = np.random.default_rng(seed)
-        theta = rational_theta(rng, int(rng.integers(1, 4)))
+        theta = random_rational_theta(rng, int(rng.integers(1, 4)))
         a, b = random_poly(rng, theta, 4), random_poly(rng, theta, 4)
         assert trace(poly_mul(a, b)) == pytest.approx(trace(poly_mul(b, a)), abs=1e-12)
 
@@ -286,7 +278,7 @@ class TestConditionalExpectation:
 
     def test_full_chain_is_trace(self):
         rng = np.random.default_rng(7)
-        theta = rational_theta(rng, 2)
+        theta = random_rational_theta(rng, 2)
         a = random_poly(rng, theta)
         out = cond_expectation(cond_expectation(a, 0), 1)
         expected = trace(a)
@@ -298,7 +290,7 @@ class TestConditionalExpectation:
 
     def test_idempotent_and_commuting(self):
         rng = np.random.default_rng(8)
-        theta = rational_theta(rng, 3)
+        theta = random_rational_theta(rng, 3)
         a = random_poly(rng, theta, 7)
         p1 = cond_expectation(a, 1)
         assert cond_expectation(p1, 1) == p1
@@ -308,7 +300,7 @@ class TestConditionalExpectation:
 
     def test_coefficientwise_contraction(self):
         rng = np.random.default_rng(9)
-        theta = rational_theta(rng, 2)
+        theta = random_rational_theta(rng, 2)
         a = random_poly(rng, theta, 6)
         out = cond_expectation(a, 0)
         for m, c in out.coeffs.items():
@@ -325,7 +317,7 @@ class TestConditionalExpectation:
 class TestTransference:
     def test_identity(self):
         rng = np.random.default_rng(10)
-        theta = rational_theta(rng, 2)
+        theta = random_rational_theta(rng, 2)
         a = random_poly(rng, theta)
         assert transference(a, [1.0, 1.0]).allclose(a, 1e-15)
 
@@ -384,7 +376,7 @@ class TestGnsMatrix:
 
     def test_interior_block_multiplicativity(self):
         rng = np.random.default_rng(12)
-        theta = rational_theta(rng, 2)
+        theta = random_rational_theta(rng, 2)
         a = random_poly(rng, theta, 3, max_exp=1)
         b = random_poly(rng, theta, 3, max_exp=1)
         radius = 4
@@ -401,7 +393,7 @@ class TestGnsMatrix:
 
     def test_trace_as_vacuum_expectation(self):
         rng = np.random.default_rng(13)
-        theta = rational_theta(rng, 2)
+        theta = random_rational_theta(rng, 2)
         a = random_poly(rng, theta, 5)
         radius = a.degree()
         g = gns_matrix(a, radius)
