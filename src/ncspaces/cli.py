@@ -363,10 +363,16 @@ def cmd_holder(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _audit_target(x):
+    """An integral target (2500, 2500.0, "2500.0") as an int, so a square k
+    keeps the audit exact; any other value as a float."""
+    value = Fraction(str(x))
+    return int(value) if value.denominator == 1 else float(x)
+
+
 def cmd_audit(cfg: ExperimentConfig) -> int:
     k = parse_value("k", cfg.params.get("k", 8100), int)
-    target = parse_value("target", cfg.params.get("target", 2500),
-                         lambda x: int(x) if float(x) == int(float(x)) else float(x))
+    target = parse_value("target", cfg.params.get("target", 2500), _audit_target)
     levels = parse_value("levels", cfg.params.get("levels", 6), int)
     rep = wd.audit_interpolation_constants(k, target, levels)
     lines = [

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import isqrt
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DegenerateFitError, ValidationError
 from .linalg import HermitianExponential, fourier_multiplier, hermiticity_defect, spectral_norm
 from .symplectic import GridSpec, gaussian_state
 
@@ -181,9 +182,14 @@ class UnitaryField:
         return (self.sample(x, y + h) - self.sample(x, y - h)) / (2.0 * h)
 
 
-def _factor_args(deltas: np.ndarray, j: int, x: Sequence[float]) -> List[Tuple[float, float]]:
-    """Arguments (x_k, delta_kj x_j) of the factors of the j-th composed field."""
-    return [(x[k], deltas[k, j] * x[j]) for k in range(j)]
+def _factors(w: UnitaryField, deltas: np.ndarray, j: int, x: Sequence[float]) -> List[np.ndarray]:
+    """The factors w(x_k, delta_kj x_j), k < j, of the j-th composed field at x."""
+    return [w.sample(x[k], deltas[k, j] * x[j]) for k in range(j)]
+
+
+def _replaced(factors: List[np.ndarray], k: int, m: np.ndarray) -> np.ndarray:
+    """The ordered product of factors with factor k replaced by m."""
+    return reduce(np.matmul, factors[:k] + [m] + factors[k + 1:])
 
 
 def composed_field(w: UnitaryField, deltas: np.ndarray, j: int) -> Callable:
@@ -193,14 +199,10 @@ def composed_field(w: UnitaryField, deltas: np.ndarray, j: int) -> Callable:
     """
 
     def field(x: Sequence[float]) -> np.ndarray:
-        out = None
-        for (a, b) in _factor_args(deltas, j, x):
-            u = w.sample(a, b)
-            out = u if out is None else out @ u
-        if out is None:
-            k = w.sample(0.0, 0.0).shape[0]
-            return np.eye(k, dtype=complex)
-        return out
+        factors = _factors(w, deltas, j, x)
+        if not factors:
+            return np.eye(w.sample(0.0, 0.0).shape[0], dtype=complex)
+        return reduce(np.matmul, factors)
 
     return field
 
@@ -208,14 +210,7 @@ def composed_field(w: UnitaryField, deltas: np.ndarray, j: int) -> Callable:
 def assembled_field(w: UnitaryField, deltas: np.ndarray, d: int) -> Callable:
     """W(x) = w_1(x) w_2(x) ... w_{d-1}(x) (0-based axis labels)."""
     parts = [composed_field(w, deltas, j) for j in range(1, d)]
-
-    def field(x: Sequence[float]) -> np.ndarray:
-        out = parts[0](x)
-        for p in parts[1:]:
-            out = out @ p(x)
-        return out
-
-    return field
+    return lambda x: reduce(np.matmul, [p(x) for p in parts])
 
 
 def _fd_along(field: Callable, x: Sequence[float], axis: int, h: float) -> np.ndarray:
@@ -253,12 +248,19 @@ def check_assembly_identities(
         every term conjugated by the other factors in place.
     (c) The assembled W = w_1 ... w_{d-1} then satisfies the triangle bound
             || dW/dx_j - i sum_{k<j} delta_kj x_k W || <= sum of per-factor norms.
+
+    The x-derivative and the bracket [dw/dy - i x_j w] at each pair point
+    (x_j, delta_jk x_k), j < k, are built once per probe and read by all three.
     """
+    if d < 2:
+        raise ValidationError("need d >= 2 axes")
     deltas = np.asarray(deltas, dtype=float)
     if deltas.shape != (d, d):
         raise ValidationError(f"deltas must be {d}x{d}")
     if h is None:
         h = w.step
+    if not h > 0:
+        raise ValidationError(f"finite-difference step must be > 0, got {h}")
     probes = [list(map(float, p)) for p in probes]
     if not probes:
         raise ValidationError("need at least one probe point")
@@ -266,57 +268,43 @@ def check_assembly_identities(
         if len(p) != d:
             raise ValidationError("probe dimension mismatch")
 
+    fields = [composed_field(w, deltas, j) for j in range(d)]
+    big = assembled_field(w, deltas, d)
     res_a = 0.0
     res_b = 0.0
     tri_ok = True
     tri_slack = float("inf")
     for x in probes:
-        fields = {j: composed_field(w, deltas, j) for j in range(1, d)}
+        factors = [_factors(w, deltas, k, x) for k in range(d)]
+        dx = {}
+        bracket = {}
+        for k in range(d):
+            for j in range(k):
+                y = deltas[j, k] * x[k]
+                dx[j, k] = w.fd_x(x[j], y, h)
+                bracket[j, k] = w.fd_y(x[j], y, h) - 1j * x[j] * factors[k][j]
+        drift = [1j * sum(deltas[k, j] * x[k] for k in range(j)) for j in range(d)]
         # (a) off-diagonal derivatives
         for k in range(1, d):
             for j in range(k):
                 fd = _fd_along(fields[k], x, j, h)
-                factors = [w.sample(a, b) for (a, b) in _factor_args(deltas, k, x)]
-                factors[j] = w.fd_x(x[j], deltas[j, k] * x[k], h)
-                prod = factors[0]
-                for f in factors[1:]:
-                    prod = prod @ f
-                res_a = max(res_a, spectral_norm(fd - prod))
+                res_a = max(res_a, spectral_norm(fd - _replaced(factors[k], j, dx[j, k])))
         # (b) diagonal identity
         for j in range(1, d):
-            wj = fields[j](x)
-            fd = _fd_along(fields[j], x, j, h)
-            lhs = fd - 1j * sum(deltas[k, j] * x[k] for k in range(j)) * wj
-            rhs = np.zeros_like(wj)
-            base = [w.sample(a, b) for (a, b) in _factor_args(deltas, j, x)]
+            lhs = _fd_along(fields[j], x, j, h) - drift[j] * reduce(np.matmul, factors[j])
+            rhs = np.zeros_like(lhs)
             for k in range(j):
-                term = list(base)
-                mid = (
-                    w.fd_y(x[k], deltas[k, j] * x[j], h)
-                    - 1j * x[k] * w.sample(x[k], deltas[k, j] * x[j])
-                )
-                term[k] = mid
-                prod = term[0]
-                for f in term[1:]:
-                    prod = prod @ f
-                rhs = rhs + deltas[k, j] * prod
+                rhs = rhs + deltas[k, j] * _replaced(factors[j], k, bracket[k, j])
             res_b = max(res_b, spectral_norm(lhs - rhs))
         # (c) triangle bound for the assembled field
-        big = assembled_field(w, deltas, d)
+        big_x = big(x)
         for j in range(d):
-            fd = _fd_along(big, x, j, h)
-            lhs = spectral_norm(
-                fd - 1j * sum(deltas[k, j] * x[k] for k in range(j)) * np.asarray(big(x))
-            )
+            lhs = spectral_norm(_fd_along(big, x, j, h) - drift[j] * big_x)
             bound = 0.0
             for k in range(j):
-                mid = (
-                    w.fd_y(x[k], deltas[k, j] * x[j], h)
-                    - 1j * x[k] * w.sample(x[k], deltas[k, j] * x[j])
-                )
-                bound += abs(deltas[k, j]) * spectral_norm(mid)
+                bound += abs(deltas[k, j]) * spectral_norm(bracket[k, j])
             for k in range(j + 1, d):
-                bound += spectral_norm(w.fd_x(x[j], deltas[j, k] * x[k], h))
+                bound += spectral_norm(dx[j, k])
             slack = bound - lhs + 50.0 * h**2  # finite-difference headroom
             tri_ok = tri_ok and (lhs <= bound + 50.0 * h**2)
             tri_slack = min(tri_slack, slack)
@@ -332,49 +320,20 @@ def assembly_convergence_order(
     halvings: int = 2,
 ) -> Tuple[List[float], float]:
     """Deviation of identity (b) at h0, h0/2, ...; fitted order in h."""
+    if halvings < 1:
+        raise ValidationError("need halvings >= 1 to fit an order")
     hs = [h0 / 2**i for i in range(halvings + 1)]
     devs = [
         check_assembly_identities(w, deltas, d, probes, h).diagonal_identity_residual
         for h in hs
     ]
+    if not all(dev > 0 for dev in devs):
+        raise DegenerateFitError("a deviation is 0; cannot fit an order")
     order = float(np.polyfit(np.log(hs), np.log(devs), 1)[0])
     return devs, order
 
 
-def richardson_step_probe(w: UnitaryField, x: float, y: float) -> float:
-    """Three-point probe for a finite-difference step: shrink h from 1e-2 until
-    the Richardson estimate of the x-derivative stabilizes to ~1% and return it."""
-    h = 1e-2
-    for _ in range(8):
-        d1 = w.fd_x(x, y, h)
-        d2 = w.fd_x(x, y, h / 2.0)
-        err = spectral_norm(d2 - d1)
-        scale = max(spectral_norm(d2), 1e-12)
-        if err <= 0.01 * scale:
-            return h / 2.0
-        h /= 2.0
-    return h
-
-
 # -- interpolation constant audit ---------------------------------------------
-
-
-def refinement_step_bound(theta_gap, level_bound, k: int):
-    """One level of the two-constant recursion: 1224 sqrt(gap/k) + 45 b / k."""
-    if isinstance(theta_gap, Fraction) and _is_square(k):
-        return 1224 * _sqrt_fraction(theta_gap / k) + Fraction(45) * level_bound / k
-    return 1224.0 * float(theta_gap / k) ** 0.5 + 45.0 * float(level_bound) / k
-
-
-def _is_square(k: int) -> bool:
-    return k >= 0 and isqrt(k) ** 2 == k
-
-
-def _sqrt_fraction(f: Fraction):
-    num, den = f.numerator, f.denominator
-    if _is_square(num) and _is_square(den):
-        return Fraction(isqrt(num), isqrt(den))
-    return float(f) ** 0.5
 
 
 @dataclass(frozen=True)
@@ -400,7 +359,7 @@ def audit_interpolation_constants(
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    exact = _is_square(k)
+    exact = isqrt(k) ** 2 == k
     root = Fraction(isqrt(k)) if exact else float(k) ** 0.5
     tgt = Fraction(target) if exact and not isinstance(target, float) else float(target)
     b = tgt
@@ -421,13 +380,3 @@ def audit_interpolation_constants(
         level_bounds,
         exact,
     )
-
-
-def refinement_grid(k: int, n: int) -> Iterator[Fraction]:
-    """Lazy level-n grid {j / k^n : |j| <= (n+1) k^n}, ascending."""
-    if k < 1 or n < 0:
-        raise ValidationError("need k >= 1 and n >= 0")
-    den = k**n
-    bound = (n + 1) * den
-    for j in range(-bound, bound + 1):
-        yield Fraction(j, den)

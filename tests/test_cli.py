@@ -57,6 +57,14 @@ class TestCliBasics:
         out = capsys.readouterr().out
         assert "slack: 26.0" in out
 
+    def test_audit_integral_target_as_string(self, tmp_path, capsys):
+        assert main(["audit", "--target", "2500"]) == EXIT_OK
+        expected = capsys.readouterr().out
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"target": "2500.0"}))
+        assert main(["audit", "--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+
     def test_audit_failing_k(self, capsys):
         assert main(["audit", "--k", "100", "--target", "2500"]) == EXIT_CHECK_FAILED
 

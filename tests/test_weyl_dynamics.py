@@ -2,11 +2,10 @@
 refinement-constant audit."""
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ncspaces.errors import ValidationError
+from ncspaces.errors import DegenerateFitError, ValidationError
 from ncspaces.symplectic import GridSpec
 from ncspaces.weyl_dynamics import (
     HermitianPair,
@@ -17,9 +16,6 @@ from ncspaces.weyl_dynamics import (
     check_assembly_identities,
     generator_bound_check,
     modulation_unitary,
-    refinement_grid,
-    refinement_step_bound,
-    richardson_step_probe,
     translation_unitary,
     weyl_residual,
 )
@@ -153,12 +149,19 @@ def arc_dfdy(x, y):
 
 DELTAS3 = np.array([[0.0, 0.8, -0.5], [0.0, 0.0, 1.1], [0.0, 0.0, 0.0]])
 PROBES3 = [[0.3, -0.7, 0.9], [1.1, 0.2, -0.4], [-0.6, 0.5, 0.8]]
+DELTAS4 = np.array([
+    [0.0, 0.8, -0.5, 0.6],
+    [0.0, 0.0, 1.1, -0.7],
+    [0.0, 0.0, 0.0, 0.9],
+    [0.0, 0.0, 0.0, 0.0],
+])
+PROBES4 = [[0.3, -0.7, 0.9, 0.4], [1.1, 0.2, -0.4, -0.8], [-0.6, 0.5, 0.8, 0.3]]
+CONSTANT_FIELD = scalar_field(lambda x, y: 1.0 + 0.0j)
 
 
 class TestAssembly:
     def test_constant_field_identity_exact(self):
-        w = scalar_field(lambda x, y: 1.0 + 0.0j)
-        rep = check_assembly_identities(w, DELTAS3, 3, PROBES3, h=1e-3)
+        rep = check_assembly_identities(CONSTANT_FIELD, DELTAS3, 3, PROBES3, h=1e-3)
         assert rep.diagonal_identity_residual <= 1e-12
         assert rep.chain_rule_residual <= 1e-12
         assert rep.triangle_ok
@@ -188,7 +191,11 @@ class TestAssembly:
         rep = check_assembly_identities(w, zero, 3, PROBES3, h=1e-3)
         assert rep.triangle_ok
 
-    def test_matrix_valued_field(self):
+    # d = 4 reaches three-factor products with the middle factor replaced and
+    # triangle bounds with terms on both sides of the axis
+    @pytest.mark.parametrize("d, deltas, probes", [(3, DELTAS3, PROBES3), (4, DELTAS4, PROBES4)],
+                             ids=["d3", "d4"])
+    def test_matrix_valued_field(self, d, deltas, probes):
         # noncommuting unitaries exercise the conjugated-factor structure
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sz = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -199,7 +206,7 @@ class TestAssembly:
             return (v * np.exp(1j * w)) @ v.conj().T
 
         w = UnitaryField(fn, step=1e-3)
-        rep = check_assembly_identities(w, DELTAS3, 3, PROBES3, h=1e-3)
+        rep = check_assembly_identities(w, deltas, d, probes, h=1e-3)
         assert rep.diagonal_identity_residual <= 1e-4
         assert rep.triangle_ok
 
@@ -213,9 +220,27 @@ class TestAssembly:
         with pytest.raises(ValidationError):
             check_assembly_identities(w, DELTAS3, 3, [[5.0, 0.0, 0.0]], h=1e-3)
 
-    def test_richardson_probe(self):
-        h = richardson_step_probe(ARC_FIELD, 0.5, 0.5)
-        assert 0 < h <= 1e-2
+    @pytest.mark.parametrize("run, error", [
+        (lambda: check_assembly_identities(ARC_FIELD, DELTAS3, 3, PROBES3, h=0.0),
+         ValidationError),
+        (lambda: check_assembly_identities(ARC_FIELD, DELTAS3, 3, PROBES3, h=-1e-3),
+         ValidationError),
+        (lambda: check_assembly_identities(ARC_FIELD, np.zeros((1, 1)), 1, [[0.3]]),
+         ValidationError),
+        (lambda: assembly_convergence_order(ARC_FIELD, DELTAS3, 3, PROBES3, 0.0),
+         ValidationError),
+        (lambda: assembly_convergence_order(ARC_FIELD, DELTAS3, 3, PROBES3, -2e-2),
+         ValidationError),
+        (lambda: assembly_convergence_order(ARC_FIELD, DELTAS3, 3, PROBES3, 2e-2, 0),
+         ValidationError),
+        # every deviation of a constant field is 0: there is no order to fit
+        (lambda: assembly_convergence_order(CONSTANT_FIELD, DELTAS3, 3, PROBES3, 2e-2),
+         DegenerateFitError),
+    ], ids=["h-zero", "h-negative", "d-one", "h0-zero", "h0-negative", "no-halvings",
+            "constant-field"])
+    def test_rejects_invalid_input(self, run, error):
+        with pytest.raises(error):
+            run()
 
 
 class TestAudit:
@@ -243,18 +268,6 @@ class TestAudit:
         assert rep.level_bounds[-1] == pytest.approx(1224.0, abs=0.1)
         rep2 = audit_interpolation_constants(10**16, 2500)
         assert rep2.level_bounds[-1] == pytest.approx(1224.0, abs=1e-3)
-
-    def test_step_bound_formula(self):
-        val = refinement_step_bound(Fraction(1, 8100), 2500.0, 8100)
-        assert float(val) == pytest.approx(1224 / 8100**0.5 / 90 + 45 * 2500 / 8100, rel=1e-12)
-
-    def test_refinement_grid_lazy_and_correct(self):
-        g = refinement_grid(3, 2)
-        first = next(g)
-        assert first == Fraction(-27, 9)  # -(n+1) = -3
-        rest = list(g)
-        assert rest[-1] == Fraction(3)
-        assert len(rest) + 1 == 2 * 3 * 9 + 1
 
 
 class TestWeylCsvCli:
