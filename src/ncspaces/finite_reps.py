@@ -7,15 +7,16 @@ independent components.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import SizeCapError, ValidationError
-from .linalg import kernel_dimension, spectral_norm
+from .linalg import holder_bound, kernel_dimension, spectral_norm
 from .phases import TWO_PI
 from .skew import upper_pairs
 
@@ -29,10 +30,16 @@ class UnitaryTuple:
     matrices: Tuple[np.ndarray, ...]
     sigma: np.ndarray
     tol: float = 1e-12
-    # measured once at construction; the matrices are immutable afterwards
+    # found once at construction (see verify_relations); the matrices are
+    # immutable afterwards
     relation_report: RelationReport = field(init=False, repr=False)
 
     def __post_init__(self):
+        self._admit(_measure_relations)
+
+    def _admit(self, report_of: Callable[[UnitaryTuple], RelationReport]) -> None:
+        """Validate shapes and sigma, set relation_report to report_of(self)
+        and gate it against tol: the one way into relation_report."""
         d = len(self.matrices)
         sigma = np.asarray(self.sigma, dtype=complex)
         object.__setattr__(self, "sigma", sigma)
@@ -48,7 +55,7 @@ class UnitaryTuple:
             raise ValidationError("sigma diagonal must be 1")
         if np.abs(sigma - sigma.conj().T).max() > 1e-12:
             raise ValidationError("sigma must satisfy sigma_kj = conj(sigma_jk)")
-        rep = _measure_relations(self)
+        rep = report_of(self)
         object.__setattr__(self, "relation_report", rep)
         if max(rep.max_commutation, rep.max_unitarity) > self.tol:
             raise ValidationError(
@@ -79,7 +86,9 @@ class RelationReport:
 
 def verify_relations(t: UnitaryTuple) -> RelationReport:
     """max_{j<k} ||u_j u_k - sigma_jk u_k u_j|| and max_j ||u_j* u_j - I||, as
-    measured when t was constructed."""
+    found when t was constructed: measured on the matrices of a tuple built
+    from its matrices, and a certified upper bound from the legs for one
+    assembled by tensor_construct or tensor_translate."""
     return t.relation_report
 
 
@@ -97,6 +106,122 @@ def _measure_relations(t: UnitaryTuple) -> RelationReport:
             if r > max_comm:
                 max_comm, worst = r, (j, k)
     return RelationReport(max_comm, max_unit, worst)
+
+
+class _Leg(NamedTuple):
+    """One tensor factor V of an assembled generator: the matrix, a bound on
+    ||V* V - I||, holder_bound(V), and whether every entry is 0 or 1, which
+    makes multiplying by it exact."""
+
+    matrix: np.ndarray
+    defect: float
+    size: float
+    exact: bool
+
+
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+# relative error of one floating-point complex product, sqrt(2) gamma_2
+# (Higham, *Accuracy and Stability of Numerical Algorithms*, Lemma 3.5)
+_COMPLEX_PRODUCT = 2 * math.sqrt(2) * _UNIT_ROUNDOFF / (1 - 2 * _UNIT_ROUNDOFF)
+
+
+def _legs_of(t: UnitaryTuple) -> Tuple[float, List[_Leg]]:
+    """t's matrices as legs, and a bound on max_{j<k} ||u_j u_k - sigma_jk u_k u_j||.
+
+    Both bounds hold for the exact products of t's matrices: they are t's
+    report raised by the round-off of forming those products in floating
+    point, 4 (k + 3) (eps/2) H^2, where k is the most nonzero entries in a row
+    and H the largest Hoelder bound of t's matrices (complex inner products,
+    Higham, *Accuracy and Stability of Numerical Algorithms*, sec. 3.6)."""
+    stack = np.stack(t.matrices)
+    sizes = holder_bound(stack).tolist()
+    exact = (~np.any((stack != 0) & (stack != 1), axis=(1, 2))).tolist()
+    k = int(np.count_nonzero(stack, axis=2).max())
+    slack = 4 * (k + 3) * _UNIT_ROUNDOFF * max(sizes) ** 2
+    rep = t.relation_report
+    unit = rep.max_unitarity + slack
+    legs = [_Leg(m, unit, h, e) for m, h, e in zip(t.matrices, sizes, exact)]
+    return rep.max_commutation + slack, legs
+
+
+def _product_excess(defects: Sequence[float]) -> float:
+    """prod_l (1 + u_l) - 1, summed as u_1 + u_2 (1 + u_1) + ... so that a
+    single nonzero u_l comes back exactly."""
+    total, scale = 0.0, 1.0
+    for u in defects:
+        total += u * scale
+        scale *= 1.0 + u
+    return total
+
+
+def _assemble(
+    legs: Sequence[Sequence[_Leg]],
+    sigma: np.ndarray,
+    tol: float,
+    exact_commutation: Callable[[int, int], float],
+) -> UnitaryTuple:
+    """The tuple u_g = (x)_l V_gl, with its relation report certified from the
+    legs instead of measured on N x N products.
+
+    Let M_g be the exact Kronecker product of g's legs.  Since
+    ||X (x) Y|| = ||X|| ||Y|| (Horn & Johnson, *Topics in Matrix Analysis*,
+    sec. 4.2), ||M_g|| <= n_g = prod_l sqrt(1 + u_l).  Each entry of the float
+    u_g is a product of leg entries, and multiplying by an entry 0 or 1 is
+    exact; with s legs holding other entries, it carries s - 1 rounded complex
+    products, so (barring underflow) ||u_g - M_g|| <= delta_g =
+    ((1 + mu)^(s-1) - 1) prod_l holder_bound(V_gl).  Then:
+    - unitarity: ||u_g* u_g - I|| <= prod_l (1 + u_l) - 1 + delta_g (2 n_g + delta_g);
+    - commutation: exact_commutation(j, k) bounds ||M_j M_k - sigma_jk M_k M_j||,
+      and the float matrices add at most 2 (delta_j n_k + n_j delta_k + delta_j delta_k).
+
+    An O(N^2) probe checks the assembled matrices against that certificate.
+    For one fixed-seed random unit vector x, ||(u_j u_k - sigma_jk u_k u_j) x||
+    may exceed the pair's bound only by the round-off of its matrix-vector
+    products, 8 (N + 2) (eps/2) times the Hoelder bounds of u_j and u_k.  A leg
+    out of place in the Kronecker order fails the probe with a ValidationError.
+    """
+    mats = tuple(reduce(np.kron, [leg.matrix for leg in g]) for g in legs)
+    norms, deltas, sizes, units = [], [], [], []
+    for g in legs:
+        n = math.prod(math.sqrt(1.0 + leg.defect) for leg in g)
+        size = math.prod(leg.size for leg in g)
+        inexact = sum(not leg.exact for leg in g)
+        delta = ((1.0 + _COMPLEX_PRODUCT) ** max(inexact - 1, 0) - 1.0) * size
+        norms.append(n)
+        deltas.append(delta)
+        sizes.append(size)
+        units.append(_product_excess([leg.defect for leg in g]) + delta * (2.0 * n + delta))
+
+    def certificate(t: UnitaryTuple) -> RelationReport:
+        z = np.random.default_rng(0).standard_normal((2, t.dim_hilbert))
+        x = (z[0] + 1j * z[1]) / np.linalg.norm(z)
+        images = [u @ x for u in t.matrices]
+        roundoff = 8 * (t.dim_hilbert + 2) * _UNIT_ROUNDOFF
+        max_comm = 0.0
+        worst = None
+        for j in range(t.d):
+            for k in range(j + 1, t.d):
+                r = exact_commutation(j, k) + 2.0 * (
+                    deltas[j] * norms[k] + norms[j] * deltas[k] + deltas[j] * deltas[k]
+                )
+                probe = float(np.linalg.norm(
+                    t.matrices[j] @ images[k] - t.sigma[j, k] * (t.matrices[k] @ images[j])
+                ))
+                if probe > r + roundoff * sizes[j] * sizes[k]:
+                    raise ValidationError(
+                        f"assembly probe of pair {(j, k)} reads {probe:.2e}, "
+                        f"above its certified bound {r:.2e}"
+                    )
+                if r > max_comm:
+                    max_comm, worst = r, (j, k)
+        return RelationReport(max_comm, max(units), worst)
+
+    t = object.__new__(UnitaryTuple)
+    object.__setattr__(t, "matrices", mats)
+    object.__setattr__(t, "sigma", sigma)
+    object.__setattr__(t, "tol", tol)
+    t._admit(certificate)
+    return t
 
 
 def clock_shift(p: int, q: int) -> UnitaryTuple:
@@ -123,7 +248,8 @@ def tensor_construct(pair_table: Dict[Tuple[int, int], UnitaryTuple]) -> Unitary
     the first leg of pair (j, k) for every k > j and the second leg of pair
     (i, j) for every i < j; every other leg is the identity.  Each pair of
     generators then overlaps in exactly one component, so sigma_jk is the
-    phase of pair (j, k).  Guarded to a tensor dimension <= DEFAULT_SIZE_CAP.
+    phase of pair (j, k).  The relation report is certified from the pairs'
+    reports (see _assemble).  Guarded to a tensor dimension <= DEFAULT_SIZE_CAP.
     """
     if not pair_table:
         raise ValidationError("pair table is empty")
@@ -145,33 +271,53 @@ def tensor_construct(pair_table: Dict[Tuple[int, int], UnitaryTuple]) -> Unitary
             raise SizeCapError(
                 f"tensor dimension {total}+ exceeds size cap {DEFAULT_SIZE_CAP}"
             )
-    mats: List[np.ndarray] = []
-    for g in range(d):
-        legs = []
-        for (j, k) in pairs:
-            pt = pair_table[(j, k)]
-            if g == j:
-                legs.append(pt.matrices[0])
-            elif g == k:
-                legs.append(pt.matrices[1])
-            else:
-                legs.append(np.eye(pt.dim_hilbert, dtype=complex))
-        mats.append(reduce(np.kron, legs))
+    comm, pair_legs = {}, {}
+    for jk in pairs:
+        comm[jk], pair_legs[jk] = _legs_of(pair_table[jk])
+    legs = [
+        [
+            pair_legs[j, k][0] if g == j
+            else pair_legs[j, k][1] if g == k
+            else _Leg(np.eye(pair_table[j, k].dim_hilbert, dtype=complex), 0.0, 1.0, True)
+            for (j, k) in pairs
+        ]
+        for g in range(d)
+    ]
     sigma = np.ones((d, d), dtype=complex)
     for (j, k) in pairs:
         s = pair_table[(j, k)].sigma[0, 1]
         sigma[j, k] = s
         sigma[k, j] = np.conj(s)
     tol = sum(pair_table[jk].tol for jk in pairs) + 1e-13
-    return UnitaryTuple(tuple(mats), sigma, tol)
+
+    def exact_commutation(j: int, k: int) -> float:
+        # generators j and k share only the leg of pair (j, k), and on every
+        # other leg one of them is the identity: up to a leg permutation,
+        # u_j u_k - s u_k u_j = (A B - s B A) (x) (j's other legs) (x) (k's)
+        others = [jk for jk in pairs if jk != (j, k) and (j in jk or k in jk)]
+        return comm[j, k] * math.prod(
+            math.sqrt(1.0 + pair_legs[jk][0].defect) for jk in others
+        )
+
+    return _assemble(legs, sigma, tol, exact_commutation)
 
 
 def tensor_translate(a: UnitaryTuple, b: UnitaryTuple) -> UnitaryTuple:
-    """Componentwise tensor v_j = a_j (x) b_j; phases multiply entrywise."""
+    """Componentwise tensor v_j = a_j (x) b_j; phases multiply entrywise.
+
+    The relation report is certified from the reports r, u of a and b, each
+    raised as in _legs_of (see _assemble).  With a_j a_k = s a_k a_j + R_a and
+    likewise for b, the residual is s (a_k a_j) (x) R_b + R_a (x) (b_j b_k),
+    so at most r_a (1 + u_b) + r_b (1 + u_a), and
+    ||v_j* v_j - I|| <= u_a (1 + u_b) + u_b.
+    """
     if a.d != b.d:
         raise ValidationError(f"tuples have different d: {a.d} vs {b.d}")
-    mats = tuple(np.kron(x, y) for x, y in zip(a.matrices, b.matrices))
-    return UnitaryTuple(mats, a.sigma * b.sigma, a.tol + b.tol + 1e-14)
+    (ra, a_legs), (rb, b_legs) = _legs_of(a), _legs_of(b)
+    ua, ub = a_legs[0].defect, b_legs[0].defect
+    comm = ra * (1.0 + ub) + rb * (1.0 + ua)
+    legs = [[x, y] for x, y in zip(a_legs, b_legs)]
+    return _assemble(legs, a.sigma * b.sigma, a.tol + b.tol + 1e-14, lambda j, k: comm)
 
 
 @dataclass(frozen=True)
@@ -221,15 +367,6 @@ class CliffordSet:
     @property
     def rep_dim(self) -> int:
         return self.matrices[0].shape[0]
-
-    def max_relation_defect(self) -> float:
-        worst = 0.0
-        eye = np.eye(self.rep_dim)
-        for j, cj in enumerate(self.matrices):
-            for k, ck in enumerate(self.matrices):
-                target = 2.0 * eye if j == k else 0.0
-                worst = max(worst, spectral_norm(cj @ ck + ck @ cj - target))
-        return worst
 
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -24,9 +24,16 @@ def spectral_norm(a: np.ndarray) -> float:
     if fro <= 1e-13:
         # the Hoelder bound only where it is returned: every other call,
         # most of them on 2..8-dimensional matrices, pays for one vdot
-        mag = np.abs(a)
-        return min(fro, float(np.sqrt(mag.sum(axis=0).max() * mag.sum(axis=1).max())))
+        return min(fro, float(holder_bound(a)))
     return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def holder_bound(a: np.ndarray):
+    """``sqrt(||A||_1 ||A||_inf)``, an upper bound on the spectral norm of A and
+    of its entrywise modulus ``|A|`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, sec. 6.3); one bound per matrix of a stack."""
+    mag = np.abs(a)
+    return np.sqrt(mag.sum(axis=-2).max(axis=-1) * mag.sum(axis=-1).max(axis=-1))
 
 
 def hermiticity_defect(p: np.ndarray) -> float:

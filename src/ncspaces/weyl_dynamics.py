@@ -209,6 +209,8 @@ def composed_field(w: UnitaryField, deltas: np.ndarray, j: int) -> Callable:
 
 def assembled_field(w: UnitaryField, deltas: np.ndarray, d: int) -> Callable:
     """W(x) = w_1(x) w_2(x) ... w_{d-1}(x) (0-based axis labels)."""
+    if d < 2:
+        raise ValidationError("need d >= 2 axes")
     parts = [composed_field(w, deltas, j) for j in range(1, d)]
     return lambda x: reduce(np.matmul, [p(x) for p in parts])
 

@@ -4,6 +4,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from ncspaces import finite_reps
 from ncspaces.checks import random_pair_table, random_tuple_pair
 from ncspaces.errors import SizeCapError, ValidationError
 from ncspaces.finite_reps import (
@@ -22,6 +23,24 @@ from ncspaces.skew import upper_pairs
 
 def pair_table(d, factory):
     return {jk: factory(jk) for jk in upper_pairs(d)}
+
+
+def near_unitary_pair(p, q, rng):
+    """clock_shift(p, q) conjugated by W = I + 2e-13 G/||G||, W* W != I: its
+    defects come out at a few tenths of the declared tolerance 1e-12."""
+    base = clock_shift(p, q)
+    g = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
+    w = np.eye(q) + 2e-13 * g / np.linalg.norm(g, 2)
+    return UnitaryTuple(tuple(w @ m @ w.conj().T for m in base.matrices), base.sigma, 1e-12)
+
+
+def assert_certified(t):
+    """The dense measurement of t (the test oracle) stays below the
+    certificate its constructor reported, which stays below t.tol."""
+    oracle = finite_reps._measure_relations(t)
+    rep = verify_relations(t)
+    assert oracle.max_commutation <= rep.max_commutation <= t.tol
+    assert oracle.max_unitarity <= rep.max_unitarity <= t.tol
 
 
 class TestClockShift:
@@ -131,6 +150,57 @@ class TestTensorConstruct:
         assert rep.max_commutation <= sum(p.tol for p in table.values()) + 1e-13
 
 
+class TestLegCertificate:
+    # d = 5 draws are always 1024-dimensional (every pair at q = 2)
+    @pytest.mark.parametrize(
+        "d, seed", [(2, s) for s in range(6)] + [(3, s) for s in range(4)] + [(4, 0), (4, 1), (5, 0)]
+    )
+    def test_random_pair_tables(self, d, seed):
+        t = tensor_construct(random_pair_table(np.random.default_rng(seed), d))
+        assert t.d == d
+        assert_certified(t)
+
+    @pytest.mark.parametrize("d, qs", [(3, (3, 4, 5)), (4, (2, 3, 2, 2, 3, 2))])
+    def test_legs_near_their_tolerance(self, d, qs):
+        rng = np.random.default_rng(d)
+        table = {jk: near_unitary_pair(1, q, rng) for jk, q in zip(upper_pairs(d), qs)}
+        for pt in table.values():
+            rep = verify_relations(pt)
+            assert max(rep.max_commutation, rep.max_unitarity) >= 0.1 * pt.tol
+        assert_certified(tensor_construct(table))
+
+    def test_translated_pairs(self):
+        rng = np.random.default_rng(1)
+        skewed = near_unitary_pair(1, 3, rng)
+        three = tensor_construct(pair_table(3, lambda jk: clock_shift(1, 2 + sum(jk) % 2)))
+        cases = [
+            (clock_shift(1, 3), clock_shift(1, 4)),
+            (clock_shift(1, 2), UnitaryTuple.identity(2, 3)),
+            (UnitaryTuple.identity(2, 2), clock_shift(2, 5)),
+            (skewed, clock_shift(2, 3)),
+            (UnitaryTuple.identity(2, 4), skewed),
+            (three, three),
+        ]
+        for a, b in cases:
+            assert_certified(tensor_translate(a, b))
+
+    def test_leg_out_of_kron_order_fails_the_probe(self, monkeypatch):
+        # generator 1 assembled as I_3 (x) B_01 (x) A_12 instead of
+        # B_01 (x) I_3 (x) A_12: the legs, and so the certificate, are the
+        # same; only the probe of the assembled matrices can see it
+        assemble = finite_reps._assemble
+
+        def swapped(legs, *rest):
+            legs = [list(g) for g in legs]
+            legs[1][0], legs[1][1] = legs[1][1], legs[1][0]
+            return assemble(legs, *rest)
+
+        monkeypatch.setattr(finite_reps, "_assemble", swapped)
+        table = {(0, 1): clock_shift(1, 2), (0, 2): clock_shift(1, 3), (1, 2): clock_shift(1, 4)}
+        with pytest.raises(ValidationError, match="probe"):
+            tensor_construct(table)
+
+
 class TestTensorTranslate:
     def test_phase_cancellation(self):
         t = tensor_translate(clock_shift(1, 2), clock_shift(1, 2))
@@ -225,16 +295,24 @@ class TestClifford:
         assert np.abs(c - c.conj().T).max() == 0
         assert np.abs(c @ c - np.eye(2)).max() == 0
 
+    @staticmethod
+    def assert_anticommute(cs):
+        eye = np.eye(cs.rep_dim)
+        for j, cj in enumerate(cs.matrices):
+            for k, ck in enumerate(cs.matrices):
+                target = 2.0 * eye if j == k else 0.0
+                assert np.linalg.norm(cj @ ck + ck @ cj - target, 2) <= 1e-14
+
     def test_pair_anticommutes(self):
         cs = clifford_generators(2)
         c1, c2 = cs.matrices
         assert np.abs(c1 @ c2 + c2 @ c1).max() == 0
-        assert cs.max_relation_defect() <= 1e-14
+        self.assert_anticommute(cs)
 
     def test_three_generators(self):
         cs = clifford_generators(3)
         assert cs.rep_dim == 4
-        assert cs.max_relation_defect() <= 1e-14
+        self.assert_anticommute(cs)
 
     def test_size_guard(self):
         with pytest.raises(ValidationError):

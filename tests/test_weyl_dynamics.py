@@ -227,6 +227,7 @@ class TestAssembly:
          ValidationError),
         (lambda: check_assembly_identities(ARC_FIELD, np.zeros((1, 1)), 1, [[0.3]]),
          ValidationError),
+        (lambda: assembled_field(ARC_FIELD, np.zeros((1, 1)), 1), ValidationError),
         (lambda: assembly_convergence_order(ARC_FIELD, DELTAS3, 3, PROBES3, 0.0),
          ValidationError),
         (lambda: assembly_convergence_order(ARC_FIELD, DELTAS3, 3, PROBES3, -2e-2),
@@ -236,8 +237,8 @@ class TestAssembly:
         # every deviation of a constant field is 0: there is no order to fit
         (lambda: assembly_convergence_order(CONSTANT_FIELD, DELTAS3, 3, PROBES3, 2e-2),
          DegenerateFitError),
-    ], ids=["h-zero", "h-negative", "d-one", "h0-zero", "h0-negative", "no-halvings",
-            "constant-field"])
+    ], ids=["h-zero", "h-negative", "d-one", "assembled-d-one", "h0-zero", "h0-negative",
+            "no-halvings", "constant-field"])
     def test_rejects_invalid_input(self, run, error):
         with pytest.raises(error):
             run()
