@@ -327,9 +327,7 @@ def dimension_reduction_check(
 
     fhat = to_frequency(f)
     # enforce a compactly supported frequency profile by hard truncation
-    svec = freq_grid_vectors(fhat)
-    smax = np.abs(fhat.freq_axis()).max()
-    mask = np.all(np.abs(svec) <= 0.5 * smax, axis=1).reshape(fhat.values.shape)
+    mask = interior_frequency_mask(fhat, 0.5).reshape(fhat.values.shape)
     fhat = GridFunction(
         fhat.dim, fhat.half_length, fhat.points, fhat.values * mask, side="frequency"
     )
@@ -343,7 +341,7 @@ def dimension_reduction_check(
     # coupling frequency: w(s) = sum_{j<d} theta_jd s_j for every s in the box
     coup = np.array([theta.entry(j, d - 1) for j in range(d - 1)], dtype=float)
     fvals = fhat.values
-    w = (svec @ coup).reshape(fvals.shape)
+    w = (freq_grid_vectors(fhat) @ coup).reshape(fvals.shape)
     w_active = w[fvals != 0]
     if len(w_active) == 0:
         raise ValidationError("f has no frequency support left after truncation")

@@ -1,8 +1,9 @@
-"""JSON schemas for polynomials, matrices, and unitary tuples.
+"""JSON schemas for skew matrices, polynomials and matrices.
 
-Polynomial: {"dim": d, "theta_upper": [entry, ...], "terms": [{"m": [...],
-"re": float, "im": float}, ...]} with theta_upper in lexicographic (j, k)
-order; rational entries are strings "p/q" to survive the round trip exactly.
+Polynomial: {"dim": d, "upper": [entry, ...], "terms": [{"m": [...],
+"re": float, "im": float}, ...]} with upper, theta's strict upper triangle, in
+lexicographic (j, k) order; rational entries are strings "p/q" to survive the
+round trip exactly.
 
 Matrix: {"rows": r, "cols": c, "data": [[re, im], ...]} row-major.
 """
@@ -13,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ValidationError
-from .finite_reps import UnitaryTuple
 from .skew import SkewMatrix
 from .twisted_algebra import NCPolynomial
 
@@ -85,22 +85,3 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     flat = np.array([complex(re, im) for re, im in data])
     return flat.reshape(r, c)
 
-
-def tuple_to_json(t: UnitaryTuple) -> dict:
-    return {
-        "d": t.d,
-        "size": t.dim_hilbert,
-        "tol": t.tol,
-        "sigma": matrix_to_json(t.sigma),
-        "matrices": [matrix_to_json(u) for u in t.matrices],
-    }
-
-
-def tuple_from_json(obj: dict) -> UnitaryTuple:
-    try:
-        mats = tuple(matrix_from_json(m) for m in obj["matrices"])
-        sigma = matrix_from_json(obj["sigma"])
-        tol = float(obj.get("tol", 1e-12))
-    except (KeyError, TypeError) as e:
-        raise ValidationError(f"bad tuple object: {e}") from e
-    return UnitaryTuple(mats, sigma, tol)

@@ -1,15 +1,18 @@
 """Canonical form of skew-symmetric matrices and discretized canonical pairs.
 
 symplectic_normalize finds an invertible T with T theta T^t = S, where
-S = [[0, I_n], [-I_n, 0]], by skew Gram-Schmidt: pick the largest-magnitude
-entry of the current form as a plane seed, rescale to make the pairing 1,
-deflate the remaining directions against the plane, recurse.
+S = [[0, I_n], [-I_n, 0]], and skew_rank_decompose splits theta into standard
+planes and a kernel.  Both read the planes from one Hermitian eigendecomposition
+of i theta, whose eigenvalues come in pairs +-lam_j with |lam_j| the singular
+values of theta: an eigenvector of lam_j > 0 gives one plane through its real
+and imaginary parts (the real normal form of a skew matrix, Horn & Johnson,
+Matrix Analysis, 2.5), with the backward stability of the Hermitian eigensolver.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -55,77 +58,75 @@ class SkewDecomposition:
     residual: float
 
 
-def _pair_reduction(arr: np.ndarray, tol: float):
-    """Shared deflation loop: returns (pairs [(x, y), ...], leftover vectors)."""
-    d = arr.shape[0]
-    cand: List[np.ndarray] = [np.eye(d)[i] for i in range(d)]
-    pairs: List[Tuple[np.ndarray, np.ndarray]] = []
-    while len(cand) >= 2:
-        c = np.array(cand)
-        b = c @ arr @ c.T
-        i, k = np.unravel_index(np.abs(b).argmax(), b.shape)
-        if abs(b[i, k]) <= tol:
-            break
-        x = cand[i]
-        y = cand[k] / b[i, k]
-        rest = []
-        for idx, v in enumerate(cand):
-            if idx in (i, k):
-                continue
-            by = v @ arr @ y
-            bx = v @ arr @ x
-            rest.append(v - by * x + bx * y)
-        pairs.append((x, y))
-        cand = rest
-    return pairs, cand
+def _planes(arr: np.ndarray, cutoff: Callable[[np.ndarray], float]):
+    """Planes of theta from one eigendecomposition of the Hermitian i theta.
+
+    cutoff receives the eigenvalue moduli (the singular values of theta) and
+    returns the eigenvalue a plane must exceed; it may raise instead.  Each
+    eigenvector w of an eigenvalue lam > cutoff is turned by a phase so that
+    its first largest-modulus entry (the pivot) is real and positive; then
+    a = Re w, b = -Im w pair to a^t theta b = lam / 2, and x = a / s,
+    y = b / s with s = sqrt(a^t theta b) give x^t theta y = 1.  Distinct
+    eigenvectors are orthogonal to each other and to their conjugates, so every
+    cross pairing vanishes.  Returns the rows x_1..x_r and y_1..y_r, ordered by
+    lam descending and then by pivot index: a canonical theta is a fixed point.
+    """
+    lam, w = np.linalg.eigh(1j * arr)
+    keep = lam > cutoff(np.abs(lam))
+    lam, w = lam[keep], w[:, keep]
+    pivot = np.abs(w).argmax(axis=0)
+    lead = w[pivot, np.arange(w.shape[1])]
+    w = w * (lead.conj() / np.abs(lead))
+    a, b = w.real, -w.imag
+    s = np.sqrt(np.einsum("ij,ij->j", a, arr @ b))
+    order = np.lexsort((pivot, -lam))
+    return (a / s)[:, order].T, (b / s)[:, order].T
 
 
 def symplectic_normalize(theta: SkewMatrix) -> SymplecticForm:
-    """Return T with T theta T^t = S for nonsingular theta of even dimension;
-    theta counts as singular when its smallest singular value is at most
-    1e-8 times its largest."""
+    """Return T with T theta T^t = S for nonsingular theta of even dimension,
+    from the planes of one Hermitian eigendecomposition of i theta.  Theta
+    counts as singular when its smallest eigenvalue modulus (singular value) is
+    at most 1e-8 times its largest; the reported rank counts the moduli above
+    1e-10 max(largest, 1)."""
     d = theta.dim
     arr = theta.as_array()
     if d % 2:
         raise OddDimensionError(f"dimension {d} is odd; no symplectic normal form")
-    svals = np.linalg.svd(arr, compute_uv=False)
-    if svals[0] == 0 or svals[-1] <= 1e-8 * svals[0]:
-        rank = int(np.count_nonzero(svals > 1e-10 * max(svals[0], 1.0)))
-        raise RankDeficientError(
-            f"theta is rank-deficient (rank {rank} < {d}); cannot normalize", rank
-        )
-    n = d // 2
-    pairs, _ = _pair_reduction(arr, tol=0.0)
-    if len(pairs) != n:
-        raise RankDeficientError(
-            f"deflation found only {len(pairs)} planes", 2 * len(pairs)
-        )
-    t = np.array([p[0] for p in pairs] + [p[1] for p in pairs])
-    res = float(np.abs(t @ arr @ t.T - canonical_block(n)).max())
+
+    def nonsingular(moduli: np.ndarray) -> float:
+        top = moduli.max()
+        if top == 0 or moduli.min() <= 1e-8 * top:
+            rank = int(np.count_nonzero(moduli > 1e-10 * max(top, 1.0)))
+            raise RankDeficientError(
+                f"theta is rank-deficient (rank {rank} < {d}); cannot normalize", rank
+            )
+        return 0.0
+
+    x, y = _planes(arr, nonsingular)
+    t = np.vstack([x, y])
+    res = float(np.abs(t @ arr @ t.T - canonical_block(d // 2)).max())
     return SymplecticForm(arr, t, res)
 
 
 def skew_rank_decompose(theta: SkewMatrix) -> SkewDecomposition:
-    """Block-diagonalize theta into rank/2 standard planes plus a kernel block;
-    pairings below 1e-10 max(max |theta_jk|, 1) count as zero."""
+    """Block-diagonalize theta into rank/2 standard planes plus a kernel block,
+    from one Hermitian eigendecomposition of i theta; eigenvalues at most
+    1e-10 max(max |theta_jk|, 1) count as zero.  The kernel rows are an
+    orthonormal basis of the complement of the planes, the trailing columns of
+    a complete QR of the plane rows."""
     arr = theta.as_array()
     scale = max(np.abs(arr).max(), 1.0)
-    pairs, leftovers = _pair_reduction(arr, tol=1e-10 * scale)
-    rows: List[np.ndarray] = []
-    for x, y in pairs:
-        rows.extend([x, y])
-    if leftovers:
-        # orthonormalize the kernel directions for a well-conditioned basis
-        q, _ = np.linalg.qr(np.array(leftovers).T)
-        rows.extend(q.T)
-    basis = np.array(rows) if rows else np.zeros((0, theta.dim))
-    rank = 2 * len(pairs)
+    x, y = _planes(arr, lambda moduli: 1e-10 * scale)
+    r = len(x)
+    planes = np.empty((2 * r, theta.dim))
+    planes[0::2], planes[1::2] = x, y
+    q, _ = np.linalg.qr(planes.T, mode="complete")
+    basis = np.vstack([planes, q[:, 2 * r:].T])
     target = np.zeros((theta.dim, theta.dim))
-    for i in range(len(pairs)):
-        target[2 * i, 2 * i + 1] = 1.0
-        target[2 * i + 1, 2 * i] = -1.0
-    res = float(np.abs(basis @ arr @ basis.T - target).max()) if rows else 0.0
-    return SkewDecomposition(arr, rank, basis, res)
+    target[:2 * r, :2 * r] = np.kron(np.eye(r), canonical_block(1))
+    res = float(np.abs(basis @ arr @ basis.T - target).max())
+    return SkewDecomposition(arr, 2 * r, basis, res)
 
 
 # -- discretized canonical pairs ---------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from fractions import Fraction
 
 from ncspaces.cli import EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, main
-from ncspaces.finite_reps import clock_shift
 from ncspaces.gridfn import GridFunction, read_gridfn, write_gridfn
 from ncspaces.serialize import (
     matrix_from_json,
@@ -17,8 +16,6 @@ from ncspaces.serialize import (
     poly_to_json,
     theta_from_json,
     theta_to_json,
-    tuple_from_json,
-    tuple_to_json,
 )
 from ncspaces.skew import SkewMatrix
 from ncspaces.twisted_algebra import NCPolynomial, poly_mul
@@ -42,13 +39,6 @@ class TestSerialization:
         m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         back = matrix_from_json(matrix_to_json(m))
         assert np.abs(back - m).max() <= 1e-15
-
-    def test_tuple_roundtrip(self):
-        t = clock_shift(1, 3)
-        back = tuple_from_json(tuple_to_json(t))
-        assert np.abs(back.sigma - t.sigma).max() <= 1e-15
-        for a, b in zip(back.matrices, t.matrices):
-            assert np.abs(a - b).max() <= 1e-15
 
 
 class TestCliBasics:

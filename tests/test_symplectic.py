@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncspaces.errors import (
     OddDimensionError,
@@ -52,6 +52,10 @@ class TestNormalize:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
+    # draws on which a skew Gram-Schmidt deflation grew its transform to
+    # entries near 5e3 and missed the bound with residuals of 1.1e-9 and 1.3e-9
+    @example(seed=2833)
+    @example(seed=13405)
     def test_congruence_composition(self, seed):
         # normalizing R theta R^t must again reach the canonical block
         rng = np.random.default_rng(seed)
@@ -103,6 +107,27 @@ class TestRankDecompose:
             assert dec.residual <= 1e-10
             sv = np.linalg.svd(theta.as_array(), compute_uv=False)
             assert dec.rank == int((sv > 1e-10 * max(sv[0], 1.0)).sum())
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_low_rank_congruence(self, d):
+        # B S B^t with S of rank 2k < d - 1 and B generic has rank exactly 2k
+        rng = np.random.default_rng(10 + d)
+        for k in range(d // 2):
+            for _ in range(10):
+                a = rng.standard_normal((2 * k, 2 * k))
+                s = np.zeros((d, d))
+                s[: 2 * k, : 2 * k] = a - a.T
+                b = rng.standard_normal((d, d))
+                prod = b @ s @ b.T
+                theta = SkewMatrix.from_upper(
+                    d, {(j, l): prod[j, l] for j in range(d) for l in range(j + 1, d)}
+                )
+                dec = skew_rank_decompose(theta)
+                sv = np.linalg.svd(theta.as_array(), compute_uv=False)
+                assert dec.rank == int((sv > 1e-10 * max(sv[0], 1.0)).sum()) == 2 * k
+                assert dec.residual <= 1e-10
+                kernel = dec.basis[dec.rank:]
+                assert np.abs(kernel @ kernel.T - np.eye(d - dec.rank)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("m", [16, 64])
