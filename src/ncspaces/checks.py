@@ -75,8 +75,7 @@ def check_algebra_exactness(cfg: CheckConfig) -> List[CheckResult]:
         chain = a
         for j in range(d):
             chain = ta.cond_expectation(chain, j)
-        tr = ta.trace(a)
-        phi = chain.coeffs == ({(0,) * d: tr} if not tr.is_zero else {})
+        phi = chain == ta.NCPolynomial(theta, {(0,) * d: ta.trace(a)}, exact=True)
         if d >= 2:
             phi = phi and ta.cond_expectation(ta.cond_expectation(a, 0), 1) == (
                 ta.cond_expectation(ta.cond_expectation(a, 1), 0)

@@ -5,21 +5,128 @@ and rational c_r.  It is the coefficient ring that keeps products of torus
 monomials exact when the deformation is rational: a structure phase
 exp(2*pi*i*c) with Q*c an integer rotates exponents by that integer mod Q,
 and Gaussian-rational inputs embed via i = zeta^(Q/4).
+
+The powers zeta^0 .. zeta^(Q-1) are not linearly independent over the
+rationals (zeta^(Q/2) = -1, for one), so a term dict is not a canonical form.
+``reduction_matrix`` gives each power in the power basis 1, zeta, ...,
+zeta^(phi(Q)-1) modulo the cyclotomic polynomial Phi_Q (Washington,
+*Introduction to Cyclotomic Fields*, ch. 2), which is canonical; ``power_basis``
+sums integer combinations of powers in that basis.
 """
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+
+import numpy as np
+
+from .errors import SizeCapError
 
 TWO_PI = 2.0 * 3.141592653589793
+
+# Exact integer arrays are int64 while every value an operation forms stays
+# below this bound in magnitude, and Python ints (dtype object) past it.
+INT64_SAFE = 2**62
+# entries of one reduction matrix, Q * phi(Q) (1451520 at Q = 2520); its
+# int64 build array takes 8 bytes per entry
+REDUCTION_CAP = 2**22
+
+
+def exact_dtype(bound: int):
+    """int64 if ``bound`` caps every intermediate magnitude below INT64_SAFE,
+    else object (Python ints, no wraparound)."""
+    return np.int64 if bound < INT64_SAFE else object
+
+
+def _prime_factors(n: int) -> list:
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + ([n] if n > 1 else [])
+
+
+def _divide_monic(num: list, den: list) -> list:
+    """Exact quotient of integer polynomials (constant term first), den monic."""
+    num = list(num)
+    quot = [0] * (len(num) - len(den) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        quot[k] = t = num[k + len(den) - 1]
+        if t:
+            for j, c in enumerate(den):
+                num[k + j] -= t * c
+    return quot
+
+
+def cyclotomic_polynomial(n: int) -> list:
+    """Integer coefficients of Phi_n, constant term first.
+
+    Phi_{mp}(x) = Phi_m(x^p) / Phi_m(x) for a prime p not dividing m builds
+    Phi of the radical of n one prime at a time, and Phi_n(x) = Phi_rad(x^(n/rad)).
+    """
+    poly, rad = [-1, 1], 1
+    for p in _prime_factors(n):
+        stretched = [0] * ((len(poly) - 1) * p + 1)
+        stretched[::p] = poly
+        poly, rad = _divide_monic(stretched, poly), rad * p
+    out = [0] * ((len(poly) - 1) * (n // rad) + 1)
+    out[:: n // rad] = poly
+    return out
+
+
+@lru_cache(maxsize=16)
+def reduction_matrix(order: int) -> np.ndarray:
+    """R_Q, Q x phi(Q) integers (read-only): row r is zeta^r in the power
+    basis, i.e. the coefficients of x^r mod Phi_Q.
+
+    Built on first use for each Q, row by row from x^r = x * x^(r-1), and
+    stored in the narrowest signed integer dtype that holds its entries.
+    Guarded to Q * phi(Q) <= REDUCTION_CAP.
+    """
+    totient = order
+    for p in _prime_factors(order):
+        totient = totient // p * (p - 1)
+    if order * totient > REDUCTION_CAP:
+        raise SizeCapError(
+            f"reduction matrix of Q = {order} has {order} x {totient} entries, "
+            f"over the cap {REDUCTION_CAP}"
+        )
+    cyc = cyclotomic_polynomial(order)
+    deg = len(cyc) - 1
+    low = np.array(cyc[:-1], dtype=np.int64)  # x^deg = -low(x) mod Phi_Q
+    rows = np.zeros((order, deg), dtype=np.int64)
+    rows[:deg] = np.eye(deg, dtype=np.int64)
+    for r in range(deg, order):
+        prev = rows[r - 1]
+        rows[r, 1:] = prev[:-1]
+        rows[r] -= prev[-1] * low
+    out = rows.astype(np.min_scalar_type(-1 - int(np.abs(rows).max())))
+    out.setflags(write=False)
+    return out
+
+
+def power_basis(order: int, rs: np.ndarray, cs: np.ndarray, starts) -> np.ndarray:
+    """For each group of rows beginning at ``starts``, sum_rows cs * zeta^rs
+    as its integer vector in the power basis; rs are exponents in 0..Q-1 and
+    cs integers, one row each."""
+    rows = reduction_matrix(order)[rs]
+    dtype = exact_dtype(int(np.abs(cs).max()) * int(np.abs(rows).max()) * len(cs))
+    return np.add.reduceat(cs.astype(dtype)[:, None] * rows.astype(dtype), starts, axis=0)
 
 
 class Cyclotomic:
     """Exact element of Q(zeta_Q): a dict {r: Fraction} meaning sum c_r zeta^r.
 
-    Equality is dict equality after dropping zero terms.  That is the right
-    notion here: the algebra identities under test produce matching phase
-    rotations term by term, so equal values arrive in identical form.
+    Equality and ``is_zero`` are those of Q(zeta_Q): equal dicts are equal at
+    once, and differing dicts (or nonempty ones, for ``is_zero``) are compared
+    through their vectors in the power basis modulo Phi_Q, so 1 == -zeta^(Q/2).
+    That needs R_Q and raises SizeCapError for Q past the reduction cap.  The
+    hash is that of Q alone, which equal values share and which needs no R_Q.
     """
 
     __slots__ = ("order", "terms")
@@ -66,19 +173,12 @@ class Cyclotomic:
 
     def __mul__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._check(other)
-        return Cyclotomic.sum_of_products(self.order, [(self, other, 0)])
-
-    @classmethod
-    def sum_of_products(cls, order: int, products) -> "Cyclotomic":
-        """sum of x * y * zeta^shift over the (x, y, shift) triples, all of
-        the given order, normalised once at the end."""
         out: dict = {}
-        for x, y, shift in products:
-            for r1, c1 in x.terms.items():
-                for r2, c2 in y.terms.items():
-                    r = (r1 + r2 + shift) % order
-                    out[r] = out.get(r, 0) + c1 * c2
-        return cls(order, out)
+        for r1, c1 in self.terms.items():
+            for r2, c2 in other.terms.items():
+                r = (r1 + r2) % self.order
+                out[r] = out.get(r, 0) + c1 * c2
+        return Cyclotomic(self.order, out)
 
     def conjugate(self) -> "Cyclotomic":
         return Cyclotomic(self.order, {-r: c for r, c in self.terms.items()})
@@ -87,9 +187,18 @@ class Cyclotomic:
         f = Fraction(f)
         return Cyclotomic(self.order, {r: c * f for r, c in self.terms.items()})
 
+    def _canonical(self) -> tuple:
+        """The value as phi(Q) Fractions: its coordinates in the power basis."""
+        if not self.terms:
+            return (Fraction(0),) * reduction_matrix(self.order).shape[1]
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        rs = np.fromiter(self.terms, dtype=np.int64)
+        cs = np.array([int(c * den) for c in self.terms.values()], dtype=object)
+        return tuple(Fraction(int(x), den) for x in power_basis(self.order, rs, cs, [0])[0])
+
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.terms or not any(self._canonical())
 
     def to_complex(self) -> complex:
         return sum(
@@ -104,10 +213,12 @@ class Cyclotomic:
     def __eq__(self, other):
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return self.order == other.order and self.terms == other.terms
+        return self.order == other.order and (
+            self.terms == other.terms or self._canonical() == other._canonical()
+        )
 
     def __hash__(self):
-        return hash((self.order, tuple(sorted(self.terms.items()))))
+        return hash(self.order)
 
     def __repr__(self):
         if not self.terms:

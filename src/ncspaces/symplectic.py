@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, List, Sequence
+from typing import Callable, List
 
 import numpy as np
 
@@ -217,18 +217,3 @@ def gaussian_state(grid: GridSpec, n: int, sigma: float = None) -> np.ndarray:
     axis = np.exp(-(grid.axis() ** 2) / (2.0 * sigma**2))
     v = reduce(np.kron, [axis] * n).astype(complex)
     return v / np.linalg.norm(v)
-
-
-def commutator_residuals(
-    generators: Sequence[np.ndarray], theta: np.ndarray, state: np.ndarray
-) -> np.ndarray:
-    """||([P_j, P_k] + i theta_jk) v|| for all j < k, as a matrix."""
-    d = len(generators)
-    out = np.zeros((d, d))
-    images = [p @ state for p in generators]
-    for j in range(d):
-        for k in range(j + 1, d):
-            comm = generators[j] @ images[k] - generators[k] @ images[j]
-            r = np.linalg.norm(comm + 1j * theta[j, k] * state)
-            out[j, k] = out[k, j] = r
-    return out

@@ -11,9 +11,23 @@ the cocycle identity holds exactly; every phase comes from this one form on
 whole exponent arrays, and for rational theta Q c is an exact integer used
 mod Q = phase_order(theta).
 
-Polynomials carry either complex (float) coefficients or exact Cyclotomic
-coefficients; the exact mode is available whenever theta is rational and
-makes product/trace/involution identities checkable with zero error.
+Polynomials carry either complex (float) coefficients, held as a dict
+{m: complex}, or exact coefficients in Q(zeta_Q), available whenever theta is
+rational.  An exact polynomial is a finite sum of terms c zeta^r u^m, held as
+integer arrays sorted by (m, r): exponent rows ``m``, root indices ``r`` in
+0..Q-1 (always int64), nonzero numerators ``c`` and one positive common denominator.  These
+are elements of the group ring of the central extension Z^d x Z_Q, where
+product, involution, conditional expectation, trace and equality are exact
+integer array work: a product sums the outer product of the numerators at
+the rows (m + m', r + r' + Q c(m, m') mod Q) with one sort and one segmented
+sum.  Arrays are int64 while every value an operation forms stays below
+2^62 in magnitude and Python ints (dtype object) past that, through the same
+code.  Two forms of one value can differ, since the powers of zeta are
+dependent (zeta^(Q/2) = -1); ``==`` compares the forms first and, only when
+they differ, the values in the power basis modulo Phi_Q
+(``phases.reduction_matrix``); the hash is that of theta, which equal values
+share and which needs no reduction.  Product, trace and involution identities
+are thus checkable with zero error.
 """
 from __future__ import annotations
 
@@ -21,13 +35,13 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ThetaMismatchError, ValidationError
-from .phases import TWO_PI, Cyclotomic
+from .phases import TWO_PI, Cyclotomic, exact_dtype, power_basis
 from .skew import SkewMatrix, upper_pairs
 
 MultiIndex = Tuple[int, ...]
@@ -37,8 +51,9 @@ COEFF_DROP_TOL = 1e-15  # float path only: drop |c| below this during normalizat
 
 
 def as_multi_index(m: Sequence[int]) -> MultiIndex:
-    t = tuple(int(x) for x in m)
-    if any(x != y for x, y in zip(t, m)):
+    m = tuple(m)
+    t = tuple(map(int, m))
+    if t != m:
         raise ValidationError(f"multi-index {m!r} has non-integer entries")
     return t
 
@@ -62,14 +77,19 @@ class _Twist:
 
     For rational theta ``order`` is Q = phase_order(theta) and ``form`` is the
     integer matrix K = Q U held as Python ints (dtype object), so Q c is exact
-    for exponents of any size; otherwise ``order`` is 1 and ``form`` is U.
+    for exponents of any size; ``weight`` = sum |K_jk| bounds
+    |Q c(m, m')| <= weight max|m| max|m'|.  Otherwise ``order`` is 1 and
+    ``form`` is U.
     """
 
     def __init__(self, theta: SkewMatrix):
-        self.order = phase_order(theta) if theta.is_rational else 1
-        self.form = np.zeros((theta.dim, theta.dim), dtype=object if theta.is_rational else float)
-        for (j, k), v in zip(upper_pairs(theta.dim), theta.upper):
-            self.form[j, k] = int(v * self.order) if theta.is_rational else float(v)
+        rational = theta.is_rational
+        self.order = phase_order(theta) if rational else 1
+        values = [int(v * self.order) if rational else float(v) for v in theta.upper]
+        self.form = np.zeros((theta.dim, theta.dim), dtype=object if rational else float)
+        for (j, k), v in zip(upper_pairs(theta.dim), values):
+            self.form[j, k] = v
+        self.weight = sum(map(abs, values)) if rational else None
 
     def scaled(self, m, m2):
         """order * c(m, m') for multi-index arrays of shape (..., d), broadcast."""
@@ -85,6 +105,37 @@ class _Twist:
         """Distance of c = scaled / order to 0 on R/Z."""
         r = scaled % self.order
         return np.asarray(np.minimum(r, self.order - r) / self.order, dtype=float)
+
+
+def _max_abs(x: np.ndarray) -> int:
+    return int(np.abs(x).max(initial=0))
+
+
+def _collect(ms: np.ndarray, rs: np.ndarray, cs: np.ndarray, order: int):
+    """The terms (ms, rs, cs) sorted by (m, r), with the cs of equal (m, r)
+    summed and zero sums dropped.
+
+    Each row gets one mixed-radix key, lexicographic in (m_0, ..., m_{d-1}, r)
+    whatever the offsets: one stable argsort and one np.add.reduceat do the
+    rest.  Keys are int64 while their range stays below 2^62, else Python ints.
+    """
+    if not len(cs):
+        return ms, rs, cs
+    lo = ms.min(axis=0)
+    stride, strides = order, []
+    for span in reversed((ms.max(axis=0) - lo + 1).tolist()):
+        strides.append(stride)
+        stride *= span
+    dtype = exact_dtype(stride)
+    key = (ms.astype(dtype, copy=False) - lo) @ np.array(strides[::-1], dtype=dtype)
+    key += rs.astype(dtype, copy=False)
+    perm = key.argsort(kind="stable")
+    key = key[perm]
+    starts = np.concatenate(([True], key[1:] != key[:-1])).nonzero()[0]
+    sums = np.add.reduceat(cs[perm], starts)
+    keep = sums != 0
+    rows = perm[starts[keep]]
+    return ms[rows], rs[rows], sums[keep]
 
 
 def structure_exponent(m: Sequence[int], m2: Sequence[int], theta: SkewMatrix):
@@ -107,9 +158,14 @@ def structure_phase(m: Sequence[int], m2: Sequence[int], theta: SkewMatrix):
 
 
 class NCPolynomial:
-    """Finitely supported sum a = sum_m alpha_m u^m over a fixed theta."""
+    """Finitely supported sum a = sum_m alpha_m u^m over a fixed theta.
 
-    __slots__ = ("theta", "coeffs", "exact")
+    ``coeffs`` is the read-only view {m: coefficient}: the dict itself for
+    float polynomials and, for exact ones, {m: Cyclotomic} built from the
+    term arrays on first access and kept.
+    """
+
+    __slots__ = ("theta", "exact", "_coeffs", "_order", "_twist", "_ms", "_rs", "_cs", "_den")
 
     def __init__(
         self,
@@ -146,13 +202,47 @@ class NCPolynomial:
                     f"term {mi} has dimension {len(mi)}, algebra has d={theta.dim}"
                 )
             if self.exact:
-                if not c.is_zero:
-                    norm[mi] = c
+                norm[mi] = c
             else:
                 c = complex(c)
                 if abs(c) >= COEFF_DROP_TOL:
                     norm[mi] = c
-        self.coeffs = norm
+        if not self.exact:
+            self._coeffs = norm
+            return
+        # distinct keys and nonzero terms: sorting the rows is all that is left
+        self._coeffs = None
+        rows = sorted((m, r, c) for m, cy in norm.items() for r, c in cy.terms.items())
+        den = lcm(*(c.denominator for _, _, c in rows))
+        table = [(*m, r, c.numerator * (den // c.denominator)) for m, r, c in rows]
+        dtype = exact_dtype(max([q, *(abs(x) for row in table for x in row)]))
+        table = np.array(table, dtype=dtype).reshape(len(rows), theta.dim + 2)
+        rs = table[:, -2].astype(np.int64)
+        self._from_terms(q, None, table[:, :-2], rs, table[:, -1], den)
+
+    def _from_terms(self, order, twist, ms, rs, cs, den) -> "NCPolynomial":
+        """Set the term arrays, already sorted and summed; numerators and
+        denominator are reduced to lowest terms."""
+        if den > 1:
+            g = gcd(den, *cs.tolist())
+            cs, den = cs // g, den // g
+        self._order, self._twist = order, twist
+        self._ms, self._rs, self._cs, self._den = ms, rs, cs, den
+        return self
+
+    def _structure(self) -> _Twist:
+        """The structure form of theta, built on first use and passed on to
+        every exact result computed from this polynomial."""
+        if self._twist is None:
+            self._twist = _Twist(self.theta)
+        return self._twist
+
+    def _exact_result(self, ms, rs, cs, den) -> "NCPolynomial":
+        """An exact polynomial over this one's theta from internal term arrays,
+        without the public constructor's validation."""
+        out = object.__new__(NCPolynomial)
+        out.theta, out.exact, out._coeffs = self.theta, True, None
+        return out._from_terms(self._order, self._twist, ms, rs, cs, den)
 
     # -- constructors --------------------------------------------------
 
@@ -174,6 +264,18 @@ class NCPolynomial:
     # -- basic queries ---------------------------------------------------
 
     @property
+    def coeffs(self) -> Dict[MultiIndex, Coefficient]:
+        if self._coeffs is None:
+            view: Dict[MultiIndex, dict] = {}
+            cs = self._cs.tolist()
+            if self._den > 1:
+                cs = [Fraction(c, self._den) for c in cs]
+            for m, r, c in zip(self._ms.tolist(), self._rs.tolist(), cs):
+                view.setdefault(tuple(m), {})[r] = c
+            self._coeffs = {m: Cyclotomic(self._order, t) for m, t in view.items()}
+        return self._coeffs
+
+    @property
     def dim(self) -> int:
         return self.theta.dim
 
@@ -185,11 +287,12 @@ class NCPolynomial:
 
     def coefficient(self, m: Sequence[int]) -> Coefficient:
         mi = as_multi_index(m)
-        if mi in self.coeffs:
-            return self.coeffs[mi]
         if self.exact:
-            return Cyclotomic.zero(phase_order(self.theta))
-        return 0j
+            key = np.array(mi, dtype=exact_dtype(max(map(abs, mi), default=0)))
+            rows = (self._ms == key).all(axis=1)
+            terms = zip(self._rs[rows].tolist(), self._cs[rows].tolist())
+            return Cyclotomic(self._order, {r: Fraction(c, self._den) for r, c in terms})
+        return self.coeffs.get(mi, 0j)
 
     def to_float(self) -> "NCPolynomial":
         if not self.exact:
@@ -207,17 +310,38 @@ class NCPolynomial:
         keys = set(a.coeffs) | set(b.coeffs)
         return all(abs(a.coefficient(m) - b.coefficient(m)) <= tol for m in keys)
 
+    def _canonical(self):
+        """Exponents with a nonzero coefficient, and each such coefficient's
+        coordinates in the power basis as Fractions (one row each)."""
+        if not len(self._cs):
+            return self._ms, None
+        new = (self._ms[1:] != self._ms[:-1]).any(axis=1)
+        starts = np.flatnonzero(np.concatenate(([True], new)))
+        vec = power_basis(self._order, self._rs, self._cs, starts)
+        keep = (vec != 0).any(axis=1)
+        return self._ms[starts[keep]], vec[keep].astype(object) * Fraction(1, self._den)
+
     def __eq__(self, other):
         if not isinstance(other, NCPolynomial):
             return NotImplemented
-        return (
-            self.theta == other.theta
-            and self.exact == other.exact
-            and self.coeffs == other.coeffs
-        )
+        if self.exact != other.exact or (self.theta is not other.theta and self.theta != other.theta):
+            return False
+        if not self.exact:
+            return self._coeffs == other._coeffs
+        if self._den == other._den and all(
+            x.shape == y.shape and (x == y).all()
+            for x, y in ((self._cs, other._cs), (self._rs, other._rs), (self._ms, other._ms))
+        ):
+            return True
+        (ma, va), (mb, vb) = self._canonical(), other._canonical()
+        if ma.shape != mb.shape or not (ma == mb).all():
+            return False
+        return not len(ma) or bool((va == vb).all())
 
     def __hash__(self):
-        return hash((self.theta, tuple(sorted(self.coeffs))))
+        if self.exact:
+            return hash(self.theta)
+        return hash((self.theta, tuple(sorted(self._coeffs))))
 
     def __repr__(self):
         n = len(self.coeffs)
@@ -226,7 +350,7 @@ class NCPolynomial:
     # -- arithmetic --------------------------------------------------------
 
     def _check_compatible(self, other: "NCPolynomial"):
-        if self.theta != other.theta:
+        if self.theta is not other.theta and self.theta != other.theta:
             raise ThetaMismatchError("operands have different theta")
         if self.exact != other.exact:
             raise ValidationError("cannot mix exact and float polynomials")
@@ -260,38 +384,55 @@ def poly_mul(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
     """Product with coefficients sum_{m+m'=n} alpha_m beta_m' exp(2 pi i c(m,m')).
 
     The exponents of all term pairs come from one bilinear form of the two
-    exponent arrays; exact products are rotated by the integer Q c mod Q.
+    exponent arrays.  Exact terms multiply to c c' zeta^(r + r' + Q c(m, m'))
+    u^(m + m'), summed by one sort of the term keys (see ``_collect``).
     """
     a._check_compatible(b)
+    if a.exact:
+        twist = a._structure()
+        big, small = max(_max_abs(a._ms), 1), max(_max_abs(b._ms), 1)
+        dtype = exact_dtype(max(
+            twist.weight * big * small + 2 * twist.order,
+            _max_abs(a._cs) * _max_abs(b._cs) * len(a._cs) * len(b._cs),
+            big + small,
+        ))
+        ma, mb = a._ms.astype(dtype, copy=False), b._ms.astype(dtype, copy=False)
+        qc = -(ma @ twist.form.T.astype(dtype)) @ mb.T
+        rs = (a._rs.astype(dtype, copy=False)[:, None] + b._rs.astype(dtype, copy=False) + qc) % twist.order
+        rs = rs.astype(np.int64, copy=False)
+        cs = np.multiply.outer(a._cs.astype(dtype, copy=False), b._cs.astype(dtype, copy=False))
+        ms = (ma[:, None, :] + mb).reshape(-1, a.dim)
+        return a._exact_result(*_collect(ms, rs.ravel(), cs.ravel(), twist.order), a._den * b._den)
     if not (a.coeffs and b.coeffs):
-        return NCPolynomial(a.theta, {}, exact=a.exact)
+        return NCPolynomial(a.theta, {}, exact=False)
     twist = _Twist(a.theta)
     ma, mb = [[m] for m in a.coeffs], [list(b.coeffs)]
-    # per term pair: the integer Q c when exact, else the phase exp(2 pi i c)
-    factors = (twist.scaled(ma, mb) if a.exact else twist.phases(ma, mb)).tolist()
+    # per term pair: the phase exp(2 pi i c)
+    factors = twist.phases(ma, mb).tolist()
     groups: Dict[MultiIndex, list] = {}
     for (m, ca), row in zip(a.coeffs.items(), factors):
         for (m2, cb), f in zip(b.coeffs.items(), row):
             groups.setdefault(add_index(m, m2), []).append((ca, cb, f))
-    if a.exact:
-        out = {n: Cyclotomic.sum_of_products(twist.order, g) for n, g in groups.items()}
-    else:
-        out = {n: reduce(lambda s, t: s + t[0] * t[1] * t[2], g, 0j) for n, g in groups.items()}
-    return NCPolynomial(a.theta, out, exact=a.exact)
+    out = {n: reduce(lambda s, t: s + t[0] * t[1] * t[2], g, 0j) for n, g in groups.items()}
+    return NCPolynomial(a.theta, out, exact=False)
 
 
 def poly_adjoint(a: NCPolynomial) -> NCPolynomial:
     """Involution: (u^m)* = exp(2 pi i c(m,m)) u^{-m}, coefficients conjugated
-    (c(m, m) = -c(m, -m) by bilinearity)."""
+    (c(m, m) = -c(m, -m) by bilinearity); the exact term c zeta^r u^m goes to
+    c zeta^(Q c(m, m) - r) u^(-m)."""
+    if a.exact:
+        twist = a._structure()
+        ms = a._ms.astype(exact_dtype(twist.weight * _max_abs(a._ms) ** 2 + 2 * twist.order))
+        qc = -((ms @ twist.form.T.astype(ms.dtype)) * ms).sum(axis=1)
+        rs = ((qc - a._rs) % twist.order).astype(np.int64, copy=False)
+        return a._exact_result(*_collect(-ms, rs, a._cs, twist.order), a._den)
     if not a.coeffs:
-        return NCPolynomial(a.theta, {}, exact=a.exact)
+        return NCPolynomial(a.theta, {}, exact=False)
     twist = _Twist(a.theta)
     ms, cs = list(a.coeffs), list(a.coeffs.values())
-    if a.exact:
-        new = [c.conjugate().rotate(s) for c, s in zip(cs, twist.scaled(ms, ms).tolist())]
-    else:
-        new = [c.conjugate() * p for c, p in zip(cs, twist.phases(ms, ms).tolist())]
-    return NCPolynomial(a.theta, dict(zip(map(neg_index, ms), new)), exact=a.exact)
+    new = [c.conjugate() * p for c, p in zip(cs, twist.phases(ms, ms).tolist())]
+    return NCPolynomial(a.theta, dict(zip(map(neg_index, ms), new)), exact=False)
 
 
 def trace(a: NCPolynomial) -> Coefficient:
@@ -303,8 +444,11 @@ def cond_expectation(a: NCPolynomial, j: int) -> NCPolynomial:
     """Projection killing every term with m_j != 0 (axis j is 0-based)."""
     if not (0 <= j < a.dim):
         raise ValidationError(f"axis {j} out of range for d={a.dim}")
+    if a.exact:
+        keep = a._ms[:, j] == 0
+        return a._exact_result(a._ms[keep], a._rs[keep], a._cs[keep], a._den)
     return NCPolynomial(
-        a.theta, {m: c for m, c in a.coeffs.items() if m[j] == 0}, exact=a.exact
+        a.theta, {m: c for m, c in a.coeffs.items() if m[j] == 0}, exact=False
     )
 
 

@@ -1,5 +1,6 @@
 """Tests for the twisted polynomial algebra over Z^d."""
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from ncspaces.checks import random_rational_theta
-from ncspaces.errors import ThetaMismatchError, ValidationError
+from ncspaces.errors import SizeCapError, ThetaMismatchError, ValidationError
+from ncspaces import phases
 from ncspaces.phases import Cyclotomic
 from ncspaces.skew import SkewMatrix
 from ncspaces import twisted_algebra as ta
@@ -93,28 +95,150 @@ class TestLargeExponents:
         n = tuple(x + y for x, y in zip(self.M, self.M2))
         assert poly_mul(a, b).coeffs == {n: Cyclotomic.root(1260, int(shift))}
 
+    def reference(self, a, b):
+        """The term-pair loop, each phase from the Fraction definition."""
+        want = {}
+        for m, ca in a.coeffs.items():
+            for m2, cb in b.coeffs.items():
+                n = tuple(x + y for x, y in zip(m, m2))
+                term = (ca * cb).rotate(int(self.definition(m, m2) * 1260))
+                want[n] = want[n] + term if n in want else term
+        return NCPolynomial(self.THETA, want, exact=True)
+
+    def rand_exact(self, rng, terms=6):
+        coeffs = {}
+        for _ in range(terms):
+            m = tuple(int(x) + 2**40 * int(s) for x, s in
+                      zip(rng.integers(-2, 3, size=3), rng.integers(-1, 2, size=3)))
+            c = Cyclotomic.root(1260, int(rng.integers(0, 1260)), int(rng.integers(1, 4)))
+            coeffs[m] = coeffs[m] + c if m in coeffs else c
+        return NCPolynomial(self.THETA, coeffs)
+
     def test_exact_product_matches_pairwise_definition(self):
-        # reference: the term-pair loop, each phase from the Fraction definition
         rng = np.random.default_rng(15)
-
-        def rand_exact():
-            coeffs = {}
-            for _ in range(6):
-                m = tuple(int(x) + 2**40 * int(s) for x, s in
-                          zip(rng.integers(-2, 3, size=3), rng.integers(-1, 2, size=3)))
-                c = Cyclotomic.root(1260, int(rng.integers(0, 1260)), int(rng.integers(1, 4)))
-                coeffs[m] = coeffs[m] + c if m in coeffs else c
-            return NCPolynomial(self.THETA, coeffs)
-
         for _ in range(5):
-            a, b = rand_exact(), rand_exact()
-            want = {}
-            for m, ca in a.coeffs.items():
-                for m2, cb in b.coeffs.items():
-                    n = tuple(x + y for x, y in zip(m, m2))
-                    term = (ca * cb).rotate(int(self.definition(m, m2) * 1260))
-                    want[n] = want[n] + term if n in want else term
-            assert poly_mul(a, b) == NCPolynomial(self.THETA, want, exact=True)
+            a, b = self.rand_exact(rng), self.rand_exact(rng)
+            assert poly_mul(a, b) == self.reference(a, b)
+
+    def test_fractional_coefficients(self):
+        # a common denominator above 1 on both operands and on the product
+        rng = np.random.default_rng(16)
+        half_plus_i = Cyclotomic.from_gaussian(1260, Fraction(1, 2), 1)
+        for _ in range(5):
+            a = self.rand_exact(rng).scale(Fraction(1, 3))
+            b = self.rand_exact(rng) + NCPolynomial(self.THETA, {self.M2: half_plus_i})
+            prod = poly_mul(a, b)
+            assert prod == self.reference(a, b)
+            assert max(c.denominator for cy in prod.coeffs.values() for c in cy.terms.values()) > 1
+            assert poly_adjoint(poly_adjoint(prod)) == prod
+
+    def test_products_on_both_sides_of_the_int64_bound(self):
+        # Q c is computed in int64 while weight * max|m| * max|m'| + 2Q < 2^62
+        # (weight = sum |Q theta_jk| = 2216) and with Python ints past it
+        below = math.isqrt((2**62 - 2 * 1260 - 1) // 2216)
+        for edge, dtype in ((below, np.int64), (below + 1, object)):
+            a = NCPolynomial(self.THETA, {
+                (edge, -edge, edge - 1): Cyclotomic.root(1260, 5, 2),
+                (edge - 3, edge, -edge): Cyclotomic.root(1260, 700, -1),
+            })
+            b = NCPolynomial(self.THETA, {
+                (-edge, edge - 2, edge): Cyclotomic.root(1260, 1, 3),
+                (edge, edge, -edge + 5): Cyclotomic.root(1260, 1259, 1),
+            })
+            prod = poly_mul(a, b)
+            assert prod._cs.dtype == dtype and prod._rs.dtype == np.int64
+            assert prod == self.reference(a, b)
+            # differing forms go through the power basis, whatever the dtype
+            assert prod != prod.scale(2) and prod == prod.scale(2).scale(Fraction(1, 2))
+            assert len({prod, prod.scale(1), poly_adjoint(poly_adjoint(prod))}) == 1
+            adj = {tuple(-x for x in m): c.conjugate().rotate(int(self.definition(m, m) * 1260))
+                   for m, c in a.coeffs.items()}
+            assert poly_adjoint(a) == NCPolynomial(self.THETA, adj)
+
+    def test_cancelling_terms(self):
+        rng = np.random.default_rng(17)
+        m1, m2, m3 = self.M, self.M2, tuple(x + 1 for x in self.M2)
+        m4 = tuple(x + y - z for x, y, z in zip(m2, m3, m1))  # m1 + m4 = m2 + m3
+        t = int((self.definition(m2, m3) - self.definition(m1, m4)) * 1260)
+        a = NCPolynomial(self.THETA, {m1: Cyclotomic.one(1260), m2: Cyclotomic.one(1260)})
+        b = NCPolynomial(self.THETA, {m3: Cyclotomic.one(1260), m4: Cyclotomic.root(1260, t, -1)})
+        prod = poly_mul(a, b)
+        assert prod == self.reference(a, b)
+        assert set(prod.coeffs) == {
+            tuple(x + y for x, y in zip(m1, m3)), tuple(x + y for x, y in zip(m2, m4))
+        }
+        # (1 - zeta) (1 + zeta + ... + zeta^(Q-1)) = 1 - zeta^Q: every term cancels
+        a = NCPolynomial(self.THETA, {self.M: Cyclotomic(1260, {0: 1, 1: -1})})
+        b = NCPolynomial(self.THETA, {self.M2: Cyclotomic(1260, dict.fromkeys(range(1260), 1))})
+        prod = poly_mul(a, b)
+        assert not prod.coeffs and not self.reference(a, b).coeffs
+        assert prod == NCPolynomial(self.THETA, {}, exact=True)
+        c = self.rand_exact(rng)
+        assert not (c - c).coeffs and not poly_mul(c, c.scale(0)).coeffs
+
+    def test_view_round_trip(self):
+        rng = np.random.default_rng(18)
+        for _ in range(5):
+            a, b = self.rand_exact(rng).scale(Fraction(2, 7)), self.rand_exact(rng)
+            for p in (a, poly_mul(a, b), poly_adjoint(poly_mul(b, a))):
+                again = NCPolynomial(self.THETA, p.coeffs, exact=True)
+                assert again == p and again.coeffs == p.coeffs
+
+
+class TestCanonicalEquality:
+    def test_cyclotomic_zero(self):
+        assert Cyclotomic(4, {0: 1, 2: 1}).is_zero
+        assert not Cyclotomic(4, {0: 1, 2: 2}).is_zero
+
+    def test_cyclotomic_equal_forms(self):
+        one, minus_zeta6 = Cyclotomic(12, {0: 1}), Cyclotomic(12, {6: -1})
+        assert one == minus_zeta6 and hash(one) == hash(minus_zeta6)
+        assert one != Cyclotomic(12, {6: 1})
+        # zeta^4 + zeta^8 = -1 at Q = 12 (the primitive cube roots of unity)
+        assert Cyclotomic(12, {4: 1, 8: 1}) == Cyclotomic(12, {0: -1})
+        assert Cyclotomic(12, {0: Fraction(1, 2), 6: Fraction(-1, 2)}) == one
+
+    def test_polynomial_equal_forms(self):
+        # THETA_THIRD has Q = 12, THETA_QUARTER Q = 4
+        a = NCPolynomial(THETA_THIRD, {(1, 2): Cyclotomic(12, {0: 1})})
+        b = NCPolynomial(THETA_THIRD, {(1, 2): Cyclotomic(12, {6: -1})})
+        assert a == b and hash(a) == hash(b)
+        assert a != NCPolynomial(THETA_THIRD, {(1, 2): Cyclotomic(12, {6: 1})})
+        assert a != NCPolynomial(THETA_THIRD, {(2, 1): Cyclotomic(12, {6: -1})})
+        half = NCPolynomial(THETA_THIRD, {(1, 2): Cyclotomic(12, {0: Fraction(1, 2), 6: Fraction(-1, 2)})})
+        assert half == a
+        zero = NCPolynomial(THETA_QUARTER, {(1, 0): Cyclotomic(4, {0: 1, 2: 1})}, exact=True)
+        empty = NCPolynomial(THETA_QUARTER, {}, exact=True)
+        assert zero == empty and empty == zero and hash(zero) == hash(empty)
+
+    def test_reduction_is_guarded(self):
+        # Q = 4 * 97 * 89 = 34532: Q * phi(Q) is over the cap, so equal forms
+        # still compare, and differing ones raise instead of building R_Q
+        theta = SkewMatrix.from_upper(3, [Fraction(1, 97), Fraction(1, 89), Fraction(0)])
+        q = ta.phase_order(theta)
+        with pytest.raises(SizeCapError):
+            phases.reduction_matrix(q)
+        a = NCPolynomial(theta, {(1, 0, 0): Cyclotomic(q, {0: 1})})
+        assert poly_mul(a, poly_adjoint(a)) == NCPolynomial.one(theta, exact=True)
+        with pytest.raises(SizeCapError):
+            a == NCPolynomial(theta, {(1, 0, 0): Cyclotomic(q, {q // 2: -1})})
+        # hashing needs no R_Q, so equal forms work as keys; is_zero of a
+        # nonempty form needs R_Q
+        assert {a: 1}[NCPolynomial(theta, dict(a.coeffs))] == 1
+        assert {Cyclotomic(q, {1: 2}): 1}[Cyclotomic(q, {1: 2})] == 1
+        assert Cyclotomic.zero(q).is_zero
+        with pytest.raises(SizeCapError):
+            Cyclotomic(q, {0: 1}).is_zero
+
+    def test_reduction_matrix_rows_are_powers_of_zeta(self):
+        assert phases.cyclotomic_polynomial(12) == [1, 0, -1, 0, 1]
+        assert -2 in phases.cyclotomic_polynomial(105)
+        for q in (4, 12, 60, 420):
+            basis = phases.reduction_matrix(q)
+            zeta = np.exp(2j * np.pi / q)
+            assert basis.shape == (q, len(phases.cyclotomic_polynomial(q)) - 1)
+            values = basis @ zeta ** np.arange(basis.shape[1])
+            assert np.abs(values - zeta ** np.arange(q)).max() < 1e-9
 
 
 class TestPolyMul:
