@@ -15,14 +15,13 @@ sums integer combinations of powers in that basis.
 """
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 import numpy as np
 
-from .errors import SizeCapError
+from .errors import SizeCapError, ValidationError
 
 TWO_PI = 2.0 * 3.141592653589793
 
@@ -133,7 +132,7 @@ class Cyclotomic:
 
     def __init__(self, order: int, terms: dict):
         if order % 4:
-            raise ValueError("order must be divisible by 4 (so that i is a power of zeta)")
+            raise ValidationError("order must be divisible by 4 (so that i is a power of zeta)")
         self.order = order
         self.terms = {r % order: Fraction(c) for r, c in terms.items() if c != 0}
 
@@ -200,15 +199,9 @@ class Cyclotomic:
     def is_zero(self) -> bool:
         return not self.terms or not any(self._canonical())
 
-    def to_complex(self) -> complex:
-        return sum(
-            float(c) * cmath.exp(1j * TWO_PI * r / self.order)
-            for r, c in self.terms.items()
-        ) + 0j
-
     def _check(self, other: "Cyclotomic"):
         if self.order != other.order:
-            raise ValueError("cyclotomic orders differ")
+            raise ValidationError("cyclotomic orders differ")
 
     def __eq__(self, other):
         if not isinstance(other, Cyclotomic):

@@ -11,43 +11,47 @@ the cocycle identity holds exactly; every phase comes from this one form on
 whole exponent arrays, and for rational theta Q c is an exact integer used
 mod Q = phase_order(theta).
 
-Polynomials carry either complex (float) coefficients, held as a dict
-{m: complex}, or exact coefficients in Q(zeta_Q), available whenever theta is
-rational.  An exact polynomial is a finite sum of terms c zeta^r u^m, held as
-integer arrays sorted by (m, r): exponent rows ``m``, root indices ``r`` in
-0..Q-1 (always int64), nonzero numerators ``c`` and one positive common denominator.  These
-are elements of the group ring of the central extension Z^d x Z_Q, where
-product, involution, conditional expectation, trace and equality are exact
-integer array work: a product sums the outer product of the numerators at
-the rows (m + m', r + r' + Q c(m, m') mod Q) with one sort and one segmented
-sum.  Arrays are int64 while every value an operation forms stays below
-2^62 in magnitude and Python ints (dtype object) past that, through the same
-code.  Two forms of one value can differ, since the powers of zeta are
-dependent (zeta^(Q/2) = -1); ``==`` compares the forms first and, only when
-they differ, the values in the power basis modulo Phi_Q
-(``phases.reduction_matrix``); the hash is that of theta, which equal values
+A polynomial is a finite sum of terms c zeta^r u^m, zeta = exp(2 pi i / Q),
+held as arrays sorted by (m, r): exponent rows ``m``, root indices ``r`` in
+0..Q-1 (always int64), numerators ``c`` and one positive common denominator.
+Exact polynomials, available whenever theta is rational, have Q =
+phase_order(theta), nonzero integer numerators and coefficients in Q(zeta_Q):
+they are elements of the group ring of the central extension Z^d x Z_Q.
+Float polynomials are the case Q = 1: r = 0, complex numerators and
+denominator 1.  Each operation is one array computation for both kinds; only
+the coefficient arithmetic differs.  A product sums the outer product of the
+numerators at the rows m + m' with one sort and one segmented sum
+(``_collect``), an exact pair shifting r by Q c(m, m') mod Q and a float pair
+multiplying by exp(2 pi i c(m, m')); sums below COEFF_DROP_TOL in magnitude,
+for integer numerators exactly the zero sums, are dropped.  Integer arrays are
+int64 while every value an operation forms stays below 2^62 in magnitude and
+Python ints (dtype object) past that, through the same code.
+
+Float arrays are canonical.  Two exact forms of one value can differ, since
+the powers of zeta are dependent (zeta^(Q/2) = -1); ``==`` compares the forms
+first and, only when they differ, the values in the power basis modulo Phi_Q
+(``phases.reduction_matrix``).  The hash is that of theta, which equal values
 share and which needs no reduction.  Product, trace and involution identities
 are thus checkable with zero error.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 from typing import Dict, Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ThetaMismatchError, ValidationError
+from .errors import SizeCapError, ThetaMismatchError, ValidationError
 from .phases import TWO_PI, Cyclotomic, exact_dtype, power_basis
 from .skew import SkewMatrix, upper_pairs
 
 MultiIndex = Tuple[int, ...]
 Coefficient = Union[complex, Cyclotomic]
 
-COEFF_DROP_TOL = 1e-15  # float path only: drop |c| below this during normalization
+COEFF_DROP_TOL = 1e-15  # coefficient sums below this are dropped: for integers, the zeros
+GNS_CAP = 4096  # (2 radius + 1)^d cap for the basis of the GNS truncation
 
 
 def as_multi_index(m: Sequence[int]) -> MultiIndex:
@@ -58,17 +62,14 @@ def as_multi_index(m: Sequence[int]) -> MultiIndex:
     return t
 
 
-def add_index(m: MultiIndex, m2: MultiIndex) -> MultiIndex:
-    return tuple(a + b for a, b in zip(m, m2))
-
-
-def neg_index(m: MultiIndex) -> MultiIndex:
-    return tuple(-a for a in m)
-
-
 def phase_order(theta: SkewMatrix) -> int:
     """Order Q of the root-of-unity lattice holding all structure phases."""
     return lcm(4, theta.denominator_lcm())
+
+
+def _root(num, den) -> np.ndarray:
+    """exp(2 pi i num / den), num reduced mod den first (exactly, for integer num)."""
+    return np.exp(1j * TWO_PI * np.asarray(num % den / den, dtype=float))
 
 
 class _Twist:
@@ -98,8 +99,7 @@ class _Twist:
 
     def phases(self, m, m2) -> np.ndarray:
         """exp(2 pi i c(m, m')), c reduced mod 1 first (exactly, for rational theta)."""
-        turns = np.asarray(self.scaled(m, m2) % self.order / self.order, dtype=float)
-        return np.exp(1j * TWO_PI * turns)
+        return _root(self.scaled(m, m2), self.order)
 
     def circle_distance(self, scaled) -> np.ndarray:
         """Distance of c = scaled / order to 0 on R/Z."""
@@ -111,9 +111,15 @@ def _max_abs(x: np.ndarray) -> int:
     return int(np.abs(x).max(initial=0))
 
 
+def _scaled(cs: np.ndarray, f: int) -> np.ndarray:
+    """Integer numerators times f, as Python ints where a product may reach
+    2^62 (a sum of two such products still fits int64)."""
+    return cs.astype(exact_dtype(max(_max_abs(cs), 1) * abs(f)), copy=False) * f
+
+
 def _collect(ms: np.ndarray, rs: np.ndarray, cs: np.ndarray, order: int):
     """The terms (ms, rs, cs) sorted by (m, r), with the cs of equal (m, r)
-    summed and zero sums dropped.
+    summed and sums below COEFF_DROP_TOL in magnitude dropped.
 
     Each row gets one mixed-radix key, lexicographic in (m_0, ..., m_{d-1}, r)
     whatever the offsets: one stable argsort and one np.add.reduceat do the
@@ -133,7 +139,7 @@ def _collect(ms: np.ndarray, rs: np.ndarray, cs: np.ndarray, order: int):
     key = key[perm]
     starts = np.concatenate(([True], key[1:] != key[:-1])).nonzero()[0]
     sums = np.add.reduceat(cs[perm], starts)
-    keep = sums != 0
+    keep = np.abs(sums) >= COEFF_DROP_TOL
     rows = perm[starts[keep]]
     return ms[rows], rs[rows], sums[keep]
 
@@ -160,12 +166,13 @@ def structure_phase(m: Sequence[int], m2: Sequence[int], theta: SkewMatrix):
 class NCPolynomial:
     """Finitely supported sum a = sum_m alpha_m u^m over a fixed theta.
 
-    ``coeffs`` is the read-only view {m: coefficient}: the dict itself for
-    float polynomials and, for exact ones, {m: Cyclotomic} built from the
-    term arrays on first access and kept.
+    Held as the term arrays of the module docstring, of order Q =
+    phase_order(theta) when exact and 1 when float.  ``coeffs`` is the
+    read-only view {m: coefficient}, complex or Cyclotomic, built from the
+    arrays on first access and kept.
     """
 
-    __slots__ = ("theta", "exact", "_coeffs", "_order", "_twist", "_ms", "_rs", "_cs", "_den")
+    __slots__ = ("theta", "_coeffs", "_order", "_twist", "_ms", "_rs", "_cs", "_den")
 
     def __init__(
         self,
@@ -173,52 +180,47 @@ class NCPolynomial:
         coeffs: Dict[MultiIndex, Coefficient],
         exact: bool = None,
     ):
-        self.theta = theta
+        self.theta, self._coeffs = theta, None
         exact_flags = {isinstance(c, Cyclotomic) for c in coeffs.values()}
         if len(exact_flags) > 1:
             raise ValidationError("cannot mix exact and float coefficients")
         if exact is None:
             # inferred from the coefficients; empty polynomials default to float,
             # so operations pass the flag through explicitly
-            self.exact = exact_flags == {True}
-        else:
-            if exact_flags and exact_flags != {exact}:
-                raise ValidationError("coefficient types contradict the exact flag")
-            self.exact = exact
-        if self.exact:
-            if not theta.is_rational:
-                raise ValidationError("exact coefficients require rational theta")
-            q = phase_order(theta)
-            for c in coeffs.values():
-                if c.order != q:
-                    raise ValidationError(
-                        f"coefficient order {c.order} != phase order {q} of theta"
-                    )
-        norm: Dict[MultiIndex, Coefficient] = {}
+            exact = exact_flags == {True}
+        elif exact_flags and exact_flags != {exact}:
+            raise ValidationError("coefficient types contradict the exact flag")
+        items = []
         for m, c in coeffs.items():
             mi = as_multi_index(m)
             if len(mi) != theta.dim:
                 raise ValidationError(
                     f"term {mi} has dimension {len(mi)}, algebra has d={theta.dim}"
                 )
-            if self.exact:
-                norm[mi] = c
-            else:
-                c = complex(c)
-                if abs(c) >= COEFF_DROP_TOL:
-                    norm[mi] = c
-        if not self.exact:
-            self._coeffs = norm
-            return
-        # distinct keys and nonzero terms: sorting the rows is all that is left
-        self._coeffs = None
-        rows = sorted((m, r, c) for m, cy in norm.items() for r, c in cy.terms.items())
-        den = lcm(*(c.denominator for _, _, c in rows))
-        table = [(*m, r, c.numerator * (den // c.denominator)) for m, r, c in rows]
+            items.append((mi, c))
+        if exact:
+            if not theta.is_rational:
+                raise ValidationError("exact coefficients require rational theta")
+            q = phase_order(theta)
+            for _, c in items:
+                if c.order != q:
+                    raise ValidationError(
+                        f"coefficient order {c.order} != phase order {q} of theta"
+                    )
+            rows = sorted((m, r, c) for m, cy in items for r, c in cy.terms.items())
+            den = lcm(*(c.denominator for _, _, c in rows))
+            cs = [c.numerator * (den // c.denominator) for _, _, c in rows]
+            cs = np.array(cs, dtype=exact_dtype(max(map(abs, cs), default=0)))
+        else:
+            q, den = 1, 1
+            values = ((m, complex(c)) for m, c in items)
+            rows = sorted((m, 0, c) for m, c in values if abs(c) >= COEFF_DROP_TOL)
+            cs = np.array([c for _, _, c in rows], dtype=complex)
+        # distinct keys and nonzero terms: sorting the rows was all there was to do
+        table = [(*m, r) for m, r, _ in rows]
         dtype = exact_dtype(max([q, *(abs(x) for row in table for x in row)]))
-        table = np.array(table, dtype=dtype).reshape(len(rows), theta.dim + 2)
-        rs = table[:, -2].astype(np.int64)
-        self._from_terms(q, None, table[:, :-2], rs, table[:, -1], den)
+        table = np.array(table, dtype=dtype).reshape(len(rows), theta.dim + 1)
+        self._from_terms(q, None, table[:, :-1], table[:, -1].astype(np.int64), cs, den)
 
     def _from_terms(self, order, twist, ms, rs, cs, den) -> "NCPolynomial":
         """Set the term arrays, already sorted and summed; numerators and
@@ -232,17 +234,17 @@ class NCPolynomial:
 
     def _structure(self) -> _Twist:
         """The structure form of theta, built on first use and passed on to
-        every exact result computed from this polynomial."""
+        every result computed from this polynomial."""
         if self._twist is None:
             self._twist = _Twist(self.theta)
         return self._twist
 
-    def _exact_result(self, ms, rs, cs, den) -> "NCPolynomial":
-        """An exact polynomial over this one's theta from internal term arrays,
-        without the public constructor's validation."""
+    def _result(self, order, ms, rs, cs, den) -> "NCPolynomial":
+        """A polynomial of the given order over this one's theta from internal
+        term arrays, without the public constructor's validation."""
         out = object.__new__(NCPolynomial)
-        out.theta, out.exact, out._coeffs = self.theta, True, None
-        return out._from_terms(self._order, self._twist, ms, rs, cs, den)
+        out.theta, out._coeffs = self.theta, None
+        return out._from_terms(order, self._twist, ms, rs, cs, den)
 
     # -- constructors --------------------------------------------------
 
@@ -264,14 +266,23 @@ class NCPolynomial:
     # -- basic queries ---------------------------------------------------
 
     @property
+    def exact(self) -> bool:
+        """Coefficients in Q(zeta_Q), Q >= 4, rather than complex (Q = 1)."""
+        return self._order > 1
+
+    @property
     def coeffs(self) -> Dict[MultiIndex, Coefficient]:
         if self._coeffs is None:
+            keys = map(tuple, self._ms.tolist())
+            if not self.exact:
+                self._coeffs = dict(zip(keys, self._cs.tolist()))
+                return self._coeffs
             view: Dict[MultiIndex, dict] = {}
             cs = self._cs.tolist()
             if self._den > 1:
                 cs = [Fraction(c, self._den) for c in cs]
-            for m, r, c in zip(self._ms.tolist(), self._rs.tolist(), cs):
-                view.setdefault(tuple(m), {})[r] = c
+            for m, r, c in zip(keys, self._rs.tolist(), cs):
+                view.setdefault(m, {})[r] = c
             self._coeffs = {m: Cyclotomic(self._order, t) for m, t in view.items()}
         return self._coeffs
 
@@ -281,34 +292,32 @@ class NCPolynomial:
 
     def degree(self) -> int:
         """Max sup-norm of a supported multi-index (0 for the zero polynomial)."""
-        if not self.coeffs:
-            return 0
-        return max(max(abs(x) for x in m) for m in self.coeffs)
+        return _max_abs(self._ms)
 
     def coefficient(self, m: Sequence[int]) -> Coefficient:
         mi = as_multi_index(m)
-        if self.exact:
-            key = np.array(mi, dtype=exact_dtype(max(map(abs, mi), default=0)))
-            rows = (self._ms == key).all(axis=1)
-            terms = zip(self._rs[rows].tolist(), self._cs[rows].tolist())
-            return Cyclotomic(self._order, {r: Fraction(c, self._den) for r, c in terms})
-        return self.coeffs.get(mi, 0j)
+        if len(mi) != self.dim:
+            raise ValidationError(
+                f"multi-index {mi} has dimension {len(mi)}, algebra has d={self.dim}"
+            )
+        key = np.array(mi, dtype=exact_dtype(max(map(abs, mi), default=0)))
+        rows = (self._ms == key).all(axis=1)
+        rs, cs = self._rs[rows].tolist(), self._cs[rows].tolist()
+        if not self.exact:
+            return cs[0] if cs else 0j
+        return Cyclotomic(self._order, {r: Fraction(c, self._den) for r, c in zip(rs, cs)})
 
     def to_float(self) -> "NCPolynomial":
         if not self.exact:
             return self
-        return NCPolynomial(
-            self.theta,
-            {m: c.to_complex() for m, c in self.coeffs.items()},
-            exact=False,
-        )
+        values = np.asarray(self._cs / self._den, dtype=float) * _root(self._rs, self._order)
+        return self._result(1, *_collect(self._ms, np.zeros_like(self._rs), values, 1), 1)
 
     def allclose(self, other: "NCPolynomial", tol: float = 1e-12) -> bool:
         if self.theta != other.theta:
             return False
-        a, b = self.to_float(), other.to_float()
-        keys = set(a.coeffs) | set(b.coeffs)
-        return all(abs(a.coefficient(m) - b.coefficient(m)) <= tol for m in keys)
+        gap = self.to_float() - other.to_float()
+        return bool(np.abs(gap._cs).max(initial=0.0) <= tol)
 
     def _canonical(self):
         """Exponents with a nonzero coefficient, and each such coefficient's
@@ -324,24 +333,24 @@ class NCPolynomial:
     def __eq__(self, other):
         if not isinstance(other, NCPolynomial):
             return NotImplemented
-        if self.exact != other.exact or (self.theta is not other.theta and self.theta != other.theta):
+        if self.exact != other.exact or (
+            self.theta is not other.theta and self.theta != other.theta
+        ):
             return False
-        if not self.exact:
-            return self._coeffs == other._coeffs
         if self._den == other._den and all(
             x.shape == y.shape and (x == y).all()
             for x, y in ((self._cs, other._cs), (self._rs, other._rs), (self._ms, other._ms))
         ):
             return True
+        if not self.exact:  # float forms are canonical
+            return False
         (ma, va), (mb, vb) = self._canonical(), other._canonical()
         if ma.shape != mb.shape or not (ma == mb).all():
             return False
         return not len(ma) or bool((va == vb).all())
 
     def __hash__(self):
-        if self.exact:
-            return hash(self.theta)
-        return hash((self.theta, tuple(sorted(self._coeffs))))
+        return hash(self.theta)
 
     def __repr__(self):
         n = len(self.coeffs)
@@ -357,27 +366,23 @@ class NCPolynomial:
 
     def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
         self._check_compatible(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            if m in out:
-                out[m] = out[m] + c
-            else:
-                out[m] = c
-        return NCPolynomial(self.theta, out, exact=self.exact)
+        den = lcm(self._den, other._den)
+        ms = np.concatenate((self._ms, other._ms))
+        rs = np.concatenate((self._rs, other._rs))
+        cs = np.concatenate([_scaled(p._cs, den // p._den) if self.exact else p._cs
+                             for p in (self, other)])
+        return self._result(self._order, *_collect(ms, rs, cs, self._order), den)
 
     def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
         return self + other.scale(-1)
 
     def scale(self, factor) -> "NCPolynomial":
         if self.exact:
-            return NCPolynomial(
-                self.theta,
-                {m: c.scale(factor) for m, c in self.coeffs.items()},
-                exact=True,
-            )
-        return NCPolynomial(
-            self.theta, {m: c * complex(factor) for m, c in self.coeffs.items()}
-        )
+            f = Fraction(factor)
+            cs, den = _scaled(self._cs, f.numerator), self._den * f.denominator
+        else:
+            cs, den = self._cs * complex(factor), 1
+        return self._result(self._order, *_collect(self._ms, self._rs, cs, self._order), den)
 
 
 def poly_mul(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
@@ -385,54 +390,43 @@ def poly_mul(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
 
     The exponents of all term pairs come from one bilinear form of the two
     exponent arrays.  Exact terms multiply to c c' zeta^(r + r' + Q c(m, m'))
-    u^(m + m'), summed by one sort of the term keys (see ``_collect``).
+    u^(m + m'), float terms to c c' exp(2 pi i c(m, m')) u^(m + m'), summed by
+    one sort of the term keys (see ``_collect``).
     """
     a._check_compatible(b)
+    twist, q = a._structure(), a._order
+    big, small = max(_max_abs(a._ms), 1), max(_max_abs(b._ms), 1)
+    bound = big + small
     if a.exact:
-        twist = a._structure()
-        big, small = max(_max_abs(a._ms), 1), max(_max_abs(b._ms), 1)
-        dtype = exact_dtype(max(
-            twist.weight * big * small + 2 * twist.order,
-            _max_abs(a._cs) * _max_abs(b._cs) * len(a._cs) * len(b._cs),
-            big + small,
-        ))
-        ma, mb = a._ms.astype(dtype, copy=False), b._ms.astype(dtype, copy=False)
+        bound = max(bound, twist.weight * big * small + 2 * q,
+                    _max_abs(a._cs) * _max_abs(b._cs) * len(a._cs) * len(b._cs))
+    dtype = exact_dtype(bound)
+    ma, mb = a._ms.astype(dtype, copy=False), b._ms.astype(dtype, copy=False)
+    ms = (ma[:, None, :] + mb).reshape(-1, a.dim)
+    if a.exact:
         qc = -(ma @ twist.form.T.astype(dtype)) @ mb.T
-        rs = (a._rs.astype(dtype, copy=False)[:, None] + b._rs.astype(dtype, copy=False) + qc) % twist.order
-        rs = rs.astype(np.int64, copy=False)
+        rs = (a._rs.astype(dtype, copy=False)[:, None] + b._rs.astype(dtype, copy=False) + qc) % q
         cs = np.multiply.outer(a._cs.astype(dtype, copy=False), b._cs.astype(dtype, copy=False))
-        ms = (ma[:, None, :] + mb).reshape(-1, a.dim)
-        return a._exact_result(*_collect(ms, rs.ravel(), cs.ravel(), twist.order), a._den * b._den)
-    if not (a.coeffs and b.coeffs):
-        return NCPolynomial(a.theta, {}, exact=False)
-    twist = _Twist(a.theta)
-    ma, mb = [[m] for m in a.coeffs], [list(b.coeffs)]
-    # per term pair: the phase exp(2 pi i c)
-    factors = twist.phases(ma, mb).tolist()
-    groups: Dict[MultiIndex, list] = {}
-    for (m, ca), row in zip(a.coeffs.items(), factors):
-        for (m2, cb), f in zip(b.coeffs.items(), row):
-            groups.setdefault(add_index(m, m2), []).append((ca, cb, f))
-    out = {n: reduce(lambda s, t: s + t[0] * t[1] * t[2], g, 0j) for n, g in groups.items()}
-    return NCPolynomial(a.theta, out, exact=False)
+    else:
+        rs = np.zeros((len(ma), len(mb)), dtype=np.int64)
+        cs = np.multiply.outer(a._cs, b._cs) * twist.phases(ma[:, None, :], mb)
+    rs = rs.ravel().astype(np.int64, copy=False)
+    return a._result(q, *_collect(ms, rs, cs.ravel(), q), a._den * b._den)
 
 
 def poly_adjoint(a: NCPolynomial) -> NCPolynomial:
     """Involution: (u^m)* = exp(2 pi i c(m,m)) u^{-m}, coefficients conjugated
     (c(m, m) = -c(m, -m) by bilinearity); the exact term c zeta^r u^m goes to
     c zeta^(Q c(m, m) - r) u^(-m)."""
+    twist, q = a._structure(), a._order
     if a.exact:
-        twist = a._structure()
-        ms = a._ms.astype(exact_dtype(twist.weight * _max_abs(a._ms) ** 2 + 2 * twist.order))
+        ms = a._ms.astype(exact_dtype(twist.weight * _max_abs(a._ms) ** 2 + 2 * q))
         qc = -((ms @ twist.form.T.astype(ms.dtype)) * ms).sum(axis=1)
-        rs = ((qc - a._rs) % twist.order).astype(np.int64, copy=False)
-        return a._exact_result(*_collect(-ms, rs, a._cs, twist.order), a._den)
-    if not a.coeffs:
-        return NCPolynomial(a.theta, {}, exact=False)
-    twist = _Twist(a.theta)
-    ms, cs = list(a.coeffs), list(a.coeffs.values())
-    new = [c.conjugate() * p for c, p in zip(cs, twist.phases(ms, ms).tolist())]
-    return NCPolynomial(a.theta, dict(zip(map(neg_index, ms), new)), exact=False)
+        rs, cs = ((qc - a._rs) % q).astype(np.int64, copy=False), a._cs
+    else:
+        ms, rs = a._ms, a._rs
+        cs = a._cs.conj() * twist.phases(ms, ms)
+    return a._result(q, *_collect(-ms, rs, cs, q), a._den)
 
 
 def trace(a: NCPolynomial) -> Coefficient:
@@ -444,12 +438,8 @@ def cond_expectation(a: NCPolynomial, j: int) -> NCPolynomial:
     """Projection killing every term with m_j != 0 (axis j is 0-based)."""
     if not (0 <= j < a.dim):
         raise ValidationError(f"axis {j} out of range for d={a.dim}")
-    if a.exact:
-        keep = a._ms[:, j] == 0
-        return a._exact_result(a._ms[keep], a._rs[keep], a._cs[keep], a._den)
-    return NCPolynomial(
-        a.theta, {m: c for m, c in a.coeffs.items() if m[j] == 0}, exact=False
-    )
+    keep = a._ms[:, j] == 0
+    return a._result(a._order, a._ms[keep], a._rs[keep], a._cs[keep], a._den)
 
 
 def transference(a: NCPolynomial, z: Sequence) -> NCPolynomial:
@@ -460,33 +450,30 @@ def transference(a: NCPolynomial, z: Sequence) -> NCPolynomial:
     """
     if len(z) != a.dim:
         raise ValidationError(f"z has length {len(z)}, expected {a.dim}")
-    turns = all(isinstance(x, (Fraction, int)) for x in z)
-    if not turns:
+    if all(isinstance(x, (Fraction, int)) for x in z):
+        turns = [Fraction(x) for x in z]
+        den = lcm(*(t.denominator for t in turns))
+        nums = [int(t * den) for t in turns]
+        # s = den * (t . m), exact, for every row
+        dtype = exact_dtype(max(_max_abs(a._ms), 1) * max(sum(map(abs, nums)), 1) * a._order)
+        s = a._ms.astype(dtype, copy=False) @ np.array(nums, dtype=dtype)
+        if a.exact:
+            off = s * a._order % den
+            if off.any():
+                t = Fraction(int(s[off.nonzero()[0][0]]), den)
+                raise ValidationError(f"rotation by {t} turns leaves the zeta_{a._order} lattice")
+            rs, cs = (a._rs + s * a._order // den) % a._order, a._cs
+        else:
+            rs, cs = a._rs, a._cs * _root(s, den)
+    else:
         zc = [complex(x) for x in z]
         for x in zc:
             if abs(abs(x) - 1.0) > 1e-12:
                 raise ValidationError(f"z entry {x} is not unimodular")
-        af = a.to_float()
-        out = {}
-        for m, c in af.coeffs.items():
-            w = c
-            for x, mj in zip(zc, m):
-                if mj:
-                    w = w * x ** mj
-            out[m] = w
-        return NCPolynomial(a.theta, out, exact=False)
-    tz = [Fraction(x) for x in z]
-    out = {}
-    for m, c in a.coeffs.items():
-        t = sum((x * mj for x, mj in zip(tz, m)), Fraction(0))
-        if a.exact:
-            shift = t * c.order
-            if shift.denominator != 1:
-                raise ValidationError(f"rotation by {t} turns leaves the zeta_{c.order} lattice")
-            out[m] = c.rotate(int(shift))
-        else:
-            out[m] = c * cmath.exp(1j * TWO_PI * float(t % 1))
-    return NCPolynomial(a.theta, out, exact=a.exact)
+        a = a.to_float()
+        rs, cs = a._rs, a._cs * np.prod(np.array(zc) ** a._ms, axis=1)
+    rs = rs.astype(np.int64, copy=False)
+    return a._result(a._order, *_collect(a._ms, rs, cs, a._order), a._den)
 
 
 # -- GNS truncation ---------------------------------------------------------
@@ -504,28 +491,25 @@ def gns_matrix(a: NCPolynomial, radius: int) -> np.ndarray:
 
     The action sends |m'> to exp(2 pi i c(m, m')) |m+m'>; images leaving the
     box are dropped (hard truncation, no wraparound), so columns whose target
-    escapes simply lose that contribution.
+    escapes simply lose that contribution.  Guarded to (2 radius + 1)^d <=
+    GNS_CAP basis vectors.
     """
     if radius < 0:
         raise ValidationError("truncation radius must be >= 0")
-    d = a.dim
+    d, side = a.dim, 2 * radius + 1
+    n = side**d
+    if n > GNS_CAP:
+        raise SizeCapError(f"GNS basis (2 radius + 1)^d = {n} exceeds cap {GNS_CAP}")
     box = _box_indices(d, radius)
-    n = box.shape[0]
-    side = 2 * radius + 1
     out = np.zeros((n, n), dtype=complex)
     af = a.to_float()
-    if not af.coeffs:
-        return out
-    phases = _Twist(a.theta).phases([[m] for m in af.coeffs], [box])
-    for (m, coeff), phase in zip(af.coeffs.items(), phases):
-        target = box + np.array(m)
-        ok = np.all(np.abs(target) <= radius, axis=1)
-        cols = np.nonzero(ok)[0]
-        shifted = target[cols] + radius
-        rows = np.zeros(len(cols), dtype=int)
-        for ax in range(d):
-            rows = rows * side + shifted[:, ax]
-        out[rows, cols] += coeff * phase[cols]
+    near = (np.abs(af._ms) <= 2 * radius).all(axis=1)  # terms keeping some |m'> inside
+    ms = af._ms[near].astype(np.int64)
+    phases = af._structure().phases(ms[:, None, :], box)
+    # distinct terms send a column to distinct rows: one scatter writes them all
+    terms, cols = (np.abs(box + ms[:, None, :]) <= radius).all(axis=2).nonzero()
+    rows = cols + (ms @ side ** np.arange(d - 1, -1, -1))[terms]
+    out[rows, cols] += af._cs[near][terms] * phases[terms, cols]
     return out
 
 

@@ -1,5 +1,6 @@
 """Tests for the twisted polynomial algebra over Z^d."""
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -528,6 +529,50 @@ class TestGnsMatrix:
         with pytest.raises(ValidationError):
             gns_matrix(NCPolynomial.one(THETA_QUARTER), -1)
 
+    def test_size_guard(self):
+        # (2 * 32 + 1)^2 = 4225 basis vectors, over GNS_CAP = 4096: raised before
+        # the 4225 x 4225 matrix is allocated
+        with pytest.raises(SizeCapError):
+            gns_matrix(NCPolynomial.one(THETA_QUARTER), 32)
+
+    @staticmethod
+    def oracle(p, radius):
+        """<m + m'| p |m'> = alpha_m exp(2 pi i c(m, m')), term by term and
+        entry by entry, with c from structure_phase."""
+        d = p.dim
+        box = list(itertools.product(range(-radius, radius + 1), repeat=d))
+        index = {m: k for k, m in enumerate(box)}
+        out = np.zeros((len(box), len(box)), dtype=complex)
+        for m, alpha in p.coeffs.items():
+            if isinstance(alpha, Cyclotomic):
+                alpha = sum(float(c) * cmath.exp(2j * cmath.pi * r / alpha.order)
+                            for r, c in alpha.terms.items())
+            for col, m2 in enumerate(box):
+                row = index.get(tuple(x + y for x, y in zip(m, m2)))
+                if row is not None:
+                    c = float(structure_phase(m, m2, p.theta))
+                    out[row, col] += alpha * cmath.exp(2j * cmath.pi * c)
+        return out
+
+    def test_every_entry_matches_the_action(self):
+        # multi-term float and exact polynomials whose exponents reach past the
+        # box, so that images leave it
+        rng = np.random.default_rng(19)
+        for d in (1, 2, 3):
+            rational = random_rational_theta(rng, d)
+            q = ta.phase_order(rational)
+            for radius in (1, 2):
+                polys = [random_poly(rng, SkewMatrix.random(d, rng), 6, max_exp=3),
+                         random_poly(rng, rational, 6, max_exp=3)]
+                exact = {}
+                for m in polys[1].coeffs:
+                    exact[m] = Cyclotomic(q, {int(rng.integers(0, q)): int(rng.integers(1, 4)),
+                                              int(rng.integers(0, q)): Fraction(1, 2)})
+                polys.append(NCPolynomial(rational, exact))
+                for p in polys:
+                    g = gns_matrix(p, radius)
+                    assert np.abs(g - self.oracle(p, radius)).max() < 1e-13
+
     def test_clock_shift_relation_on_interior(self):
         # commutator of the GNS generators reproduces the clock/shift phase
         g1 = gns_matrix(NCPolynomial.monomial(THETA_QUARTER, (1, 0)), 3)
@@ -585,3 +630,38 @@ class TestNormalization:
     def test_wrong_dimension_key_rejected(self):
         with pytest.raises(ValidationError):
             NCPolynomial(THETA_QUARTER, {(1, 0, 0): 1.0})
+
+    def test_coefficient_rejects_wrong_length(self):
+        for p in (NCPolynomial.monomial(THETA_QUARTER, (1, 1), 5.0),
+                  NCPolynomial.exact_monomial(THETA_QUARTER, (1, 1), 5)):
+            for m in ((1,), (1, 1, 0)):
+                with pytest.raises(ValidationError):
+                    p.coefficient(m)
+
+    def test_float_view_round_trip(self):
+        rng = np.random.default_rng(20)
+        for theta in (THETA_THIRD, SkewMatrix.from_upper(3, [np.sqrt(2) / 10, np.pi / 7, 0.31])):
+            a, b = random_poly(rng, theta, 6), random_poly(rng, theta, 6)
+            for p in (a, poly_mul(a, b), poly_adjoint(poly_mul(b, a))):
+                again = NCPolynomial(theta, p.coeffs)
+                assert again == p and again.coeffs == p.coeffs
+
+    def test_float_product_cancellation_dropped(self):
+        # at (1, 0) the product sums 1 * 1 and 1 * (-1 + 4e-16): a nonzero sum
+        # below COEFF_DROP_TOL, which is dropped like an exact zero
+        near = -1 + 4e-16
+        assert 0 < 1 + near < ta.COEFF_DROP_TOL
+        a = NCPolynomial(THETA_QUARTER, {(0, 0): 1.0, (1, 0): 1.0})
+        b = NCPolynomial(THETA_QUARTER, {(1, 0): 1.0, (0, 0): near})
+        prod = poly_mul(a, b)
+        assert set(prod.coeffs) == {(0, 0), (2, 0)}
+        assert prod == NCPolynomial(THETA_QUARTER, {(0, 0): near, (2, 0): 1.0})
+
+
+class TestCyclotomicInput:
+    def test_bad_order_and_mixed_orders_rejected(self):
+        with pytest.raises(ValidationError):
+            Cyclotomic(6, {0: 1})
+        for op in (Cyclotomic.__add__, Cyclotomic.__sub__, Cyclotomic.__mul__):
+            with pytest.raises(ValidationError):
+                op(Cyclotomic.one(4), Cyclotomic.one(8))
