@@ -173,41 +173,35 @@ def integral(f: GridFunction) -> complex:
     return complex(f.values.sum() * f.step**f.dim)
 
 
+def trapezoid_transform(
+    values: np.ndarray, points: int, step: float, dim: int, sign: int
+) -> np.ndarray:
+    """Trapezoid transform over the last dim axes of values, any leading axes
+    being a batch: sign -1 maps position samples to ascending-order frequency
+    samples (the module's fhat), sign +1 maps them back.
+
+    With s = (pi/L)(k - M/2) and x_n = -L + n (2L/M) on each axis,
+    exp(+-i s x_n) = (-1)^(k + n + M/2) exp(+-2 pi i k n / M), so either
+    direction is one unshifted FFT between two sign grids.
+    """
+    signs = reduce(np.multiply.outer, [(-1.0) ** np.arange(points)] * dim)
+    scale = (-1.0) ** (dim * (points // 2)) * (2.0 * np.pi / step) ** (sign * dim)
+    fft = np.fft.ifftn if sign > 0 else np.fft.fftn
+    return fft(values * signs, axes=tuple(range(-dim, 0))) * (signs * scale)
+
+
 def to_frequency(f: GridFunction) -> GridFunction:
     """Trapezoid approximation of the continuum transform, ascending freq order."""
     if f.side != "position":
         raise ValidationError("to_frequency expects a position-side function")
-    m, L, d = f.points, f.half_length, f.dim
-    raw = np.fft.fftn(f.values)
-    # grid starts at -L, so each axis picks up exp(+i s L); with s = (pi/L) j
-    # that phase is (-1)^j, uniform in the ascending order after fftshift.
-    raw = np.fft.fftshift(raw)
-    j = np.arange(m) - m // 2
-    signs = (-1.0) ** (j % 2)
-    phase = reduce(np.multiply.outer, [signs] * d) if d > 1 else signs
-    vals = raw * phase * (f.step**d) / (2.0 * np.pi) ** d
-    return GridFunction(d, L, m, vals, side="frequency")
-
-
-def inverse_transform(values: np.ndarray, grid: GridFunction) -> np.ndarray:
-    """Inverse transform over the last grid.dim axes of ascending-order
-    frequency samples on grid's box; any leading axes of values are a batch.
-
-    With s = (pi/L)(k - M/2) and x_n = -L + n (2L/M) on each axis,
-    exp(i s x_n) = (-1)^(k + n + M/2) exp(2 pi i k n / M), so the transform is
-    one unshifted inverse FFT between two sign grids: no ifftshift copy.
-    """
-    m, d = grid.points, grid.dim
-    signs = reduce(np.multiply.outer, [(-1.0) ** np.arange(m)] * d)
-    scale = (-1.0) ** (d * (m // 2)) * (2.0 * np.pi) ** d / grid.step**d
-    vals = np.fft.ifftn(values * signs, axes=tuple(range(-d, 0)))
-    return vals * (signs * scale)
+    vals = trapezoid_transform(f.values, f.points, f.step, f.dim, -1)
+    return GridFunction(f.dim, f.half_length, f.points, vals, side="frequency")
 
 
 def to_position(fhat: GridFunction) -> GridFunction:
     if fhat.side != "frequency":
         raise ValidationError("to_position expects a frequency-side function")
-    vals = inverse_transform(fhat.values, fhat)
+    vals = trapezoid_transform(fhat.values, fhat.points, fhat.step, fhat.dim, 1)
     return GridFunction(fhat.dim, fhat.half_length, fhat.points, vals, side="position")
 
 

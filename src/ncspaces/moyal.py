@@ -48,10 +48,10 @@ from .errors import SizeCapError, ValidationError
 from .gridfn import (
     GridFunction,
     freq_grid_vectors,
-    inverse_transform,
     l2_norm,
     to_frequency,
     to_position,
+    trapezoid_transform,
 )
 from .skew import SkewMatrix
 
@@ -82,7 +82,8 @@ def moyal_direct(f: GridFunction, g: GridFunction, theta: SkewMatrix) -> GridFun
     e^{i s_0 x_0} (one batched 1-D inverse transform) and then over m_0
     against e^{i m_0 x_0}.  Every step is O(M^3 log M) work on (M, M, M)
     arrays.  For d = 1, Theta = 0 and the sum is the product of the two
-    interpolants.  Guarded to d <= 2 and M^d <= DIRECT_CAP.
+    interpolants, which at the sample points is the pointwise product.
+    Guarded to d <= 2 and M^d <= DIRECT_CAP.
     """
     f.require_same_grid(g)
     _check_theta(f, theta)
@@ -95,19 +96,20 @@ def moyal_direct(f: GridFunction, g: GridFunction, theta: SkewMatrix) -> GridFun
     if n > DIRECT_CAP:
         raise SizeCapError(f"M^d = {n} exceeds direct-quadrature cap {DIRECT_CAP}")
 
+    if d == 1:
+        return GridFunction(d, f.half_length, m, f.values * g.values)
+
+    def along_x(values):  # inverse transform along the last axis
+        return trapezoid_transform(values, m, f.step, 1, 1)
+
     fhat = to_frequency(f)
     ghat = to_frequency(g)
-    if d == 1:
-        out = inverse_transform(fhat.values, f) * inverse_transform(ghat.values, f)
-        return GridFunction(d, f.half_length, m, out)
-
-    line = GridFunction(1, f.half_length, m, np.zeros(m))  # one axis of the grid
     freqs = fhat.freq_axis()
     # shear[s_0, m_1] = e^{-(i/2) theta s_0 m_1}; symmetric in its two indices
     shear = np.exp(-0.5j * theta.as_array()[0, 1] * np.outer(freqs, freqs))
-    fsheared = inverse_transform(fhat.values[:, None, :] * shear, line)  # [m_0, s_0, x_1]
-    gsheared = inverse_transform(ghat.values[:, None, :] * shear.conj(), line)  # [s_0, m_0, x_1]
-    rows = inverse_transform((fsheared * gsheared.transpose(1, 0, 2)).transpose(0, 2, 1), line)
+    fsheared = along_x(fhat.values[:, None, :] * shear)  # [m_0, s_0, x_1]
+    gsheared = along_x(ghat.values[:, None, :] * shear.conj())  # [s_0, m_0, x_1]
+    rows = along_x((fsheared * gsheared.transpose(1, 0, 2)).transpose(0, 2, 1))
     carrier = np.exp(1j * np.outer(freqs, f.axis())) * fhat.freq_step  # [m_0, x_0]
     out = np.einsum("mx,myx->xy", carrier, rows)  # rows: [m_0, x_1, x_0]
     return GridFunction(d, f.half_length, m, out)
@@ -196,18 +198,10 @@ def regular_rep_matrix(f: GridFunction, theta: SkewMatrix) -> np.ndarray:
     theta_arr = theta.as_array()
     ds = fhat.freq_step**d
 
-    # look up fhat at t - t' (zero outside the box), one axis at a time
-    axes_idx = np.stack(
-        np.meshgrid(*([np.arange(m)] * d), indexing="ij"), axis=-1
-    ).reshape(n, d)
-    valid = np.ones((n, n), dtype=bool)
-    lin = np.zeros((n, n), dtype=np.int64)
-    for ax in range(d):
-        di = axes_idx[:, ax][:, None] - axes_idx[:, ax][None, :] + m // 2
-        valid &= (di >= 0) & (di < m)
-        lin = lin * m + np.clip(di, 0, m - 1)
-    entries = fhat.values.reshape(-1)[lin]
-    entries[~valid] = 0.0
+    # fhat at t - t', zero outside the box: index i - i' + M of the padded
+    # array, broadcast over the open grids of t and t'
+    index = tuple(np.subtract.outer(i, i) + m for i in np.indices((m,) * d, sparse=True))
+    entries = np.pad(fhat.values, m // 2)[index].reshape(n, n)
     # theta(t - t', t') = theta(t, t') because theta(t', t') = 0
     phase = np.exp(0.5j * (tvecs @ theta_arr @ tvecs.T))
     return entries * phase * ds
@@ -225,12 +219,9 @@ def twisted_involution(fhat: GridFunction) -> GridFunction:
     """fstar^(s) = conj(fhat(-s)); the cocycle factor sigma(s,-s) is 1."""
     if fhat.side != "frequency":
         raise ValidationError("twisted_involution expects a frequency-side function")
-    flipped = fhat.values.copy()
-    for ax in range(fhat.dim):
-        flipped = np.flip(flipped, axis=ax)
-        # ascending order holds -M/2 .. M/2-1: a flip maps j to -j only after
-        # rolling the unpaired -M/2 row back to the front
-        flipped = np.roll(flipped, 1, axis=ax)
+    # ascending order holds -M/2 .. M/2-1 per axis: a flip maps j to -j only
+    # after rolling the unpaired -M/2 entry back to the front
+    flipped = np.roll(np.flip(fhat.values), 1, axis=tuple(range(fhat.dim)))
     return GridFunction(
         fhat.dim, fhat.half_length, fhat.points, np.conj(flipped), side="frequency"
     )
@@ -244,15 +235,11 @@ def sobolev_norm(f: GridFunction, alpha: float) -> float:
     if alpha < 0:
         raise ValidationError("alpha must be >= 0")
     fhat = to_frequency(f) if f.side == "position" else f
-    s2 = np.zeros((fhat.points,) * fhat.dim)
-    ax = fhat.freq_axis() ** 2
-    for a in range(fhat.dim):
-        shape = [1] * fhat.dim
-        shape[a] = fhat.points
-        s2 = s2 + ax.reshape(shape)
-    weight = (1.0 + s2) ** alpha
-    total = (weight * np.abs(fhat.values) ** 2).sum() * fhat.freq_step**fhat.dim
-    return float(np.sqrt(total * (2.0 * np.pi) ** fhat.dim))
+    s2 = (freq_grid_vectors(fhat) ** 2).sum(axis=1).reshape(fhat.values.shape)
+    weighted = (1.0 + s2) ** (alpha / 2.0) * fhat.values
+    return l2_norm(
+        GridFunction(fhat.dim, fhat.half_length, fhat.points, weighted, side="frequency")
+    )
 
 
 @dataclass(frozen=True)

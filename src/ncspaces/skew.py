@@ -153,14 +153,6 @@ class SkewMatrix:
             dim, {(j, k): self.entry(j, k) for j, k in upper_pairs(dim)}
         )
 
-    def scaled(self, factor) -> "SkewMatrix":
-        factor = _coerce_entry(factor)
-        return SkewMatrix.from_upper(
-            self.dim,
-            [x * factor if isinstance(x, Fraction) and isinstance(factor, Fraction)
-             else float(x) * float(factor) for x in self.upper],
-        )
-
     def __eq__(self, other):
         if not isinstance(other, SkewMatrix):
             return NotImplemented

@@ -52,6 +52,7 @@ Coefficient = Union[complex, Cyclotomic]
 
 COEFF_DROP_TOL = 1e-15  # coefficient sums below this are dropped: for integers, the zeros
 GNS_CAP = 4096  # (2 radius + 1)^d cap for the basis of the GNS truncation
+FLOAT_PHASE_CAP = 2**22  # cap on the bound of |c(m, m')| for float64 structure exponents
 
 
 def as_multi_index(m: Sequence[int]) -> MultiIndex:
@@ -78,9 +79,12 @@ class _Twist:
 
     For rational theta ``order`` is Q = phase_order(theta) and ``form`` is the
     integer matrix K = Q U held as Python ints (dtype object), so Q c is exact
-    for exponents of any size; ``weight`` = sum |K_jk| bounds
-    |Q c(m, m')| <= weight max|m| max|m'|.  Otherwise ``order`` is 1 and
-    ``form`` is U.
+    for exponents of any size.  Otherwise ``order`` is 1 and ``form`` is U in
+    float64.  Either way ``weight`` = sum |form_jk| bounds
+    |order c(m, m')| <= weight max|m| max|m'|.  In float64 that bound B also
+    sets the error of c: while B <= FLOAT_PHASE_CAP = 2^22 an ulp of c is at
+    most 2^-30 turns, and past it c mod 1 loses its digits, so float
+    exponents past it are rejected.
     """
 
     def __init__(self, theta: SkewMatrix):
@@ -90,11 +94,19 @@ class _Twist:
         self.form = np.zeros((theta.dim, theta.dim), dtype=object if rational else float)
         for (j, k), v in zip(upper_pairs(theta.dim), values):
             self.form[j, k] = v
-        self.weight = sum(map(abs, values)) if rational else None
+        self.weight = sum(map(abs, values))
 
     def scaled(self, m, m2):
         """order * c(m, m') for multi-index arrays of shape (..., d), broadcast."""
         m, m2 = (np.array(x, dtype=self.form.dtype) for x in (m, m2))
+        if self.order == 1:
+            bound = self.weight * _max_abs(m) * _max_abs(m2)
+            if bound > FLOAT_PHASE_CAP:
+                raise ValidationError(
+                    f"float structure exponent bound {bound:.3g} exceeds {FLOAT_PHASE_CAP}:"
+                    " exponents this large leave float64 phases at irrational theta"
+                    " without accuracy"
+                )
         return -((m @ self.form.T) * m2).sum(axis=-1)
 
     def phases(self, m, m2) -> np.ndarray:

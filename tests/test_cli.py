@@ -61,6 +61,17 @@ class TestCliBasics:
     def test_butterfly_rejects_qmax_zero(self):
         assert main(["butterfly", "--qmax", "0"]) == EXIT_INVALID
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_relations_random_d5(self, tmp_path, seed):
+        # random pairs come from the d-capped draw of the checks suite, so the
+        # largest tuple stays at 2^10 dimensions
+        out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        for out in (out1, out2):
+            assert main(["relations", "--theta", "random", "--d", "5", "--seed", str(seed),
+                         "--out", str(out)]) == EXIT_OK
+        assert out1.read_text().splitlines()[0] == "generators: 5 on C^1024"
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_relations_identity_pairs(self, capsys):
         assert main(["relations", "--theta", "identity-pairs", "--d", "3"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -86,7 +86,39 @@ def brute_moyal_direct(f, g, theta):
     return out * fhat.freq_step**d
 
 
+def trapezoid_matrix(grid, sign):
+    """Dense matrix of the defining trapezoid sum over all d axes: entries
+    w^d exp(sign i s.x), rows indexed by s and columns by x for the forward
+    sum (sign -1, w = h / 2 pi), the other way round for the inverse (w = ds)."""
+    d = grid.dim
+    one = np.exp(sign * 1j * np.outer(grid.freq_axis(), grid.axis()))  # [k, n]
+    if sign > 0:
+        one, weight = one.T, grid.freq_step  # [n, k]: back to the positions
+    else:
+        weight = grid.step / (2 * np.pi)
+    mat = np.ones((1, 1))
+    for _ in range(d):
+        mat = np.kron(mat, one * weight)
+    return mat
+
+
 class TestGridFunction:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("points", [2, 4, 8])
+    def test_transforms_match_trapezoid_sums(self, dim, points):
+        # M = 2 is the one size whose sign factor (-1)^(d M/2) is -1 at odd d
+        rng = np.random.default_rng(10 * dim + points)
+        shape = (points,) * dim
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        f = GridFunction(dim, 3.0, points, vals)
+        fhat = GridFunction(dim, 3.0, points, vals, side="frequency")
+        forward = trapezoid_matrix(f, -1) @ vals.ravel()
+        inverse = trapezoid_matrix(f, 1) @ vals.ravel()
+        got_forward = to_frequency(f).values.ravel()
+        got_inverse = to_position(fhat).values.ravel()
+        assert np.abs(got_forward - forward).max() <= 1e-13 * np.abs(forward).max()
+        assert np.abs(got_inverse - inverse).max() <= 1e-13 * np.abs(inverse).max()
+
     def test_roundtrip_transform(self):
         f = GridFunction.gaussian(2, 8.0, 32, sigma=1.2, center=(0.4, -0.6))
         back = to_position(to_frequency(f))
@@ -361,6 +393,37 @@ class TestRegularRepresentation:
         f = GridFunction.gaussian(2, 8.0, 128)
         with pytest.raises(SizeCapError):
             regular_rep_matrix(f, THETA)
+
+    def test_matches_twisted_convolve_d3(self):
+        rng = np.random.default_rng(8)
+        theta = SkewMatrix.random(3, rng)
+        shape = (8,) * 3
+        fhat, ghat = (
+            GridFunction(3, 5.0, 8, rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                         side="frequency")
+            for _ in range(2)
+        )
+        applied = regular_rep_matrix(fhat, theta) @ ghat.values.ravel()
+        expected = twisted_convolve(fhat, ghat, theta).values.ravel()
+        assert np.abs(applied - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+class TestTwistedInvolution:
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_conjugate_at_negated_frequency(self, dim):
+        # ascending index i holds s = (pi/L)(i - M/2); -s sits at index M - i,
+        # and the unpaired -M/2 (i = 0) is its own image on the periodic box
+        m = 8
+        rng = np.random.default_rng(dim)
+        vals = rng.standard_normal((m,) * dim) + 1j * rng.standard_normal((m,) * dim)
+        fhat = GridFunction(dim, 4.0, m, vals, side="frequency")
+        out = twisted_involution(fhat).values
+        freqs = fhat.freq_axis()
+        for idx in np.ndindex(*(m,) * dim):
+            image = tuple((m - i) % m for i in idx)
+            assert out[idx] == np.conj(vals[image])
+            for i, j in zip(idx, image):
+                assert i == 0 or freqs[j] == -freqs[i]
 
 
 class TestSobolev:

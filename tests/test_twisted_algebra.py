@@ -618,6 +618,27 @@ class TestCocycle:
             cocycle_validate(THETA_THIRD, [])
 
 
+class TestFloatPhaseGuard:
+    THETA = SkewMatrix.from_upper(2, [math.sqrt(2) / 10])
+
+    def test_lost_phase_rejected(self):
+        big = 2**40
+        with pytest.raises(ValidationError):
+            structure_phase((big + 3, big - 5), (big + 7, -big + 1), self.THETA)
+        a = NCPolynomial.monomial(self.THETA, (0, 4096))
+        with pytest.raises(ValidationError):
+            poly_mul(a, NCPolynomial.monomial(self.THETA, (7241, 0)))
+
+    def test_product_below_cap_matches_exact_phase(self):
+        # sqrt(2)/10 * 4096 * 7240 is just below 2^22 turns
+        m, m2 = (0, 4096), (7240, 0)
+        exact = -Fraction(self.THETA.entry(0, 1)) * m[1] * m2[0] % 1
+        prod = poly_mul(NCPolynomial.monomial(self.THETA, m), NCPolynomial.monomial(self.THETA, m2))
+        assert abs(structure_phase(m, m2, self.THETA) - float(exact)) <= 2.0**-30
+        expected = cmath.exp(2j * math.pi * float(exact))
+        assert abs(prod.coefficient((7240, 4096)) - expected) <= 2 * math.pi * 2.0**-30
+
+
 class TestNormalization:
     def test_zero_coefficients_dropped(self):
         a = NCPolynomial(THETA_QUARTER, {(1, 0): 1e-16, (0, 1): 1.0})
