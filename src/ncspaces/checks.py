@@ -1,16 +1,19 @@
 """The property suite behind the `all-checks` command and the acceptance
 criteria in tests/test_acceptance.py.
 
-Every check returns (name, passed, detail); the detail carries the measured
-numbers (failure counts, worst residuals, margins) beside their tolerances.
-Sizes are configurable so the suite can run quickly in smoke mode, at full
-depth from the command line, and at the criteria's sizes from the tests.
+Every check returns CheckResults: a name, its sizes as text, and the Records
+it gates on, each a measured value beside its tolerance (counts and exact pins
+have tolerance 0).  CheckResult alone derives pass/fail and the detail line
+from them.  Sizes are configurable so the suite can run quickly in smoke mode,
+at full depth from the command line, and at the criteria's sizes from the tests.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Tuple
+from functools import reduce
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from .phases import Cyclotomic
 from .skew import SkewMatrix, upper_pairs
 
 DEFAULT_SEED = 0xA1B2C3D4
+NORMAL_FORM_TOL = 1e-10  # symplectic/normal-form and `ncspaces symplectic`
 
 
 @dataclass
@@ -35,7 +39,27 @@ class CheckConfig:
     holder_max_k: int = 5  # offsets 1/8 .. 1/2^k
 
 
-CheckResult = Tuple[str, bool, str]
+class Record(NamedTuple):
+    """One gated quantity: it passes when value <= tol."""
+    label: str
+    value: float
+    tol: float
+
+
+class CheckResult(NamedTuple):
+    """A check's name, the sizes it ran at as text, and the records it gates on."""
+    name: str
+    context: str
+    records: List[Record]
+
+    @property
+    def passed(self) -> bool:
+        return all(r.value <= r.tol for r in self.records)
+
+    def line(self) -> str:
+        """`PASS name: context; label value (tol t), ...`, or FAIL."""
+        measured = ", ".join(f"{r.label} {r.value:.4g} (tol {r.tol:g})" for r in self.records)
+        return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.context}; {measured}"
 
 
 def random_rational_theta(rng, d: int) -> SkewMatrix:
@@ -72,9 +96,7 @@ def check_algebra_exactness(cfg: CheckConfig) -> List[CheckResult]:
         b = random_exact_poly(rng, theta)
         c = random_exact_poly(rng, theta)
         ab = ta.poly_mul(a, b)
-        chain = a
-        for j in range(d):
-            chain = ta.cond_expectation(chain, j)
+        chain = reduce(ta.cond_expectation, range(d), a)
         phi = chain == ta.NCPolynomial(theta, {(0,) * d: ta.trace(a)}, exact=True)
         if d >= 2:
             phi = phi and ta.cond_expectation(ta.cond_expectation(a, 0), 1) == (
@@ -93,10 +115,9 @@ def check_algebra_exactness(cfg: CheckConfig) -> List[CheckResult]:
         ("algebra/trace-commutation-exact", "tau(ab) = tau(ba)"),
         ("algebra/conditional-expectations-exact", "Phi chain and commutation"),
     ]
-    return [
-        (name, f == 0, f"{law}, {cfg.algebra_triples} rational triples, {f} failures")
-        for (name, law), f in zip(identities, failures)
-    ]
+    context = f"{cfg.algebra_triples} rational triples"
+    return [CheckResult(name, f"{law}, {context}", [Record("failures", f, 0)])
+            for (name, law), f in zip(identities, failures)]
 
 
 def random_pair_table(rng, d: int) -> dict:
@@ -116,8 +137,8 @@ def check_tensor_relations(cfg: CheckConfig) -> List[CheckResult]:
     for d in range(2, cfg.tensor_max_d + 1):
         rep = fr.verify_relations(fr.tensor_construct(random_pair_table(rng, d)))
         worst = max(worst, rep.max_commutation, rep.max_unitarity)
-    detail = f"d=2..{cfg.tensor_max_d} rational pairs, worst residual {worst:.2e} (tol 1e-12)"
-    return [("tensor/pairwise-relations", worst <= 1e-12, detail)]
+    return [CheckResult("tensor/pairwise-relations", f"d=2..{cfg.tensor_max_d} rational pairs",
+                        [Record("worst residual", worst, 1e-12)])]
 
 
 def check_symplectic(cfg: CheckConfig) -> List[CheckResult]:
@@ -132,8 +153,8 @@ def check_symplectic(cfg: CheckConfig) -> List[CheckResult]:
             continue  # regenerate near-singular draws
         n += 1
         worst = max(worst, symplectic.symplectic_normalize(theta).residual)
-    detail = f"{n} random skew matrices (d in 2,4,6), worst residual {worst:.2e} (tol 1e-10)"
-    return [("symplectic/normal-form", worst <= 1e-10, detail)]
+    return [CheckResult("symplectic/normal-form", f"{n} random skew matrices (d in 2,4,6)",
+                        [Record("worst residual", worst, NORMAL_FORM_TOL)])]
 
 
 def random_tuple_pair(rng):
@@ -162,8 +183,8 @@ def check_metric_lower_bound(cfg: CheckConfig) -> List[CheckResult]:
         rep = fr.distance_lower_bound_check(*random_tuple_pair(rng))
         violations += not rep.holds
         worst = min(worst, rep.margin)
-    detail = f"{cfg.metric_pairs} tuple pairs, {violations} violations, min margin {worst:.3f}"
-    return [("metric/lower-bound", violations == 0, detail)]
+    context = f"{cfg.metric_pairs} tuple pairs, min margin {worst:.3f}"
+    return [CheckResult("metric/lower-bound", context, [Record("violations", violations, 0)])]
 
 
 def check_generator_bound(cfg: CheckConfig) -> List[CheckResult]:
@@ -182,11 +203,10 @@ def check_generator_bound(cfg: CheckConfig) -> List[CheckResult]:
         rep = wd.generator_bound_check(pair, ts)
         violations += not rep.necessity_ok
         worst = max(worst, rep.slope_relative_error)
-    detail = (
-        f"{cfg.hermitian_pairs} Hermitian pairs (N <= 16), {violations} necessity "
-        f"violations, worst slope error {100 * worst:.2f}% (tol 5%)"
-    )
-    return [("weyl/generator-group-equivalence", violations == 0 and worst <= 0.05, detail)]
+    return [CheckResult("weyl/generator-group-equivalence",
+                        f"{cfg.hermitian_pairs} Hermitian pairs (N <= 16)",
+                        [Record("necessity violations", violations, 0),
+                         Record("worst slope error", worst, 0.05)])]
 
 
 def check_moyal(cfg: CheckConfig) -> List[CheckResult]:
@@ -198,76 +218,54 @@ def check_moyal(cfg: CheckConfig) -> List[CheckResult]:
     direct = moyal.moyal_direct(f, g, theta)
     fourier = moyal.star_product_fourier(f, g, theta)
     cross = float(np.abs(direct.values - fourier.values).max())
-    zero = SkewMatrix.zero(2)
-    prod0 = moyal.moyal_direct(f, g, zero)
-    point = float(np.abs(prod0.values - f.values * g.values).max())
-    tr = abs(
-        integral(fourier)
-        - integral(GridFunction(2, 8.0, m, f.values * g.values))
-    )
+    pointwise = GridFunction(2, 8.0, m, f.values * g.values)
+    prod0 = moyal.moyal_direct(f, g, SkewMatrix.zero(2))
+    point = float(np.abs(prod0.values - pointwise.values).max())
+    tr = abs(integral(fourier) - integral(pointwise))
+    context = f"Gaussians on M={m}"
     return [
-        ("moyal/direct-vs-fourier", cross <= 1e-6, f"max diff {cross:.2e}"),
-        ("moyal/zero-theta-pointwise", point <= 1e-8, f"max diff {point:.2e}"),
-        ("moyal/tracial-identity", tr <= 1e-8, f"defect {tr:.2e}"),
+        CheckResult("moyal/direct-vs-fourier", context, [Record("max diff", cross, 1e-6)]),
+        CheckResult("moyal/zero-theta-pointwise", context, [Record("max diff", point, 1e-8)]),
+        CheckResult("moyal/tracial-identity", context, [Record("defect", tr, 1e-8)]),
     ]
 
 
 def check_fock(cfg: CheckConfig) -> List[CheckResult]:
     rep = fr.fock_identities_check(1, 6)
-    ok = (
-        rep.product_identity_residual <= 1e-12
-        and rep.number_action_residual <= 1e-12
-        and rep.kernel_dim == rep.clifford_dim
-    )
-    detail = (
-        f"n=1 cutoff 6: product residual {rep.product_identity_residual:.1e} (1e-12), "
-        f"kernel dim {rep.kernel_dim}, Clifford dim {rep.clifford_dim}"
-    )
-    return [("fock/single-mode-identities", ok, detail)]
+    return [CheckResult("fock/single-mode-identities", "n=1 cutoff 6", [
+        Record("product residual", rep.product_identity_residual, 1e-12),
+        Record("number action residual", rep.number_action_residual, 1e-12),
+        Record("|kernel dim - Clifford dim|", abs(rep.kernel_dim - rep.clifford_dim), 0),
+    ])]
 
 
 def check_audit(cfg: CheckConfig) -> List[CheckResult]:
-    rep = wd.audit_interpolation_constants(8100, 2500, levels=6)
-    exact_value = rep.exact and rep.one_step_value == 2474.0 and rep.slack == 26.0
-    levels_ok = len(rep.level_bounds) == 7 and max(rep.level_bounds) <= 2500.0
-    detail = (
-        f"1224 + 2500*45/sqrt(8100) = {rep.one_step_value:g} <= 2500 (slack {rep.slack:g}, "
-        f"{'exact' if rep.exact else 'inexact'}), 6 levels max {max(rep.level_bounds):g}"
-    )
-    return [("audit/refinement-constants", exact_value and levels_ok and rep.holds, detail)]
+    k, target, levels = 8100, 2500, 6
+    rep = wd.audit_interpolation_constants(k, target, levels)
+    # the closing arithmetic 1224 + 2500 * 45 / 90 = 2474, exact since 8100 = 90^2
+    pins = [("one-step", rep.one_step_value, 2474), ("slack", rep.slack, 26),
+            ("level bounds", len(rep.level_bounds), levels + 1)]
+    return [CheckResult("audit/refinement-constants", f"k={k}, target {target}, {levels} levels", [
+        Record("inexact", int(not rep.exact), 0),
+        *(Record(f"|{name} - {want}|", abs(got - want), 0) for name, got, want in pins),
+        Record("max level bound", max(rep.level_bounds), target),
+        Record("over target", int(not rep.holds), 0),
+    ])]
 
 
 def check_holder(cfg: CheckConfig) -> List[CheckResult]:
     offsets = [Fraction(1, 2**k) for k in range(3, cfg.holder_max_k + 1)]
     res = spectra.holder_scan(Fraction(0), offsets)
-    return [
-        (
-            "spectra/lip-half-pointwise",
-            res.lip_half_ok,
-            f"slope {res.slope:.3f}, c_fit {res.c_fit:.3f}",
-        )
-    ]
-
-
-ALL_CHECKS: List[Callable[[CheckConfig], List[CheckResult]]] = [
-    check_algebra_exactness,
-    check_tensor_relations,
-    check_symplectic,
-    check_metric_lower_bound,
-    check_generator_bound,
-    check_moyal,
-    check_fock,
-    check_audit,
-    check_holder,
-]
+    context = f"base 0, offsets 1/8..1/{2 ** cfg.holder_max_k}, fitted slope {res.slope:.3f}"
+    return [CheckResult("spectra/lip-half-pointwise", context,
+                        [Record("max D/sqrt(delta)", res.c_fit, spectra.LIP_HALF_BOUND)])]
 
 
 def run_all_checks(cfg: CheckConfig) -> List[CheckResult]:
-    import warnings
-
-    out: List[CheckResult] = []
+    """Every check above, in the order `all-checks` prints them."""
+    checks = (check_algebra_exactness, check_tensor_relations, check_symplectic,
+              check_metric_lower_bound, check_generator_bound, check_moyal, check_fock,
+              check_audit, check_holder)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for fn in ALL_CHECKS:
-            out.extend(fn(cfg))
-    return out
+        return [result for check in checks for result in check(cfg)]

@@ -256,8 +256,9 @@ def cmd_symplectic(cfg: ExperimentConfig) -> int:
         "transform": matrix_to_json(sf.transform.astype(complex)),
     }
     emit(cfg, json.dumps(out, indent=2, sort_keys=True) + "\n")
-    if sf.residual > 1e-10:
-        raise CheckFailure(f"normal-form residual {sf.residual:.2e} > 1e-10")
+    tol = checks_mod.NORMAL_FORM_TOL
+    if sf.residual > tol:
+        raise CheckFailure(f"normal-form residual {sf.residual:.2e} > {tol:g}")
     return EXIT_OK
 
 
@@ -389,11 +390,8 @@ def cmd_all_checks(cfg: ExperimentConfig) -> int:
     kwargs = {k: parse_value(k, v, int) for k, v in cfg.params.items()}
     ccfg = checks_mod.CheckConfig(seed=cfg.seed, **kwargs)
     results = checks_mod.run_all_checks(ccfg)
-    lines = []
-    failed = 0
-    for name, ok, detail in results:
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failed += 0 if ok else 1
+    failed = sum(not result.passed for result in results)
+    lines = [result.line() for result in results]
     lines.append(f"{len(results) - failed}/{len(results)} checks passed")
     emit(cfg, "\n".join(lines) + "\n")
     if failed:

@@ -46,8 +46,8 @@ class GridFunction:
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError("dimension must be >= 1")
-        if self.half_length <= 0:
-            raise ValidationError("half length must be positive")
+        if not (0 < self.half_length < np.inf):
+            raise ValidationError("half length must be positive and finite")
         if not _is_power_of_two(self.points):
             raise ValidationError(f"points per axis must be a power of two, got {self.points}")
         if self.side not in ("position", "frequency"):

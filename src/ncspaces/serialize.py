@@ -31,15 +31,9 @@ def theta_from_json(obj: dict) -> SkewMatrix:
         upper = obj["upper"]
     except (KeyError, TypeError) as e:
         raise ValidationError(f"bad theta object: {e}") from e
-    vals = []
-    for x in upper:
-        if isinstance(x, str):
-            vals.append(Fraction(x))
-        elif isinstance(x, (int, float)):
-            vals.append(x)
-        else:
-            raise ValidationError(f"bad theta entry {x!r}")
-    return SkewMatrix.from_upper(dim, vals)
+    if not isinstance(upper, list):
+        raise ValidationError(f"bad theta upper {upper!r}")
+    return SkewMatrix.from_upper(dim, upper)  # entries are checked by SkewMatrix
 
 
 def poly_to_json(a: NCPolynomial) -> dict:

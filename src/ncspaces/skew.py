@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from typing import Mapping, Union
 
 import numpy as np
@@ -24,9 +24,14 @@ def _coerce_entry(x) -> Entry:
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
     if isinstance(x, (float, np.floating)):
+        if not isfinite(x):
+            raise ValidationError(f"skew matrix entry {x!r} is not finite")
         return float(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)  # "nan" and "inf" are no Fraction literals
+        except (ValueError, ZeroDivisionError) as e:
+            raise ValidationError(f"skew matrix entry {x!r}: {e}") from e
     raise ValidationError(f"unsupported skew matrix entry {x!r}")
 
 

@@ -140,8 +140,8 @@ class GridSpec:
     half_length: float
 
     def __post_init__(self):
-        if self.points < 2 or self.half_length <= 0:
-            raise ValidationError("grid needs M >= 2 points and L > 0")
+        if self.points < 2 or not (0 < self.half_length < np.inf):
+            raise ValidationError("grid needs M >= 2 points and a finite L > 0")
 
     @classmethod
     def self_dual(cls, points: int) -> "GridSpec":

@@ -527,11 +527,7 @@ def gns_matrix(a: NCPolynomial, radius: int) -> np.ndarray:
 
 def gns_vacuum_index(radius: int, dim: int) -> int:
     """Flat index of |0> in the box basis used by gns_matrix."""
-    side = 2 * radius + 1
-    idx = 0
-    for _ in range(dim):
-        idx = idx * side + radius
-    return idx
+    return (2 * radius + 1) ** dim // 2
 
 
 # -- cocycle diagnostics ------------------------------------------------------

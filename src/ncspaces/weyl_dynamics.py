@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import isqrt
+from math import isfinite, isqrt
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,6 +59,8 @@ def weyl_residual(theta: float, s: float, t: float, grid: GridSpec) -> WeylResid
     Cost: O(M^2) for the defect (u is a circulant, v diagonal), plus one
     O(M^3) SVD for its norm unless the defect is round-off (see spectral_norm).
     """
+    if not all(isfinite(x) for x in (theta, s, t)):
+        raise ValidationError(f"theta, s and t must be finite, got {theta}, {s}, {t}")
     shift = theta * s
     u = translation_unitary(shift, grid)
     v = np.diag(modulation_unitary(t, grid))
@@ -88,8 +90,9 @@ class HermitianPair:
         b = np.asarray(self.second, dtype=complex)
         if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError("need two square matrices of equal size")
-        if hermiticity_defect(a) > 1e-12 or hermiticity_defect(b) > 1e-12:
-            raise ValidationError("matrices must be Hermitian to 1e-12")
+        tol = 1e-12
+        if hermiticity_defect(a) > tol or hermiticity_defect(b) > tol:
+            raise ValidationError(f"matrices must be Hermitian to {tol:g}")
         object.__setattr__(self, "first", a)
         object.__setattr__(self, "second", b)
 

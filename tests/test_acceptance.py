@@ -3,10 +3,11 @@ with the measured quantities before asserting.
 
 Criteria 01-05, 08 and 10a are one call each to a check in ncspaces.checks,
 the same code `ncspaces all-checks` runs, at the criterion's sizes and with
-the criterion's time budget; criterion 07 takes its pointwise and
-direct-vs-fourier numbers from checks.check_moyal and adds band-limited
-associativity and tracial checks here.  Criteria 06, 09 and 10b have no
-all-checks twin and compute their numbers here.
+the criterion's time budget as one more record; criterion 07 takes its
+pointwise and direct-vs-fourier results from checks.check_moyal and adds
+band-limited associativity and tracial records here.  Criteria 06, 09 and 10b
+have no all-checks twin and compute their numbers here.  Every line is a
+checks.CheckResult line, so pass/fail comes from its records.
 
 Two entries document negative results rather than passing:
 
@@ -32,32 +33,32 @@ import numpy as np
 import pytest
 
 from ncspaces import checks
-from ncspaces.checks import CheckConfig
+from ncspaces.checks import CheckConfig, CheckResult, Record
 from ncspaces.finite_reps import fock_identities_check
 from ncspaces.gridfn import GridFunction, integral, to_position
 from ncspaces.moyal import interior_frequency_mask, star_product_fourier
 from ncspaces.skew import SkewMatrix
-from ncspaces.spectra import holder_scan
+from ncspaces.spectra import LIP_HALF_BOUND, holder_scan
 from ncspaces.weyl_dynamics import UnitaryField, assembly_convergence_order
 
 
-def report(criterion, ok, detail):
-    print(f"criterion-{criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
-    return ok
+def report(criterion, results):
+    """Print each result's line under the criterion; True when all pass."""
+    for result in results:
+        print(f"criterion-{criterion}: {result.line()}")
+    return all(result.passed for result in results)
 
 
 def run_check(criterion, check, budget=None, **sizes):
-    """Report one ncspaces.checks check at the criterion's sizes, adding the
-    elapsed time when the criterion has a budget."""
+    """Report one ncspaces.checks check at the criterion's sizes, with the
+    elapsed time as one more record when the criterion has a budget."""
     t0 = time.time()
     results = check(CheckConfig(**sizes))
     elapsed = time.time() - t0
-    ok = all(passed for _, passed, _ in results)
-    detail = "; ".join(f"{name}: {text}" for name, _, text in results)
     if budget is not None:
-        ok = ok and elapsed <= budget
-        detail += f"; {elapsed:.1f}s (budget {budget:g}s)"
-    assert report(criterion, ok, detail)
+        results.append(CheckResult("time", "the criterion's budget",
+                                   [Record("seconds", elapsed, budget)]))
+    assert report(criterion, results)
 
 
 def test_criterion_01_algebraic_exactness():
@@ -86,29 +87,26 @@ def test_criterion_06_holder_continuity():
     with pytest.warns(UserWarning):
         res = holder_scan(Fraction(0), offsets, q_cap=128)
     elapsed = time.time() - t0
-    in_window = 0.40 <= res.slope <= 0.60
-    ok = in_window and res.lip_half_ok and elapsed <= 300.0
-    report(
-        "06", ok,
-        f"base 0, offsets 1/8..1/128: fitted exponent {res.slope:.3f} "
-        f"(demanded window [0.40, 0.60]), pointwise Lip-1/2 "
-        f"{'holds' if res.lip_half_ok else 'fails'} with c_fit {res.c_fit:.3f}, "
-        f"{elapsed:.0f}s (budget 300s)",
-    )
-    assert res.lip_half_ok and elapsed <= 300.0
+    context = "base 0, offsets 1/8..1/128"
+    bound = CheckResult("lip-half-pointwise", context, [
+        Record("max D/sqrt(delta)", res.c_fit, LIP_HALF_BOUND), Record("seconds", elapsed, 300.0)])
+    lo, hi = 0.40, 0.60  # the demanded window for the fitted exponent
+    window = CheckResult("exponent-window", context, [
+        Record(f"{lo:.2f} - exponent", lo - res.slope, 0),
+        Record(f"exponent - {hi:.2f}", res.slope - hi, 0)])
+    report("06", [bound, window])
+    assert bound.passed
     # documented negative result: edge erosion is linear from base 0, so the
     # measured exponent sits near 1 and the demanded window cannot be met
-    assert in_window, (
-        f"fitted exponent {res.slope:.3f} outside [0.40, 0.60]: D(delta) tracks "
-        "2*pi*delta (band-edge erosion), the sqrt regime lives at base 1/2"
+    assert window.passed, (
+        f"{window.line()}: D(delta) tracks 2*pi*delta (band-edge erosion), "
+        "the sqrt regime lives at base 1/2"
     )
 
 
 def test_criterion_07_moyal_engine():
-    results = {name: (ok, detail) for name, ok, detail in
-               checks.check_moyal(CheckConfig(moyal_points=64))}
-    point_ok, point = results["moyal/zero-theta-pointwise"]
-    cross_ok, cross = results["moyal/direct-vs-fourier"]
+    results = [r for r in checks.check_moyal(CheckConfig(moyal_points=64))
+               if r.name in ("moyal/zero-theta-pointwise", "moyal/direct-vs-fourier")]
     rng = np.random.default_rng(checks.DEFAULT_SEED + 7)
 
     def band_limited():
@@ -128,12 +126,10 @@ def test_criterion_07_moyal_engine():
         integral(star_product_fourier(bf, bg, th7))
         - integral(GridFunction(2, 8.0, 32, bf.values * bg.values))
     )
-    ok = point_ok and cross_ok and assoc <= 1e-8 and tracial <= 1e-8
-    assert report(
-        "07", ok,
-        f"star_0 pointwise {point} (1e-8), direct-vs-fourier {cross} (1e-6), "
-        f"associativity {assoc:.1e} (1e-8), tracial {tracial:.1e} (1e-8)",
-    )
+    results.append(CheckResult("moyal/band-limited", "three band-limited functions, theta 0.7",
+                               [Record("associativity", assoc, 1e-8),
+                                Record("tracial", tracial, 1e-8)]))
+    assert report("07", results)
 
 
 def test_criterion_08_generator_group_equivalence():
@@ -147,12 +143,14 @@ def test_criterion_09_assembly_convergence():
     deltas = np.array([[0.0, 0.8, -0.5], [0.0, 0.0, 1.1], [0.0, 0.0, 0.0]])
     probes = [[0.3, -0.7, 0.9], [1.1, 0.2, -0.4]]
     devs, order = assembly_convergence_order(field, deltas, 3, probes, 2e-2, 2)
-    ok = 1.8 <= order <= 2.2 and all(a > b for a, b in zip(devs, devs[1:]))
-    assert report(
-        "09", ok,
-        f"w(x,y) = exp(i y arctan x), d=3: deviations {[f'{d:.2e}' for d in devs]}, "
-        f"observed order {order:.2f} (window [1.8, 2.2])",
-    )
+    lo, hi = 1.8, 2.2  # the demanded window for the observed order
+    context = (f"w(x,y) = exp(i y arctan x), d=3, deviations {[f'{d:.2e}' for d in devs]}, "
+               f"observed order {order:.2f}")
+    assert report("09", [CheckResult("assembly-convergence", context, [
+        Record(f"{lo} - order", lo - order, 0),
+        Record(f"order - {hi}", order - hi, 0),
+        Record("non-decreasing deviations", sum(not a > b for a, b in zip(devs, devs[1:])), 0),
+    ])])
 
 
 def test_criterion_10_fock_clifford_single_mode():
@@ -161,21 +159,15 @@ def test_criterion_10_fock_clifford_single_mode():
 
 def test_criterion_10_fock_clifford_two_modes():
     rep = fock_identities_check(2, 6)
-    identity_ok = rep.product_identity_residual <= 1e-12
-    kernel_ok = rep.kernel_dim == rep.clifford_dim
-    ok = identity_ok and kernel_ok
-    report(
-        "10b", ok,
-        f"n=2 cutoff 6: product residual {rep.product_identity_residual:.3f} "
-        f"(demanded 1e-12), interior kernel dim {rep.kernel_dim} "
-        f"(demanded {rep.clifford_dim})",
-    )
+    result = CheckResult("fock/two-mode-identities", "n=2 cutoff 6", [
+        Record("product residual", rep.product_identity_residual, 1e-12),
+        Record("|kernel dim - Clifford dim|", abs(rep.kernel_dim - rep.clifford_dim), 0)])
+    report("10b", [result])
     # documented negative result: the mixed-mode terms
     # c_k c_j (x) (a_k a_j* - a_j a_k*) do not cancel, so the two-mode half of
     # the criterion cannot hold; see test_finite_reps.py::TestFock for the
     # verified counterexample construction
-    assert ok, (
-        f"two-mode closure fails structurally: residual "
-        f"{rep.product_identity_residual:.3f}, kernel {rep.kernel_dim} != "
-        f"{rep.clifford_dim} (one Clifford copy per occupation level)"
+    assert result.passed, (
+        f"two-mode closure fails structurally: kernel dim {rep.kernel_dim}, Clifford dim "
+        f"{rep.clifford_dim} (one Clifford copy per occupation level); {result.line()}"
     )

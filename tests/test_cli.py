@@ -1,4 +1,5 @@
 """End-to-end tests of the command-line interface and the JSON schemas."""
+import dataclasses
 import json
 import os
 import stat
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from ncspaces import checks, spectra, symplectic
 from ncspaces.cli import EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, main
 from ncspaces.gridfn import GridFunction, read_gridfn, write_gridfn
 from ncspaces.serialize import (
@@ -19,6 +21,20 @@ from ncspaces.serialize import (
 )
 from ncspaces.skew import SkewMatrix
 from ncspaces.twisted_algebra import NCPolynomial, poly_mul
+
+SMOKE_SIZES = {
+    "algebra_triples": 5, "tensor_max_d": 3, "symplectic_cases": 5,
+    "metric_pairs": 5, "hermitian_pairs": 5, "moyal_points": 16,
+    "holder_max_k": 4,
+}
+
+
+def run_all_checks_smoke(tmp_path, capsys):
+    """`ncspaces all-checks` at the smoke sizes: (exit code, output lines)."""
+    cfg = tmp_path / "smoke.json"
+    cfg.write_text(json.dumps(SMOKE_SIZES))
+    code = main(["all-checks", "--config", str(cfg)])
+    return code, capsys.readouterr().out.splitlines()
 
 
 class TestSerialization:
@@ -143,6 +159,23 @@ class TestCliBasics:
             argv += ["--config", str(cfg)]
         assert main(argv) == EXIT_INVALID
         assert f"cannot parse {key} spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, config", [
+        pytest.param(["symplectic", "--theta", "nan", "--d", "2"], None, id="symplectic-theta"),
+        pytest.param(["weyl", "--theta", "nan"], None, id="weyl-theta"),
+        pytest.param(["weyl"], {"grids": [32], "L": float("inf")}, id="weyl-L"),
+        pytest.param(["weyl"], {"grids": [32], "t": [float("nan")]}, id="weyl-t"),
+        pytest.param(["moyal", "--theta", "nan", "--grid", "16,6.0"], None, id="moyal-theta-nan"),
+        pytest.param(["moyal", "--theta", "inf", "--grid", "16,6.0"], None, id="moyal-theta-inf"),
+        pytest.param(["moyal", "--grid", "16,nan"], None, id="moyal-grid-L"),
+    ])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))  # NaN and Infinity, as Python's json reads them
+            argv = argv + ["--config", str(cfg)]
+        assert main(argv) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_symplectic_missing_theta(self, capsys):
         assert main(["symplectic"]) == EXIT_INVALID
@@ -274,13 +307,45 @@ class TestCliPipelines:
         assert len(out1.read_text().splitlines()) == 5
 
     def test_all_checks_smoke(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "algebra_triples": 5, "tensor_max_d": 3, "symplectic_cases": 5,
-            "metric_pairs": 5, "hermitian_pairs": 5, "moyal_points": 16,
-            "holder_max_k": 4,
-        }))
-        code = main(["all-checks", "--config", str(cfg)])
-        out = capsys.readouterr().out
-        assert code == EXIT_OK, out
-        assert "PASS" in out and "FAIL" not in out
+        code, lines = run_all_checks_smoke(tmp_path, capsys)
+        assert code == EXIT_OK, lines
+        assert "PASS" in lines[0] and not any("FAIL" in line for line in lines)
+        assert lines[-1] == "14/14 checks passed"
+
+    def test_all_checks_lines_print_every_record(self, tmp_path, capsys):
+        _, lines = run_all_checks_smoke(tmp_path, capsys)
+        results = checks.run_all_checks(checks.CheckConfig(**SMOKE_SIZES))
+        assert len(lines) == len(results) + 1
+        for line, result in zip(lines, results):
+            assert line.startswith(f"PASS {result.name}: {result.context}; ")
+            for r in result.records:
+                assert f"{r.label} {r.value:.4g} (tol {r.tol:g})" in line
+        fock = next(line for line in lines if "fock/single-mode-identities" in line)
+        assert "number action residual" in fock
+
+    def test_normal_form_tolerance_gates_both_commands(self, tmp_path, capsys, monkeypatch):
+        real = symplectic.symplectic_normalize
+        monkeypatch.setattr(symplectic, "symplectic_normalize",
+                            lambda theta: dataclasses.replace(real(theta), residual=1.0))
+        code, lines = run_all_checks_smoke(tmp_path, capsys)
+        assert code == EXIT_CHECK_FAILED
+        fail = [line for line in lines if line.startswith("FAIL ")]
+        assert len(fail) == 1 and fail[0].startswith("FAIL symplectic/normal-form: ")
+        assert f"worst residual 1 (tol {checks.NORMAL_FORM_TOL:g})" in fail[0]
+        assert main(["symplectic", "--theta", "canonical", "--d", "4"]) == EXIT_CHECK_FAILED
+        assert f"> {checks.NORMAL_FORM_TOL:g}" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # short offset spans
+    def test_lip_half_bound_gates_holder_and_all_checks(self, tmp_path, capsys, monkeypatch):
+        # D = 5 is 14.1 sqrt(delta) already at the largest offset 1/8, past the
+        # Hoelder-1/2 bound 12 sqrt(delta)
+        monkeypatch.setattr(spectra, "hausdorff_distance", lambda a, b: 5.0)
+        res = spectra.holder_scan(Fraction(0), [Fraction(1, 8), Fraction(1, 16)])
+        assert res.c_fit > spectra.LIP_HALF_BOUND and not res.lip_half_ok
+        assert main(["holder"]) == EXIT_CHECK_FAILED
+        assert "# lip_half_pointwise,0" in capsys.readouterr().out.splitlines()
+        code, lines = run_all_checks_smoke(tmp_path, capsys)
+        assert code == EXIT_CHECK_FAILED
+        assert [line.split(":")[0] for line in lines if line.startswith("FAIL ")] == [
+            "FAIL spectra/lip-half-pointwise"]
+        assert lines[-1] == "13/14 checks passed"

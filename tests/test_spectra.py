@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncspaces.errors import DegenerateFitError, SizeCapError, ValidationError
 from ncspaces.spectra import (
+    LIP_HALF_BOUND,
     BandSpectrum,
     amo_spectrum,
     bloch_matrix,
@@ -197,7 +198,7 @@ class TestHolderScan:
             res = holder_scan(Fraction(0), offsets)
         assert res.lip_half_ok
         assert res.slope > 0
-        assert all(d <= res.c_fit * float(x) ** 0.5 + 1e-12
+        assert all(d <= LIP_HALF_BOUND * float(x) ** 0.5
                    for x, d in zip(res.offsets, res.distances))
 
     def test_half_flux_base_saturates_half_exponent(self):

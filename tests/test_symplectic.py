@@ -10,7 +10,9 @@ from ncspaces.errors import (
     SizeCapError,
     ValidationError,
 )
+from ncspaces.gridfn import GridFunction
 from ncspaces.linalg import HermitianExponential
+from ncspaces.serialize import theta_from_json
 from ncspaces.skew import SkewMatrix
 from ncspaces.symplectic import (
     GridSpec,
@@ -21,6 +23,7 @@ from ncspaces.symplectic import (
     spectral_derivative_matrix,
     symplectic_normalize,
 )
+from ncspaces.weyl_dynamics import weyl_residual
 
 
 def random_nonsingular(rng, d, floor=0.05):
@@ -206,3 +209,22 @@ class TestSchrodingerGenerators:
         assert errs[1] < errs[0] and errs[2] < errs[1]
         order = np.log(errs[0] / errs[1]) / np.log(24 / 16)
         assert order >= 2.0
+
+
+@pytest.mark.parametrize("entry_point, bad", [
+    pytest.param(lambda x: SkewMatrix.from_upper(2, [x]), np.nan, id="skew-nan"),
+    pytest.param(lambda x: SkewMatrix.from_upper(3, [0.5, x, 1.0]), np.inf, id="skew-inf"),
+    pytest.param(lambda x: SkewMatrix.rotation(np.float64(x)), -np.inf, id="skew-neg-inf"),
+    pytest.param(lambda x: SkewMatrix.from_upper(2, [str(x)]), np.nan, id="skew-nan-string"),
+    pytest.param(lambda x: theta_from_json({"dim": 2, "upper": [str(x)]}), np.inf, id="theta-json"),
+    pytest.param(lambda x: GridSpec(8, x), np.nan, id="grid-L-nan"),
+    pytest.param(lambda x: GridSpec(8, x), np.inf, id="grid-L-inf"),
+    pytest.param(lambda x: GridFunction(1, x, 8, np.zeros(8)), np.nan, id="gridfn-L-nan"),
+    pytest.param(lambda x: GridFunction(1, x, 8, np.zeros(8)), np.inf, id="gridfn-L-inf"),
+    pytest.param(lambda x: weyl_residual(x, 0.37, 0.37, GridSpec(16, 4.0)), np.nan, id="weyl-theta"),
+    pytest.param(lambda x: weyl_residual(1.0, x, 0.37, GridSpec(16, 4.0)), np.inf, id="weyl-s"),
+    pytest.param(lambda x: weyl_residual(1.0, 0.37, x, GridSpec(16, 4.0)), np.nan, id="weyl-t"),
+])
+def test_non_finite_input_rejected(entry_point, bad):
+    with pytest.raises(ValidationError):
+        entry_point(bad)
