@@ -1,18 +1,16 @@
 """The property suite behind the `all-checks` command and the acceptance
 criteria in tests/test_acceptance.py.
 
-Every check returns CheckResults: a name, its sizes as text, and the Records
-it gates on, each a measured value beside its tolerance (counts and exact pins
-have tolerance 0).  CheckResult alone derives pass/fail and the detail line
-from them.  Sizes are configurable so the suite can run quickly in smoke mode,
-at full depth from the command line, and at the criteria's sizes from the tests.
+Every check returns (name, context, records); each record is a measured value
+beside its tolerance, and CheckResult derives pass/fail and the printed line.
+Sizes are configurable so the suite can run quickly in smoke mode, at full
+depth from the command line, and at the criteria's sizes from the tests.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import List, NamedTuple
 
 import numpy as np
@@ -96,7 +94,9 @@ def check_algebra_exactness(cfg: CheckConfig) -> List[CheckResult]:
         b = random_exact_poly(rng, theta)
         c = random_exact_poly(rng, theta)
         ab = ta.poly_mul(a, b)
-        chain = reduce(ta.cond_expectation, range(d), a)
+        chain = a
+        for j in range(d):
+            chain = ta.cond_expectation(chain, j)
         phi = chain == ta.NCPolynomial(theta, {(0,) * d: ta.trace(a)}, exact=True)
         if d >= 2:
             phi = phi and ta.cond_expectation(ta.cond_expectation(a, 0), 1) == (
@@ -218,10 +218,13 @@ def check_moyal(cfg: CheckConfig) -> List[CheckResult]:
     direct = moyal.moyal_direct(f, g, theta)
     fourier = moyal.star_product_fourier(f, g, theta)
     cross = float(np.abs(direct.values - fourier.values).max())
-    pointwise = GridFunction(2, 8.0, m, f.values * g.values)
-    prod0 = moyal.moyal_direct(f, g, SkewMatrix.zero(2))
-    point = float(np.abs(prod0.values - pointwise.values).max())
-    tr = abs(integral(fourier) - integral(pointwise))
+    zero = SkewMatrix.zero(2)
+    prod0 = moyal.moyal_direct(f, g, zero)
+    point = float(np.abs(prod0.values - f.values * g.values).max())
+    tr = abs(
+        integral(fourier)
+        - integral(GridFunction(2, 8.0, m, f.values * g.values))
+    )
     context = f"Gaussians on M={m}"
     return [
         CheckResult("moyal/direct-vs-fourier", context, [Record("max diff", cross, 1e-6)]),
@@ -240,15 +243,14 @@ def check_fock(cfg: CheckConfig) -> List[CheckResult]:
 
 
 def check_audit(cfg: CheckConfig) -> List[CheckResult]:
-    k, target, levels = 8100, 2500, 6
-    rep = wd.audit_interpolation_constants(k, target, levels)
+    rep = wd.audit_interpolation_constants(8100, 2500, levels=6)
     # the closing arithmetic 1224 + 2500 * 45 / 90 = 2474, exact since 8100 = 90^2
     pins = [("one-step", rep.one_step_value, 2474), ("slack", rep.slack, 26),
-            ("level bounds", len(rep.level_bounds), levels + 1)]
-    return [CheckResult("audit/refinement-constants", f"k={k}, target {target}, {levels} levels", [
+            ("level bounds", len(rep.level_bounds), 7)]
+    return [CheckResult("audit/refinement-constants", f"k={rep.k}, target {rep.target:g}, 6 levels", [
         Record("inexact", int(not rep.exact), 0),
         *(Record(f"|{name} - {want}|", abs(got - want), 0) for name, got, want in pins),
-        Record("max level bound", max(rep.level_bounds), target),
+        Record("max level bound", max(rep.level_bounds), rep.target),
         Record("over target", int(not rep.holds), 0),
     ])]
 
@@ -262,7 +264,6 @@ def check_holder(cfg: CheckConfig) -> List[CheckResult]:
 
 
 def run_all_checks(cfg: CheckConfig) -> List[CheckResult]:
-    """Every check above, in the order `all-checks` prints them."""
     checks = (check_algebra_exactness, check_tensor_relations, check_symplectic,
               check_metric_lower_bound, check_generator_bound, check_moyal, check_fock,
               check_audit, check_holder)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from ncspaces import spectra
 from ncspaces.errors import DegenerateFitError, SizeCapError, ValidationError
 from ncspaces.spectra import (
     LIP_HALF_BOUND,
@@ -198,8 +199,20 @@ class TestHolderScan:
             res = holder_scan(Fraction(0), offsets)
         assert res.lip_half_ok
         assert res.slope > 0
+        assert all(d <= res.c_fit * float(x) ** 0.5 + 1e-12
+                   for x, d in zip(res.offsets, res.distances))
         assert all(d <= LIP_HALF_BOUND * float(x) ** 0.5
                    for x, d in zip(res.offsets, res.distances))
+
+    def test_c_fit_is_the_largest_row_ratio(self, monkeypatch):
+        # D/sqrt(delta) is 1 at delta = 1/16 and 13 at delta = 1/4: only the
+        # larger row crosses the bound 12, and the gate has to see it
+        rows = iter([0.25, 6.5])
+        monkeypatch.setattr(spectra, "hausdorff_distance", lambda a, b: next(rows))
+        with pytest.warns(UserWarning):
+            res = holder_scan(Fraction(0), [Fraction(1, 4), Fraction(1, 16)])
+        assert res.c_fit == 13.0
+        assert not res.lip_half_ok
 
     def test_half_flux_base_saturates_half_exponent(self):
         # gap ladders opening off the two-band degeneracy scale like sqrt(delta):
