@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument check."""
+import operator
 
 
 class ValidationError(ValueError):
@@ -31,3 +32,15 @@ class RankDeficientError(ValidationError):
 
 class DegenerateFitError(ValidationError):
     """Scan data cannot support a least-squares fit."""
+
+
+def as_index(name: str, value, minimum: int = None) -> int:
+    """value as an int by operator.index, which takes ints and NumPy integers
+    but no float; a non-integer, or a value below minimum, is a ValidationError."""
+    try:
+        n = operator.index(value)
+    except TypeError as e:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from e
+    if minimum is not None and n < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {n}")
+    return n

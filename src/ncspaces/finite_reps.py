@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import SizeCapError, ValidationError
+from .errors import SizeCapError, ValidationError, as_index
 from .linalg import holder_bound, kernel_dimension, spectral_norm
 from .phases import TWO_PI
 from .skew import upper_pairs
@@ -231,8 +231,7 @@ def clock_shift(p: int, q: int) -> UnitaryTuple:
 
     Each w^j is evaluated as exp(2 pi i (p j mod q)/q): powers of the rounded
     w drift past that tolerance (1.15e-14 at p/q = 11/15)."""
-    if q < 1:
-        raise ValidationError("q must be a positive integer")
+    p, q = as_index("p", p), as_index("q", q, 1)
     w = np.exp(1j * TWO_PI * (Fraction(p, q) % 1).__float__())
     u = np.diag(np.exp(1j * TWO_PI * (p % q * np.arange(q) % q) / q))
     v = np.zeros((q, q), dtype=complex)

@@ -92,13 +92,14 @@ def merge_intervals(intervals: Sequence[Tuple[float, float]]) -> Tuple[Tuple[flo
 
 def amo_spectrum(p: int, q: int, *, q_cap: int = DEFAULT_Q_CAP) -> BandSpectrum:
     """Bands of h at flux p/q from the Bloch eigenvalues at (0, 0) and
-    (pi/q, pi/q), where q is the reduced denominator (Chambers' relation)."""
+    (pi/q, pi/q), where q is the reduced denominator (Chambers' relation); the
+    cost guard q_cap applies to that reduced q."""
     if q < 1:
         raise ValidationError("q must be a positive integer")
-    if q > q_cap:
-        raise SizeCapError(f"q = {q} exceeds the cost guard {q_cap}")
     g = gcd(p, q)
     pr, qr = p // g, q // g
+    if qr > q_cap:
+        raise SizeCapError(f"flux {pr}/{qr} has q = {qr} > cost guard {q_cap}")
     e0 = np.linalg.eigvalsh(bloch_matrix(pr, qr, 0.0, 0.0))
     e1 = np.linalg.eigvalsh(bloch_matrix(pr, qr, np.pi / qr, np.pi / qr))
     bands = merge_intervals(zip(np.minimum(e0, e1), np.maximum(e0, e1)))
@@ -181,11 +182,6 @@ def holder_scan(
             "need at least two distinct positive offsets for a fit"
         )
     fluxes = [base] + [base + x for x in work]
-    for fl in fluxes:
-        if fl.denominator > q_cap:
-            raise SizeCapError(
-                f"flux {fl} has q = {fl.denominator} > cost guard {q_cap}"
-            )
     specs = [amo_spectrum(fl.numerator, fl.denominator, q_cap=q_cap) for fl in fluxes]
     base_spec, rest = specs[0], specs[1:]
     dists = [hausdorff_distance(base_spec, s) for s in rest]

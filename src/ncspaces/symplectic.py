@@ -21,6 +21,7 @@ from .errors import (
     RankDeficientError,
     SizeCapError,
     ValidationError,
+    as_index,
 )
 from .linalg import fourier_multiplier
 from .skew import SkewMatrix
@@ -44,10 +45,6 @@ class SymplecticForm:
     @property
     def dim(self) -> int:
         return self.theta.shape[0]
-
-    @property
-    def canonical(self) -> np.ndarray:
-        return canonical_block(self.dim // 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,8 +137,9 @@ class GridSpec:
     half_length: float
 
     def __post_init__(self):
-        if self.points < 2 or not (0 < self.half_length < np.inf):
-            raise ValidationError("grid needs M >= 2 points and a finite L > 0")
+        object.__setattr__(self, "points", as_index("grid points M", self.points, 2))
+        if not 0 < self.half_length < np.inf:
+            raise ValidationError(f"grid needs a finite L > 0, got {self.half_length!r}")
 
     @classmethod
     def self_dual(cls, points: int) -> "GridSpec":

@@ -36,6 +36,7 @@ are thus checkable with zero error.
 """
 from __future__ import annotations
 
+from cmath import isfinite
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -225,7 +226,10 @@ class NCPolynomial:
             cs = np.array(cs, dtype=exact_dtype(max(map(abs, cs), default=0)))
         else:
             q, den = 1, 1
-            values = ((m, complex(c)) for m, c in items)
+            values = [(m, complex(c)) for m, c in items]
+            for m, c in values:
+                if not isfinite(c):
+                    raise ValidationError(f"coefficient {c} of term {m} is not finite")
             rows = sorted((m, 0, c) for m, c in values if abs(c) >= COEFF_DROP_TOL)
             cs = np.array([c for _, _, c in rows], dtype=complex)
         # distinct keys and nonzero terms: sorting the rows was all there was to do
@@ -480,7 +484,7 @@ def transference(a: NCPolynomial, z: Sequence) -> NCPolynomial:
     else:
         zc = [complex(x) for x in z]
         for x in zc:
-            if abs(abs(x) - 1.0) > 1e-12:
+            if not abs(abs(x) - 1.0) <= 1e-12:  # NaN fails this test too
                 raise ValidationError(f"z entry {x} is not unimodular")
         a = a.to_float()
         rs, cs = a._rs, a._cs * np.prod(np.array(zc) ** a._ms, axis=1)

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateFitError, ValidationError
+from .errors import DegenerateFitError, ValidationError, as_index
 from .linalg import HermitianExponential, fourier_multiplier, hermiticity_defect, spectral_norm
 from .symplectic import GridSpec, gaussian_state
 
@@ -63,7 +63,7 @@ def weyl_residual(theta: float, s: float, t: float, grid: GridSpec) -> WeylResid
         raise ValidationError(f"theta, s and t must be finite, got {theta}, {s}, {t}")
     shift = theta * s
     u = translation_unitary(shift, grid)
-    v = np.diag(modulation_unitary(t, grid))
+    v = np.exp(1j * grid.axis() * t)  # the diagonal of modulation_unitary(t, grid)
     phase = np.exp(1j * s * t * theta)
     # u v - phase v u with v diagonal: scale the columns and rows of u
     defect = u * (v[None, :] - phase * v[:, None])
@@ -95,10 +95,6 @@ class HermitianPair:
             raise ValidationError(f"matrices must be Hermitian to {tol:g}")
         object.__setattr__(self, "first", a)
         object.__setattr__(self, "second", b)
-
-    @property
-    def size(self) -> int:
-        return self.first.shape[0]
 
     def difference_norm(self) -> float:
         return spectral_norm(self.first - self.second)
@@ -362,8 +358,7 @@ def audit_interpolation_constants(
     bound B to 1224 + 45 B / sqrt(k); the audit reproduces the closing
     arithmetic at k = 8100: 1224 + 2500 * 45 / 90 = 2474 <= 2500.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    k, levels = as_index("k", k, 1), as_index("levels", levels)
     exact = isqrt(k) ** 2 == k
     root = Fraction(isqrt(k)) if exact else float(k) ** 0.5
     tgt = Fraction(target) if exact and not isinstance(target, float) else float(target)

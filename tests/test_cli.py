@@ -148,6 +148,11 @@ class TestCliBasics:
         pytest.param(["holder", "--base", "x"], None, "base", id="holder-base"),
         pytest.param(["audit"], {"target": "abc"}, "target", id="audit-target"),
         pytest.param(["weyl"], {"s": ["a"]}, "s", id="weyl-s"),
+        pytest.param(["relations", "--d", "x"], None, "d", id="relations-d-flag"),
+        pytest.param(["butterfly", "--qmax", "x"], None, "qmax", id="butterfly-qmax-flag"),
+        pytest.param(["audit", "--k", "1.5"], None, "k", id="audit-k-flag"),
+        pytest.param(["audit", "--target", "abc"], None, "target", id="audit-target-flag"),
+        pytest.param(["audit", "--seed", "x"], None, "seed", id="audit-seed-flag"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, argv, config, key):
         csv = tmp_path / "bad.csv"
@@ -176,6 +181,20 @@ class TestCliBasics:
             argv = argv + ["--config", str(cfg)]
         assert main(argv) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_algebra_non_finite_coefficient_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        term = {"m": [1, 0], "re": float("nan"), "im": 0.0}  # written as NaN
+        path.write_text(json.dumps({"a": {"dim": 2, "upper": [0.5], "terms": [term]}}))
+        assert main(["algebra", "--input", str(path)]) == EXIT_INVALID
+        assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["relations", "weyl"])
+    def test_theta_help_lists_only_accepted_forms(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == EXIT_OK
+        assert "canonical" not in capsys.readouterr().out
 
     def test_symplectic_missing_theta(self, capsys):
         assert main(["symplectic"]) == EXIT_INVALID

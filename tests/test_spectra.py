@@ -126,6 +126,10 @@ class TestAmoSpectrum:
         with pytest.raises(TypeError):  # the cap is keyword-only
             amo_spectrum(1, 3, 128)
 
+    def test_q_cap_guards_the_reduced_denominator(self):
+        # 2/400 is the flux 1/200, at the default cap of 200
+        assert amo_spectrum(2, 400).bands == amo_spectrum(1, 200).bands
+
 
 class TestHausdorff:
     def test_identical(self):

@@ -10,6 +10,7 @@ from ncspaces.errors import (
     SizeCapError,
     ValidationError,
 )
+from ncspaces.finite_reps import clock_shift
 from ncspaces.gridfn import GridFunction
 from ncspaces.linalg import HermitianExponential
 from ncspaces.serialize import theta_from_json
@@ -23,7 +24,8 @@ from ncspaces.symplectic import (
     spectral_derivative_matrix,
     symplectic_normalize,
 )
-from ncspaces.weyl_dynamics import weyl_residual
+from ncspaces.twisted_algebra import NCPolynomial, transference
+from ncspaces.weyl_dynamics import audit_interpolation_constants, weyl_residual
 
 
 def random_nonsingular(rng, d, floor=0.05):
@@ -211,6 +213,9 @@ class TestSchrodingerGenerators:
         assert order >= 2.0
 
 
+THETA_HALF = SkewMatrix.from_upper(2, [0.5])
+
+
 @pytest.mark.parametrize("entry_point, bad", [
     pytest.param(lambda x: SkewMatrix.from_upper(2, [x]), np.nan, id="skew-nan"),
     pytest.param(lambda x: SkewMatrix.from_upper(3, [0.5, x, 1.0]), np.inf, id="skew-inf"),
@@ -224,6 +229,21 @@ class TestSchrodingerGenerators:
     pytest.param(lambda x: weyl_residual(x, 0.37, 0.37, GridSpec(16, 4.0)), np.nan, id="weyl-theta"),
     pytest.param(lambda x: weyl_residual(1.0, x, 0.37, GridSpec(16, 4.0)), np.inf, id="weyl-s"),
     pytest.param(lambda x: weyl_residual(1.0, 0.37, x, GridSpec(16, 4.0)), np.nan, id="weyl-t"),
+    pytest.param(lambda x: NCPolynomial.monomial(THETA_HALF, (1, 0), x), np.nan, id="poly-coeff-nan"),
+    pytest.param(lambda x: NCPolynomial.monomial(THETA_HALF, (1, 0), x), np.inf, id="poly-coeff-inf"),
+    pytest.param(lambda x: NCPolynomial(THETA_HALF, {(0, 0): 1.0, (1, 0): complex(0.5, x)}),
+                 -np.inf, id="poly-coeff-imag-neg-inf"),
+    pytest.param(lambda x: transference(NCPolynomial.monomial(THETA_HALF, (1, 2)), [complex(x, 0.0), 1j]),
+                 np.nan, id="transference-z-nan"),
+    pytest.param(lambda x: transference(NCPolynomial.monomial(THETA_HALF, (1, 2)), [1.0, complex(0.0, x)]),
+                 np.nan, id="transference-z-imag-nan"),
+    # integer arguments: a float is rejected, not truncated, rounded or left to crash
+    pytest.param(lambda x: clock_shift(x, 3), 1.5, id="clock-shift-p"),
+    pytest.param(lambda x: clock_shift(1, x), 3.0, id="clock-shift-q"),
+    pytest.param(lambda x: audit_interpolation_constants(x, 2500), np.nan, id="audit-k-nan"),
+    pytest.param(lambda x: audit_interpolation_constants(x, 2500), 8100.5, id="audit-k-fractional"),
+    pytest.param(lambda x: GridSpec(x, 4.0), 8.5, id="grid-M-fractional"),
+    pytest.param(lambda x: GridSpec(x, 4.0), np.nan, id="grid-M-nan"),
 ])
 def test_non_finite_input_rejected(entry_point, bad):
     with pytest.raises(ValidationError):
