@@ -58,6 +58,15 @@ def parse_value(key: str, value, kind: Callable):
         raise ValidationError(f"cannot parse {key} spec {value!r}: {e}") from e
 
 
+def _integer(x) -> int:
+    """An integral value (8100, "8100", 8100.0) as an int; 8100.5 is rejected,
+    not truncated."""
+    value = Fraction(str(x))
+    if value.denominator != 1:
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def _floats(values) -> List[float]:
     return [float(x) for x in values]
 
@@ -83,15 +92,15 @@ _THETA_HELP = "theta spec: zero|canonical|random|p/q|float|file.csv"
 # or the grid functions.
 _SHARED = {
     "out": (str, None, "output path (atomic write); stdout if omitted"),
-    "seed": (int, DEFAULT_SEED, f"RNG seed (default {DEFAULT_SEED:#x})"),
+    "seed": (_integer, DEFAULT_SEED, f"RNG seed (default {DEFAULT_SEED:#x})"),
 }
 _PARAMS = {
     "algebra": {"input": (str, None, "input file (algebra polynomials)")},
     "relations": {
         "theta": (str, "identity-pairs", "pair spec: identity-pairs|random|p/q"),
-        "d": (int, 3, _DIM_HELP),
+        "d": (_integer, 3, _DIM_HELP),
     },
-    "symplectic": {"theta": (str, None, _THETA_HELP), "d": (int, 2, _DIM_HELP)},
+    "symplectic": {"theta": (str, None, _THETA_HELP), "d": (_integer, 2, _DIM_HELP)},
     "moyal": {
         "theta": (str, "1", _THETA_HELP),
         "grid": (str, "64,8.0", "grid spec 'M,L'"),
@@ -103,22 +112,22 @@ _PARAMS = {
         "theta": (lambda x: float(_scalar_theta(str(x))), 1.0, "theta value: p/q|float"),
         "s": (_floats, (0.37,), None),
         "t": (_floats, (0.37,), None),
-        "grids": (lambda ms: [int(m) for m in ms], (64, 128, 256), None),
+        "grids": (lambda ms: [_integer(m) for m in ms], (64, 128, 256), None),
         "L": (float, None, None),
     },
-    "butterfly": {"qmax": (int, None, "largest flux denominator")},
+    "butterfly": {"qmax": (_integer, None, "largest flux denominator")},
     "holder": {
-        "qmax": (int, spectra.DEFAULT_Q_CAP, "largest flux denominator"),
+        "qmax": (_integer, spectra.DEFAULT_Q_CAP, "largest flux denominator"),
         "base": (lambda x: Fraction(str(x)), Fraction(0), "base flux p/q (holder)"),
         "offsets": (lambda xs: [Fraction(str(x)) for x in xs],
                     tuple(Fraction(1, 2**n) for n in range(3, 8)), None),
     },
     "audit": {
-        "k": (int, 8100, "refinement division count"),
+        "k": (_integer, 8100, "refinement division count"),
         "target": (_audit_target, 2500, "constant budget for the audit"),
-        "levels": (int, 6, None),
+        "levels": (_integer, 6, None),
     },
-    "all-checks": {f.name: (int, f.default, None)
+    "all-checks": {f.name: (_integer, f.default, None)
                    for f in dataclasses.fields(checks_mod.CheckConfig) if f.name != "seed"},
 }
 
@@ -133,7 +142,7 @@ def load_config(command: str, path: Optional[str], flags: Dict[str, object]) -> 
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 given = json.load(fh)
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ValidationError(f"cannot read config {path}: {e}") from e
         except json.JSONDecodeError as e:
             raise ValidationError(
@@ -197,7 +206,7 @@ def parse_theta_spec(spec: Optional[str], d: int, rng) -> SkewMatrix:
 def _grid(text: str) -> symplectic.GridSpec:
     """A grid 'M,L': M points on [-L, L)."""
     m_str, l_str = text.split(",")
-    return symplectic.GridSpec(int(m_str), float(l_str))
+    return symplectic.GridSpec(_integer(m_str), float(l_str))
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -210,6 +219,8 @@ def cmd_algebra(p: dict) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(f"cannot read input {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}:{e.lineno}:{e.colno}: malformed JSON: {e.msg}") from e
     if "a" not in obj:
@@ -222,7 +233,7 @@ def cmd_algebra(p: dict) -> int:
         result["product_ab"] = poly_to_json(ta.poly_mul(a, b))
         result["product_ba"] = poly_to_json(ta.poly_mul(b, a))
     if "axis" in obj:
-        axis = parse_value("axis", obj["axis"], int)
+        axis = parse_value("axis", obj["axis"], _integer)
         result["expectation"] = poly_to_json(ta.cond_expectation(a, axis))
     if "z" in obj:
         z = parse_value("z", obj["z"], lambda pairs: [complex(re, im) for re, im in pairs])
@@ -278,7 +289,10 @@ def cmd_moyal(p: dict) -> int:
     if p["f"] is not None or p["g"] is not None:
         if p["f"] is None or p["g"] is None:
             raise ValidationError("moyal needs both 'f' and 'g' grid files")
-        f, g = read_gridfn(p["f"]), read_gridfn(p["g"])
+        try:
+            f, g = read_gridfn(p["f"]), read_gridfn(p["g"])
+        except OSError as e:
+            raise ValidationError(f"cannot read grid file {e.filename}: {e}") from e
     else:
         grid = parse_value("grid", p["grid"], _grid)
         f = GridFunction.gaussian(2, grid.half_length, grid.points, sigma=1.0)

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import SizeCapError, ValidationError, as_index
-from .linalg import holder_bound, kernel_dimension, spectral_norm
+from .linalg import COMPLEX_PRODUCT, UNIT_ROUNDOFF, holder_bound, kernel_dimension, spectral_norm
 from .phases import TWO_PI
 from .skew import upper_pairs
 
@@ -119,12 +119,6 @@ class _Leg(NamedTuple):
     exact: bool
 
 
-_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
-# relative error of one floating-point complex product, sqrt(2) gamma_2
-# (Higham, *Accuracy and Stability of Numerical Algorithms*, Lemma 3.5)
-_COMPLEX_PRODUCT = 2 * math.sqrt(2) * _UNIT_ROUNDOFF / (1 - 2 * _UNIT_ROUNDOFF)
-
-
 def _legs_of(t: UnitaryTuple) -> Tuple[float, List[_Leg]]:
     """t's matrices as legs, and a bound on max_{j<k} ||u_j u_k - sigma_jk u_k u_j||.
 
@@ -137,7 +131,7 @@ def _legs_of(t: UnitaryTuple) -> Tuple[float, List[_Leg]]:
     sizes = holder_bound(stack).tolist()
     exact = (~np.any((stack != 0) & (stack != 1), axis=(1, 2))).tolist()
     k = int(np.count_nonzero(stack, axis=2).max())
-    slack = 4 * (k + 3) * _UNIT_ROUNDOFF * max(sizes) ** 2
+    slack = 4 * (k + 3) * UNIT_ROUNDOFF * max(sizes) ** 2
     rep = t.relation_report
     unit = rep.max_unitarity + slack
     legs = [_Leg(m, unit, h, e) for m, h, e in zip(t.matrices, sizes, exact)]
@@ -186,7 +180,7 @@ def _assemble(
         n = math.prod(math.sqrt(1.0 + leg.defect) for leg in g)
         size = math.prod(leg.size for leg in g)
         inexact = sum(not leg.exact for leg in g)
-        delta = ((1.0 + _COMPLEX_PRODUCT) ** max(inexact - 1, 0) - 1.0) * size
+        delta = ((1.0 + COMPLEX_PRODUCT) ** max(inexact - 1, 0) - 1.0) * size
         norms.append(n)
         deltas.append(delta)
         sizes.append(size)
@@ -196,7 +190,7 @@ def _assemble(
         z = np.random.default_rng(0).standard_normal((2, t.dim_hilbert))
         x = (z[0] + 1j * z[1]) / np.linalg.norm(z)
         images = [u @ x for u in t.matrices]
-        roundoff = 8 * (t.dim_hilbert + 2) * _UNIT_ROUNDOFF
+        roundoff = 8 * (t.dim_hilbert + 2) * UNIT_ROUNDOFF
         max_comm = 0.0
         worst = None
         for j in range(t.d):

@@ -2,7 +2,14 @@
 Fourier multipliers."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+# relative error of one floating-point complex product, sqrt(2) gamma_2
+# (Higham, *Accuracy and Stability of Numerical Algorithms*, Lemma 3.5)
+COMPLEX_PRODUCT = 2 * math.sqrt(2) * UNIT_ROUNDOFF / (1 - 2 * UNIT_ROUNDOFF)
 
 
 def spectral_norm(a: np.ndarray) -> float:

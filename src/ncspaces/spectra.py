@@ -25,7 +25,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateFitError, SizeCapError, ValidationError
+from .errors import DegenerateFitError, SizeCapError, ValidationError, as_index
 
 MERGE_TOL = 1e-9
 DEFAULT_Q_CAP = 200
@@ -94,8 +94,7 @@ def amo_spectrum(p: int, q: int, *, q_cap: int = DEFAULT_Q_CAP) -> BandSpectrum:
     """Bands of h at flux p/q from the Bloch eigenvalues at (0, 0) and
     (pi/q, pi/q), where q is the reduced denominator (Chambers' relation); the
     cost guard q_cap applies to that reduced q."""
-    if q < 1:
-        raise ValidationError("q must be a positive integer")
+    p, q = as_index("p", p), as_index("q", q, minimum=1)
     g = gcd(p, q)
     pr, qr = p // g, q // g
     if qr > q_cap:

@@ -11,13 +11,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import isfinite, isqrt
+from math import isfinite, isqrt, sqrt
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DegenerateFitError, ValidationError, as_index
-from .linalg import HermitianExponential, fourier_multiplier, hermiticity_defect, spectral_norm
+from .linalg import (
+    COMPLEX_PRODUCT,
+    UNIT_ROUNDOFF,
+    HermitianExponential,
+    fourier_multiplier,
+    hermiticity_defect,
+    holder_bound,
+    spectral_norm,
+)
 from .symplectic import GridSpec, gaussian_state
 
 
@@ -38,7 +46,7 @@ def modulation_unitary(t: float, grid: GridSpec) -> np.ndarray:
 @dataclass(frozen=True)
 class WeylResidualReport:
     residual: float              # defect applied to the reference state
-    operator_defect: float       # raw spectral norm of the defect
+    operator_defect: float       # upper bound on the defect's spectral norm (see weyl_residual)
     shift: float                 # theta * s, the translation actually applied
     commensurate_shift: bool     # theta*s on the grid lattice
     commensurate_modulation: bool  # t on the dual lattice
@@ -54,27 +62,85 @@ def weyl_residual(theta: float, s: float, t: float, grid: GridSpec) -> WeylResid
     modulation symbol leaks across the periodic wrap), so the headline
     residual is the defect applied to a reference Gaussian state of width
     L / 32, which the refining grid progressively resolves.
-    The raw operator norm is reported alongside.
 
-    Cost: O(M^2) for the defect (u is a circulant, v diagonal), plus one
-    O(M^3) SVD for its norm unless the defect is round-off (see spectral_norm).
+    operator_defect bounds the defect's operator norm from above, without an
+    SVD (see _defect_norm_bound).  On the lattices the defect is round-off on
+    the permutation pattern of u, and its Hoelder bound (exact for such a
+    matrix) stays at round-off, about 1e-14.  Off them the value is the
+    certified bound (1 + |phase|) max|v| ||u|| plus round-off, about 2 for M a
+    power of two (otherwise the Hoelder bound, up to about 7), not the exact
+    norm, which lies between about 1.1 and 2.
+
+    Cost: O(M^2) for the defect (u is a circulant, v diagonal) and its Hoelder
+    bound, plus one O(M log M) FFT; no SVD.
     """
     if not all(isfinite(x) for x in (theta, s, t)):
         raise ValidationError(f"theta, s and t must be finite, got {theta}, {s}, {t}")
     shift = theta * s
     u = translation_unitary(shift, grid)
+    c = u[:, 0].copy()
     v = np.exp(1j * grid.axis() * t)  # the diagonal of modulation_unitary(t, grid)
     phase = np.exp(1j * s * t * theta)
     # u v - phase v u with v diagonal: scale the columns and rows of u
     defect = u * (v[None, :] - phase * v[:, None])
+    del u  # one M x M array fewer while the Hoelder bound takes |defect|
     psi = gaussian_state(grid, 1, grid.half_length / 32.0)
     res = float(np.linalg.norm(defect @ psi))
     tol = 1e-9
     com_s = abs(shift / grid.step - round(shift / grid.step)) < tol
     com_t = abs(t / grid.dual_step - round(t / grid.dual_step)) < tol
     return WeylResidualReport(
-        res, spectral_norm(defect), shift, bool(com_s), bool(com_t)
+        res, _defect_norm_bound(defect, c, v, phase), shift, bool(com_s), bool(com_t)
     )
+
+
+def _gamma(k: int) -> float:
+    """k u / (1 - k u): the relative error of k roundings (Higham, Lemma 3.1)."""
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
+# numpy's FFT forms each weight as a complex product of two tabulated roots of
+# unity; with each table entry within 2u of its root, the weight is within
+# 2u + 2u + COMPLEX_PRODUCT < 8u of the exact one
+_FFT_WEIGHT = 8 * UNIT_ROUNDOFF
+# one radix-2 stage of the FFT (Higham, Thm 24.2)
+_FFT_STAGE = _FFT_WEIGHT + _gamma(4) * (sqrt(2) + _FFT_WEIGHT)
+# |fl(u_ab fl(v_b - fl(phase v_a))) - u_ab (v_b - phase v_a)| over
+# |u_ab| (1 + |phase|) max|v|: two complex products and one difference
+_FORMING = ((1 + COMPLEX_PRODUCT) * (COMPLEX_PRODUCT * (1 + UNIT_ROUNDOFF) + UNIT_ROUNDOFF)
+            + COMPLEX_PRODUCT)
+
+
+def _defect_norm_bound(defect: np.ndarray, c: np.ndarray, v: np.ndarray, phase: complex) -> float:
+    """An upper bound on the spectral norm of the float defect D of
+    weyl_residual, formed from the circulant u with first column c, the
+    diagonal v of the modulation and the phase; no SVD.
+
+    The smaller of two bounds:
+    - holder_bound(D), exact for a matrix with one nonzero entry per row and
+      column (Higham, *Accuracy and Stability of Numerical Algorithms*,
+      sec. 6.3);
+    - for M = 2^t, (1 + |phase|) max|v| (||u|| + e) with ||u|| = max_k
+      |DFT(c)_k| (Davis, *Circulant Matrices*, 1979), since ||u V - phase V u||
+      <= (1 + |phase|) ||V|| ||u||.  The float FFT of c is within
+      t eta / (1 - t eta) ||DFT(c)||_2 of the DFT in 2-norm, eta = _FFT_STAGE
+      (Higham, Thm 24.2, stated for radix 2, whence M = 2^t), and
+      ||DFT(c)||_2 = sqrt(M) ||c||_2 <= sqrt(M) ||c||_1.  Forming D rounds each
+      entry by at most _FORMING |u_ab| (1 + |phase|) max|v|, and
+      ||(|u_ab|)|| <= ||c||_1 = holder_bound(u).  So e = (t eta sqrt(M) /
+      (1 - t eta) + _FORMING) ||c||_1.
+    Both are evaluated from nonnegative floats with at most M + 32 roundings on
+    any path, so dividing by 1 - gamma_{M+32} keeps them upper bounds.
+    """
+    m = len(c)
+    bound = float(holder_bound(defect))
+    if m & (m - 1) == 0:
+        stages = (m.bit_length() - 1) * _FFT_STAGE
+        c_sum = float(np.abs(c).sum())
+        excess = (stages * sqrt(m) / (1 - stages) + _FORMING) * c_sum
+        peak = float(np.abs(np.fft.fft(c)).max())
+        bound = min(bound, (1 + float(abs(phase))) * float(np.abs(v).max()) * (peak + excess))
+    return bound / (1 - _gamma(m + 32))
 
 
 # -- generator vs group distance ------------------------------------------------

@@ -153,6 +153,13 @@ class TestCliBasics:
         pytest.param(["audit", "--k", "1.5"], None, "k", id="audit-k-flag"),
         pytest.param(["audit", "--target", "abc"], None, "target", id="audit-target-flag"),
         pytest.param(["audit", "--seed", "x"], None, "seed", id="audit-seed-flag"),
+        pytest.param(["audit"], {"k": 8100.5}, "k", id="audit-k-non-integral"),
+        pytest.param(["audit"], {"k": "8100.5"}, "k", id="audit-k-non-integral-string"),
+        pytest.param(["relations"], {"d": 2.5}, "d", id="relations-d-non-integral"),
+        pytest.param(["all-checks"], {"algebra_triples": 5.5}, "algebra_triples",
+                     id="all-checks-size-non-integral"),
+        pytest.param(["weyl"], {"grids": [32.5]}, "grids", id="weyl-grids-non-integral"),
+        pytest.param(["moyal", "--grid", "16.5,6.0"], None, "grid", id="moyal-grid-M-non-integral"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, argv, config, key):
         csv = tmp_path / "bad.csv"
@@ -218,6 +225,32 @@ class TestCliBasics:
         assert main(["audit", "--config", str(cfg)]) == EXIT_INVALID
         err = capsys.readouterr().err
         assert ":3:" in err  # line number of the defect
+
+    @pytest.mark.parametrize("k", [8100, 8100.0, "8100"])
+    def test_integral_int_values_accepted(self, tmp_path, capsys, k):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": k}))
+        assert main(["audit", "--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("k: 8100 (sqrt exact)\n")
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe"], ids=["missing", "not-utf8"])
+    def test_algebra_unreadable_input_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "in.json"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["algebra", "--input", str(path)]) == EXIT_INVALID
+        assert f"cannot read input {path}" in capsys.readouterr().err
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe")
+        assert main(["audit", "--config", str(cfg)]) == EXIT_INVALID
+        assert f"cannot read config {cfg}" in capsys.readouterr().err
+
+    def test_moyal_missing_input_exits_2(self, tmp_path, capsys):
+        f, g = tmp_path / "a.gridfn", tmp_path / "b.gridfn"
+        assert main(["moyal", "--f", str(f), "--g", str(g)]) == EXIT_INVALID
+        assert f"cannot read grid file {f}" in capsys.readouterr().err
 
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -118,6 +118,11 @@ class TestAmoSpectrum:
                     assert distance_to_bands(e, bands) <= 1e-12
         assert len(amo_spectrum(3, 128).bands) == 87
 
+    @pytest.mark.parametrize("p, q", [(1.5, 3), (1, 3.0), (1, 0)])
+    def test_non_integral_or_zero_flux_rejected(self, p, q):
+        with pytest.raises(ValidationError):
+            amo_spectrum(p, q)
+
     def test_q_cap(self):
         with pytest.raises(SizeCapError):
             amo_spectrum(1, 500)

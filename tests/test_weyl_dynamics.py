@@ -85,6 +85,37 @@ class TestWeylResidual:
         assert rep.operator_defect >= exact * (1.0 - 1e-12)
 
 
+    @pytest.mark.parametrize("m", [64, 256, 1024])
+    def test_off_lattice_defect_bound(self, m):
+        rng = np.random.default_rng(m)
+        for grid in (GridSpec.self_dual(m), GridSpec(m, 10.0)):
+            theta, s, t = rng.uniform(0.2, 2.0), rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)
+            rep = weyl_residual(theta, s, t, grid)
+            assert not (rep.commensurate_shift or rep.commensurate_modulation)
+            u = translation_unitary(theta * s, grid)
+            v = np.exp(1j * grid.axis() * t)
+            defect = u * (v[None, :] - np.exp(1j * s * t * theta) * v[:, None])
+            exact = np.linalg.svd(defect, compute_uv=False)[0]
+            assert exact <= rep.operator_defect <= 2.0 + 1e-9
+
+    @pytest.mark.parametrize("m", [512, 1024])
+    def test_lattice_defect_bound_stays_round_off(self, m):
+        for grid in (GridSpec.self_dual(m), GridSpec(m, 10.0)):
+            rep = weyl_residual(1.0, 3 * grid.step, 5 * grid.dual_step, grid)
+            assert rep.commensurate_shift and rep.commensurate_modulation
+            assert rep.operator_defect <= 1e-12
+
+    def test_no_svd(self, monkeypatch):
+        def svd(*args, **kwargs):
+            raise AssertionError("weyl_residual took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        for m in (64, 1024):
+            grid = GridSpec.self_dual(m)
+            weyl_residual(1.0, 0.37, 0.37, grid)
+            weyl_residual(1.0, grid.step, grid.dual_step, grid)
+
+
 class TestGeneratorBound:
     def test_commuting_diagonal_pair(self):
         eps = 0.3
