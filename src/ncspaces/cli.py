@@ -139,17 +139,7 @@ def load_config(command: str, path: Optional[str], flags: Dict[str, object]) -> 
     table = {**_SHARED, **_PARAMS[command]}
     given: Dict[str, object] = {}
     if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                given = json.load(fh)
-        except (OSError, UnicodeDecodeError) as e:
-            raise ValidationError(f"cannot read config {path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ValidationError(
-                f"{path}:{e.lineno}:{e.colno}: malformed JSON config: {e.msg}"
-            ) from e
-        if not isinstance(given, dict):
-            raise ValidationError(f"{path}:1: config must be a JSON object")
+        given = read_json_object(path, "config")
         for key in given:
             if key not in table:
                 raise ValidationError(
@@ -165,7 +155,31 @@ def load_config(command: str, path: Optional[str], flags: Dict[str, object]) -> 
     return params
 
 
-# -- output helpers ------------------------------------------------------------
+# -- input and output helpers ---------------------------------------------------
+
+
+def read_text(path: str, what: str) -> str:
+    """The text of the UTF-8 file at path; a file that cannot be opened or
+    decoded is invalid input, reported with what and the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(f"cannot read {what} {path}: {e}") from e
+
+
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object in the file at path (see read_text); malformed JSON is
+    reported with its line and column, and any other JSON value is rejected."""
+    try:
+        obj = json.loads(read_text(path, what))
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"{path}:{e.lineno}:{e.colno}: malformed JSON {what}: {e.msg}") from e
+    except ValueError as e:  # an integer literal past the interpreter's digit limit
+        raise ValidationError(f"{path}: malformed JSON {what}: {e}") from e
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}:1: {what} must be a JSON object")
+    return obj
 
 
 def emit(out: Optional[str], text: str) -> None:
@@ -186,12 +200,8 @@ def parse_theta_spec(spec: Optional[str], d: int, rng) -> SkewMatrix:
     if spec is None:
         raise ValidationError("missing --theta")
     if os.path.exists(spec) and spec.endswith(".csv"):
-        rows = []
-        with open(spec, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append(parse_value("theta", line, lambda row: _floats(row.split(","))))
+        rows = [parse_value("theta", line, lambda row: _floats(row.split(",")))
+                for line in map(str.strip, read_text(spec, "theta").splitlines()) if line]
         return SkewMatrix.from_matrix(rows)
     if spec == "zero":
         return SkewMatrix.zero(d)
@@ -216,13 +226,7 @@ def cmd_algebra(p: dict) -> int:
     path = p["input"]
     if not path:
         raise ValidationError("algebra needs an input polynomial file (config key 'input')")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, UnicodeDecodeError) as e:
-        raise ValidationError(f"cannot read input {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}:{e.lineno}:{e.colno}: malformed JSON: {e.msg}") from e
+    obj = read_json_object(path, "input")
     if "a" not in obj:
         raise ValidationError(f"{path}: missing polynomial 'a'")
     a = poly_from_json(obj["a"])
@@ -331,8 +335,6 @@ def cmd_butterfly(p: dict) -> int:
     qmax = p["qmax"]
     if qmax is None:
         raise ValidationError("butterfly needs --qmax")
-    if qmax < 1:
-        raise ValidationError(f"--qmax must be >= 1, got {qmax}")
     rows = ["p,q,band_index,a,b"]
     for fl in spectra.coprime_fluxes(qmax):
         sp = spectra.amo_spectrum(fl.numerator, fl.denominator)

@@ -1,5 +1,10 @@
-"""Exception types shared across the package, and the integer-argument check."""
+"""Exception types shared across the package, and its two entry checks:
+as_index for every integer argument, guard for every cost cap.  DENSE_CAP caps
+the side of every dense matrix; the other caps sit beside the code they guard.
+"""
 import operator
+
+DENSE_CAP = 4096
 
 
 class ValidationError(ValueError):
@@ -44,3 +49,10 @@ def as_index(name: str, value, minimum: int = None) -> int:
     if minimum is not None and n < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {n}")
     return n
+
+
+def guard(what: str, size, cap):
+    """size, if it is at most cap; past it, a SizeCapError naming what."""
+    if size > cap:
+        raise SizeCapError(f"{what} {size} exceeds cap {cap}")
+    return size

@@ -15,12 +15,10 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import SizeCapError, ValidationError, as_index
+from .errors import DENSE_CAP, ValidationError, as_index, guard
 from .linalg import COMPLEX_PRODUCT, UNIT_ROUNDOFF, holder_bound, kernel_dimension, spectral_norm
 from .phases import TWO_PI
 from .skew import upper_pairs
-
-DEFAULT_SIZE_CAP = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +71,7 @@ class UnitaryTuple:
 
     @classmethod
     def identity(cls, d: int, size: int = 1) -> "UnitaryTuple":
+        d, size = as_index("d", d, 1), as_index("size", size, 1)
         eye = np.eye(size, dtype=complex)
         return cls(tuple(eye.copy() for _ in range(d)), np.ones((d, d), dtype=complex), 1e-15)
 
@@ -242,7 +241,7 @@ def tensor_construct(pair_table: Dict[Tuple[int, int], UnitaryTuple]) -> Unitary
     (i, j) for every i < j; every other leg is the identity.  Each pair of
     generators then overlaps in exactly one component, so sigma_jk is the
     phase of pair (j, k).  The relation report is certified from the pairs'
-    reports (see _assemble).  Guarded to a tensor dimension <= DEFAULT_SIZE_CAP.
+    reports (see _assemble).  Guarded to a tensor dimension <= DENSE_CAP.
     """
     if not pair_table:
         raise ValidationError("pair table is empty")
@@ -259,11 +258,7 @@ def tensor_construct(pair_table: Dict[Tuple[int, int], UnitaryTuple]) -> Unitary
         pt = pair_table[jk]
         if pt.d != 2:
             raise ValidationError(f"pair {jk} is not a 2-tuple")
-        total *= pt.dim_hilbert
-        if total > DEFAULT_SIZE_CAP:
-            raise SizeCapError(
-                f"tensor dimension {total}+ exceeds size cap {DEFAULT_SIZE_CAP}"
-            )
+        total = guard("tensor dimension", total * pt.dim_hilbert, DENSE_CAP)
     comm, pair_legs = {}, {}
     for jk in pairs:
         comm[jk], pair_legs[jk] = _legs_of(pair_table[jk])
@@ -373,10 +368,7 @@ def clifford_generators(n: int) -> CliffordSet:
     Standard tensor ladder: c_{2m-1} = Z^(m-1) (x) X (x) I..., and
     c_{2m} = Z^(m-1) (x) Y (x) I...
     """
-    if n < 1:
-        raise ValidationError("need at least one generator")
-    if n > 12:
-        raise ValidationError(f"n={n} exceeds the size guard 12")
+    n = guard("Clifford generator count", as_index("n", n, 1), 12)
     qubits = (n + 1) // 2
     mats = []
     for idx in range(1, n + 1):
@@ -390,8 +382,7 @@ def clifford_generators(n: int) -> CliffordSet:
 
 def ladder_operator(cutoff: int) -> np.ndarray:
     """Single-mode lowering operator truncated at occupation `cutoff`."""
-    if cutoff < 1:
-        raise ValidationError("cutoff must be >= 1")
+    cutoff = as_index("cutoff", cutoff, 1)
     a = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
     for m in range(1, cutoff + 1):
         a[m - 1, m] = np.sqrt(m)
@@ -429,13 +420,12 @@ def fock_identities_check(n: int, cutoff: int) -> FockReport:
     ker A* = C^N (x) phi_0; for two or more modes the mixed terms
     c_k c_j (x) (a_k a_j* - a_j a_k*) do not cancel, the product residual is
     O(1), and the interior kernel acquires one C^N-worth of vectors per total
-    occupation level.  Guarded to N (cutoff + 1)^n <= DEFAULT_SIZE_CAP.
+    occupation level.  Guarded to N (cutoff + 1)^n <= DENSE_CAP.
     """
     cliff = clifford_generators(n)
     N = cliff.rep_dim
-    dim_fock = (cutoff + 1) ** n
-    if N * dim_fock > DEFAULT_SIZE_CAP:
-        raise SizeCapError(f"dimension {N * dim_fock} exceeds size cap {DEFAULT_SIZE_CAP}")
+    dim_fock = (as_index("cutoff", cutoff, 1) + 1) ** n
+    guard("dimension N (cutoff + 1)^n", N * dim_fock, DENSE_CAP)
     modes = _mode_operators(n, cutoff)
     eye_n = np.eye(N, dtype=complex)
     a_mat = sum(np.kron(c, am.conj().T) for c, am in zip(cliff.matrices, modes))

@@ -24,13 +24,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import GridMismatchError, ValidationError
+from .errors import GridMismatchError, ValidationError, as_index
 
 BOUNDARY_DECAY_WARN = 1e-8
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 2 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,12 +40,13 @@ class GridFunction:
     side: str = "position"  # "position" | "frequency"
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError("dimension must be >= 1")
+        object.__setattr__(self, "dim", as_index("dimension", self.dim, 1))
+        m = as_index("points per axis", self.points, 2)
+        object.__setattr__(self, "points", m)
         if not (0 < self.half_length < np.inf):
             raise ValidationError("half length must be positive and finite")
-        if not _is_power_of_two(self.points):
-            raise ValidationError(f"points per axis must be a power of two, got {self.points}")
+        if m & (m - 1):
+            raise ValidationError(f"points per axis must be a power of two, got {m}")
         if self.side not in ("position", "frequency"):
             raise ValidationError(f"unknown side {self.side!r}")
         vals = np.asarray(self.values, dtype=complex)
@@ -128,7 +125,7 @@ class GridFunction:
         cls, dim: int, half_length: float, points: int, fn: Callable
     ) -> "GridFunction":
         ax = -half_length + (2.0 * half_length / points) * np.arange(points)
-        grids = np.meshgrid(*([ax] * dim), indexing="ij")
+        grids = np.meshgrid(*([ax] * as_index("dimension", dim, 1)), indexing="ij")
         return cls(dim, half_length, points, np.asarray(fn(*grids), dtype=complex))
 
     @classmethod
@@ -143,7 +140,7 @@ class GridFunction:
     ) -> "GridFunction":
         """exp(-|x - c|^2 / (2 sigma^2)), L2-normalized on the grid by default."""
         if center is None:
-            center = [0.0] * dim
+            center = [0.0] * as_index("dimension", dim, 1)
 
         def fn(*axes):
             r2 = sum((a - c) ** 2 for a, c in zip(axes, center))
@@ -250,23 +247,35 @@ def write_gridfn(f: GridFunction, path) -> None:
 
 
 def read_gridfn(path) -> GridFunction:
+    """The grid function in path.  A header that is not a JSON object, a d or
+    M that is not an integer (1.5 is rejected, not truncated), a payload of
+    the wrong length or a non-finite sample is a ValidationError."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise ValidationError(f"bad grid file header: {e}") from e
-        for key in ("d", "L", "M"):
-            if key not in header:
-                raise ValidationError(f"grid file header missing {key!r}")
-        d, L, m = int(header["d"]), float(header["L"]), int(header["M"])
         payload = fh.read()
-    expected = m**d * 8
-    if len(payload) != expected:
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except ValueError as e:  # not UTF-8, not JSON, or an integer past the digit limit
+        raise ValidationError(f"bad grid file header: {e}") from e
+    if not isinstance(header, dict):
+        raise ValidationError(f"grid file header must be a JSON object, got {header!r}")
+    for key in ("d", "L", "M"):
+        if key not in header:
+            raise ValidationError(f"grid file header missing {key!r}")
+    d, m = as_index("grid file d", header["d"], 1), as_index("grid file M", header["M"], 2)
+    try:
+        L = float(header["L"])
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"grid file L {header['L']!r} is not a number") from e
+    # M >= 2, so a d past the payload's bit length cannot match it: M^d is
+    # not formed for such a d
+    if d > len(payload).bit_length() or len(payload) != m**d * 8:
         raise ValidationError(
-            f"grid file payload has {len(payload)} bytes, expected {expected}"
+            f"grid file payload has {len(payload)} bytes, expected 8 M^d for M = {m}, d = {d}"
         )
     vals = np.frombuffer(payload, dtype="<c8").astype(complex).reshape((m,) * d)
+    if not np.isfinite(vals).all():
+        raise ValidationError("grid file payload holds a non-finite sample")
     out = GridFunction(d, L, m, vals, side=header.get("side", "position"))
     out.warn_if_boundary_heavy()
     return out

@@ -44,7 +44,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import SizeCapError, ValidationError
+from .errors import DENSE_CAP, ValidationError, as_index, guard
 from .gridfn import (
     GridFunction,
     freq_grid_vectors,
@@ -56,7 +56,6 @@ from .gridfn import (
 from .skew import SkewMatrix
 
 DIRECT_CAP = 4096  # M^d cap for the position-side quadrature
-MATRIX_CAP = 4096  # M^d cap for dense representation matrices
 
 
 def _check_theta(f: GridFunction, theta: SkewMatrix):
@@ -92,9 +91,7 @@ def moyal_direct(f: GridFunction, g: GridFunction, theta: SkewMatrix) -> GridFun
     if f.dim > 2:
         raise ValidationError("direct quadrature is limited to d <= 2")
     m, d = f.points, f.dim
-    n = m**d
-    if n > DIRECT_CAP:
-        raise SizeCapError(f"M^d = {n} exceeds direct-quadrature cap {DIRECT_CAP}")
+    guard("direct quadrature M^d =", m**d, DIRECT_CAP)
 
     if d == 1:
         return GridFunction(d, f.half_length, m, f.values * g.values)
@@ -186,14 +183,12 @@ def regular_rep_matrix(f: GridFunction, theta: SkewMatrix) -> np.ndarray:
 
         (L_f g)(t) = sum_{t'} fhat(t - t') exp((i/2) theta(t - t', t')) g(t') ds,
 
-    where fhat vanishes outside its box.  Guarded to M^d <= MATRIX_CAP.
+    where fhat vanishes outside its box.  Guarded to M^d <= DENSE_CAP.
     """
     _check_theta(f, theta)
     fhat = to_frequency(f) if f.side == "position" else f
     m, d = fhat.points, fhat.dim
-    n = m**d
-    if n > MATRIX_CAP:
-        raise SizeCapError(f"matrix dimension M^d = {n} exceeds cap {MATRIX_CAP}")
+    n = guard("matrix dimension M^d =", m**d, DENSE_CAP)
     tvecs = freq_grid_vectors(fhat)  # (n, d)
     theta_arr = theta.as_array()
     ds = fhat.freq_step**d
@@ -257,8 +252,7 @@ def sphere_surface(d: int) -> float:
 
 def quantization_constant(alpha: float, d: int, path_constant: float) -> QuantizationConstant:
     """(V_d / (2 alpha - d - 2))^{1/2} * C; finite exactly when alpha > d/2 + 1."""
-    if d < 1:
-        raise ValidationError("dimension must be positive")
+    d = as_index("dimension", d, 1)
     if alpha <= d / 2.0 + 1.0:
         raise ValidationError(
             f"alpha must exceed d/2 + 1 = {d / 2 + 1}; the frequency integral diverges"
@@ -308,8 +302,7 @@ def dimension_reduction_check(
         sv = np.linalg.svd(arr, compute_uv=False)
         if sv[-1] <= 1e-8 * max(sv[0], 1.0):
             raise ValidationError("theta is singular; pass allow_singular=True to probe anyway")
-    if n_steps < 1:
-        raise ValidationError("need at least one step")
+    n_steps = as_index("n_steps", n_steps, 1)
     g = GridFunction.gaussian(f.dim, f.half_length, f.points, sigma=1.0)
 
     fhat = to_frequency(f)

@@ -21,7 +21,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import SizeCapError, ValidationError
+from .errors import ValidationError, guard
 
 TWO_PI = 2.0 * 3.141592653589793
 
@@ -90,11 +90,7 @@ def reduction_matrix(order: int) -> np.ndarray:
     totient = order
     for p in _prime_factors(order):
         totient = totient // p * (p - 1)
-    if order * totient > REDUCTION_CAP:
-        raise SizeCapError(
-            f"reduction matrix of Q = {order} has {order} x {totient} entries, "
-            f"over the cap {REDUCTION_CAP}"
-        )
+    guard(f"reduction matrix of Q = {order}: Q phi(Q) =", order * totient, REDUCTION_CAP)
     cyc = cyclotomic_polynomial(order)
     deg = len(cyc) - 1
     low = np.array(cyc[:-1], dtype=np.int64)  # x^deg = -low(x) mod Phi_Q

@@ -13,9 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_index
 from .skew import SkewMatrix
-from .twisted_algebra import NCPolynomial
+from .twisted_algebra import NCPolynomial, as_multi_index
 
 
 def theta_to_json(theta: SkewMatrix) -> dict:
@@ -27,13 +27,13 @@ def theta_to_json(theta: SkewMatrix) -> dict:
 
 def theta_from_json(obj: dict) -> SkewMatrix:
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         upper = obj["upper"]
     except (KeyError, TypeError) as e:
         raise ValidationError(f"bad theta object: {e}") from e
     if not isinstance(upper, list):
         raise ValidationError(f"bad theta upper {upper!r}")
-    return SkewMatrix.from_upper(dim, upper)  # entries are checked by SkewMatrix
+    return SkewMatrix.from_upper(dim, upper)  # dim and entries are checked by SkewMatrix
 
 
 def poly_to_json(a: NCPolynomial) -> dict:
@@ -52,7 +52,7 @@ def poly_from_json(obj: dict) -> NCPolynomial:
     coeffs = {}
     for term in obj.get("terms", []):
         try:
-            m = tuple(int(x) for x in term["m"])
+            m = as_multi_index(term["m"])
             c = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
         except (KeyError, TypeError, ValueError) as e:
             raise ValidationError(f"bad polynomial term {term!r}: {e}") from e
@@ -70,7 +70,7 @@ def matrix_to_json(mat: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        r, c = int(obj["rows"]), int(obj["cols"])
+        r, c = as_index("matrix rows", obj["rows"], 0), as_index("matrix cols", obj["cols"], 0)
         data = obj["data"]
     except (KeyError, TypeError) as e:
         raise ValidationError(f"bad matrix object: {e}") from e

@@ -13,7 +13,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_index
 
 Entry = Union[Fraction, float]
 
@@ -48,8 +48,7 @@ class SkewMatrix:
     upper: tuple
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError("dimension must be positive")
+        object.__setattr__(self, "dim", as_index("dimension", self.dim, 1))
         n = self.dim * (self.dim - 1) // 2
         if len(self.upper) != n:
             raise ValidationError(
@@ -65,7 +64,7 @@ class SkewMatrix:
         ``entries`` is either a flat sequence in lexicographic (j,k) order or
         a mapping {(j,k): value} with 0-based j < k; omitted pairs are zero.
         """
-        pairs = upper_pairs(dim)
+        pairs = upper_pairs(as_index("dimension", dim, 1))
         if isinstance(entries, Mapping):
             vals = []
             unknown = set(entries) - set(pairs)
@@ -116,12 +115,14 @@ class SkewMatrix:
 
     @classmethod
     def random(cls, dim: int, rng, scale: float = 1.0) -> "SkewMatrix":
+        dim = as_index("dimension", dim, 1)
         vals = rng.uniform(-scale, scale, size=dim * (dim - 1) // 2)
         return cls.from_upper(dim, [float(v) for v in vals])
 
     # -- accessors ---------------------------------------------------------
 
     def entry(self, j: int, k: int) -> Entry:
+        j, k = as_index("row", j), as_index("column", k)
         if not (0 <= j < self.dim and 0 <= k < self.dim):
             raise ValidationError(f"index ({j},{k}) out of range for d={self.dim}")
         if j == k:
@@ -152,7 +153,7 @@ class SkewMatrix:
 
     def principal_submatrix(self, dim: int) -> "SkewMatrix":
         """Leading dim x dim block."""
-        if not (1 <= dim <= self.dim):
+        if as_index("submatrix dimension", dim, 1) > self.dim:
             raise ValidationError("submatrix dimension out of range")
         return SkewMatrix.from_upper(
             dim, {(j, k): self.entry(j, k) for j, k in upper_pairs(dim)}

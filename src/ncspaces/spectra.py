@@ -25,7 +25,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateFitError, SizeCapError, ValidationError, as_index
+from .errors import DegenerateFitError, ValidationError, as_index, guard
 
 MERGE_TOL = 1e-9
 DEFAULT_Q_CAP = 200
@@ -38,8 +38,7 @@ LIP_HALF_BOUND = 12.0
 
 def bloch_matrix(p: int, q: int, k1: float, k2: float) -> np.ndarray:
     """The q x q Hermitian Bloch matrix at flux p/q and phases (k1, k2)."""
-    if q < 1:
-        raise ValidationError("q must be a positive integer")
+    p, q = as_index("p", p), as_index("q", q, 1)
     j = np.arange(q)
     h = np.diag(2.0 * np.cos(k2 + 2.0 * np.pi * p * j / q)).astype(complex)
     if q == 1:
@@ -97,8 +96,7 @@ def amo_spectrum(p: int, q: int, *, q_cap: int = DEFAULT_Q_CAP) -> BandSpectrum:
     p, q = as_index("p", p), as_index("q", q, minimum=1)
     g = gcd(p, q)
     pr, qr = p // g, q // g
-    if qr > q_cap:
-        raise SizeCapError(f"flux {pr}/{qr} has q = {qr} > cost guard {q_cap}")
+    guard("reduced flux denominator q =", qr, q_cap)
     e0 = np.linalg.eigvalsh(bloch_matrix(pr, qr, 0.0, 0.0))
     e1 = np.linalg.eigvalsh(bloch_matrix(pr, qr, np.pi / qr, np.pi / qr))
     bands = merge_intervals(zip(np.minimum(e0, e1), np.maximum(e0, e1)))
@@ -213,8 +211,7 @@ def holder_scan(
 
 def coprime_fluxes(q_max: int) -> List[Fraction]:
     """All reduced fluxes p/q in [0, 1) with q <= q_max."""
-    if q_max < 1:
-        raise ValidationError("q_max must be >= 1")
+    q_max = as_index("q_max", q_max, 1)
     out = [Fraction(0, 1)]
     for q in range(1, q_max + 1):
         for p in range(1, q):

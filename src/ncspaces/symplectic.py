@@ -17,16 +17,15 @@ from typing import Callable, List
 import numpy as np
 
 from .errors import (
+    DENSE_CAP,
     OddDimensionError,
     RankDeficientError,
-    SizeCapError,
     ValidationError,
     as_index,
+    guard,
 )
 from .linalg import fourier_multiplier
 from .skew import SkewMatrix
-
-DEFAULT_GRID_CAP = 4096
 
 
 def canonical_block(n: int) -> np.ndarray:
@@ -181,10 +180,7 @@ def schrodinger_generators(sf: SymplecticForm, grid: GridSpec) -> List[np.ndarra
     """
     d = sf.dim
     n = d // 2
-    if grid.points ** n > DEFAULT_GRID_CAP:
-        raise SizeCapError(
-            f"grid dimension {grid.points ** n} exceeds size cap {DEFAULT_GRID_CAP}"
-        )
+    guard("grid dimension M^(d/2) =", grid.points ** n, DENSE_CAP)
     coeff = np.linalg.inv(sf.transform)
     deriv = spectral_derivative_matrix(grid)
     pos = position_matrix(grid)

@@ -36,6 +36,7 @@ are thus checkable with zero error.
 """
 from __future__ import annotations
 
+import operator
 from cmath import isfinite
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +45,7 @@ from typing import Dict, Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import SizeCapError, ThetaMismatchError, ValidationError
+from .errors import DENSE_CAP, ThetaMismatchError, ValidationError, as_index, guard
 from .phases import TWO_PI, Cyclotomic, exact_dtype, power_basis
 from .skew import SkewMatrix, upper_pairs
 
@@ -52,16 +53,16 @@ MultiIndex = Tuple[int, ...]
 Coefficient = Union[complex, Cyclotomic]
 
 COEFF_DROP_TOL = 1e-15  # coefficient sums below this are dropped: for integers, the zeros
-GNS_CAP = 4096  # (2 radius + 1)^d cap for the basis of the GNS truncation
 FLOAT_PHASE_CAP = 2**22  # cap on the bound of |c(m, m')| for float64 structure exponents
 
 
 def as_multi_index(m: Sequence[int]) -> MultiIndex:
-    m = tuple(m)
-    t = tuple(map(int, m))
-    if t != m:
-        raise ValidationError(f"multi-index {m!r} has non-integer entries")
-    return t
+    """m as a tuple of ints, each entry taken by operator.index as as_index
+    takes one; a float entry is a ValidationError."""
+    try:
+        return tuple(map(operator.index, m))
+    except TypeError as e:
+        raise ValidationError(f"multi-index {m!r} has non-integer entries") from e
 
 
 def phase_order(theta: SkewMatrix) -> int:
@@ -101,13 +102,8 @@ class _Twist:
         """order * c(m, m') for multi-index arrays of shape (..., d), broadcast."""
         m, m2 = (np.array(x, dtype=self.form.dtype) for x in (m, m2))
         if self.order == 1:
-            bound = self.weight * _max_abs(m) * _max_abs(m2)
-            if bound > FLOAT_PHASE_CAP:
-                raise ValidationError(
-                    f"float structure exponent bound {bound:.3g} exceeds {FLOAT_PHASE_CAP}:"
-                    " exponents this large leave float64 phases at irrational theta"
-                    " without accuracy"
-                )
+            guard("float structure exponent bound", self.weight * _max_abs(m) * _max_abs(m2),
+                  FLOAT_PHASE_CAP)
         return -((m @ self.form.T) * m2).sum(axis=-1)
 
     def phases(self, m, m2) -> np.ndarray:
@@ -452,7 +448,8 @@ def trace(a: NCPolynomial) -> Coefficient:
 
 def cond_expectation(a: NCPolynomial, j: int) -> NCPolynomial:
     """Projection killing every term with m_j != 0 (axis j is 0-based)."""
-    if not (0 <= j < a.dim):
+    j = as_index("axis", j, 0)
+    if j >= a.dim:
         raise ValidationError(f"axis {j} out of range for d={a.dim}")
     keep = a._ms[:, j] == 0
     return a._result(a._order, a._ms[keep], a._rs[keep], a._cs[keep], a._den)
@@ -508,14 +505,11 @@ def gns_matrix(a: NCPolynomial, radius: int) -> np.ndarray:
     The action sends |m'> to exp(2 pi i c(m, m')) |m+m'>; images leaving the
     box are dropped (hard truncation, no wraparound), so columns whose target
     escapes simply lose that contribution.  Guarded to (2 radius + 1)^d <=
-    GNS_CAP basis vectors.
+    DENSE_CAP basis vectors.
     """
-    if radius < 0:
-        raise ValidationError("truncation radius must be >= 0")
+    radius = as_index("truncation radius", radius, 0)
     d, side = a.dim, 2 * radius + 1
-    n = side**d
-    if n > GNS_CAP:
-        raise SizeCapError(f"GNS basis (2 radius + 1)^d = {n} exceeds cap {GNS_CAP}")
+    n = guard("GNS basis (2 radius + 1)^d =", side**d, DENSE_CAP)
     box = _box_indices(d, radius)
     out = np.zeros((n, n), dtype=complex)
     af = a.to_float()

@@ -274,9 +274,7 @@ def composed_field(w: UnitaryField, deltas: np.ndarray, j: int) -> Callable:
 
 def assembled_field(w: UnitaryField, deltas: np.ndarray, d: int) -> Callable:
     """W(x) = w_1(x) w_2(x) ... w_{d-1}(x) (0-based axis labels)."""
-    if d < 2:
-        raise ValidationError("need d >= 2 axes")
-    parts = [composed_field(w, deltas, j) for j in range(1, d)]
+    parts = [composed_field(w, deltas, j) for j in range(1, as_index("axes d", d, 2))]
     return lambda x: reduce(np.matmul, [p(x) for p in parts])
 
 
@@ -319,8 +317,7 @@ def check_assembly_identities(
     The x-derivative and the bracket [dw/dy - i x_j w] at each pair point
     (x_j, delta_jk x_k), j < k, are built once per probe and read by all three.
     """
-    if d < 2:
-        raise ValidationError("need d >= 2 axes")
+    d = as_index("axes d", d, 2)
     deltas = np.asarray(deltas, dtype=float)
     if deltas.shape != (d, d):
         raise ValidationError(f"deltas must be {d}x{d}")
@@ -387,8 +384,7 @@ def assembly_convergence_order(
     halvings: int = 2,
 ) -> Tuple[List[float], float]:
     """Deviation of identity (b) at h0, h0/2, ...; fitted order in h."""
-    if halvings < 1:
-        raise ValidationError("need halvings >= 1 to fit an order")
+    halvings = as_index("halvings", halvings, 1)
     hs = [h0 / 2**i for i in range(halvings + 1)]
     devs = [
         check_assembly_identities(w, deltas, d, probes, h).diagonal_identity_residual

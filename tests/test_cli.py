@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from ncspaces import checks, spectra, symplectic
 from ncspaces.cli import EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, main
+from ncspaces.errors import ValidationError
 from ncspaces.gridfn import GridFunction, read_gridfn, write_gridfn
 from ncspaces.serialize import (
     matrix_from_json,
@@ -241,6 +242,12 @@ class TestCliBasics:
         assert main(["algebra", "--input", str(path)]) == EXIT_INVALID
         assert f"cannot read input {path}" in capsys.readouterr().err
 
+    def test_config_integer_past_digit_limit_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"k": ' + "1" * 5000 + "}")
+        assert main(["audit", "--config", str(cfg)]) == EXIT_INVALID
+        assert f"{cfg}: malformed JSON config" in capsys.readouterr().err
+
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b"\xff\xfe")
@@ -251,6 +258,45 @@ class TestCliBasics:
         f, g = tmp_path / "a.gridfn", tmp_path / "b.gridfn"
         assert main(["moyal", "--f", str(f), "--g", str(g)]) == EXIT_INVALID
         assert f"cannot read grid file {f}" in capsys.readouterr().err
+
+    def test_symplectic_unreadable_theta_csv_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "theta.csv"
+        path.write_bytes(b"\xff\xfe0,1\n")
+        assert main(["symplectic", "--theta", str(path)]) == EXIT_INVALID
+        assert f"cannot read theta {path}" in capsys.readouterr().err
+
+    # each payload has the length the truncated header would ask for
+    @pytest.mark.parametrize("header, samples, message", [
+        pytest.param(b"5", [], "JSON object", id="header-not-object"),
+        pytest.param(b'{"d": 1, "L": 6.0, "M": 1.5}', [0j], "M must be an integer",
+                     id="M-fractional"),
+        pytest.param(b'{"d": 2.5, "L": 6.0, "M": 8}', [0j] * 64, "d must be an integer",
+                     id="d-fractional"),
+        pytest.param(b'{"d": 1, "L": 6.0, "M": 8}', [complex(np.nan, 0)] * 8, "non-finite",
+                     id="nan-sample"),
+        pytest.param(b'{"d": 1, "L": "x", "M": 8}', [0j] * 8, "not a number", id="L-not-number"),
+        pytest.param(b'{"d": 3000000, "L": 6.0, "M": 3}', [], "payload has 0 bytes", id="d-huge"),
+        pytest.param(b'{"d": 1, "L": 6.0, "M": ' + b"1" * 5000 + b"}", [], "bad grid file header",
+                     id="M-past-digit-limit"),
+    ])
+    def test_moyal_malformed_grid_file_exits_2(self, tmp_path, capsys, header, samples, message):
+        path = tmp_path / "f.gridfn"
+        path.write_bytes(header + b"\n" + np.array(samples, dtype="<c8").tobytes())
+        with pytest.raises(ValidationError, match=message):
+            read_gridfn(path)
+        assert main(["moyal", "--f", str(path), "--g", str(path)]) == EXIT_INVALID
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("poly", [
+        pytest.param({"dim": 2, "upper": [0.5], "terms": [{"m": [1.5, 0], "re": 1.0}]},
+                     id="exponent"),
+        pytest.param({"dim": 2.5, "upper": [0.5], "terms": []}, id="dim"),
+    ])
+    def test_algebra_non_integral_input_exits_2(self, tmp_path, capsys, poly):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"a": poly}))
+        assert main(["algebra", "--input", str(path)]) == EXIT_INVALID
+        assert "integer" in capsys.readouterr().err
 
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -9,12 +9,21 @@ from ncspaces.errors import (
     RankDeficientError,
     SizeCapError,
     ValidationError,
+    guard,
 )
-from ncspaces.finite_reps import clock_shift
+from ncspaces.finite_reps import (
+    UnitaryTuple,
+    clifford_generators,
+    clock_shift,
+    fock_identities_check,
+    ladder_operator,
+)
 from ncspaces.gridfn import GridFunction
 from ncspaces.linalg import HermitianExponential
-from ncspaces.serialize import theta_from_json
+from ncspaces.moyal import dimension_reduction_check, quantization_constant
+from ncspaces.serialize import matrix_from_json, poly_from_json, theta_from_json
 from ncspaces.skew import SkewMatrix
+from ncspaces.spectra import bloch_matrix, coprime_fluxes
 from ncspaces.symplectic import (
     GridSpec,
     canonical_block,
@@ -24,8 +33,13 @@ from ncspaces.symplectic import (
     spectral_derivative_matrix,
     symplectic_normalize,
 )
-from ncspaces.twisted_algebra import NCPolynomial, transference
-from ncspaces.weyl_dynamics import audit_interpolation_constants, weyl_residual
+from ncspaces.twisted_algebra import NCPolynomial, cond_expectation, gns_matrix, transference
+from ncspaces.weyl_dynamics import (
+    assembled_field,
+    assembly_convergence_order,
+    audit_interpolation_constants,
+    weyl_residual,
+)
 
 
 def random_nonsingular(rng, d, floor=0.05):
@@ -244,7 +258,48 @@ THETA_HALF = SkewMatrix.from_upper(2, [0.5])
     pytest.param(lambda x: audit_interpolation_constants(x, 2500), 8100.5, id="audit-k-fractional"),
     pytest.param(lambda x: GridSpec(x, 4.0), 8.5, id="grid-M-fractional"),
     pytest.param(lambda x: GridSpec(x, 4.0), np.nan, id="grid-M-nan"),
+    pytest.param(lambda x: GridFunction(x, 8.0, 8, np.zeros(8)), 1.0, id="gridfn-dim"),
+    pytest.param(lambda x: GridFunction(1, 8.0, x, np.zeros(8)), 8.0, id="gridfn-M"),
+    pytest.param(lambda x: SkewMatrix(x, (0.5,)), 2.5, id="skew-dim"),
+    pytest.param(lambda x: SkewMatrix.from_upper(x, [0.5]), 2.0, id="skew-from-upper-dim"),
+    pytest.param(lambda x: SkewMatrix.random(x, np.random.default_rng(0)), 2.5,
+                 id="skew-random-dim"),
+    pytest.param(lambda x: SkewMatrix.canonical(4).principal_submatrix(x), 1.5,
+                 id="skew-submatrix"),
+    pytest.param(lambda x: SkewMatrix.canonical(4).entry(x, 1), 0.5, id="skew-entry"),
+    pytest.param(lambda x: GridFunction.gaussian(x, 8.0, 8), 1.0, id="gridfn-gaussian-dim"),
+    pytest.param(lambda x: gns_matrix(NCPolynomial.monomial(THETA_HALF, (1, 0)), x), 1.5,
+                 id="gns-radius"),
+    pytest.param(lambda x: bloch_matrix(x, 3, 0.0, 0.0), 1.5, id="bloch-p"),
+    pytest.param(lambda x: bloch_matrix(1, x, 0.0, 0.0), 2.5, id="bloch-q"),
+    pytest.param(coprime_fluxes, 2.5, id="coprime-fluxes-qmax"),
+    pytest.param(ladder_operator, 2.5, id="ladder-cutoff"),
+    pytest.param(clifford_generators, 2.5, id="clifford-n"),
+    pytest.param(lambda x: fock_identities_check(1, x), 2.5, id="fock-cutoff"),
+    pytest.param(UnitaryTuple.identity, 2.5, id="identity-tuple-d"),
+    pytest.param(lambda x: UnitaryTuple.identity(2, x), 2.5, id="identity-tuple-size"),
+    pytest.param(lambda x: dimension_reduction_check(GridFunction.gaussian(1, 8.0, 16),
+                                                     THETA_HALF, x), 2.5, id="reduction-steps"),
+    pytest.param(lambda x: assembly_convergence_order(None, None, 2, [], 0.1, x), 2.5,
+                 id="assembly-halvings"),
+    pytest.param(lambda x: assembled_field(None, None, x), 2.5, id="assembled-field-d"),
+    pytest.param(lambda x: quantization_constant(10.0, x, 1.0), 2.5, id="quantization-d"),
+    pytest.param(lambda x: cond_expectation(NCPolynomial.monomial(THETA_HALF, (1, 0)), x), 0.5,
+                 id="cond-expectation-axis"),
+    pytest.param(lambda x: NCPolynomial.monomial(THETA_HALF, (x, 0)), 1.0, id="poly-exponent"),
+    pytest.param(lambda x: theta_from_json({"dim": x, "upper": [0.5]}), 2.5, id="theta-json-dim"),
+    pytest.param(lambda x: poly_from_json({"dim": 2, "upper": [0.5],
+                                           "terms": [{"m": [x, 0], "re": 1.0}]}),
+                 1.5, id="poly-json-exponent"),
+    pytest.param(lambda x: matrix_from_json({"rows": x, "cols": 1, "data": [[1.0, 0.0]]}), 1.5,
+                 id="matrix-json-rows"),
 ])
 def test_non_finite_input_rejected(entry_point, bad):
     with pytest.raises(ValidationError):
         entry_point(bad)
+
+
+def test_guard_returns_size_at_cap_and_raises_past_it():
+    assert guard("size", 4096, 4096) == 4096
+    with pytest.raises(SizeCapError, match="size 4097 exceeds cap 4096"):
+        guard("size", 4097, 4096)

@@ -530,7 +530,7 @@ class TestGnsMatrix:
             gns_matrix(NCPolynomial.one(THETA_QUARTER), -1)
 
     def test_size_guard(self):
-        # (2 * 32 + 1)^2 = 4225 basis vectors, over GNS_CAP = 4096: raised before
+        # (2 * 32 + 1)^2 = 4225 basis vectors, over DENSE_CAP = 4096: raised before
         # the 4225 x 4225 matrix is allocated
         with pytest.raises(SizeCapError):
             gns_matrix(NCPolynomial.one(THETA_QUARTER), 32)
