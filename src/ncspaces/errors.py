@@ -41,8 +41,11 @@ class DegenerateFitError(ValidationError):
 
 def as_index(name: str, value, minimum: int = None) -> int:
     """value as an int by operator.index, which takes ints and NumPy integers
-    but no float; a non-integer, or a value below minimum, is a ValidationError."""
+    but no float; a bool (which operator.index reads as 0 or 1), another
+    non-integer, or a value below minimum, is a ValidationError."""
     try:
+        if isinstance(value, bool):
+            raise TypeError("bool is not an integer here")
         n = operator.index(value)
     except TypeError as e:
         raise ValidationError(f"{name} must be an integer, got {value!r}") from e

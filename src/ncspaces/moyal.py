@@ -22,17 +22,22 @@ double quadrature factorizes exactly on the extended lattice:
 moyal_direct evaluates that s-quadrature with trigonometric interpolation for
 the shifted f samples.  On the plane the shift x + (1/2) Theta s moves x_1 by
 -theta s_0 / 2 and x_0 by theta s_1 / 2, so the sum factorizes one axis at a
-time: rows of fhat and ghat interpolated along x_1 at sheared points, then two
-sums over the first axis, O(M^3 log M) in all.  twisted_convolve performs the
-frequency-side sum with zero padding (no wraparound).  Since Theta_dd = 0, the
-twist splits as
+time: rows of fhat and ghat interpolated along x_1 at sheared points, their
+products summed over the pairs of first-axis modes with the same total, then
+one transform over that total, O(M^3 log M) in all.  It calls the raw inverse
+FFT itself: the sample-grid signs (-1)^n sit in its (M, M) shear table, so no
+pass over an (M, M, M) array applies them.
+
+twisted_convolve performs the frequency-side sum with zero padding (no
+wraparound).  Since Theta_dd = 0, the twist splits as
 
     theta(s, t) = (Theta^T s') . t + s_d sum_{k<d} Theta_dk t_k,   s = (s', s_d),
 
 a phase in t times a chirp in s_d, so for each of the M^(d-1) values of s'
-the sum over s_d is one batched FFT convolution along the last axis: the
-frequency route costs O(M^(d+1) log M), O(M^3 log M) on the plane.  The two
-routes share only the transform utilities, so their agreement is a
+the sum over s_d is one FFT convolution along the last axis: the frequency
+route costs O(M^(d+1) log M), O(M^3 log M) on the plane.  Consecutive values
+of the last coordinate of s' share one batched FFT of at most about FFT_ROWS
+rows.  The two routes share only to_frequency, so their agreement is a
 meaningful cross-check.
 """
 from __future__ import annotations
@@ -43,19 +48,18 @@ from math import gamma, pi, sqrt
 from typing import List
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DENSE_CAP, ValidationError, as_index, guard
-from .gridfn import (
-    GridFunction,
-    freq_grid_vectors,
-    l2_norm,
-    to_frequency,
-    to_position,
-    trapezoid_transform,
-)
+from .gridfn import GridFunction, freq_grid_vectors, l2_norm, to_frequency, to_position
 from .skew import SkewMatrix
 
 DIRECT_CAP = 4096  # M^d cap for the position-side quadrature
+# FFT rows per batched call of twisted_convolve: a block of B values of the
+# last lead coordinate, B = max(1, FFT_ROWS // M^(d-1)), with their boxes of
+# at most M^(d-1) values of t' each; at M = 64 on the plane that is a working
+# set of 256 rows of 96 complex values, 0.4 MB.  Larger blocks measured slower.
+FFT_ROWS = 256
 
 
 def _check_theta(f: GridFunction, theta: SkewMatrix):
@@ -73,16 +77,26 @@ def moyal_direct(f: GridFunction, g: GridFunction, theta: SkewMatrix) -> GridFun
     the remaining s-quadrature reads f at the sheared points x + (1/2) Theta s
     by trigonometric interpolation.  Expanding f in its modes m, that sum is
 
-        out(x) = ds^2 sum_{m,s} fhat(m) ghat(s) e^{i (m + s).x} e^{(i/2) theta (m_0 s_1 - m_1 s_0)}
+        out(x) = ds^4 sum_{m,s} fhat(m) ghat(s) e^{i (m + s).x} e^{(i/2) theta (m_0 s_1 - m_1 s_0)}
 
-    on the plane (theta = Theta_01), and it factorizes one axis at a time:
-    row m_0 of fhat is interpolated along x_1 at x_1 - theta s_0 / 2, row s_0
-    of ghat at x_1 + theta m_0 / 2, their product is summed over s_0 against
-    e^{i s_0 x_0} (one batched 1-D inverse transform) and then over m_0
-    against e^{i m_0 x_0}.  Every step is O(M^3 log M) work on (M, M, M)
-    arrays.  For d = 1, Theta = 0 and the sum is the product of the two
-    interpolants, which at the sample points is the pointwise product.
-    Guarded to d <= 2 and M^d <= DIRECT_CAP.
+    on the plane (theta = Theta_01, ds = pi / L the frequency step), and it
+    factorizes one axis at a time: row m_0 of fhat is interpolated along x_1
+    at x_1 - theta s_0 / 2, row s_0 of ghat at x_1 + theta m_0 / 2, and their
+    product depends on (m_0, s_0)
+    through e^{i (m_0 + s_0) x_0} only by k = m_0 + s_0 mod M (a shift of the
+    total by M ds is a factor 1 on the sample grid).  So the products are
+    summed over each wrapped diagonal m_0 + s_0 = k, read through strided
+    views of doubled tables, and one inverse FFT over k gives out.
+
+    With s_j = ds (j - M/2) and x_n = -L + n h, e^{i s_j x_n} is
+    (-1)^(j + n + M/2) e^{2 pi i j n / M}: the signs in n cancel in the
+    product of the two interpolants and vanish from e^{i (m_0 + s_0) x_0},
+    and the signs (-1)^(m_0 + s_0 + m_1 + s_1) sit in the (M, M) shear table.
+    The passes over (M, M, M) arrays are the two sheared products, their two
+    batched inverse FFTs and one product summed over the diagonals.  For
+    d = 1, Theta = 0 and the sum is the product of the two interpolants, which
+    at the sample points is the pointwise product.  Guarded to d <= 2 and
+    M^d <= DIRECT_CAP.
     """
     f.require_same_grid(g)
     _check_theta(f, theta)
@@ -96,20 +110,26 @@ def moyal_direct(f: GridFunction, g: GridFunction, theta: SkewMatrix) -> GridFun
     if d == 1:
         return GridFunction(d, f.half_length, m, f.values * g.values)
 
-    def along_x(values):  # inverse transform along the last axis
-        return trapezoid_transform(values, m, f.step, 1, 1)
+    def along_x(values):  # sum_j values_j e^{2 pi i j n / M} along the last axis
+        return np.fft.ifft(values, axis=-1, norm="forward")
+
+    def diagonals(table):  # [i, k] -> table[(k - (M - 1 - i)) mod M]: a view
+        return sliding_window_view(np.concatenate((table[1:], table)), m, axis=0).swapaxes(1, 2)
 
     fhat = to_frequency(f)
-    ghat = to_frequency(g)
+    ghat = to_frequency(g).values
     freqs = fhat.freq_axis()
-    # shear[s_0, m_1] = e^{-(i/2) theta s_0 m_1}; symmetric in its two indices
+    signs = (-1.0) ** np.arange(m)
+    # shear[s_0, m_1] = (-1)^(s_0 + m_1) e^{-(i/2) theta s_0 m_1}; symmetric
     shear = np.exp(-0.5j * theta.as_array()[0, 1] * np.outer(freqs, freqs))
-    fsheared = along_x(fhat.values[:, None, :] * shear)  # [m_0, s_0, x_1]
-    gsheared = along_x(ghat.values[:, None, :] * shear.conj())  # [s_0, m_0, x_1]
-    rows = along_x((fsheared * gsheared.transpose(1, 0, 2)).transpose(0, 2, 1))
-    carrier = np.exp(1j * np.outer(freqs, f.axis())) * fhat.freq_step  # [m_0, x_0]
-    out = np.einsum("mx,myx->xy", carrier, rows)  # rows: [m_0, x_1, x_0]
-    return GridFunction(d, f.half_length, m, out)
+    shear *= np.multiply.outer(signs, signs)
+    # row m_0 = M-1-i runs down the first axis, so that the row s_0 = k - m_0
+    # paired with it on diagonal k is row i + k + 1 of the doubled table
+    fsheared = along_x(fhat.values[::-1, None, :] * diagonals(shear))  # [i, k, x_1]
+    gsheared = along_x(diagonals(ghat) * shear.conj()[::-1, None, :])  # [i, k, x_1]
+    fsheared *= gsheared
+    out = np.fft.ifft(fsheared.sum(axis=0), axis=0, norm="forward")  # [x_0, x_1]
+    return GridFunction(d, f.half_length, m, out * fhat.freq_step**4)
 
 
 # -- star product: frequency-side twisted convolution --------------------------
@@ -131,38 +151,85 @@ def twisted_convolve(
 
     with (Theta^T s')_b = sum_{a<d} s_a Theta_ab.  For each s' the sum over s_d
     is then, for every t' at once, a linear convolution along the last axis of
-    fhat(s', .) exp((i/2) s_d c(t')) with the row ghat(t' - s', .): one batched
-    FFT of length 2M (zero padding, so no wraparound), against row transforms
-    of ghat computed once per call, followed by the phase
-    exp((i/2) (Theta^T s') . t).  Only the M^(d-1) values of s' run as a Python
-    loop, so the cost is O(M^(d+1) log M): O(M^3 log M) on the plane, where the
-    per-point sum costs O(M^4).
+    fhat(s', .) exp((i/2) s_d c(t')) with the row ghat(t' - s', .), followed by
+    the phase exp((i/2) (Theta^T s') . t).  A cyclic FFT convolution of length
+    3M/2 is exact on the M outputs kept, so the rows of ghat are transformed
+    once per call at that length.  The chirp and the phase are products of the
+    per-pair tables exp((i/2) Theta_ab s_a t_b), also built once per call.
+
+    The s' run in blocks of B consecutive values of their last coordinate,
+    B = max(1, FFT_ROWS // M^(d-1)): one batched FFT pair covers a block,
+    with t' over the union of its boxes (at most (B + M - 1) M^(d-2) values),
+    and the rows t' - s' that fall outside ghat's box read zeros from ghat's
+    transform padded along that axis.  A block costs
+    O(B M^(d-1) M log M) and holds about FFT_ROWS rows of 3M/2 values, so the
+    working set stays cache-sized while the Python loop runs M^(d-1) / B
+    times; the cost is O(M^(d+1) log M): O(M^3 log M) on the plane, where the
+    per-point sum costs O(M^4).  For d = 1 it is one FFT pair.
     """
     fhat.require_same_grid(ghat)
     _check_theta(fhat, theta)
     if fhat.side != "frequency":
         raise ValidationError("twisted_convolve expects frequency-side functions")
     m, d = fhat.points, fhat.dim
-    lead, half = d - 1, m // 2
+    lead, half, n = d - 1, m // 2, 3 * m // 2
     theta_arr = theta.as_array()
     freqs = fhat.freq_axis()
     ds = fhat.freq_step**d
+    gspec = np.fft.fft(ghat.values, n=n, axis=-1)
 
-    c = reduce(np.add.outer, [theta_arr[lead, k] * freqs for k in range(lead)], np.zeros(()))
-    chirp = np.exp(0.5j * c[..., None] * freqs)  # (t', s_d)
-    gspec = np.fft.fft(ghat.values, n=2 * m, axis=-1)
+    def ifft_kept(spec):  # the M outputs of the convolution that lie in the box
+        return np.fft.ifft(spec, axis=-1)[..., half : half + m]
+
+    if d == 1:
+        out = ifft_kept(np.fft.fft(fhat.values, n=n) * gspec)
+        return GridFunction(d, fhat.half_length, m, out * ds, side="frequency")
+
+    # pair[a][b][s_a, t_b] = exp((i/2) Theta_ab s_a t_b) for a < d - 1, a != b
+    products = np.outer(freqs, freqs)
+    pair = [
+        [np.exp(0.5j * theta_arr[a, b] * products) if a != b else None for b in range(d)]
+        for a in range(lead)
+    ]
+    # chirp[t', s_d] = exp((i/2) s_d c(t')) = prod_k conj(pair[k][d-1])[t_k, s_d]
+    chirp = reduce(np.multiply, [
+        pair[k][lead].conj().reshape([m if ax in (k, lead) else 1 for ax in range(d)])
+        for k in range(lead)
+    ])
+    # ghat rows t' - s' along the last lead axis, zero outside the box
+    gpad = np.pad(gspec, [(half, half) if ax == lead - 1 else (0, 0) for ax in range(d)])
+    block = max(1, FFT_ROWS // m**lead)
+    order = (lead - 1, *range(lead - 1), lead, d)  # the block axis first
 
     out = np.zeros((m,) * d, dtype=complex)
-    for idx in np.ndindex(*(m,) * lead):
-        # the t' whose row t' - s' lies inside the box, and those rows of ghat
+    for idx in np.ndindex(*(m,) * (lead - 1)):
+        # the leading t' whose row t' - s' lies inside the box, and those rows
         tbox = tuple(slice(max(0, i - half), min(m, i + half)) for i in idx)
         gbox = tuple(slice(max(0, half - i), min(m, m + half - i)) for i in idx)
-        spec = np.fft.fft(fhat.values[idx] * chirp[tbox], n=2 * m, axis=-1) * gspec[gbox]
-        conv = np.fft.ifft(spec, axis=-1)[..., half : half + m]
-        w = theta_arr[:lead].T @ freqs[list(idx)]  # Theta^T s'
-        factors = [np.exp(0.5j * w[k] * freqs[tbox[k]]) for k in range(lead)]
-        factors.append(np.exp(0.5j * w[lead] * freqs))
-        out[tbox] += conv * reduce(np.multiply.outer, factors)
+        # phase exp((i/2) (Theta^T s') . t) = prod_b prod_{a<d-1} pair[a][b][s_a, t_b]
+        # (Theta_bb = 0 drops a = b); fixed[b] holds the factors of the leading s'
+        fixed = [
+            reduce(np.multiply, [pair[a][b][idx[a]] for a in range(lead - 1) if a != b], np.ones(m))
+            for b in range(d)
+        ]
+        for j0 in range(0, m, block):
+            j1 = min(m, j0 + block)
+            t0, t1 = max(0, j0 - half), min(m, j1 - 1 + half)
+            tboxes = tbox + (slice(t0, t1), slice(None))
+            rows = np.arange(t0, t1) - np.arange(j0, j1)[:, None] + m  # padded row of t' - s'
+            fblock = fhat.values[idx + (slice(j0, j1),)]
+            x = fblock.reshape((j1 - j0,) + (1,) * lead + (m,)) * chirp[tboxes]
+            grows = gpad[gbox + (rows,)].transpose(order)
+            conv = ifft_kept(np.fft.fft(x, n=n, axis=-1) * grows)  # [s'_last, t', t_d]
+            if lead > 1:  # the factors of the leading t', where s'_last enters all but one
+                phase = fixed[lead - 1][t0:t1, None]
+                for b in range(lead - 1):
+                    factor = pair[lead - 1][b][j0:j1, tbox[b]] * fixed[b][tbox[b]]
+                    shape = (j1 - j0,) + (1,) * b + (-1,) + (1,) * (d - 1 - b)
+                    phase = phase * factor.reshape(shape)
+                conv = conv * phase
+            last = pair[lead - 1][lead][j0:j1] * fixed[lead]
+            out[tboxes] += np.einsum("b...n,bn->...n", conv, last)
     return GridFunction(d, fhat.half_length, m, out * ds, side="frequency")
 
 
@@ -183,23 +250,31 @@ def regular_rep_matrix(f: GridFunction, theta: SkewMatrix) -> np.ndarray:
 
         (L_f g)(t) = sum_{t'} fhat(t - t') exp((i/2) theta(t - t', t')) g(t') ds,
 
-    where fhat vanishes outside its box.  Guarded to M^d <= DENSE_CAP.
+    where fhat vanishes outside its box.  theta(t - t', t') = theta(t, t')
+    because theta(t', t') = 0, and theta(t, t') is a sum over the pairs j < k
+    of Theta_jk (t_j t'_k - t_k t'_j), so the phase is a product of the one
+    symmetric (M, M) table E_jk = exp((i/2) Theta_jk s s^T) per pair, read as
+    E_jk[t_j, t'_k] conj(E_jk[t_k, t'_j]) and broadcast over the 2d index axes
+    of the matrix: two products over its n^2 entries per pair, and no exp.
+    Guarded to M^d <= DENSE_CAP.
     """
     _check_theta(f, theta)
     fhat = to_frequency(f) if f.side == "position" else f
     m, d = fhat.points, fhat.dim
     n = guard("matrix dimension M^d =", m**d, DENSE_CAP)
-    tvecs = freq_grid_vectors(fhat)  # (n, d)
     theta_arr = theta.as_array()
-    ds = fhat.freq_step**d
+    products = np.outer(fhat.freq_axis(), fhat.freq_axis())
 
     # fhat at t - t', zero outside the box: index i - i' + M of the padded
-    # array, broadcast over the open grids of t and t'
+    # array, broadcast over the open grids of t and t' (axes t_0.., t'_0..)
     index = tuple(np.subtract.outer(i, i) + m for i in np.indices((m,) * d, sparse=True))
-    entries = np.pad(fhat.values, m // 2)[index].reshape(n, n)
-    # theta(t - t', t') = theta(t, t') because theta(t', t') = 0
-    phase = np.exp(0.5j * (tvecs @ theta_arr @ tvecs.T))
-    return entries * phase * ds
+    out = np.pad(fhat.values * fhat.freq_step**d, m // 2)[index]
+    for j in range(d):
+        for k in range(j + 1, d):
+            table = np.exp(0.5j * theta_arr[j, k] * products)
+            out *= table.reshape([m if ax in (j, d + k) else 1 for ax in range(2 * d)])
+            out *= table.conj().reshape([m if ax in (k, d + j) else 1 for ax in range(2 * d)])
+    return out.reshape(n, n)
 
 
 def interior_frequency_mask(f: GridFunction, margin_fraction: float = 0.5) -> np.ndarray:

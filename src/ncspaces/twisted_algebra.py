@@ -57,12 +57,15 @@ FLOAT_PHASE_CAP = 2**22  # cap on the bound of |c(m, m')| for float64 structure 
 
 
 def as_multi_index(m: Sequence[int]) -> MultiIndex:
-    """m as a tuple of ints, each entry taken by operator.index as as_index
-    takes one; a float entry is a ValidationError."""
+    """m as a tuple of ints, each entry taken as as_index takes one; a float
+    or bool entry is a ValidationError."""
     try:
-        return tuple(map(operator.index, m))
+        mi = tuple(map(operator.index, m))
     except TypeError as e:
         raise ValidationError(f"multi-index {m!r} has non-integer entries") from e
+    if bool in map(type, m):
+        raise ValidationError(f"multi-index {m!r} has non-integer entries")
+    return mi
 
 
 def phase_order(theta: SkewMatrix) -> int:

@@ -275,6 +275,8 @@ class TestCliBasics:
         pytest.param(b'{"d": 1, "L": 6.0, "M": 8}', [complex(np.nan, 0)] * 8, "non-finite",
                      id="nan-sample"),
         pytest.param(b'{"d": 1, "L": "x", "M": 8}', [0j] * 8, "not a number", id="L-not-number"),
+        pytest.param(b'{"d": true, "L": 6.0, "M": 8}', [0j] * 8, "d must be an integer",
+                     id="d-bool"),
         pytest.param(b'{"d": 3000000, "L": 6.0, "M": 3}', [], "payload has 0 bytes", id="d-huge"),
         pytest.param(b'{"d": 1, "L": 6.0, "M": ' + b"1" * 5000 + b"}", [], "bad grid file header",
                      id="M-past-digit-limit"),
@@ -291,6 +293,8 @@ class TestCliBasics:
         pytest.param({"dim": 2, "upper": [0.5], "terms": [{"m": [1.5, 0], "re": 1.0}]},
                      id="exponent"),
         pytest.param({"dim": 2.5, "upper": [0.5], "terms": []}, id="dim"),
+        pytest.param({"dim": 2, "upper": [0.5], "terms": [{"m": [True, False], "re": 1.0}]},
+                     id="exponent-bool"),
     ])
     def test_algebra_non_integral_input_exits_2(self, tmp_path, capsys, poly):
         path = tmp_path / "in.json"

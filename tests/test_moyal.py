@@ -1,5 +1,7 @@
 """Tests for grid functions, transforms, star products, and the twisted
 regular representation."""
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -71,17 +73,15 @@ def brute_moyal_direct(f, g, theta):
     fhat, ghat = to_frequency(f), to_frequency(g)
     theta_arr = theta.as_array()
     freqs = fhat.freq_axis()
-    modes = np.meshgrid(*([freqs] * d), indexing="ij")
-    xs = np.meshgrid(*([f.axis()] * d), indexing="ij")
     out = np.zeros((m,) * d, dtype=complex)
     for idx in np.ndindex(*(m,) * d):
         s = freqs[list(idx)]
         a = 0.5 * theta_arr @ s  # f(x + a) = sum_m fhat(m) e^{i m.x} e^{i m.a}
-        twist = np.exp(1j * sum(k * ak for k, ak in zip(modes, a)))
+        twist = reduce(np.multiply.outer, [np.exp(1j * freqs * ak) for ak in a])
         shifted = to_position(
             GridFunction(d, f.half_length, m, fhat.values * twist, side="frequency")
         ).values
-        carrier = np.exp(1j * sum(sk * x for sk, x in zip(s, xs)))
+        carrier = reduce(np.multiply.outer, [np.exp(1j * sk * f.axis()) for sk in s])
         out += ghat.values[idx] * shifted * carrier
     return out * fhat.freq_step**d
 
@@ -253,7 +253,7 @@ class TestStarProduct:
             moyal_direct(f, f, THETA)
 
     @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("points", [8, 16, 32])
+    @pytest.mark.parametrize("points", [8, 16, 32, 64])  # 64^2 = DIRECT_CAP
     def test_direct_matches_quadrature_oracle(self, dim, points):
         rng = np.random.default_rng(100 * dim + points)
         shape = (points,) * dim
@@ -325,6 +325,25 @@ class TestTwistedConvolve:
         got = twisted_convolve(fh, gh, theta).values
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    # at d = 2 a call runs in blocks of FFT_ROWS // M rows of s_0 (8 at
+    # M = 32, 4 at M = 64); at d = 3, M = 16 every block is one row of s_1
+    @pytest.mark.parametrize("dim, points", [(2, 32), (2, 64), (3, 16)])
+    def test_blocks_match_brute_force_oracle(self, dim, points):
+        rng = np.random.default_rng(1000 * dim + points)
+        shape = (points,) * dim
+        fh, gh = (
+            GridFunction(dim, 5.0, points,
+                         rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                         side="frequency")
+            for _ in range(2)
+        )
+        theta = SkewMatrix.random(dim, rng, scale=2.0).as_array()
+        for sign in (1, -1):
+            skew = SkewMatrix.from_matrix(sign * theta)
+            want = brute_twisted_convolve(fh, gh, skew)
+            got = twisted_convolve(fh, gh, skew).values
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_zero_input_gives_zero(self):
         g = to_frequency(GridFunction.gaussian(2, 6.0, 16, sigma=1.0))
         zero = GridFunction(2, 6.0, 16, np.zeros((16, 16)), side="frequency")
@@ -393,6 +412,24 @@ class TestRegularRepresentation:
         f = GridFunction.gaussian(2, 8.0, 128)
         with pytest.raises(SizeCapError):
             regular_rep_matrix(f, THETA)
+
+    def test_matches_dense_phase_formula_d3(self):
+        rng = np.random.default_rng(9)
+        theta = SkewMatrix.random(3, rng, scale=2.0)
+        m = 8
+        shape = (m,) * 3
+        fhat = GridFunction(3, 5.0, m, rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                            side="frequency")
+        tvecs = freq_grid_vectors(fhat)
+        # fhat(t - t') on the grid, zero outside the box: index i - i' + M/2
+        grid = np.indices(shape).reshape(3, -1).T
+        steps = grid[:, None, :] - grid[None, :, :] + m // 2
+        inside = ((steps >= 0) & (steps < m)).all(axis=2)
+        steps = np.clip(steps, 0, m - 1)
+        entries = np.where(inside, fhat.values[steps[..., 0], steps[..., 1], steps[..., 2]], 0)
+        want = entries * np.exp(0.5j * (tvecs @ theta.as_array() @ tvecs.T)) * fhat.freq_step**3
+        got = regular_rep_matrix(fhat, theta)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_matches_twisted_convolve_d3(self):
         rng = np.random.default_rng(8)

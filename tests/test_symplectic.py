@@ -9,6 +9,7 @@ from ncspaces.errors import (
     RankDeficientError,
     SizeCapError,
     ValidationError,
+    as_index,
     guard,
 )
 from ncspaces.finite_reps import (
@@ -33,7 +34,13 @@ from ncspaces.symplectic import (
     spectral_derivative_matrix,
     symplectic_normalize,
 )
-from ncspaces.twisted_algebra import NCPolynomial, cond_expectation, gns_matrix, transference
+from ncspaces.twisted_algebra import (
+    NCPolynomial,
+    as_multi_index,
+    cond_expectation,
+    gns_matrix,
+    transference,
+)
 from ncspaces.weyl_dynamics import (
     assembled_field,
     assembly_convergence_order,
@@ -297,6 +304,29 @@ THETA_HALF = SkewMatrix.from_upper(2, [0.5])
 def test_non_finite_input_rejected(entry_point, bad):
     with pytest.raises(ValidationError):
         entry_point(bad)
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, "1", None])
+def test_as_index_rejects_bool_and_non_integers(value):
+    with pytest.raises(ValidationError, match="n must be an integer"):
+        as_index("n", value)
+
+
+def test_as_index_takes_ints_and_numpy_integers():
+    assert as_index("n", 3) == 3
+    assert type(as_index("n", np.int64(3))) is int
+    with pytest.raises(ValidationError, match="n must be >= 1"):
+        as_index("n", 0, 1)
+
+
+@pytest.mark.parametrize("m", [(True, False), (1, True), [0, 1.0]])
+def test_as_multi_index_rejects_bool_and_float_entries(m):
+    with pytest.raises(ValidationError, match="non-integer entries"):
+        as_multi_index(m)
+
+
+def test_as_multi_index_takes_ints_and_numpy_integers():
+    assert as_multi_index([1, np.int64(-2)]) == (1, -2)
 
 
 def test_guard_returns_size_at_cap_and_raises_past_it():
