@@ -1,17 +1,19 @@
 """Exact cyclotomic scalars.
 
 ``Cyclotomic`` is an exact scalar sum_r c_r * zeta^r with zeta = exp(2*pi*i/Q)
-and rational c_r.  It is the coefficient ring that keeps products of torus
-monomials exact when the deformation is rational: a structure phase
-exp(2*pi*i*c) with Q*c an integer rotates exponents by that integer mod Q,
-and Gaussian-rational inputs embed via i = zeta^(Q/4).
+and rational c_r: the coefficient value of an exact polynomial when the
+deformation is rational, where a structure phase exp(2*pi*i*c) with Q*c an
+integer rotates exponents by that integer mod Q.  Gaussian-rational inputs
+embed via i = zeta^(Q/4).  Products are formed in the term arrays of
+``twisted_algebra``, not here.
 
 The powers zeta^0 .. zeta^(Q-1) are not linearly independent over the
 rationals (zeta^(Q/2) = -1, for one), so a term dict is not a canonical form.
 ``reduction_matrix`` gives each power in the power basis 1, zeta, ...,
 zeta^(phi(Q)-1) modulo the cyclotomic polynomial Phi_Q (Washington,
-*Introduction to Cyclotomic Fields*, ch. 2), which is canonical; ``power_basis``
-sums integer combinations of powers in that basis.
+*Introduction to Cyclotomic Fields*, ch. 2), which is canonical;
+``canonical_form`` sums combinations of powers in that basis, and is the one
+route by which exact coefficients and exact polynomials compare.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import ValidationError, guard
+from .errors import ValidationError, as_index, guard
 
 TWO_PI = 2.0 * 3.141592653589793
 
@@ -105,32 +107,56 @@ def reduction_matrix(order: int) -> np.ndarray:
     return out
 
 
-def power_basis(order: int, rs: np.ndarray, cs: np.ndarray, starts) -> np.ndarray:
-    """For each group of rows beginning at ``starts``, sum_rows cs * zeta^rs
-    as its integer vector in the power basis; rs are exponents in 0..Q-1 and
-    cs integers, one row each."""
+def integer_form(values) -> tuple:
+    """Rationals as (integer numerators in an exact_dtype array, one positive
+    common denominator)."""
+    values = list(values)
+    den = lcm(*(c.denominator for c in values))
+    nums = [c.numerator * (den // c.denominator) for c in values]
+    return np.array(nums, dtype=exact_dtype(max(map(abs, nums), default=0))), den
+
+
+def canonical_form(order: int, rs: np.ndarray, cs: np.ndarray, den: int, starts) -> tuple:
+    """For the groups of terms beginning at ``starts``, each sum_rows cs / den
+    zeta^rs (rs in 0..Q-1, cs integers): the indices of the nonzero groups and
+    their coordinates in the power basis as Fractions, one row each, which are
+    equal exactly when the values are."""
+    if not len(cs):
+        return np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=object)
     rows = reduction_matrix(order)[rs]
     dtype = exact_dtype(int(np.abs(cs).max()) * int(np.abs(rows).max()) * len(cs))
-    return np.add.reduceat(cs.astype(dtype)[:, None] * rows.astype(dtype), starts, axis=0)
+    vec = np.add.reduceat(cs.astype(dtype)[:, None] * rows.astype(dtype), starts, axis=0)
+    keep = np.flatnonzero((vec != 0).any(axis=1))
+    return keep, vec[keep].astype(object) * Fraction(1, den)
 
 
 class Cyclotomic:
-    """Exact element of Q(zeta_Q): a dict {r: Fraction} meaning sum c_r zeta^r.
+    """Exact element of Q(zeta_Q), a value: a dict {r: Fraction} meaning
+    sum c_r zeta^r, with r reduced mod Q and no zero c_r.  Products are formed
+    in the term arrays of ``twisted_algebra``; a coefficient only adds.
 
-    Equality and ``is_zero`` are those of Q(zeta_Q): equal dicts are equal at
-    once, and differing dicts (or nonempty ones, for ``is_zero``) are compared
-    through their vectors in the power basis modulo Phi_Q, so 1 == -zeta^(Q/2).
-    That needs R_Q and raises SizeCapError for Q past the reduction cap.  The
-    hash is that of Q alone, which equal values share and which needs no R_Q.
+    Equality is that of Q(zeta_Q): equal dicts are equal at once, and
+    differing ones are compared through ``canonical_form``, so 1 == -zeta^(Q/2)
+    and c == Cyclotomic.zero(Q) tests for zero.  That needs R_Q and raises
+    SizeCapError for Q past the reduction cap.  The hash is that of Q alone,
+    which equal values share and which needs no R_Q.
     """
 
     __slots__ = ("order", "terms")
 
     def __init__(self, order: int, terms: dict):
+        order = as_index("cyclotomic order", order, 4)
         if order % 4:
             raise ValidationError("order must be divisible by 4 (so that i is a power of zeta)")
-        self.order = order
-        self.terms = {r % order: Fraction(c) for r, c in terms.items() if c != 0}
+        out: dict = {}
+        for r, c in terms.items():
+            r = as_index("cyclotomic root index", r) % order
+            try:
+                c = Fraction(c)
+            except (TypeError, ValueError, OverflowError) as e:
+                raise ValidationError(f"cyclotomic coefficient {c!r} is not rational") from e
+            out[r] = out[r] + c if r in out else c
+        self.order, self.terms = order, {r: c for r, c in out.items() if c}
 
     @classmethod
     def zero(cls, order: int) -> "Cyclotomic":
@@ -138,66 +164,29 @@ class Cyclotomic:
 
     @classmethod
     def one(cls, order: int) -> "Cyclotomic":
-        return cls(order, {0: Fraction(1)})
+        return cls(order, {0: 1})
 
     @classmethod
     def from_gaussian(cls, order: int, re, im=0) -> "Cyclotomic":
         """re + i*im with rational re, im."""
-        return cls(order, {0: Fraction(re), order // 4: Fraction(im)})
+        return cls(order, {0: re, order // 4: im})
 
     @classmethod
     def root(cls, order: int, r: int, scale=1) -> "Cyclotomic":
-        return cls(order, {r: Fraction(scale)})
-
-    def rotate(self, shift: int) -> "Cyclotomic":
-        """Multiply by zeta^shift."""
-        return Cyclotomic(self.order, {r + shift: c for r, c in self.terms.items()})
+        return cls(order, {r: scale})
 
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
-        self._check(other)
-        out = dict(self.terms)
-        for r, c in other.terms.items():
-            out[r] = out.get(r, Fraction(0)) + c
-        return Cyclotomic(self.order, out)
-
-    def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.order, {r: -c for r, c in self.terms.items()})
-
-    def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
-        return self + (-other)
-
-    def __mul__(self, other: "Cyclotomic") -> "Cyclotomic":
-        self._check(other)
-        out: dict = {}
-        for r1, c1 in self.terms.items():
-            for r2, c2 in other.terms.items():
-                r = (r1 + r2) % self.order
-                out[r] = out.get(r, 0) + c1 * c2
-        return Cyclotomic(self.order, out)
-
-    def conjugate(self) -> "Cyclotomic":
-        return Cyclotomic(self.order, {-r: c for r, c in self.terms.items()})
-
-    def scale(self, f) -> "Cyclotomic":
-        f = Fraction(f)
-        return Cyclotomic(self.order, {r: c * f for r, c in self.terms.items()})
-
-    def _canonical(self) -> tuple:
-        """The value as phi(Q) Fractions: its coordinates in the power basis."""
-        if not self.terms:
-            return (Fraction(0),) * reduction_matrix(self.order).shape[1]
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        rs = np.fromiter(self.terms, dtype=np.int64)
-        cs = np.array([int(c * den) for c in self.terms.values()], dtype=object)
-        return tuple(Fraction(int(x), den) for x in power_basis(self.order, rs, cs, [0])[0])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms or not any(self._canonical())
-
-    def _check(self, other: "Cyclotomic"):
         if self.order != other.order:
             raise ValidationError("cyclotomic orders differ")
+        out = dict(self.terms)
+        for r, c in other.terms.items():
+            out[r] = out[r] + c if r in out else c
+        return Cyclotomic(self.order, out)
+
+    def _canonical(self) -> list:
+        """The value's coordinates in the power basis ([] for zero)."""
+        rs = np.fromiter(self.terms, dtype=np.int64, count=len(self.terms))
+        return canonical_form(self.order, rs, *integer_form(self.terms.values()), [0])[1].tolist()
 
     def __eq__(self, other):
         if not isinstance(other, Cyclotomic):

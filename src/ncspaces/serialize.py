@@ -5,7 +5,7 @@ Polynomial: {"dim": d, "upper": [entry, ...], "terms": [{"m": [...],
 lexicographic (j, k) order; rational entries are strings "p/q" to survive the
 round trip exactly.
 
-Matrix: {"rows": r, "cols": c, "data": [[re, im], ...]} row-major.
+Matrix (written only): {"rows": r, "cols": c, "data": [[re, im], ...]} row-major.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError, as_index
+from .errors import ValidationError
 from .skew import SkewMatrix
 from .twisted_algebra import NCPolynomial, as_multi_index
 
@@ -66,16 +66,4 @@ def matrix_to_json(mat: np.ndarray) -> dict:
         raise ValidationError("matrix_to_json expects a 2-d array")
     data = [[float(x.real), float(x.imag)] for x in mat.reshape(-1)]
     return {"rows": mat.shape[0], "cols": mat.shape[1], "data": data}
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    try:
-        r, c = as_index("matrix rows", obj["rows"], 0), as_index("matrix cols", obj["cols"], 0)
-        data = obj["data"]
-    except (KeyError, TypeError) as e:
-        raise ValidationError(f"bad matrix object: {e}") from e
-    if len(data) != r * c:
-        raise ValidationError(f"matrix data has {len(data)} entries, expected {r * c}")
-    flat = np.array([complex(re, im) for re, im in data])
-    return flat.reshape(r, c)
 

@@ -139,10 +139,7 @@ class SkewMatrix:
     def denominator_lcm(self) -> int:
         if not self.is_rational:
             raise ValidationError("denominator lcm is defined for rational entries only")
-        d = 1
-        for x in self.upper:
-            d = lcm(d, x.denominator)
-        return d
+        return lcm(*(x.denominator for x in self.upper))
 
     def as_array(self) -> np.ndarray:
         a = np.zeros((self.dim, self.dim))

@@ -30,9 +30,9 @@ Python ints (dtype object) past that, through the same code.
 Float arrays are canonical.  Two exact forms of one value can differ, since
 the powers of zeta are dependent (zeta^(Q/2) = -1); ``==`` compares the forms
 first and, only when they differ, the values in the power basis modulo Phi_Q
-(``phases.reduction_matrix``).  The hash is that of theta, which equal values
-share and which needs no reduction.  Product, trace and involution identities
-are thus checkable with zero error.
+(``phases.canonical_form``, by which coefficients compare too).  The hash is
+that of theta, which equal values share and which needs no reduction.
+Product, trace and involution identities are thus checkable with zero error.
 """
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ from typing import Dict, Iterable, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DENSE_CAP, ThetaMismatchError, ValidationError, as_index, guard
-from .phases import TWO_PI, Cyclotomic, exact_dtype, power_basis
+from .phases import TWO_PI, Cyclotomic, canonical_form, exact_dtype, integer_form
 from .skew import SkewMatrix, upper_pairs
 
 MultiIndex = Tuple[int, ...]
@@ -220,9 +220,7 @@ class NCPolynomial:
                         f"coefficient order {c.order} != phase order {q} of theta"
                     )
             rows = sorted((m, r, c) for m, cy in items for r, c in cy.terms.items())
-            den = lcm(*(c.denominator for _, _, c in rows))
-            cs = [c.numerator * (den // c.denominator) for _, _, c in rows]
-            cs = np.array(cs, dtype=exact_dtype(max(map(abs, cs), default=0)))
+            cs, den = integer_form(c for _, _, c in rows)
         else:
             q, den = 1, 1
             values = [(m, complex(c)) for m, c in items]
@@ -292,14 +290,16 @@ class NCPolynomial:
             if not self.exact:
                 self._coeffs = dict(zip(keys, self._cs.tolist()))
                 return self._coeffs
-            view: Dict[MultiIndex, dict] = {}
-            cs = self._cs.tolist()
-            if self._den > 1:
-                cs = [Fraction(c, self._den) for c in cs]
-            for m, r, c in zip(keys, self._rs.tolist(), cs):
-                view.setdefault(m, {})[r] = c
-            self._coeffs = {m: Cyclotomic(self._order, t) for m, t in view.items()}
+            rows: Dict[MultiIndex, list] = {}
+            for m, r, c in zip(keys, self._rs.tolist(), self._cs.tolist()):
+                rows.setdefault(m, []).append((r, c))
+            self._coeffs = {m: self._cyclotomic(t) for m, t in rows.items()}
         return self._coeffs
+
+    def _cyclotomic(self, rows) -> Cyclotomic:
+        """The exact coefficient sum c / den zeta^r over the (r, c) rows of one
+        exponent."""
+        return Cyclotomic(self._order, {r: Fraction(c, self._den) for r, c in rows})
 
     @property
     def dim(self) -> int:
@@ -320,7 +320,7 @@ class NCPolynomial:
         rs, cs = self._rs[rows].tolist(), self._cs[rows].tolist()
         if not self.exact:
             return cs[0] if cs else 0j
-        return Cyclotomic(self._order, {r: Fraction(c, self._den) for r, c in zip(rs, cs)})
+        return self._cyclotomic(zip(rs, cs))
 
     def to_float(self) -> "NCPolynomial":
         if not self.exact:
@@ -328,22 +328,13 @@ class NCPolynomial:
         values = np.asarray(self._cs / self._den, dtype=float) * _root(self._rs, self._order)
         return self._result(1, *_collect(self._ms, np.zeros_like(self._rs), values, 1), 1)
 
-    def allclose(self, other: "NCPolynomial", tol: float = 1e-12) -> bool:
-        if self.theta != other.theta:
-            return False
-        gap = self.to_float() - other.to_float()
-        return bool(np.abs(gap._cs).max(initial=0.0) <= tol)
-
     def _canonical(self):
         """Exponents with a nonzero coefficient, and each such coefficient's
-        coordinates in the power basis as Fractions (one row each)."""
-        if not len(self._cs):
-            return self._ms, None
+        coordinates in the power basis (``phases.canonical_form``)."""
         new = (self._ms[1:] != self._ms[:-1]).any(axis=1)
         starts = np.flatnonzero(np.concatenate(([True], new)))
-        vec = power_basis(self._order, self._rs, self._cs, starts)
-        keep = (vec != 0).any(axis=1)
-        return self._ms[starts[keep]], vec[keep].astype(object) * Fraction(1, self._den)
+        keep, coords = canonical_form(self._order, self._rs, self._cs, self._den, starts)
+        return self._ms[starts[keep]], coords
 
     def __eq__(self, other):
         if not isinstance(other, NCPolynomial):
@@ -360,9 +351,7 @@ class NCPolynomial:
         if not self.exact:  # float forms are canonical
             return False
         (ma, va), (mb, vb) = self._canonical(), other._canonical()
-        if ma.shape != mb.shape or not (ma == mb).all():
-            return False
-        return not len(ma) or bool((va == vb).all())
+        return np.array_equal(ma, mb) and va.tolist() == vb.tolist()
 
     def __hash__(self):
         return hash(self.theta)
@@ -467,12 +456,10 @@ def transference(a: NCPolynomial, z: Sequence) -> NCPolynomial:
     if len(z) != a.dim:
         raise ValidationError(f"z has length {len(z)}, expected {a.dim}")
     if all(isinstance(x, (Fraction, int)) for x in z):
-        turns = [Fraction(x) for x in z]
-        den = lcm(*(t.denominator for t in turns))
-        nums = [int(t * den) for t in turns]
+        nums, den = integer_form(Fraction(x) for x in z)
         # s = den * (t . m), exact, for every row
-        dtype = exact_dtype(max(_max_abs(a._ms), 1) * max(sum(map(abs, nums)), 1) * a._order)
-        s = a._ms.astype(dtype, copy=False) @ np.array(nums, dtype=dtype)
+        dtype = exact_dtype(max(_max_abs(a._ms), 1) * max(_max_abs(nums) * a.dim, 1) * a._order)
+        s = a._ms.astype(dtype, copy=False) @ nums.astype(dtype)
         if a.exact:
             off = s * a._order % den
             if off.any():

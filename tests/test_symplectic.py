@@ -22,7 +22,8 @@ from ncspaces.finite_reps import (
 from ncspaces.gridfn import GridFunction
 from ncspaces.linalg import HermitianExponential
 from ncspaces.moyal import dimension_reduction_check, quantization_constant
-from ncspaces.serialize import matrix_from_json, poly_from_json, theta_from_json
+from ncspaces.phases import Cyclotomic
+from ncspaces.serialize import poly_from_json, theta_from_json
 from ncspaces.skew import SkewMatrix
 from ncspaces.spectra import bloch_matrix, coprime_fluxes
 from ncspaces.symplectic import (
@@ -298,8 +299,17 @@ THETA_HALF = SkewMatrix.from_upper(2, [0.5])
     pytest.param(lambda x: poly_from_json({"dim": 2, "upper": [0.5],
                                            "terms": [{"m": [x, 0], "re": 1.0}]}),
                  1.5, id="poly-json-exponent"),
-    pytest.param(lambda x: matrix_from_json({"rows": x, "cols": 1, "data": [[1.0, 0.0]]}), 1.5,
-                 id="matrix-json-rows"),
+    # exact coefficients: the order is an integer >= 4, each root an integer
+    # and each coefficient a rational
+    pytest.param(lambda x: Cyclotomic(x, {1: 1}), 4.0, id="cyclotomic-order-float"),
+    pytest.param(lambda x: Cyclotomic(x, {1: 1}), True, id="cyclotomic-order-bool"),
+    pytest.param(lambda x: Cyclotomic(x, {1: 1}), -4, id="cyclotomic-order-negative"),
+    pytest.param(lambda x: Cyclotomic(x, {1: 1}), 0, id="cyclotomic-order-zero"),
+    pytest.param(lambda x: Cyclotomic(4, {x: 1}), 1.5, id="cyclotomic-root-float"),
+    pytest.param(lambda x: Cyclotomic(4, {x: 1}), True, id="cyclotomic-root-bool"),
+    pytest.param(lambda x: Cyclotomic(4, {1: x}), np.nan, id="cyclotomic-coeff-nan"),
+    pytest.param(lambda x: Cyclotomic(4, {1: x}), np.inf, id="cyclotomic-coeff-inf"),
+    pytest.param(lambda x: Cyclotomic(4, {1: x}), 1j, id="cyclotomic-coeff-complex"),
 ])
 def test_non_finite_input_rejected(entry_point, bad):
     with pytest.raises(ValidationError):

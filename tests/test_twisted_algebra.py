@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ncspaces.checks import random_rational_theta
+from ncspaces.checks import random_exact_poly, random_rational_theta
 from ncspaces.errors import SizeCapError, ThetaMismatchError, ValidationError
 from ncspaces import phases
 from ncspaces.phases import Cyclotomic
@@ -31,6 +31,12 @@ from ncspaces.finite_reps import clock_shift
 
 THETA_QUARTER = SkewMatrix.from_upper(2, {(0, 1): Fraction(1, 4)})
 THETA_THIRD = SkewMatrix.from_upper(2, {(0, 1): Fraction(1, 3)})
+
+
+def assert_close(a, b, tol):
+    """Every coefficient of a - b, taken in floats, is at most tol in magnitude."""
+    gap = (a.to_float() - b.to_float()).coeffs.values()
+    assert max(map(abs, gap), default=0.0) <= tol
 
 
 def random_poly(rng, theta, terms=5, max_exp=2):
@@ -97,14 +103,17 @@ class TestLargeExponents:
         assert poly_mul(a, b).coeffs == {n: Cyclotomic.root(1260, int(shift))}
 
     def reference(self, a, b):
-        """The term-pair loop, each phase from the Fraction definition."""
+        """The term-pair loop on term dicts {r: rational}, each phase from the
+        Fraction definition: an oracle independent of the term arrays."""
         want = {}
-        for m, ca in a.coeffs.items():
-            for m2, cb in b.coeffs.items():
-                n = tuple(x + y for x, y in zip(m, m2))
-                term = (ca * cb).rotate(int(self.definition(m, m2) * 1260))
-                want[n] = want[n] + term if n in want else term
-        return NCPolynomial(self.THETA, want, exact=True)
+        for (m, ca), (m2, cb) in itertools.product(a.coeffs.items(), b.coeffs.items()):
+            shift = int(self.definition(m, m2) * 1260)
+            out = want.setdefault(tuple(x + y for x, y in zip(m, m2)), {})
+            for (r1, c1), (r2, c2) in itertools.product(ca.terms.items(), cb.terms.items()):
+                r = (r1 + r2 + shift) % 1260
+                out[r] = out.get(r, 0) + c1 * c2
+        return NCPolynomial(self.THETA, {n: Cyclotomic(1260, t) for n, t in want.items()},
+                            exact=True)
 
     def rand_exact(self, rng, terms=6):
         coeffs = {}
@@ -152,8 +161,10 @@ class TestLargeExponents:
             # differing forms go through the power basis, whatever the dtype
             assert prod != prod.scale(2) and prod == prod.scale(2).scale(Fraction(1, 2))
             assert len({prod, prod.scale(1), poly_adjoint(poly_adjoint(prod))}) == 1
-            adj = {tuple(-x for x in m): c.conjugate().rotate(int(self.definition(m, m) * 1260))
-                   for m, c in a.coeffs.items()}
+            adj = {}  # the adjoint oracle: c zeta^r u^m goes to c zeta^(shift - r) u^(-m)
+            for m, c in a.coeffs.items():
+                terms = {int(self.definition(m, m) * 1260) - r: x for r, x in c.terms.items()}
+                adj[tuple(-x for x in m)] = Cyclotomic(1260, terms)
             assert poly_adjoint(a) == NCPolynomial(self.THETA, adj)
 
     def test_cancelling_terms(self):
@@ -188,8 +199,8 @@ class TestLargeExponents:
 
 class TestCanonicalEquality:
     def test_cyclotomic_zero(self):
-        assert Cyclotomic(4, {0: 1, 2: 1}).is_zero
-        assert not Cyclotomic(4, {0: 1, 2: 2}).is_zero
+        assert Cyclotomic(4, {0: 1, 2: 1}) == Cyclotomic.zero(4)
+        assert Cyclotomic(4, {0: 1, 2: 2}) != Cyclotomic.zero(4)
 
     def test_cyclotomic_equal_forms(self):
         one, minus_zeta6 = Cyclotomic(12, {0: 1}), Cyclotomic(12, {6: -1})
@@ -198,6 +209,8 @@ class TestCanonicalEquality:
         # zeta^4 + zeta^8 = -1 at Q = 12 (the primitive cube roots of unity)
         assert Cyclotomic(12, {4: 1, 8: 1}) == Cyclotomic(12, {0: -1})
         assert Cyclotomic(12, {0: Fraction(1, 2), 6: Fraction(-1, 2)}) == one
+        # roots equal mod Q name one root, whose coefficients add
+        assert Cyclotomic(12, {1: 1, 13: 1, -11: 1}).terms == {1: 3}
 
     def test_polynomial_equal_forms(self):
         # THETA_THIRD has Q = 12, THETA_QUARTER Q = 4
@@ -212,6 +225,24 @@ class TestCanonicalEquality:
         empty = NCPolynomial(THETA_QUARTER, {}, exact=True)
         assert zero == empty and empty == zero and hash(zero) == hash(empty)
 
+    @pytest.mark.parametrize("theta", [THETA_THIRD, TestLargeExponents.THETA],
+                             ids=["Q12", "Q1260"])
+    def test_coefficient_and_polynomial_equality_agree(self, theta):
+        # each term c zeta^r of the value is written as -c zeta^(r + Q/2) or as
+        # -c zeta^(r + Q/3) - c zeta^(r + 2Q/3); every other form gets one more term
+        q = ta.phase_order(theta)
+        rng = np.random.default_rng(q)
+        for changed in [False, True] * 20:
+            value, form = Cyclotomic.zero(q), Cyclotomic(q, {int(rng.integers(0, q)): int(changed)})
+            for n, den in rng.integers(1, 4, size=(3, 2)).tolist():
+                r, c = int(rng.integers(0, q)), Fraction(n, den)
+                shifts = (q // 2,) if rng.random() < 0.5 else (q // 3, 2 * q // 3)
+                value += Cyclotomic.root(q, r, c)
+                form += Cyclotomic(q, {r + k: -c for k in shifts})
+            pa, pb = (NCPolynomial(theta, {(1,) * theta.dim: c}, exact=True) for c in (value, form))
+            assert value.terms != form.terms
+            assert (value == form) == (pa == pb) == (not changed)
+
     def test_reduction_is_guarded(self):
         # Q = 4 * 97 * 89 = 34532: Q * phi(Q) is over the cap, so equal forms
         # still compare, and differing ones raise instead of building R_Q
@@ -223,13 +254,13 @@ class TestCanonicalEquality:
         assert poly_mul(a, poly_adjoint(a)) == NCPolynomial.one(theta, exact=True)
         with pytest.raises(SizeCapError):
             a == NCPolynomial(theta, {(1, 0, 0): Cyclotomic(q, {q // 2: -1})})
-        # hashing needs no R_Q, so equal forms work as keys; is_zero of a
-        # nonempty form needs R_Q
+        # hashing needs no R_Q, so equal forms work as keys; comparing a
+        # nonempty form with zero needs R_Q
         assert {a: 1}[NCPolynomial(theta, dict(a.coeffs))] == 1
         assert {Cyclotomic(q, {1: 2}): 1}[Cyclotomic(q, {1: 2})] == 1
-        assert Cyclotomic.zero(q).is_zero
+        assert Cyclotomic.zero(q) == Cyclotomic.zero(q)
         with pytest.raises(SizeCapError):
-            Cyclotomic(q, {0: 1}).is_zero
+            Cyclotomic(q, {0: 1}) == Cyclotomic.zero(q)
 
     def test_reduction_matrix_rows_are_powers_of_zeta(self):
         assert phases.cyclotomic_polynomial(12) == [1, 0, -1, 0, 1]
@@ -273,8 +304,8 @@ class TestPolyMul:
         theta = random_rational_theta(rng, 3)
         b = random_poly(rng, theta)
         one = NCPolynomial.one(theta)
-        assert poly_mul(one, b).allclose(b, 1e-14)
-        assert poly_mul(b, one).allclose(b, 1e-14)
+        assert_close(poly_mul(one, b), b, 1e-14)
+        assert_close(poly_mul(b, one), b, 1e-14)
 
     def test_theta_mismatch_rejected(self):
         u = NCPolynomial.monomial(THETA_QUARTER, (1, 0))
@@ -310,17 +341,7 @@ class TestExactArithmetic:
         for _ in range(20):
             d = int(rng.integers(1, 5))
             theta = random_rational_theta(rng, d)
-            q = ta.phase_order(theta)
-
-            def rand_exact():
-                coeffs = {}
-                for _ in range(int(rng.integers(1, 9))):
-                    m = tuple(int(x) for x in rng.integers(-2, 3, size=d))
-                    c = Cyclotomic.root(q, int(rng.integers(0, q)), int(rng.integers(1, 4)))
-                    coeffs[m] = coeffs[m] + c if m in coeffs else c
-                return NCPolynomial(theta, coeffs)
-
-            a, b, c = rand_exact(), rand_exact(), rand_exact()
+            a, b, c = (random_exact_poly(rng, theta) for _ in range(3))
             assert poly_mul(poly_mul(a, b), c) == poly_mul(a, poly_mul(b, c))
 
     def test_float_associativity_irrational(self):
@@ -328,7 +349,7 @@ class TestExactArithmetic:
         theta = SkewMatrix.from_upper(3, [np.sqrt(2) / 10, np.pi / 7, 0.31])
         for _ in range(20):
             a, b, c = (random_poly(rng, theta, terms=6) for _ in range(3))
-            assert poly_mul(poly_mul(a, b), c).allclose(poly_mul(a, poly_mul(b, c)), 1e-12)
+            assert_close(poly_mul(poly_mul(a, b), c), poly_mul(a, poly_mul(b, c)), 1e-12)
 
     def test_exact_monomial_unitarity(self):
         a = NCPolynomial.exact_monomial(THETA_THIRD, (1, 1))
@@ -349,21 +370,20 @@ class TestAdjoint:
 
     def test_unitarity_of_monomials(self):
         a = NCPolynomial.monomial(THETA_THIRD, (1, 1))
-        assert poly_mul(a, poly_adjoint(a)).allclose(NCPolynomial.one(THETA_THIRD), 1e-14)
+        assert_close(poly_mul(a, poly_adjoint(a)), NCPolynomial.one(THETA_THIRD), 1e-14)
 
     def test_involution_is_involutive(self):
         rng = np.random.default_rng(4)
         theta = random_rational_theta(rng, 3)
         a = random_poly(rng, theta)
-        assert poly_adjoint(poly_adjoint(a)).allclose(a, 1e-14)
+        assert_close(poly_adjoint(poly_adjoint(a)), a, 1e-14)
 
     def test_antihomomorphism(self):
         rng = np.random.default_rng(5)
         theta = random_rational_theta(rng, 2)
         a, b = random_poly(rng, theta), random_poly(rng, theta)
-        assert poly_adjoint(poly_mul(a, b)).allclose(
-            poly_mul(poly_adjoint(b), poly_adjoint(a)), 1e-12
-        )
+        assert_close(poly_adjoint(poly_mul(a, b)), poly_mul(poly_adjoint(b), poly_adjoint(a)),
+                     1e-12)
 
     def test_positivity_of_trace(self):
         rng = np.random.default_rng(6)
@@ -444,7 +464,7 @@ class TestTransference:
         rng = np.random.default_rng(10)
         theta = random_rational_theta(rng, 2)
         a = random_poly(rng, theta)
-        assert transference(a, [1.0, 1.0]).allclose(a, 1e-15)
+        assert_close(transference(a, [1.0, 1.0]), a, 1e-15)
 
     def test_single_factor(self):
         a = NCPolynomial.monomial(THETA_QUARTER, (1, 0))
@@ -457,16 +477,14 @@ class TestTransference:
         b = random_poly(rng, THETA_THIRD, 5)
         angles = rng.uniform(0, 2 * np.pi, size=2)
         z = [np.exp(1j * t) for t in angles]
-        assert transference(poly_mul(a, b), z).allclose(
-            poly_mul(transference(a, z), transference(b, z)), 1e-12
-        )
+        assert_close(transference(poly_mul(a, b), z),
+                     poly_mul(transference(a, z), transference(b, z)), 1e-12)
 
     def test_exact_turns(self):
         a = NCPolynomial.exact_monomial(THETA_THIRD, (1, 2))
         out = transference(a, [Fraction(1, 4), Fraction(1, 3)])
         # z^m rotates by 1/4 + 2/3 = 11/12
-        expected = Cyclotomic.one(ta.phase_order(THETA_THIRD)).rotate(11)  # Q = 12
-        assert out.coeffs[(1, 2)] == expected
+        assert out.coeffs[(1, 2)] == Cyclotomic.root(12, 11)  # Q = 12
 
     def test_rejects_non_unimodular(self):
         a = NCPolynomial.one(THETA_QUARTER)
@@ -683,6 +701,5 @@ class TestCyclotomicInput:
     def test_bad_order_and_mixed_orders_rejected(self):
         with pytest.raises(ValidationError):
             Cyclotomic(6, {0: 1})
-        for op in (Cyclotomic.__add__, Cyclotomic.__sub__, Cyclotomic.__mul__):
-            with pytest.raises(ValidationError):
-                op(Cyclotomic.one(4), Cyclotomic.one(8))
+        with pytest.raises(ValidationError):
+            Cyclotomic.one(4) + Cyclotomic.one(8)
