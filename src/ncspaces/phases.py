@@ -169,6 +169,7 @@ class Cyclotomic:
     @classmethod
     def from_gaussian(cls, order: int, re, im=0) -> "Cyclotomic":
         """re + i*im with rational re, im."""
+        order = as_index("cyclotomic order", order, 4)
         return cls(order, {0: re, order // 4: im})
 
     @classmethod

@@ -1,4 +1,6 @@
 """Tests for clock/shift pairs, tensor assemblies, and Clifford/ladder checks."""
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from ncspaces.finite_reps import (
     tensor_translate,
     verify_relations,
 )
+from ncspaces.linalg import COMPLEX_PRODUCT, UNIT_ROUNDOFF
 from ncspaces.skew import upper_pairs
 
 
@@ -187,7 +190,7 @@ class TestLegCertificate:
     def test_leg_out_of_kron_order_fails_the_probe(self, monkeypatch):
         # generator 1 assembled as I_3 (x) B_01 (x) A_12 instead of
         # B_01 (x) I_3 (x) A_12: the legs, and so the certificate, are the
-        # same; only the probe of the assembled matrices can see it
+        # same; only the probe of the assembly can see it
         assemble = finite_reps._assemble
 
         def swapped(legs, *rest):
@@ -196,9 +199,54 @@ class TestLegCertificate:
             return assemble(legs, *rest)
 
         monkeypatch.setattr(finite_reps, "_assemble", swapped)
+        # legs of sizes 2 and 3: generator 1's leg sizes are not the axes
         table = {(0, 1): clock_shift(1, 2), (0, 2): clock_shift(1, 3), (1, 2): clock_shift(1, 4)}
-        with pytest.raises(ValidationError, match="probe"):
+        with pytest.raises(ValidationError, match="probe: generator 1 has leg sizes"):
             tensor_construct(table)
+        # two legs of size 3: the axes agree, and only the probe's numbers
+        # see that u_0 and u_1 now meet on pair (0, 2)'s leg
+        table = {(0, 1): clock_shift(1, 3), (0, 2): clock_shift(2, 3), (1, 2): clock_shift(1, 4)}
+        with pytest.raises(ValidationError, match="probe of pair"):
+            tensor_construct(table)
+
+
+class TestKron:
+    @staticmethod
+    def legs(rng, count, draw):
+        # shapes from 1 to 5 per side, shrunk to 1 once the product passes 64
+        rows = cols = 1
+        legs = []
+        for _ in range(count):
+            m, n = (int(rng.integers(1, 6)) if rows * cols <= 64 else 1 for _ in range(2))
+            rows, cols = rows * m, cols * n
+            legs.append(draw((m, n)))
+        return legs
+
+    @pytest.mark.parametrize("count", range(1, 11))
+    def test_exact_legs_equal_np_kron(self, count):
+        # every entry exact, so every nonzero part bit for bit; only the sign
+        # of a zero part may differ, as the two associate the products apart
+        rng = np.random.default_rng(count)
+        units = np.array([0, 1, -1, 1j, -1j], dtype=complex)
+        legs = self.legs(rng, count, lambda shape: rng.choice(units, size=shape))
+        expected = reduce(np.kron, legs)
+        got = finite_reps._kron(legs)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("count", range(1, 11))
+    def test_complex_legs_agree_with_np_kron_to_round_off(self, count):
+        # each entry of either product is the exact one to within
+        # (1 + mu)^(s-1) - 1 times the product of the entries' moduli, s legs
+        rng = np.random.default_rng(100 + count)
+        legs = self.legs(
+            rng, count, lambda shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        )
+        got, expected = finite_reps._kron(legs), reduce(np.kron, legs)
+        moduli = reduce(np.kron, [np.abs(v) for v in legs]) * (1 + UNIT_ROUNDOFF) ** count
+        bound = 2 * ((1 + COMPLEX_PRODUCT) ** (count - 1) - 1) * moduli
+        assert got.shape == expected.shape
+        assert np.all(np.abs(got - expected) <= bound)
 
 
 class TestTensorTranslate:

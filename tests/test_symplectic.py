@@ -310,6 +310,8 @@ THETA_HALF = SkewMatrix.from_upper(2, [0.5])
     pytest.param(lambda x: Cyclotomic(4, {1: x}), np.nan, id="cyclotomic-coeff-nan"),
     pytest.param(lambda x: Cyclotomic(4, {1: x}), np.inf, id="cyclotomic-coeff-inf"),
     pytest.param(lambda x: Cyclotomic(4, {1: x}), 1j, id="cyclotomic-coeff-complex"),
+    pytest.param(lambda x: Cyclotomic.from_gaussian(x, 1), "12", id="cyclotomic-gaussian-order-str"),
+    pytest.param(lambda x: Cyclotomic.from_gaussian(x, 1), None, id="cyclotomic-gaussian-order-none"),
 ])
 def test_non_finite_input_rejected(entry_point, bad):
     with pytest.raises(ValidationError):
