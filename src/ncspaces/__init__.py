@@ -22,7 +22,6 @@ from .twisted_algebra import (
     transference,
 )
 from .finite_reps import (
-    CliffordSet,
     UnitaryTuple,
     clifford_generators,
     clock_shift,

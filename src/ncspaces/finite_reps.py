@@ -15,31 +15,46 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DENSE_CAP, ValidationError, as_index, guard
-from .linalg import COMPLEX_PRODUCT, UNIT_ROUNDOFF, holder_bound, kernel_dimension, spectral_norm
+from .linalg import (
+    COMPLEX_PRODUCT,
+    UNIT_ROUNDOFF,
+    box_points,
+    gamma_n,
+    holder_bound,
+    kernel_dimension,
+    kron,
+    on_leg,
+    spectral_norm,
+)
 from .phases import TWO_PI
 from .skew import upper_pairs
 
 
 @dataclass(frozen=True, eq=False)
 class UnitaryTuple:
-    """d unitaries u_j with u_j u_k = sigma_jk u_k u_j up to the stated tolerance."""
+    """d unitaries u_j with u_j u_k = sigma_jk u_k u_j up to the stated tolerance.
+
+    matrices and sigma are read-only, so relation_report, found once at
+    construction (see verify_relations), cannot go stale; a tuple built from
+    its matrices copies them first, leaving the caller's arrays writeable."""
 
     matrices: Tuple[np.ndarray, ...]
     sigma: np.ndarray
     tol: float = 1e-12
-    # found once at construction (see verify_relations); the matrices are
-    # immutable afterwards
     relation_report: RelationReport = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "matrices", tuple(np.array(u) for u in self.matrices))
+        object.__setattr__(self, "sigma", np.array(self.sigma, dtype=complex))
         self._admit(_measure_relations)
 
     def _admit(self, report_of: Callable[[UnitaryTuple], RelationReport]) -> None:
-        """Validate shapes and sigma, set relation_report to report_of(self)
-        and gate it against tol: the one way into relation_report."""
+        """Freeze and validate matrices and sigma, set relation_report to
+        report_of(self) and gate it against tol: the one way into relation_report."""
         d = len(self.matrices)
-        sigma = np.asarray(self.sigma, dtype=complex)
-        object.__setattr__(self, "sigma", sigma)
+        sigma = self.sigma
+        for a in (sigma, *self.matrices):
+            a.flags.writeable = False
         if sigma.shape != (d, d):
             raise ValidationError(f"sigma must be {d}x{d}")
         n = self.matrices[0].shape[0]
@@ -71,8 +86,7 @@ class UnitaryTuple:
     @classmethod
     def identity(cls, d: int, size: int = 1) -> "UnitaryTuple":
         d, size = as_index("d", d, 1), as_index("size", size, 1)
-        eye = np.eye(size, dtype=complex)
-        return cls(tuple(eye.copy() for _ in range(d)), np.ones((d, d), dtype=complex), 1e-15)
+        return cls((np.eye(size, dtype=complex),) * d, np.ones((d, d), dtype=complex), 1e-15)
 
 
 @dataclass(frozen=True)
@@ -146,31 +160,6 @@ def _product_excess(defects: Sequence[float]) -> float:
     return total
 
 
-def _kron(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """The Kronecker product mats[0] (x) mats[1] (x) ..., of 2-D arrays.
-
-    Each half of the legs is formed recursively, and the full product is
-    written by one broadcast multiply into a preallocated (m, p, n, q) array,
-    viewed as (mp, nq): no transpose copy and no chain of full-size
-    intermediates.  Each entry is the product of one entry per leg, associated
-    as the halving tree; entries of exact factors come out exact, and the
-    rounded ones as bounded in _assemble.  One leg comes back as is."""
-    if len(mats) == 1:
-        return mats[0]
-    half = len(mats) // 2
-    a, b = _kron(mats[:half]), _kron(mats[half:])
-    (m, n), (p, q) = a.shape, b.shape
-    out = np.empty((m, p, n, q), dtype=np.result_type(a, b))
-    np.multiply(a[:, None, :, None], b[None, :, None, :], out=out)
-    return out.reshape(m * p, n * q)
-
-
-def _gamma(n: int) -> float:
-    """gamma_n = n u / (1 - n u) (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, sec. 3.1)."""
-    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
-
-
 def _assemble(
     legs: Sequence[Sequence[_Leg]],
     sigma: np.ndarray,
@@ -187,7 +176,7 @@ def _assemble(
     exact; with s legs holding other entries, it carries s - 1 rounded complex
     products, so (barring underflow) ||u_g - M_g|| <= delta_g =
     ((1 + mu)^(s-1) - 1) prod_l holder_bound(V_gl).  The count s - 1 holds for
-    any order of association: _kron's halving tree, contracted to the s
+    any order of association: kron's halving tree, contracted to the s
     inexact legs, is a binary tree with s leaves and s - 1 inner products.
     Then:
     - unitarity: ||u_g* u_g - I|| <= prod_l (1 + u_l) - 1 + delta_g (2 n_g + delta_g);
@@ -200,7 +189,7 @@ def _assemble(
     anything.  For one fixed-seed random unit vector x, reshaped to the axes,
     M_g x is applied one axis at a time, a (pre, q, post) reshape and a q x q
     matmul per leg: O(N sum q) per apply instead of an O(N^2) matvec.  Identity
-    legs are skipped, which is exact.  Each u_g is formed once by _kron, O(N^2).
+    legs are skipped, which is exact.  Each u_g is formed once by kron, O(N^2).
 
     Round-off of the probe (barring underflow).  A leg's apply forms each entry
     as a complex inner product of length q, off by at most c_q |V| |z|
@@ -247,7 +236,7 @@ def _assemble(
             if not (leg.defect == 0.0 and leg.exact and np.array_equal(leg.matrix, np.eye(q)))
         ])
         roundoffs.append(
-            math.prod(1.0 + math.sqrt(2.0) * _gamma(q + 2) for _, q, _ in steps[g]) - 1.0
+            math.prod(1.0 + math.sqrt(2.0) * gamma_n(q + 2) for _, q, _ in steps[g]) - 1.0
         )
 
     def apply(g: int, x: np.ndarray) -> np.ndarray:
@@ -259,7 +248,7 @@ def _assemble(
         z = np.random.default_rng(0).standard_normal((2, t.dim_hilbert))
         x = (z[0] + 1j * z[1]) / np.linalg.norm(z)
         images = [apply(g, x) for g in range(t.d)]
-        widen = 1.0 + _gamma(t.dim_hilbert + 3)
+        widen = 1.0 + gamma_n(t.dim_hilbert + 3)
         max_comm = 0.0
         worst = None
         for j in range(t.d):
@@ -281,7 +270,7 @@ def _assemble(
         return RelationReport(max_comm, max(units), worst)
 
     t = object.__new__(UnitaryTuple)
-    object.__setattr__(t, "matrices", tuple(_kron([leg.matrix for leg in g]) for g in legs))
+    object.__setattr__(t, "matrices", tuple(kron([leg.matrix for leg in g]) for g in legs))
     object.__setattr__(t, "sigma", sigma)
     object.__setattr__(t, "tol", tol)
     t._admit(certificate)
@@ -418,22 +407,12 @@ def distance_lower_bound_check(a: UnitaryTuple, b: UnitaryTuple) -> LowerBoundRe
 # -- Clifford generators and truncated ladder operators ----------------------
 
 
-@dataclass(frozen=True, eq=False)
-class CliffordSet:
-    n: int
-    matrices: Tuple[np.ndarray, ...]
-
-    @property
-    def rep_dim(self) -> int:
-        return self.matrices[0].shape[0]
-
-
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def clifford_generators(n: int) -> CliffordSet:
+def clifford_generators(n: int) -> Tuple[np.ndarray, ...]:
     """n anticommuting self-adjoint involutions on C^(2^ceil(n/2)), n <= 12.
 
     Standard tensor ladder: c_{2m-1} = Z^(m-1) (x) X (x) I..., and
@@ -447,8 +426,8 @@ def clifford_generators(n: int) -> CliffordSet:
         legs = [_SZ] * (m - 1)
         legs.append(_SX if idx % 2 else _SY)
         legs.extend([np.eye(2, dtype=complex)] * (qubits - m))
-        mats.append(_kron(legs))
-    return CliffordSet(n, tuple(mats))
+        mats.append(kron(legs))
+    return tuple(mats)
 
 
 def ladder_operator(cutoff: int) -> np.ndarray:
@@ -458,17 +437,6 @@ def ladder_operator(cutoff: int) -> np.ndarray:
     for m in range(1, cutoff + 1):
         a[m - 1, m] = np.sqrt(m)
     return a
-
-
-def _mode_operators(n: int, cutoff: int) -> List[np.ndarray]:
-    a1 = ladder_operator(cutoff)
-    eye = np.eye(cutoff + 1, dtype=complex)
-    ops = []
-    for j in range(n):
-        legs = [eye] * n
-        legs[j] = a1
-        ops.append(_kron(legs))
-    return ops
 
 
 @dataclass(frozen=True)
@@ -494,26 +462,25 @@ def fock_identities_check(n: int, cutoff: int) -> FockReport:
     occupation level.  Guarded to N (cutoff + 1)^n <= DENSE_CAP.
     """
     cliff = clifford_generators(n)
-    N = cliff.rep_dim
+    N = cliff[0].shape[0]
     dim_fock = (as_index("cutoff", cutoff, 1) + 1) ** n
     guard("dimension N (cutoff + 1)^n", N * dim_fock, DENSE_CAP)
-    modes = _mode_operators(n, cutoff)
+    a1 = ladder_operator(cutoff)
+    modes = [on_leg(a1, j, n) for j in range(n)]
     eye_n = np.eye(N, dtype=complex)
-    a_mat = sum(_kron([c, am.conj().T]) for c, am in zip(cliff.matrices, modes))
+    a_mat = sum(kron([c, am.conj().T]) for c, am in zip(cliff, modes))
     lowering_number = sum(am @ am.conj().T for am in modes)   # sum a_j a_j*
     raising_number = sum(am.conj().T @ am for am in modes)    # sum a_j* a_j
 
-    occ = np.stack(
-        np.meshgrid(*([np.arange(cutoff + 1)] * n), indexing="ij"), axis=-1
-    ).reshape(-1, n)
+    occ = box_points(np.arange(cutoff + 1), n)
     interior = np.all(occ <= cutoff - 1, axis=1)
-    mask = np.kron(np.ones(N, dtype=bool), interior)
+    mask = np.tile(interior, N)
 
     prod_res = np.abs(
-        ((a_mat.conj().T @ a_mat) - _kron([eye_n, lowering_number]))[:, mask]
+        ((a_mat.conj().T @ a_mat) - kron([eye_n, lowering_number]))[:, mask]
     ).max()
     adj_res = np.abs(
-        ((a_mat @ a_mat.conj().T) - _kron([eye_n, raising_number]))[:, mask]
+        ((a_mat @ a_mat.conj().T) - kron([eye_n, raising_number]))[:, mask]
     ).max()
 
     expected = occ.sum(axis=1) + n

@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GridMismatchError, ValidationError, as_index
+from .linalg import box_points
 
 BOUNDARY_DECAY_WARN = 1e-8
 
@@ -204,9 +205,7 @@ def to_position(fhat: GridFunction) -> GridFunction:
 
 def freq_grid_vectors(f: GridFunction) -> np.ndarray:
     """All frequency vectors of the (ascending) grid, shape (M^d, d)."""
-    ax = f.freq_axis()
-    grids = np.meshgrid(*([ax] * f.dim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return box_points(f.freq_axis(), f.dim)
 
 
 # -- container serialization --------------------------------------------------

@@ -1,8 +1,10 @@
 """Dense linear-algebra helpers: spectral norms, Hermitian exponentials,
-Fourier multipliers."""
+Fourier multipliers, and the shared array primitives (Kronecker products,
+grid boxes, the round-off factor gamma_n)."""
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -10,6 +12,45 @@ UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 # relative error of one floating-point complex product, sqrt(2) gamma_2
 # (Higham, *Accuracy and Stability of Numerical Algorithms*, Lemma 3.5)
 COMPLEX_PRODUCT = 2 * math.sqrt(2) * UNIT_ROUNDOFF / (1 - 2 * UNIT_ROUNDOFF)
+
+
+def gamma_n(n: int) -> float:
+    """gamma_n = n u / (1 - n u): the relative error of n roundings (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Lemma 3.1)."""
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+
+
+def kron(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The Kronecker product mats[0] (x) mats[1] (x) ..., of 2-D arrays.
+
+    Each half of the legs is formed recursively, and the full product is
+    written by one broadcast multiply into a preallocated (m, p, n, q) array,
+    viewed as (mp, nq): no transpose copy and no chain of full-size
+    intermediates.  Each entry is the product of one entry per leg, associated
+    as the halving tree; entries of exact factors come out exact, and the
+    rounded ones as bounded in finite_reps._assemble.  One leg comes back
+    as is."""
+    if len(mats) == 1:
+        return mats[0]
+    half = len(mats) // 2
+    a, b = kron(mats[:half]), kron(mats[half:])
+    (m, n), (p, q) = a.shape, b.shape
+    out = np.empty((m, p, n, q), dtype=np.result_type(a, b))
+    np.multiply(a[:, None, :, None], b[None, :, None, :], out=out)
+    return out.reshape(m * p, n * q)
+
+
+def on_leg(op: np.ndarray, k: int, n: int) -> np.ndarray:
+    """op on leg k of n equal legs, the identity on the others:
+    I (x) ... (x) op (x) ... (x) I."""
+    eye = np.eye(op.shape[0], dtype=op.dtype)
+    return kron([op if leg == k else eye for leg in range(n)])
+
+
+def box_points(axis: np.ndarray, dim: int) -> np.ndarray:
+    """Every point of axis^dim as a row, in C order (the last coordinate
+    varies fastest), shape (len(axis)^dim, dim)."""
+    return np.stack([axis[i].ravel() for i in np.indices((len(axis),) * dim)], axis=1)
 
 
 def spectral_norm(a: np.ndarray) -> float:

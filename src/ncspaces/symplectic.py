@@ -11,7 +11,6 @@ Matrix Analysis, 2.5), with the backward stability of the Hermitian eigensolver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, List
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import (
     as_index,
     guard,
 )
-from .linalg import fourier_multiplier
+from .linalg import fourier_multiplier, kron, on_leg
 from .skew import SkewMatrix
 
 
@@ -120,7 +119,7 @@ def skew_rank_decompose(theta: SkewMatrix) -> SkewDecomposition:
     q, _ = np.linalg.qr(planes.T, mode="complete")
     basis = np.vstack([planes, q[:, 2 * r:].T])
     target = np.zeros((theta.dim, theta.dim))
-    target[:2 * r, :2 * r] = np.kron(np.eye(r), canonical_block(1))
+    target[:2 * r, :2 * r] = kron([np.eye(r), canonical_block(1)])
     res = float(np.abs(basis @ arr @ basis.T - target).max())
     return SkewDecomposition(arr, 2 * r, basis, res)
 
@@ -184,15 +183,8 @@ def schrodinger_generators(sf: SymplecticForm, grid: GridSpec) -> List[np.ndarra
     coeff = np.linalg.inv(sf.transform)
     deriv = spectral_derivative_matrix(grid)
     pos = position_matrix(grid)
-    eye = np.eye(grid.points, dtype=complex)
-
-    def leg(op: np.ndarray, k: int) -> np.ndarray:
-        legs = [eye] * n
-        legs[k] = op
-        return reduce(np.kron, legs)
-
-    derivs = [leg(deriv, k) for k in range(n)]
-    positions = [leg(pos, k) for k in range(n)]
+    derivs = [on_leg(deriv, k, n) for k in range(n)]
+    positions = [on_leg(pos, k, n) for k in range(n)]
     out = []
     for j in range(d):
         p = sum(coeff[j, k] * derivs[k] for k in range(n))
@@ -209,5 +201,5 @@ def gaussian_state(grid: GridSpec, n: int, sigma: float = None) -> np.ndarray:
         kmax = np.pi / grid.step
         sigma = float(np.sqrt(grid.half_length / kmax))
     axis = np.exp(-(grid.axis() ** 2) / (2.0 * sigma**2))
-    v = reduce(np.kron, [axis] * n).astype(complex)
+    v = kron([axis[:, None]] * n).ravel().astype(complex)
     return v / np.linalg.norm(v)

@@ -46,6 +46,7 @@ from typing import Dict, Iterable, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DENSE_CAP, ThetaMismatchError, ValidationError, as_index, guard
+from .linalg import box_points
 from .phases import TWO_PI, Cyclotomic, canonical_form, exact_dtype, integer_form
 from .skew import SkewMatrix, upper_pairs
 
@@ -482,13 +483,6 @@ def transference(a: NCPolynomial, z: Sequence) -> NCPolynomial:
 # -- GNS truncation ---------------------------------------------------------
 
 
-def _box_indices(dim: int, radius: int) -> np.ndarray:
-    """All multi-indices with sup-norm <= radius, C-ordered, shape (count, dim)."""
-    side = np.arange(-radius, radius + 1)
-    grids = np.meshgrid(*([side] * dim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
 def gns_matrix(a: NCPolynomial, radius: int) -> np.ndarray:
     """Matrix of a acting on basis {|m'> : sup-norm(m') <= radius}.
 
@@ -500,7 +494,7 @@ def gns_matrix(a: NCPolynomial, radius: int) -> np.ndarray:
     radius = as_index("truncation radius", radius, 0)
     d, side = a.dim, 2 * radius + 1
     n = guard("GNS basis (2 radius + 1)^d =", side**d, DENSE_CAP)
-    box = _box_indices(d, radius)
+    box = box_points(np.arange(-radius, radius + 1), d)  # sup-norm <= radius, C order
     out = np.zeros((n, n), dtype=complex)
     af = a.to_float()
     near = (np.abs(af._ms) <= 2 * radius).all(axis=1)  # terms keeping some |m'> inside

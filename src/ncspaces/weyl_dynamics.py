@@ -22,6 +22,7 @@ from .linalg import (
     UNIT_ROUNDOFF,
     HermitianExponential,
     fourier_multiplier,
+    gamma_n,
     hermiticity_defect,
     holder_bound,
     spectral_norm,
@@ -81,8 +82,10 @@ def weyl_residual(theta: float, s: float, t: float, grid: GridSpec) -> WeylResid
     c = u[:, 0].copy()
     v = np.exp(1j * grid.axis() * t)  # the diagonal of modulation_unitary(t, grid)
     phase = np.exp(1j * s * t * theta)
-    # u v - phase v u with v diagonal: scale the columns and rows of u
-    defect = u * (v[None, :] - phase * v[:, None])
+    # u v - phase v u with v diagonal: scale the columns and rows of u; the
+    # in-place product fixes numpy's operand order, and so the bits, at every M
+    defect = v[None, :] - phase * v[:, None]
+    defect *= u
     del u  # one M x M array fewer while the Hoelder bound takes |defect|
     psi = gaussian_state(grid, 1, grid.half_length / 32.0)
     res = float(np.linalg.norm(defect @ psi))
@@ -94,17 +97,12 @@ def weyl_residual(theta: float, s: float, t: float, grid: GridSpec) -> WeylResid
     )
 
 
-def _gamma(k: int) -> float:
-    """k u / (1 - k u): the relative error of k roundings (Higham, Lemma 3.1)."""
-    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
-
-
 # numpy's FFT forms each weight as a complex product of two tabulated roots of
 # unity; with each table entry within 2u of its root, the weight is within
 # 2u + 2u + COMPLEX_PRODUCT < 8u of the exact one
 _FFT_WEIGHT = 8 * UNIT_ROUNDOFF
 # one radix-2 stage of the FFT (Higham, Thm 24.2)
-_FFT_STAGE = _FFT_WEIGHT + _gamma(4) * (sqrt(2) + _FFT_WEIGHT)
+_FFT_STAGE = _FFT_WEIGHT + gamma_n(4) * (sqrt(2) + _FFT_WEIGHT)
 # |fl(u_ab fl(v_b - fl(phase v_a))) - u_ab (v_b - phase v_a)| over
 # |u_ab| (1 + |phase|) max|v|: two complex products and one difference
 _FORMING = ((1 + COMPLEX_PRODUCT) * (COMPLEX_PRODUCT * (1 + UNIT_ROUNDOFF) + UNIT_ROUNDOFF)
@@ -140,7 +138,7 @@ def _defect_norm_bound(defect: np.ndarray, c: np.ndarray, v: np.ndarray, phase: 
         excess = (stages * sqrt(m) / (1 - stages) + _FORMING) * c_sum
         peak = float(np.abs(np.fft.fft(c)).max())
         bound = min(bound, (1 + float(abs(phase))) * float(np.abs(v).max()) * (peak + excess))
-    return bound / (1 - _gamma(m + 32))
+    return bound / (1 - gamma_n(m + 32))
 
 
 # -- generator vs group distance ------------------------------------------------
@@ -240,11 +238,9 @@ class UnitaryField:
             raise ValidationError(f"field sample at ({x},{y}) is not unitary ({defect:.1e})")
         return u
 
-    def fd_x(self, x: float, y: float, h: float) -> np.ndarray:
-        return (self.sample(x + h, y) - self.sample(x - h, y)) / (2.0 * h)
-
-    def fd_y(self, x: float, y: float, h: float) -> np.ndarray:
-        return (self.sample(x, y + h) - self.sample(x, y - h)) / (2.0 * h)
+    def fd(self, x: float, y: float, axis: int, h: float) -> np.ndarray:
+        """Central difference at (x, y) along x (axis 0) or y (axis 1)."""
+        return _fd_along(lambda p: self.sample(*p), (x, y), axis, h)
 
 
 def _factors(w: UnitaryField, deltas: np.ndarray, j: int, x: Sequence[float]) -> List[np.ndarray]:
@@ -345,8 +341,8 @@ def check_assembly_identities(
         for k in range(d):
             for j in range(k):
                 y = deltas[j, k] * x[k]
-                dx[j, k] = w.fd_x(x[j], y, h)
-                bracket[j, k] = w.fd_y(x[j], y, h) - 1j * x[j] * factors[k][j]
+                dx[j, k] = w.fd(x[j], y, 0, h)
+                bracket[j, k] = w.fd(x[j], y, 1, h) - 1j * x[j] * factors[k][j]
         drift = [1j * sum(deltas[k, j] * x[k] for k in range(j)) for j in range(d)]
         # (a) off-diagonal derivatives
         for k in range(1, d):

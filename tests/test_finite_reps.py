@@ -20,7 +20,7 @@ from ncspaces.finite_reps import (
     tensor_translate,
     verify_relations,
 )
-from ncspaces.linalg import COMPLEX_PRODUCT, UNIT_ROUNDOFF
+from ncspaces.linalg import COMPLEX_PRODUCT, UNIT_ROUNDOFF, kron, on_leg
 from ncspaces.skew import upper_pairs
 
 
@@ -115,6 +115,25 @@ class TestTensorConstruct:
         t = tensor_construct({(0, 1): pair})
         assert np.array_equal(t.matrices[0], pair.matrices[0])
         assert np.array_equal(t.matrices[1], pair.matrices[1])
+
+    def test_tuples_are_read_only(self):
+        # the relation report is found once, so no write may reach what it
+        # certifies; a measured tuple holds copies of the caller's arrays
+        base = clock_shift(1, 2)
+        mats, sigma = [m.copy() for m in base.matrices], base.sigma.copy()
+        measured = UnitaryTuple(tuple(mats), sigma, 1e-14)
+        tuples = (
+            measured,
+            tensor_construct({(0, 1): measured}),
+            tensor_construct(pair_table(3, lambda jk: measured)),
+            tensor_translate(measured, measured),
+        )
+        for t in tuples:
+            for a in (*t.matrices, t.sigma):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0] = 5
+        mats[0][0, 0] = sigma[0, 0] = 5
+        assert measured.matrices[0][0, 0] == measured.sigma[0, 0] == 1
 
     def test_four_generators_q3(self):
         t = tensor_construct(pair_table(4, lambda jk: clock_shift(1, 3)))
@@ -230,9 +249,14 @@ class TestKron:
         units = np.array([0, 1, -1, 1j, -1j], dtype=complex)
         legs = self.legs(rng, count, lambda shape: rng.choice(units, size=shape))
         expected = reduce(np.kron, legs)
-        got = finite_reps._kron(legs)
+        got = kron(legs)
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
+        # on_leg: an exact square leg at k, the identity on the other legs
+        n = min(count, 5)
+        op, k = rng.choice(units, size=(2, 2)), int(rng.integers(n))
+        eyes = [op if leg == k else np.eye(2, dtype=complex) for leg in range(n)]
+        assert np.array_equal(on_leg(op, k, n), reduce(np.kron, eyes))
 
     @pytest.mark.parametrize("count", range(1, 11))
     def test_complex_legs_agree_with_np_kron_to_round_off(self, count):
@@ -242,7 +266,7 @@ class TestKron:
         legs = self.legs(
             rng, count, lambda shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         )
-        got, expected = finite_reps._kron(legs), reduce(np.kron, legs)
+        got, expected = kron(legs), reduce(np.kron, legs)
         moduli = reduce(np.kron, [np.abs(v) for v in legs]) * (1 + UNIT_ROUNDOFF) ** count
         bound = 2 * ((1 + COMPLEX_PRODUCT) ** (count - 1) - 1) * moduli
         assert got.shape == expected.shape
@@ -338,28 +362,27 @@ class TestGnsClockShiftConsistency:
 
 class TestClifford:
     def test_single_involution(self):
-        cs = clifford_generators(1)
-        c = cs.matrices[0]
+        (c,) = clifford_generators(1)
         assert np.abs(c - c.conj().T).max() == 0
         assert np.abs(c @ c - np.eye(2)).max() == 0
 
     @staticmethod
     def assert_anticommute(cs):
-        eye = np.eye(cs.rep_dim)
-        for j, cj in enumerate(cs.matrices):
-            for k, ck in enumerate(cs.matrices):
+        eye = np.eye(cs[0].shape[0])
+        for j, cj in enumerate(cs):
+            for k, ck in enumerate(cs):
                 target = 2.0 * eye if j == k else 0.0
                 assert np.linalg.norm(cj @ ck + ck @ cj - target, 2) <= 1e-14
 
     def test_pair_anticommutes(self):
         cs = clifford_generators(2)
-        c1, c2 = cs.matrices
+        c1, c2 = cs
         assert np.abs(c1 @ c2 + c2 @ c1).max() == 0
         self.assert_anticommute(cs)
 
     def test_three_generators(self):
         cs = clifford_generators(3)
-        assert cs.rep_dim == 4
+        assert cs[0].shape == (4, 4)
         self.assert_anticommute(cs)
 
     def test_size_guard(self):
@@ -404,8 +427,7 @@ class TestFock:
     def test_two_modes_explicit_kernel_vector(self):
         # direct check of the level-1 kernel construction: A*(e1 x phi_{10}
         # + i e1 x phi_{01}) = (c1 + i c2) e1 x phi_00 = 0 for c1 = X, c2 = Y
-        cs = clifford_generators(2)
-        c1, c2 = cs.matrices
+        c1, c2 = clifford_generators(2)
         cutoff = 3
         a = ladder_operator(cutoff)
         eye = np.eye(cutoff + 1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncspaces.errors import DegenerateFitError, ValidationError
-from ncspaces.symplectic import GridSpec
+from ncspaces.symplectic import GridSpec, gaussian_state
 from ncspaces.weyl_dynamics import (
     HermitianPair,
     UnitaryField,
@@ -104,6 +104,19 @@ class TestWeylResidual:
             rep = weyl_residual(1.0, 3 * grid.step, 5 * grid.dual_step, grid)
             assert rep.commensurate_shift and rep.commensurate_modulation
             assert rep.operator_defect <= 1e-12
+
+    @pytest.mark.parametrize("m", [64, 256])
+    def test_residual_bits_fixed_by_the_operand_order(self, m):
+        # the defect is (v_b - phase v_a) times u_ab, in that operand order at
+        # every M: numpy's complex product is not bitwise commutative, and
+        # u * (...) was evaluated in either order depending on M
+        grid = GridSpec.self_dual(m)
+        v = np.exp(1j * grid.axis() * 0.37)
+        defect = np.multiply(v[None, :] - np.exp(1j * 0.37 * 0.37 * 1.0) * v[:, None],
+                             translation_unitary(0.37, grid))
+        psi = gaussian_state(grid, 1, grid.half_length / 32.0)
+        rep = weyl_residual(1.0, 0.37, 0.37, grid)
+        assert rep.residual == float(np.linalg.norm(defect @ psi))
 
     def test_no_svd(self, monkeypatch):
         def svd(*args, **kwargs):
@@ -207,9 +220,9 @@ class TestAssembly:
         # oracle: the closed-form derivatives of the arctan field
         w = ARC_FIELD
         for (x, y) in [(0.3, -0.5), (1.2, 0.8)]:
-            fd = w.fd_x(x, y, 1e-4)
+            fd = w.fd(x, y, 0, 1e-4)
             assert np.abs(fd - arc_dfdx(x, y)).max() <= 1e-7
-            fd = w.fd_y(x, y, 1e-4)
+            fd = w.fd(x, y, 1, 1e-4)
             assert np.abs(fd - arc_dfdy(x, y)).max() <= 1e-7
 
     def test_zero_deltas_order_independent(self):
