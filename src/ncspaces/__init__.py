@@ -3,6 +3,7 @@
 Core objects: exact twisted polynomial algebras over Z^d (`twisted_algebra`),
 finite unitary models and Clifford/ladder constructions (`finite_reps`),
 symplectic normal forms and discretized canonical pairs (`symplectic`),
+the uniform grid and the functions sampled on it (`gridfn`),
 star products and the twisted regular representation on grids (`moyal`),
 one-parameter unitary groups and assembly identities (`weyl_dynamics`),
 and band spectra with continuity scans (`spectra`).
@@ -32,14 +33,13 @@ from .finite_reps import (
     verify_relations,
 )
 from .symplectic import (
-    GridSpec,
     SkewDecomposition,
     SymplecticForm,
     schrodinger_generators,
     skew_rank_decompose,
     symplectic_normalize,
 )
-from .gridfn import GridFunction, read_gridfn, to_frequency, to_position, write_gridfn
+from .gridfn import GridFunction, GridSpec, read_gridfn, to_frequency, to_position, write_gridfn
 from .moyal import (
     QuantizationConstant,
     dimension_reduction_check,

@@ -32,7 +32,7 @@ from . import spectra, symplectic
 from . import weyl_dynamics as wd
 from .checks import DEFAULT_SEED
 from .errors import ValidationError
-from .gridfn import GridFunction, atomic_open, read_gridfn, write_gridfn
+from .gridfn import GridFunction, GridSpec, atomic_open, read_gridfn, write_gridfn
 from .serialize import matrix_to_json, poly_from_json, poly_to_json
 from .skew import SkewMatrix, upper_pairs
 from . import twisted_algebra as ta
@@ -213,10 +213,10 @@ def parse_theta_spec(spec: Optional[str], d: int, rng) -> SkewMatrix:
     return SkewMatrix.from_upper(d, {jk: value for jk in upper_pairs(d)})
 
 
-def _grid(text: str) -> symplectic.GridSpec:
+def _grid(text: str) -> GridSpec:
     """A grid 'M,L': M points on [-L, L)."""
     m_str, l_str = text.split(",")
-    return symplectic.GridSpec(_integer(m_str), float(l_str))
+    return GridSpec(_integer(m_str), float(l_str))
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -320,7 +320,7 @@ def cmd_weyl(p: dict) -> int:
     theta, L = p["theta"], p["L"]
     rows = ["M,L,theta,s,t,residual,commensurate_shift,commensurate_modulation"]
     for m in p["grids"]:
-        grid = symplectic.GridSpec.self_dual(m) if L is None else symplectic.GridSpec(m, L)
+        grid = GridSpec.self_dual(m) if L is None else GridSpec(m, L)
         for s in p["s"]:
             for t in p["t"]:
                 rep = wd.weyl_residual(theta, s, t, grid)

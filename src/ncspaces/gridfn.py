@@ -1,6 +1,8 @@
-"""Sampled functions on uniform boxes and their Fourier transforms.
+"""The uniform grid of the whole engine, and functions sampled on it.
 
-Conventions, fixed once for the whole engine:
+This module is the one home of the grid conventions; every grid object is a
+UniformGrid, whether it carries samples (GridFunction, a power-of-two M) or
+only the geometry (GridSpec, any M >= 2):
 
     position grid   x_i = -L + i * (2L/M),      i = 0..M-1, per axis
     frequency grid  s_j = (pi/L) * j,           j = -M/2..M/2-1, per axis
@@ -20,6 +22,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
+from math import isfinite
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,9 +33,77 @@ from .linalg import box_points
 BOUNDARY_DECAY_WARN = 1e-8
 
 
+class UniformGrid:
+    """M = points samples per axis on [-L, L), L = half_length: the geometry
+    shared by GridSpec and GridFunction."""
+
+    points: int
+    half_length: float
+
+    def _check_grid(self):
+        object.__setattr__(self, "points", as_index("grid points M", self.points, 2))
+        if not 0 < self.half_length < np.inf:
+            raise ValidationError(f"grid needs a finite L > 0, got {self.half_length!r}")
+
+    @property
+    def step(self) -> float:
+        return 2.0 * self.half_length / self.points
+
+    @property
+    def dual_step(self) -> float:
+        return np.pi / self.half_length
+
+    freq_step = dual_step  # the same property under the frequency-side name
+
+    def axis(self) -> np.ndarray:
+        return -self.half_length + self.step * np.arange(self.points)
+
+    def freq_axis(self) -> np.ndarray:
+        """Ascending angular frequencies."""
+        m = self.points
+        return self.freq_step * (np.arange(m) - m // 2)
+
+    def frequencies(self) -> np.ndarray:
+        """Angular frequencies of the discrete Fourier basis (fft order)."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.step)
+
+    def gaussian_samples(
+        self, dim: int, sigma: float, center: Sequence[float] = None
+    ) -> np.ndarray:
+        """exp(-|x - c|^2 / (2 sigma^2)) at every point of the dim-fold grid,
+        shape (M,) * dim; c is the origin by default."""
+        dim = as_index("dimension", dim, 1)
+        center = (0.0,) * dim if center is None else tuple(center)
+        if len(center) != dim or not all(map(isfinite, center)):
+            raise ValidationError(f"center must be {dim} finite numbers, got {center!r}")
+        if not 0 < sigma < np.inf:
+            raise ValidationError(f"sigma must be positive and finite, got {sigma!r}")
+        ax = self.axis()
+        r2 = reduce(np.add.outer, [(ax - c) ** 2 for c in center])
+        return np.exp(-r2 / (2.0 * sigma**2))
+
+
+@dataclass(frozen=True)
+class GridSpec(UniformGrid):
+    """The geometry alone: M >= 2 points on [-L, L), no power-of-two condition."""
+
+    points: int
+    half_length: float
+
+    def __post_init__(self):
+        self._check_grid()
+
+    @classmethod
+    def self_dual(cls, points: int) -> "GridSpec":
+        """L chosen so the grid step equals the dual step: L = sqrt(pi M / 2)."""
+        points = as_index("grid points M", points, 2)
+        return cls(points, float(np.sqrt(np.pi * points / 2.0)))
+
+
 @dataclass(frozen=True, eq=False)
-class GridFunction:
-    """Complex samples on the uniform grid of [-L, L)^d (or its dual)."""
+class GridFunction(UniformGrid):
+    """Complex samples on the uniform grid of [-L, L)^d (or its dual), M a
+    power of two."""
 
     dim: int
     half_length: float
@@ -42,10 +113,8 @@ class GridFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", as_index("dimension", self.dim, 1))
-        m = as_index("points per axis", self.points, 2)
-        object.__setattr__(self, "points", m)
-        if not (0 < self.half_length < np.inf):
-            raise ValidationError("half length must be positive and finite")
+        self._check_grid()
+        m = self.points
         if m & (m - 1):
             raise ValidationError(f"points per axis must be a power of two, got {m}")
         if self.side not in ("position", "frequency"):
@@ -56,24 +125,6 @@ class GridFunction:
                 f"values shape {vals.shape} != {(self.points,) * self.dim}"
             )
         object.__setattr__(self, "values", vals)
-
-    # -- grid geometry ------------------------------------------------------
-
-    @property
-    def step(self) -> float:
-        return 2.0 * self.half_length / self.points
-
-    @property
-    def freq_step(self) -> float:
-        return np.pi / self.half_length
-
-    def axis(self) -> np.ndarray:
-        return -self.half_length + self.step * np.arange(self.points)
-
-    def freq_axis(self) -> np.ndarray:
-        """Ascending angular frequencies."""
-        m = self.points
-        return self.freq_step * (np.arange(m) - m // 2)
 
     def same_grid(self, other: "GridFunction") -> bool:
         return (
@@ -101,14 +152,9 @@ class GridFunction:
         peak = v.max()
         if peak == 0.0:
             return 0.0
-        mask = np.zeros(v.shape, dtype=bool)
-        for ax in range(self.dim):
-            sl = [slice(None)] * self.dim
-            sl[ax] = 0
-            mask[tuple(sl)] = True
-            sl[ax] = -1
-            mask[tuple(sl)] = True
-        return float(v[mask].max() / peak)
+        shell = np.ones(v.shape, dtype=bool)
+        shell[(slice(1, -1),) * self.dim] = False
+        return float(v[shell].max() / peak)
 
     def warn_if_boundary_heavy(self):
         ratio = self.boundary_ratio()
@@ -125,7 +171,7 @@ class GridFunction:
     def from_function(
         cls, dim: int, half_length: float, points: int, fn: Callable
     ) -> "GridFunction":
-        ax = -half_length + (2.0 * half_length / points) * np.arange(points)
+        ax = GridSpec(points, half_length).axis()
         grids = np.meshgrid(*([ax] * as_index("dimension", dim, 1)), indexing="ij")
         return cls(dim, half_length, points, np.asarray(fn(*grids), dtype=complex))
 
@@ -140,17 +186,10 @@ class GridFunction:
         normalized: bool = True,
     ) -> "GridFunction":
         """exp(-|x - c|^2 / (2 sigma^2)), L2-normalized on the grid by default."""
-        if center is None:
-            center = [0.0] * as_index("dimension", dim, 1)
-
-        def fn(*axes):
-            r2 = sum((a - c) ** 2 for a, c in zip(axes, center))
-            return np.exp(-r2 / (2.0 * sigma**2))
-
-        g = cls.from_function(dim, half_length, points, fn)
+        samples = GridSpec(points, half_length).gaussian_samples(dim, sigma, center)
+        g = cls(dim, half_length, points, samples)
         if normalized:
-            n = l2_norm(g)
-            g = GridFunction(dim, half_length, points, g.values / n)
+            g = GridFunction(dim, half_length, points, g.values / l2_norm(g))
         return g
 
 
@@ -171,36 +210,33 @@ def integral(f: GridFunction) -> complex:
     return complex(f.values.sum() * f.step**f.dim)
 
 
-def trapezoid_transform(
-    values: np.ndarray, points: int, step: float, dim: int, sign: int
-) -> np.ndarray:
-    """Trapezoid transform over the last dim axes of values, any leading axes
-    being a batch: sign -1 maps position samples to ascending-order frequency
-    samples (the module's fhat), sign +1 maps them back.
+def _trapezoid(f: GridFunction, sign: int) -> np.ndarray:
+    """The trapezoid transform of f's samples: sign -1 maps position samples
+    to ascending-order frequency samples (the module's fhat), sign +1 maps
+    them back.
 
     With s = (pi/L)(k - M/2) and x_n = -L + n (2L/M) on each axis,
     exp(+-i s x_n) = (-1)^(k + n + M/2) exp(+-2 pi i k n / M), so either
     direction is one unshifted FFT between two sign grids.
     """
-    signs = reduce(np.multiply.outer, [(-1.0) ** np.arange(points)] * dim)
-    scale = (-1.0) ** (dim * (points // 2)) * (2.0 * np.pi / step) ** (sign * dim)
+    m, d = f.points, f.dim
+    signs = reduce(np.multiply.outer, [(-1.0) ** np.arange(m)] * d)
+    scale = (-1.0) ** (d * (m // 2)) * (2.0 * np.pi / f.step) ** (sign * d)
     fft = np.fft.ifftn if sign > 0 else np.fft.fftn
-    return fft(values * signs, axes=tuple(range(-dim, 0))) * (signs * scale)
+    return fft(f.values * signs) * (signs * scale)
 
 
 def to_frequency(f: GridFunction) -> GridFunction:
     """Trapezoid approximation of the continuum transform, ascending freq order."""
     if f.side != "position":
         raise ValidationError("to_frequency expects a position-side function")
-    vals = trapezoid_transform(f.values, f.points, f.step, f.dim, -1)
-    return GridFunction(f.dim, f.half_length, f.points, vals, side="frequency")
+    return GridFunction(f.dim, f.half_length, f.points, _trapezoid(f, -1), side="frequency")
 
 
 def to_position(fhat: GridFunction) -> GridFunction:
     if fhat.side != "frequency":
         raise ValidationError("to_position expects a frequency-side function")
-    vals = trapezoid_transform(fhat.values, fhat.points, fhat.step, fhat.dim, 1)
-    return GridFunction(fhat.dim, fhat.half_length, fhat.points, vals, side="position")
+    return GridFunction(fhat.dim, fhat.half_length, fhat.points, _trapezoid(fhat, 1))
 
 
 def freq_grid_vectors(f: GridFunction) -> np.ndarray:

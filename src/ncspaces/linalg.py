@@ -8,6 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ValidationError
+
 UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 # relative error of one floating-point complex product, sqrt(2) gamma_2
 # (Higham, *Accuracy and Stability of Numerical Algorithms*, Lemma 3.5)
@@ -29,7 +31,9 @@ def kron(mats: Sequence[np.ndarray]) -> np.ndarray:
     intermediates.  Each entry is the product of one entry per leg, associated
     as the halving tree; entries of exact factors come out exact, and the
     rounded ones as bounded in finite_reps._assemble.  One leg comes back
-    as is."""
+    as is; an empty list is a ValidationError."""
+    if not mats:
+        raise ValidationError("kron needs at least one leg")
     if len(mats) == 1:
         return mats[0]
     half = len(mats) // 2

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import gamma, pi, sqrt
+from math import gamma, inf, isfinite, pi, sqrt
 from typing import List
 
 import numpy as np
@@ -279,10 +279,10 @@ def regular_rep_matrix(f: GridFunction, theta: SkewMatrix) -> np.ndarray:
 
 def interior_frequency_mask(f: GridFunction, margin_fraction: float = 0.5) -> np.ndarray:
     """Boolean mask of frequency points with |s|_sup <= margin_fraction * s_max."""
-    fhat = f if f.side == "frequency" else to_frequency(f)
-    vec = freq_grid_vectors(fhat)
-    smax = np.abs(fhat.freq_axis()).max()
-    return np.all(np.abs(vec) <= margin_fraction * smax + 1e-12, axis=1)
+    if not isfinite(margin_fraction):
+        raise ValidationError(f"margin fraction must be finite, got {margin_fraction!r}")
+    smax = np.abs(f.freq_axis()).max()
+    return np.all(np.abs(freq_grid_vectors(f)) <= margin_fraction * smax + 1e-12, axis=1)
 
 
 def twisted_involution(fhat: GridFunction) -> GridFunction:
@@ -302,8 +302,8 @@ def twisted_involution(fhat: GridFunction) -> GridFunction:
 
 def sobolev_norm(f: GridFunction, alpha: float) -> float:
     """|| (1 + |s|^2)^{alpha/2} fhat ||_2 with Plancherel weights."""
-    if alpha < 0:
-        raise ValidationError("alpha must be >= 0")
+    if not 0 <= alpha < inf:
+        raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
     fhat = to_frequency(f) if f.side == "position" else f
     s2 = (freq_grid_vectors(fhat) ** 2).sum(axis=1).reshape(fhat.values.shape)
     weighted = (1.0 + s2) ** (alpha / 2.0) * fhat.values
@@ -328,6 +328,8 @@ def sphere_surface(d: int) -> float:
 def quantization_constant(alpha: float, d: int, path_constant: float) -> QuantizationConstant:
     """(V_d / (2 alpha - d - 2))^{1/2} * C; finite exactly when alpha > d/2 + 1."""
     d = as_index("dimension", d, 1)
+    if not (isfinite(alpha) and isfinite(path_constant)):
+        raise ValidationError(f"alpha and C must be finite, got {alpha!r} and {path_constant!r}")
     if alpha <= d / 2.0 + 1.0:
         raise ValidationError(
             f"alpha must exceed d/2 + 1 = {d / 2 + 1}; the frequency integral diverges"

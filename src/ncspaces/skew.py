@@ -116,6 +116,8 @@ class SkewMatrix:
     @classmethod
     def random(cls, dim: int, rng, scale: float = 1.0) -> "SkewMatrix":
         dim = as_index("dimension", dim, 1)
+        if not isfinite(scale):
+            raise ValidationError(f"scale must be finite, got {scale!r}")
         vals = rng.uniform(-scale, scale, size=dim * (dim - 1) // 2)
         return cls.from_upper(dim, [float(v) for v in vals])
 

@@ -15,14 +15,8 @@ from typing import Callable, List
 
 import numpy as np
 
-from .errors import (
-    DENSE_CAP,
-    OddDimensionError,
-    RankDeficientError,
-    ValidationError,
-    as_index,
-    guard,
-)
+from .errors import DENSE_CAP, OddDimensionError, RankDeficientError, guard
+from .gridfn import GridSpec
 from .linalg import fourier_multiplier, kron, on_leg
 from .skew import SkewMatrix
 
@@ -127,39 +121,6 @@ def skew_rank_decompose(theta: SkewMatrix) -> SkewDecomposition:
 # -- discretized canonical pairs ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform periodic grid on [-L, L) with M points."""
-
-    points: int
-    half_length: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", as_index("grid points M", self.points, 2))
-        if not 0 < self.half_length < np.inf:
-            raise ValidationError(f"grid needs a finite L > 0, got {self.half_length!r}")
-
-    @classmethod
-    def self_dual(cls, points: int) -> "GridSpec":
-        """L chosen so the grid step equals the dual step: L = sqrt(pi M / 2)."""
-        return cls(points, float(np.sqrt(np.pi * points / 2.0)))
-
-    @property
-    def step(self) -> float:
-        return 2.0 * self.half_length / self.points
-
-    @property
-    def dual_step(self) -> float:
-        return np.pi / self.half_length
-
-    def axis(self) -> np.ndarray:
-        return -self.half_length + self.step * np.arange(self.points)
-
-    def frequencies(self) -> np.ndarray:
-        """Angular frequencies of the discrete Fourier basis (fft order)."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.step)
-
-
 def spectral_derivative_matrix(grid: GridSpec) -> np.ndarray:
     """Dense matrix of -i d/dx: the Fourier multiplier k, a circulant built
     in O(M^2)."""
@@ -200,6 +161,5 @@ def gaussian_state(grid: GridSpec, n: int, sigma: float = None) -> np.ndarray:
         # balance position-tail and frequency-tail truncation errors
         kmax = np.pi / grid.step
         sigma = float(np.sqrt(grid.half_length / kmax))
-    axis = np.exp(-(grid.axis() ** 2) / (2.0 * sigma**2))
-    v = kron([axis[:, None]] * n).ravel().astype(complex)
+    v = grid.gaussian_samples(n, sigma).ravel().astype(complex)
     return v / np.linalg.norm(v)

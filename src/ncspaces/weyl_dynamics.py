@@ -27,7 +27,8 @@ from .linalg import (
     holder_bound,
     spectral_norm,
 )
-from .symplectic import GridSpec, gaussian_state
+from .gridfn import GridSpec
+from .symplectic import gaussian_state
 
 
 # -- translation / modulation groups ------------------------------------------
@@ -183,6 +184,8 @@ def generator_bound_check(pair: HermitianPair, ts: Sequence[float]) -> Generator
     the 8 smallest when none lies below.
     """
     ts = [float(t) for t in ts if t != 0.0]
+    if not all(map(isfinite, ts)):
+        raise ValidationError(f"sample times must be finite, got {ts}")
     if not ts:
         raise ValidationError("need at least one nonzero sample time")
     dnorm = pair.difference_norm()

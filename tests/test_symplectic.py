@@ -20,8 +20,13 @@ from ncspaces.finite_reps import (
     ladder_operator,
 )
 from ncspaces.gridfn import GridFunction
-from ncspaces.linalg import HermitianExponential
-from ncspaces.moyal import dimension_reduction_check, quantization_constant
+from ncspaces.linalg import HermitianExponential, kron, on_leg
+from ncspaces.moyal import (
+    dimension_reduction_check,
+    interior_frequency_mask,
+    quantization_constant,
+    sobolev_norm,
+)
 from ncspaces.phases import Cyclotomic
 from ncspaces.serialize import poly_from_json, theta_from_json
 from ncspaces.skew import SkewMatrix
@@ -43,9 +48,11 @@ from ncspaces.twisted_algebra import (
     transference,
 )
 from ncspaces.weyl_dynamics import (
+    HermitianPair,
     assembled_field,
     assembly_convergence_order,
     audit_interpolation_constants,
+    generator_bound_check,
     weyl_residual,
 )
 
@@ -235,6 +242,23 @@ class TestSchrodingerGenerators:
         assert order >= 2.0
 
 
+@pytest.mark.parametrize("m", [16, 64])
+def test_grid_spec_and_grid_function_share_one_geometry(m):
+    spec, fn = GridSpec(m, 6.0), GridFunction(1, 6.0, m, np.zeros(m))
+    assert spec.step == fn.step
+    assert spec.dual_step == spec.freq_step == fn.dual_step == fn.freq_step
+    for name in ("axis", "freq_axis", "frequencies"):
+        assert np.array_equal(getattr(spec, name)(), getattr(fn, name)())
+
+
+def test_grid_spec_keeps_any_size_that_grid_functions_reject():
+    grid = GridSpec(48, 6.0)
+    p = schrodinger_generators(symplectic_normalize(SkewMatrix.canonical(2)), grid)
+    assert [mat.shape for mat in p] == [(48, 48), (48, 48)]
+    with pytest.raises(ValidationError, match="power of two"):
+        GridFunction(1, 6.0, 48, np.zeros(48))
+
+
 THETA_HALF = SkewMatrix.from_upper(2, [0.5])
 
 
@@ -312,6 +336,27 @@ THETA_HALF = SkewMatrix.from_upper(2, [0.5])
     pytest.param(lambda x: Cyclotomic(4, {1: x}), 1j, id="cyclotomic-coeff-complex"),
     pytest.param(lambda x: Cyclotomic.from_gaussian(x, 1), "12", id="cyclotomic-gaussian-order-str"),
     pytest.param(lambda x: Cyclotomic.from_gaussian(x, 1), None, id="cyclotomic-gaussian-order-none"),
+    pytest.param(GridSpec.self_dual, "8", id="grid-self-dual-str"),
+    pytest.param(GridSpec.self_dual, None, id="grid-self-dual-none"),
+    # the grid Gaussian: a center of the wrong length, a degenerate width, no axes
+    pytest.param(lambda x: GridFunction.gaussian(2, 8.0, 8, center=x), (0.5,), id="gaussian-center-short"),
+    pytest.param(lambda x: GridFunction.gaussian(2, 8.0, 8, center=x), (0.1, 0.2, 0.3),
+                 id="gaussian-center-long"),
+    pytest.param(lambda x: GridFunction.gaussian(1, 8.0, 8, sigma=x), 0.0, id="gaussian-sigma-zero"),
+    pytest.param(lambda x: GridFunction.gaussian(1, 8.0, 8, sigma=x), np.nan, id="gaussian-sigma-nan"),
+    pytest.param(lambda x: gaussian_state(GridSpec(8, 4.0), x), 0, id="gaussian-state-no-axes"),
+    pytest.param(lambda x: on_leg(np.eye(2), 0, x), 0, id="on-leg-no-legs"),
+    pytest.param(kron, [], id="kron-empty"),
+    pytest.param(lambda x: sobolev_norm(GridFunction.gaussian(1, 8.0, 16), x), np.nan, id="sobolev-alpha-nan"),
+    pytest.param(lambda x: sobolev_norm(GridFunction.gaussian(1, 8.0, 16), x), np.inf, id="sobolev-alpha-inf"),
+    pytest.param(lambda x: quantization_constant(x, 2, 1.0), np.nan, id="quantization-alpha-nan"),
+    pytest.param(lambda x: quantization_constant(5.0, 2, x), np.inf, id="quantization-c-inf"),
+    pytest.param(lambda x: interior_frequency_mask(GridFunction.gaussian(1, 8.0, 16), x), np.nan,
+                 id="interior-mask-margin-nan"),
+    pytest.param(lambda x: generator_bound_check(HermitianPair(np.eye(2), np.diag([1.0, -1.0])), [x, 0.1]),
+                 np.nan, id="generator-bound-t-nan"),
+    pytest.param(lambda x: SkewMatrix.random(2, np.random.default_rng(0), scale=x), np.nan,
+                 id="skew-random-scale-nan"),
 ])
 def test_non_finite_input_rejected(entry_point, bad):
     with pytest.raises(ValidationError):
