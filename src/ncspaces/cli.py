@@ -67,8 +67,14 @@ def _integer(x) -> int:
     return int(value)
 
 
+def _real(x) -> float:
+    """A number or a numeric string ("0.5") as a float; a boolean is rejected,
+    as by the integer keys, since str(True) is no float literal."""
+    return float(str(x))
+
+
 def _floats(values) -> List[float]:
-    return [float(x) for x in values]
+    return list(map(_real, values))
 
 
 def _scalar_theta(text: str):
@@ -113,7 +119,7 @@ _PARAMS = {
         "s": (_floats, (0.37,), None),
         "t": (_floats, (0.37,), None),
         "grids": (lambda ms: [_integer(m) for m in ms], (64, 128, 256), None),
-        "L": (float, None, None),
+        "L": (_real, None, None),
     },
     "butterfly": {"qmax": (_integer, None, "largest flux denominator")},
     "holder": {

@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and its two entry checks:
-as_index for every integer argument, guard for every cost cap.  DENSE_CAP caps
-the side of every dense matrix; the other caps sit beside the code they guard.
+"""Exception types and the package's three entry checks: as_index for every
+integer argument, as_real for every real one, guard for every cost cap.
+DENSE_CAP caps every dense matrix side; other caps sit beside what they guard.
 """
 import operator
+from math import inf, isfinite, nan
+from numbers import Real
 
 DENSE_CAP = 4096
 
@@ -52,6 +54,23 @@ def as_index(name: str, value, minimum: int = None) -> int:
     if minimum is not None and n < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {n}")
     return n
+
+
+def as_real(name: str, value, minimum: float = None, above: float = None) -> float:
+    """value as a float; a bool, a non-real (str, None, complex), NaN, an infinity,
+    or a value below minimum or not above above is a ValidationError."""
+    real = isinstance(value, (float, Real)) and not isinstance(value, bool)  # float: no ABC check
+    try:
+        x = float(value) if real else nan
+    except OverflowError:  # an int or a Fraction past the float range
+        x = inf
+    if not isfinite(x):
+        raise ValidationError(f"{name} must be a finite real number, got {value!r}")
+    if minimum is not None and x < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {x!r}")
+    if above is not None and not x > above:
+        raise ValidationError(f"{name} must be > {above}, got {x!r}")
+    return x
 
 
 def guard(what: str, size, cap):

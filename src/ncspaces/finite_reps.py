@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DENSE_CAP, ValidationError, as_index, guard
+from .errors import DENSE_CAP, ValidationError, as_index, as_real, guard
 from .linalg import (
     COMPLEX_PRODUCT,
     UNIT_ROUNDOFF,
@@ -51,6 +51,7 @@ class UnitaryTuple:
     def _admit(self, report_of: Callable[[UnitaryTuple], RelationReport]) -> None:
         """Freeze and validate matrices and sigma, set relation_report to
         report_of(self) and gate it against tol: the one way into relation_report."""
+        object.__setattr__(self, "tol", as_real("tolerance", self.tol, minimum=0))
         d = len(self.matrices)
         sigma = self.sigma
         for a in (sigma, *self.matrices):

@@ -22,12 +22,11 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
-from math import isfinite
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import GridMismatchError, ValidationError, as_index
+from .errors import GridMismatchError, ValidationError, as_index, as_real
 from .linalg import box_points
 
 BOUNDARY_DECAY_WARN = 1e-8
@@ -42,8 +41,7 @@ class UniformGrid:
 
     def _check_grid(self):
         object.__setattr__(self, "points", as_index("grid points M", self.points, 2))
-        if not 0 < self.half_length < np.inf:
-            raise ValidationError(f"grid needs a finite L > 0, got {self.half_length!r}")
+        object.__setattr__(self, "half_length", as_real("grid L", self.half_length, above=0))
 
     @property
     def step(self) -> float:
@@ -73,11 +71,10 @@ class UniformGrid:
         """exp(-|x - c|^2 / (2 sigma^2)) at every point of the dim-fold grid,
         shape (M,) * dim; c is the origin by default."""
         dim = as_index("dimension", dim, 1)
-        center = (0.0,) * dim if center is None else tuple(center)
-        if len(center) != dim or not all(map(isfinite, center)):
+        center = (0.0,) * dim if center is None else tuple(as_real("center", c) for c in center)
+        if len(center) != dim:
             raise ValidationError(f"center must be {dim} finite numbers, got {center!r}")
-        if not 0 < sigma < np.inf:
-            raise ValidationError(f"sigma must be positive and finite, got {sigma!r}")
+        sigma = as_real("sigma", sigma, above=0)
         ax = self.axis()
         r2 = reduce(np.add.outer, [(ax - c) ** 2 for c in center])
         return np.exp(-r2 / (2.0 * sigma**2))
@@ -283,8 +280,9 @@ def write_gridfn(f: GridFunction, path) -> None:
 
 def read_gridfn(path) -> GridFunction:
     """The grid function in path.  A header that is not a JSON object, a d or
-    M that is not an integer (1.5 is rejected, not truncated), a payload of
-    the wrong length or a non-finite sample is a ValidationError."""
+    M that is not an integer (1.5 is rejected, not truncated), an L that is no
+    number (true included), a payload of the wrong length or a non-finite
+    sample is a ValidationError."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
@@ -299,8 +297,8 @@ def read_gridfn(path) -> GridFunction:
             raise ValidationError(f"grid file header missing {key!r}")
     d, m = as_index("grid file d", header["d"], 1), as_index("grid file M", header["M"], 2)
     try:
-        L = float(header["L"])
-    except (TypeError, ValueError) as e:
+        L = float(str(header["L"]))  # read from its text, where true is no number
+    except ValueError as e:
         raise ValidationError(f"grid file L {header['L']!r} is not a number") from e
     # M >= 2, so a d past the payload's bit length cannot match it: M^d is
     # not formed for such a d

@@ -44,13 +44,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import gamma, inf, isfinite, pi, sqrt
+from math import gamma, pi, sqrt
 from typing import List
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DENSE_CAP, ValidationError, as_index, guard
+from .errors import DENSE_CAP, ValidationError, as_index, as_real, guard
 from .gridfn import GridFunction, freq_grid_vectors, l2_norm, to_frequency, to_position
 from .skew import SkewMatrix
 
@@ -279,8 +279,7 @@ def regular_rep_matrix(f: GridFunction, theta: SkewMatrix) -> np.ndarray:
 
 def interior_frequency_mask(f: GridFunction, margin_fraction: float = 0.5) -> np.ndarray:
     """Boolean mask of frequency points with |s|_sup <= margin_fraction * s_max."""
-    if not isfinite(margin_fraction):
-        raise ValidationError(f"margin fraction must be finite, got {margin_fraction!r}")
+    margin_fraction = as_real("margin fraction", margin_fraction, minimum=0)
     smax = np.abs(f.freq_axis()).max()
     return np.all(np.abs(freq_grid_vectors(f)) <= margin_fraction * smax + 1e-12, axis=1)
 
@@ -302,8 +301,7 @@ def twisted_involution(fhat: GridFunction) -> GridFunction:
 
 def sobolev_norm(f: GridFunction, alpha: float) -> float:
     """|| (1 + |s|^2)^{alpha/2} fhat ||_2 with Plancherel weights."""
-    if not 0 <= alpha < inf:
-        raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
+    alpha = as_real("alpha", alpha, minimum=0)
     fhat = to_frequency(f) if f.side == "position" else f
     s2 = (freq_grid_vectors(fhat) ** 2).sum(axis=1).reshape(fhat.values.shape)
     weighted = (1.0 + s2) ** (alpha / 2.0) * fhat.values
@@ -328,8 +326,7 @@ def sphere_surface(d: int) -> float:
 def quantization_constant(alpha: float, d: int, path_constant: float) -> QuantizationConstant:
     """(V_d / (2 alpha - d - 2))^{1/2} * C; finite exactly when alpha > d/2 + 1."""
     d = as_index("dimension", d, 1)
-    if not (isfinite(alpha) and isfinite(path_constant)):
-        raise ValidationError(f"alpha and C must be finite, got {alpha!r} and {path_constant!r}")
+    alpha, path_constant = as_real("alpha", alpha), as_real("C", path_constant)
     if alpha <= d / 2.0 + 1.0:
         raise ValidationError(
             f"alpha must exceed d/2 + 1 = {d / 2 + 1}; the frequency integral diverges"

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, lcm
+from math import lcm
 from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import ValidationError, as_index
+from .errors import ValidationError, as_index, as_real
 
 Entry = Union[Fraction, float]
 
@@ -22,11 +22,9 @@ def _coerce_entry(x) -> Entry:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
+        return Fraction(as_index("skew matrix entry", x))
     if isinstance(x, (float, np.floating)):
-        if not isfinite(x):
-            raise ValidationError(f"skew matrix entry {x!r} is not finite")
-        return float(x)
+        return as_real("skew matrix entry", x)
     if isinstance(x, str):
         try:
             return Fraction(x)  # "nan" and "inf" are no Fraction literals
@@ -116,8 +114,7 @@ class SkewMatrix:
     @classmethod
     def random(cls, dim: int, rng, scale: float = 1.0) -> "SkewMatrix":
         dim = as_index("dimension", dim, 1)
-        if not isfinite(scale):
-            raise ValidationError(f"scale must be finite, got {scale!r}")
+        scale = as_real("scale", scale, minimum=0)
         vals = rng.uniform(-scale, scale, size=dim * (dim - 1) // 2)
         return cls.from_upper(dim, [float(v) for v in vals])
 

@@ -25,7 +25,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateFitError, ValidationError, as_index, guard
+from .errors import DegenerateFitError, ValidationError, as_index, as_real, guard
 
 MERGE_TOL = 1e-9
 DEFAULT_Q_CAP = 200
@@ -39,6 +39,7 @@ LIP_HALF_BOUND = 12.0
 def bloch_matrix(p: int, q: int, k1: float, k2: float) -> np.ndarray:
     """The q x q Hermitian Bloch matrix at flux p/q and phases (k1, k2)."""
     p, q = as_index("p", p), as_index("q", q, 1)
+    k1, k2 = as_real("Bloch phase k1", k1), as_real("Bloch phase k2", k2)
     j = np.arange(q)
     h = np.diag(2.0 * np.cos(k2 + 2.0 * np.pi * p * j / q)).astype(complex)
     if q == 1:
@@ -168,6 +169,8 @@ def holder_scan(
     is allowed but flagged in `decade_span` since the fitted exponent is then
     poorly conditioned.
     """
+    for x in (base, *offsets):  # checked as reals, then taken exactly
+        as_real("flux", x)
     base = Fraction(base)
     offsets = [Fraction(x) for x in offsets]
     zero_count = sum(1 for x in offsets if x == 0)

@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import isfinite, isqrt, sqrt
+from math import isqrt, sqrt
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateFitError, ValidationError, as_index
+from .errors import DegenerateFitError, ValidationError, as_index, as_real
 from .linalg import (
     COMPLEX_PRODUCT,
     UNIT_ROUNDOFF,
@@ -76,8 +76,7 @@ def weyl_residual(theta: float, s: float, t: float, grid: GridSpec) -> WeylResid
     Cost: O(M^2) for the defect (u is a circulant, v diagonal) and its Hoelder
     bound, plus one O(M log M) FFT; no SVD.
     """
-    if not all(isfinite(x) for x in (theta, s, t)):
-        raise ValidationError(f"theta, s and t must be finite, got {theta}, {s}, {t}")
+    theta, s, t = as_real("theta", theta), as_real("s", s), as_real("t", t)
     shift = theta * s
     u = translation_unitary(shift, grid)
     c = u[:, 0].copy()
@@ -183,9 +182,7 @@ def generator_bound_check(pair: HermitianPair, ts: Sequence[float]) -> Generator
     ||P - P'||; only the samples below 0.01/||P - P'|| enter the estimate, or
     the 8 smallest when none lies below.
     """
-    ts = [float(t) for t in ts if t != 0.0]
-    if not all(map(isfinite, ts)):
-        raise ValidationError(f"sample times must be finite, got {ts}")
+    ts = [t for t in (as_real("sample time", t) for t in ts) if t != 0.0]
     if not ts:
         raise ValidationError("need at least one nonzero sample time")
     dnorm = pair.difference_norm()
@@ -320,11 +317,8 @@ def check_assembly_identities(
     deltas = np.asarray(deltas, dtype=float)
     if deltas.shape != (d, d):
         raise ValidationError(f"deltas must be {d}x{d}")
-    if h is None:
-        h = w.step
-    if not h > 0:
-        raise ValidationError(f"finite-difference step must be > 0, got {h}")
-    probes = [list(map(float, p)) for p in probes]
+    h = as_real("finite-difference step", w.step if h is None else h, above=0)
+    probes = [[as_real("probe coordinate", c) for c in p] for p in probes]
     if not probes:
         raise ValidationError("need at least one probe point")
     for p in probes:
@@ -422,7 +416,8 @@ def audit_interpolation_constants(
     k, levels = as_index("k", k, 1), as_index("levels", levels)
     exact = isqrt(k) ** 2 == k
     root = Fraction(isqrt(k)) if exact else float(k) ** 0.5
-    tgt = Fraction(target) if exact and not isinstance(target, float) else float(target)
+    real = as_real("target", target, above=0)
+    tgt = Fraction(target) if exact and not isinstance(target, float) else real
     b = tgt
     level_bounds = [float(b)]
     worst = b

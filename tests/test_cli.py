@@ -146,6 +146,17 @@ class TestCliBasics:
             assert main(["weyl", "--config", str(cfg), "--theta", theta]) == EXIT_INVALID
             assert "cannot parse theta spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("L", True), ("s", [False]), ("t", [True])])
+    def test_weyl_real_key_rejects_bool_and_takes_numeric_string(self, tmp_path, capsys, key, value):
+        # read by float(), a boolean was 1.0 or 0.0; the integer keys reject it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"L": "6.0", "grids": [16], "s": ["0.5"], "t": [0.37]}))
+        assert main(["weyl", "--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].startswith("16,6.0,1.0,0.5,0.37,")
+        cfg.write_text(json.dumps({"grids": [16], key: value}))
+        assert main(["weyl", "--config", str(cfg)]) == EXIT_INVALID
+        assert f"cannot parse {key} spec" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, config, key", [
         pytest.param(["symplectic", "--theta", "{csv}"], None, "theta", id="symplectic-csv-cell"),
         pytest.param(["relations", "--theta", "1/0"], None, "theta", id="relations-zero-den"),
@@ -279,6 +290,7 @@ class TestCliBasics:
         pytest.param(b'{"d": 1, "L": 6.0, "M": 8}', [complex(np.nan, 0)] * 8, "non-finite",
                      id="nan-sample"),
         pytest.param(b'{"d": 1, "L": "x", "M": 8}', [0j] * 8, "not a number", id="L-not-number"),
+        pytest.param(b'{"d": 1, "L": true, "M": 8}', [0j] * 8, "not a number", id="L-bool"),
         pytest.param(b'{"d": true, "L": 6.0, "M": 8}', [0j] * 8, "d must be an integer",
                      id="d-bool"),
         pytest.param(b'{"d": 3000000, "L": 6.0, "M": 3}', [], "payload has 0 bytes", id="d-huge"),

@@ -1,4 +1,6 @@
 """Tests for the skew normal form and the discretized canonical pairs."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from ncspaces.errors import (
     SizeCapError,
     ValidationError,
     as_index,
+    as_real,
     guard,
 )
 from ncspaces.finite_reps import (
@@ -30,7 +33,7 @@ from ncspaces.moyal import (
 from ncspaces.phases import Cyclotomic
 from ncspaces.serialize import poly_from_json, theta_from_json
 from ncspaces.skew import SkewMatrix
-from ncspaces.spectra import bloch_matrix, coprime_fluxes
+from ncspaces.spectra import bloch_matrix, coprime_fluxes, holder_scan
 from ncspaces.symplectic import (
     GridSpec,
     canonical_block,
@@ -52,6 +55,7 @@ from ncspaces.weyl_dynamics import (
     assembled_field,
     assembly_convergence_order,
     audit_interpolation_constants,
+    check_assembly_identities,
     generator_bound_check,
     weyl_residual,
 )
@@ -357,8 +361,68 @@ THETA_HALF = SkewMatrix.from_upper(2, [0.5])
                  np.nan, id="generator-bound-t-nan"),
     pytest.param(lambda x: SkewMatrix.random(2, np.random.default_rng(0), scale=x), np.nan,
                  id="skew-random-scale-nan"),
+    # real arguments: a str or None is a ValidationError, never a TypeError or
+    # a float() parse; so is a value past the argument's bound
+    pytest.param(lambda x: SkewMatrix.from_upper(2, [x]), True, id="skew-entry-bool"),
+    pytest.param(lambda x: GridSpec(8, x), "6.0", id="grid-L-str"),
+    pytest.param(lambda x: GridSpec(8, x), None, id="grid-L-none"),
+    pytest.param(lambda x: GridFunction.gaussian(1, 8.0, 8, sigma=x), "1", id="gaussian-sigma-str"),
+    pytest.param(lambda x: sobolev_norm(GridFunction.gaussian(1, 8.0, 16), x), "1", id="sobolev-alpha-str"),
+    pytest.param(lambda x: weyl_residual(1.0, x, 0.37, GridSpec(16, 4.0)), None, id="weyl-s-none"),
+    pytest.param(lambda x: quantization_constant(x, 2, 1.0), "5", id="quantization-alpha-str"),
+    pytest.param(lambda x: SkewMatrix.random(2, np.random.default_rng(0), scale=x), "1",
+                 id="skew-random-scale-str"),
+    pytest.param(lambda x: SkewMatrix.random(2, np.random.default_rng(0), scale=x), -1,
+                 id="skew-random-scale-negative"),
+    pytest.param(lambda x: interior_frequency_mask(GridFunction.gaussian(1, 8.0, 16), x), -1.0,
+                 id="interior-mask-margin-negative"),
+    pytest.param(lambda x: generator_bound_check(HermitianPair(np.eye(2), np.diag([1.0, -1.0])), [x]),
+                 "0.1", id="generator-bound-t-str"),
+    pytest.param(lambda x: check_assembly_identities(None, np.zeros((2, 2)), 2, [[0.0, 0.0]], x),
+                 np.inf, id="assembly-h-inf"),
+    pytest.param(lambda x: check_assembly_identities(None, np.zeros((2, 2)), 2, [[0.0, 0.0]], x),
+                 True, id="assembly-h-bool"),
+    pytest.param(lambda x: check_assembly_identities(None, np.zeros((2, 2)), 2, [[x, 0.0]], 0.1),
+                 np.nan, id="assembly-probe-nan"),
+    # a NaN tolerance would pass any residual, since r > nan is False
+    pytest.param(lambda x: UnitaryTuple((np.eye(2), 2 * np.eye(2)), np.ones((2, 2)), x), np.nan,
+                 id="tuple-tol-nan"),
+    pytest.param(lambda x: UnitaryTuple((np.eye(2), 2 * np.eye(2)), np.ones((2, 2)), x), "1",
+                 id="tuple-tol-str"),
+    pytest.param(lambda x: audit_interpolation_constants(8100, x), np.inf, id="audit-target-inf"),
+    pytest.param(lambda x: audit_interpolation_constants(8100, x), np.nan, id="audit-target-nan"),
+    pytest.param(lambda x: audit_interpolation_constants(8100, x), None, id="audit-target-none"),
+    pytest.param(lambda x: bloch_matrix(1, 3, x, 0.0), np.nan, id="bloch-k1-nan"),
+    pytest.param(lambda x: holder_scan(x, [Fraction(1, 8), Fraction(1, 16)]), None,
+                 id="holder-base-none"),
+    pytest.param(lambda x: holder_scan(0, [x, 0.25]), np.nan, id="holder-offset-nan"),
 ])
 def test_non_finite_input_rejected(entry_point, bad):
+    with pytest.raises(ValidationError):
+        entry_point(bad)
+
+
+@pytest.mark.parametrize("bad", [True, "1", None, np.nan, -np.inf])
+@pytest.mark.parametrize("entry_point", [
+    pytest.param(lambda x: GridSpec(8, x), id="grid-L"),
+    pytest.param(lambda x: GridFunction.gaussian(1, 8.0, 8, center=[x]), id="gaussian-center"),
+    pytest.param(lambda x: GridFunction.gaussian(1, 8.0, 8, sigma=x), id="gaussian-sigma"),
+    pytest.param(lambda x: interior_frequency_mask(GridFunction.gaussian(1, 8.0, 16), x),
+                 id="interior-mask-margin"),
+    pytest.param(lambda x: sobolev_norm(GridFunction.gaussian(1, 8.0, 16), x), id="sobolev-alpha"),
+    pytest.param(lambda x: quantization_constant(x, 2, 1.0), id="quantization-alpha"),
+    pytest.param(lambda x: quantization_constant(5.0, 2, x), id="quantization-c"),
+    pytest.param(lambda x: weyl_residual(x, 0.37, 0.37, GridSpec(16, 4.0)), id="weyl-theta"),
+    pytest.param(lambda x: weyl_residual(1.0, 0.37, x, GridSpec(16, 4.0)), id="weyl-t"),
+    pytest.param(lambda x: generator_bound_check(HermitianPair(np.eye(2), np.diag([1.0, -1.0])), [x, 0.1]),
+                 id="generator-bound-t"),
+    pytest.param(lambda x: SkewMatrix.random(2, np.random.default_rng(0), scale=x), id="skew-random-scale"),
+    pytest.param(lambda x: UnitaryTuple((np.eye(2), np.eye(2)), np.ones((2, 2)), x), id="tuple-tol"),
+    pytest.param(lambda x: audit_interpolation_constants(8100, x), id="audit-target"),
+    pytest.param(lambda x: bloch_matrix(1, 3, 0.0, x), id="bloch-k2"),
+    pytest.param(lambda x: holder_scan(x, [Fraction(1, 8), Fraction(1, 16)]), id="holder-base"),
+])
+def test_real_argument_rejects_bool_str_none_and_non_finite(entry_point, bad):
     with pytest.raises(ValidationError):
         entry_point(bad)
 
@@ -374,6 +438,28 @@ def test_as_index_takes_ints_and_numpy_integers():
     assert type(as_index("n", np.int64(3))) is int
     with pytest.raises(ValidationError, match="n must be >= 1"):
         as_index("n", 0, 1)
+
+
+@pytest.mark.parametrize("value", [True, False, "1", None, 1j, np.nan, np.inf, -np.inf, 10**400],
+                         ids=["True", "False", "str", "None", "complex", "nan", "inf", "-inf", "1e400"])
+def test_as_real_rejects_bool_non_reals_and_non_finite(value):
+    with pytest.raises(ValidationError, match="x must be a finite real number"):
+        as_real("x", value)
+
+
+@pytest.mark.parametrize("value", [3, np.float64(0.25), Fraction(1, 4)])
+def test_as_real_returns_a_float(value):
+    x = as_real("x", value)
+    assert type(x) is float and x == value
+
+
+def test_as_real_applies_minimum_and_above():
+    assert as_real("x", 0, minimum=0) == 0.0
+    with pytest.raises(ValidationError, match="x must be >= 0"):
+        as_real("x", -0.5, minimum=0)
+    assert as_real("x", 1e-300, above=0) == 1e-300
+    with pytest.raises(ValidationError, match="x must be > 0"):
+        as_real("x", 0.0, above=0)
 
 
 @pytest.mark.parametrize("m", [(True, False), (1, True), [0, 1.0]])
