@@ -177,8 +177,9 @@ def read_text(path: str, what: str) -> str:
 def read_json_object(path: str, what: str) -> dict:
     """The JSON object in the file at path (see read_text); malformed JSON is
     reported with its line and column, and any other JSON value is rejected."""
+    text = read_text(path, what)
     try:
-        obj = json.loads(read_text(path, what))
+        obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}:{e.lineno}:{e.colno}: malformed JSON {what}: {e.msg}") from e
     except ValueError as e:  # an integer literal past the interpreter's digit limit

@@ -56,9 +56,12 @@ def as_index(name: str, value, minimum: int = None) -> int:
     return n
 
 
-def as_real(name: str, value, minimum: float = None, above: float = None) -> float:
+def as_real(
+    name: str, value, minimum: float = None, above: float = None, maximum: float = None
+) -> float:
     """value as a float; a bool, a non-real (str, None, complex), NaN, an infinity,
-    or a value below minimum or not above above is a ValidationError."""
+    or a value below minimum, not above above or above maximum is a
+    ValidationError."""
     real = isinstance(value, (float, Real)) and not isinstance(value, bool)  # float: no ABC check
     try:
         x = float(value) if real else nan
@@ -70,6 +73,8 @@ def as_real(name: str, value, minimum: float = None, above: float = None) -> flo
         raise ValidationError(f"{name} must be >= {minimum}, got {x!r}")
     if above is not None and not x > above:
         raise ValidationError(f"{name} must be > {above}, got {x!r}")
+    if maximum is not None and x > maximum:
+        raise ValidationError(f"{name} must be <= {maximum}, got {x!r}")
     return x
 
 

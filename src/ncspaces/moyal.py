@@ -278,8 +278,9 @@ def regular_rep_matrix(f: GridFunction, theta: SkewMatrix) -> np.ndarray:
 
 
 def interior_frequency_mask(f: GridFunction, margin_fraction: float = 0.5) -> np.ndarray:
-    """Boolean mask of frequency points with |s|_sup <= margin_fraction * s_max."""
-    margin_fraction = as_real("margin fraction", margin_fraction, minimum=0)
+    """Boolean mask of frequency points with |s|_sup <= margin_fraction * s_max,
+    for a margin_fraction in [0, 1]."""
+    margin_fraction = as_real("margin fraction", margin_fraction, minimum=0, maximum=1)
     smax = np.abs(f.freq_axis()).max()
     return np.all(np.abs(freq_grid_vectors(f)) <= margin_fraction * smax + 1e-12, axis=1)
 

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateFitError, ValidationError, as_index, as_real
+from .errors import DENSE_CAP, DegenerateFitError, ValidationError, as_index, as_real, guard
 from .linalg import (
     COMPLEX_PRODUCT,
     UNIT_ROUNDOFF,
@@ -24,7 +24,6 @@ from .linalg import (
     fourier_multiplier,
     gamma_n,
     hermiticity_defect,
-    holder_bound,
     spectral_norm,
 )
 from .gridfn import GridSpec
@@ -34,15 +33,28 @@ from .symplectic import gaussian_state
 # -- translation / modulation groups ------------------------------------------
 
 
+def _translation_symbol(s: float, grid: GridSpec) -> np.ndarray:
+    """exp(i k s) at the frequencies k of the discrete Fourier basis."""
+    return np.exp(1j * grid.frequencies() * s)
+
+
+def _modulation_diagonal(t: float, grid: GridSpec) -> np.ndarray:
+    """exp(i x t) at the grid points x."""
+    return np.exp(1j * grid.axis() * t)
+
+
 def translation_unitary(s: float, grid: GridSpec) -> np.ndarray:
     """(u(s) f)(x) = f(x + s) as a dense unitary: the Fourier multiplier
-    exp(i k s), a circulant built in O(M^2)."""
-    return fourier_multiplier(np.exp(1j * grid.frequencies() * s))
+    exp(i k s), a circulant built in O(M^2).  Guarded to M <= DENSE_CAP."""
+    guard("grid points M", grid.points, DENSE_CAP)
+    return fourier_multiplier(_translation_symbol(as_real("s", s), grid))
 
 
 def modulation_unitary(t: float, grid: GridSpec) -> np.ndarray:
-    """(v(t) f)(x) = exp(i x t) f(x): a diagonal unitary."""
-    return np.diag(np.exp(1j * grid.axis() * t))
+    """(v(t) f)(x) = exp(i x t) f(x): a diagonal unitary.  Guarded to
+    M <= DENSE_CAP."""
+    guard("grid points M", grid.points, DENSE_CAP)
+    return np.diag(_modulation_diagonal(as_real("t", t), grid))
 
 
 @dataclass(frozen=True)
@@ -65,36 +77,40 @@ def weyl_residual(theta: float, s: float, t: float, grid: GridSpec) -> WeylResid
     residual is the defect applied to a reference Gaussian state of width
     L / 32, which the refining grid progressively resolves.
 
+    u is the circulant whose first column c is the inverse FFT of the
+    translation symbol (the column translation_unitary builds), applied as
+    ifft(fft(c) * fft(x)); v is the diagonal exp(i x t).  The residual is
+    ||u (v psi) - phase v (u psi)||.
+
     operator_defect bounds the defect's operator norm from above, without an
-    SVD (see _defect_norm_bound).  On the lattices the defect is round-off on
-    the permutation pattern of u, and its Hoelder bound (exact for such a
-    matrix) stays at round-off, about 1e-14.  Off them the value is the
+    SVD and without forming the defect (see _defect_norm_bound).  On the
+    lattices it stays at round-off, about 1e-14.  Off them the value is the
     certified bound (1 + |phase|) max|v| ||u|| plus round-off, about 2 for M a
     power of two (otherwise the Hoelder bound, up to about 7), not the exact
     norm, which lies between about 1.1 and 2.
 
-    Cost: O(M^2) for the defect (u is a circulant, v diagonal) and its Hoelder
-    bound, plus one O(M log M) FFT; no SVD.
+    Cost: O(M log M) time in six FFTs and O(M) memory; no M x M array and no
+    SVD.  Guarded to M <= DENSE_CAP^2, the entry count of the largest dense
+    matrix the package admits.
     """
     theta, s, t = as_real("theta", theta), as_real("s", s), as_real("t", t)
+    guard("grid points M", grid.points, DENSE_CAP**2)
     shift = theta * s
-    u = translation_unitary(shift, grid)
-    c = u[:, 0].copy()
-    v = np.exp(1j * grid.axis() * t)  # the diagonal of modulation_unitary(t, grid)
+    c = np.fft.ifft(_translation_symbol(shift, grid))
+    c_hat = np.fft.fft(c)
+    v = _modulation_diagonal(t, grid)
     phase = np.exp(1j * s * t * theta)
-    # u v - phase v u with v diagonal: scale the columns and rows of u; the
-    # in-place product fixes numpy's operand order, and so the bits, at every M
-    defect = v[None, :] - phase * v[:, None]
-    defect *= u
-    del u  # one M x M array fewer while the Hoelder bound takes |defect|
+
+    def u(x: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(c_hat * np.fft.fft(x))
+
     psi = gaussian_state(grid, 1, grid.half_length / 32.0)
-    res = float(np.linalg.norm(defect @ psi))
+    res = float(np.linalg.norm(u(v * psi) - phase * (v * u(psi))))
     tol = 1e-9
     com_s = abs(shift / grid.step - round(shift / grid.step)) < tol
     com_t = abs(t / grid.dual_step - round(t / grid.dual_step)) < tol
-    return WeylResidualReport(
-        res, _defect_norm_bound(defect, c, v, phase), shift, bool(com_s), bool(com_t)
-    )
+    bound = _defect_norm_bound(c, c_hat, v, phase, abs(t) * grid.half_length)
+    return WeylResidualReport(res, bound, shift, bool(com_s), bool(com_t))
 
 
 # numpy's FFT forms each weight as a complex product of two tabulated roots of
@@ -103,41 +119,79 @@ def weyl_residual(theta: float, s: float, t: float, grid: GridSpec) -> WeylResid
 _FFT_WEIGHT = 8 * UNIT_ROUNDOFF
 # one radix-2 stage of the FFT (Higham, Thm 24.2)
 _FFT_STAGE = _FFT_WEIGHT + gamma_n(4) * (sqrt(2) + _FFT_WEIGHT)
+# np.exp(i y) for a real y: cos y and sin y each within one ulp (as glibc's
+# are), so the value is within 2u of e^(i y)
+_EXP = 2 * UNIT_ROUNDOFF
 # |fl(u_ab fl(v_b - fl(phase v_a))) - u_ab (v_b - phase v_a)| over
 # |u_ab| (1 + |phase|) max|v|: two complex products and one difference
 _FORMING = ((1 + COMPLEX_PRODUCT) * (COMPLEX_PRODUCT * (1 + UNIT_ROUNDOFF) + UNIT_ROUNDOFF)
             + COMPLEX_PRODUCT)
 
 
-def _defect_norm_bound(defect: np.ndarray, c: np.ndarray, v: np.ndarray, phase: complex) -> float:
-    """An upper bound on the spectral norm of the float defect D of
-    weyl_residual, formed from the circulant u with first column c, the
-    diagonal v of the modulation and the phase; no SVD.
+def _defect_norm_bound(
+    c: np.ndarray, c_hat: np.ndarray, v: np.ndarray, phase: complex, t_half_length: float
+) -> float:
+    """An upper bound on the spectral norm of the defect D = u V - phase V u
+    of weyl_residual, for the circulant u with first column c (c_hat its
+    FFT), V = diag(v), the float phase and |t| L = t_half_length; it covers
+    both D in exact arithmetic and D formed entrywise in floats.  O(M), no
+    SVD and no M x M array.
 
     The smaller of two bounds:
-    - holder_bound(D), exact for a matrix with one nonzero entry per row and
-      column (Higham, *Accuracy and Stability of Numerical Algorithms*,
-      sec. 6.3);
-    - for M = 2^t, (1 + |phase|) max|v| (||u|| + e) with ||u|| = max_k
+    - the Hoelder bound sqrt(||A||_1 ||A||_inf) of a nonnegative A >= |D|
+      entrywise (Higham, *Accuracy and Stability of Numerical Algorithms*,
+      sec. 6.3).  D[a, b] = c_k (v_b - phase v_a) with k = (a - b) mod M, and
+      on the wrapped diagonal k the modulus |v_b - phase v_a| is, up to
+      round-off, one value for the rows a >= k (x_a - x_b = k h) and one for
+      the rows a < k (x_a - x_b = (k - M) h): those of the entries D[k, 0]
+      and D[0, M - k].  So A[a, b] = |c_k| (alpha_k + e) for a >= k and
+      |c_k| (beta_k + e) for a < k, with alpha_k = |v_0 - phase v_k| and
+      beta_k = |v_(M-k) - phase v_0| as computed, and each row sum is a
+      prefix sum of |c_k| (alpha_k + e) plus a suffix sum of
+      |c_k| (beta_k + e).  Column b holds the same differences x_a - x_b as
+      row M - 1 - b, so the column sums are the row sums and the bound is the
+      largest row sum.  The slack e covers, per entry, with u the unit
+      round-off:
+      - the float grid: x_a = fl(-L + fl(h a)) and the argument
+        fl(x_a t) lie within gamma_4 |t| L of t (-L + a h), so two entries of
+        one diagonal see arguments x_a t - x_b t within 4 gamma_4 |t| L of each
+        other, and |1 - e^(i y)| moves by at most the change in y;
+      - the exponentials: v_a, v_b and the phase each within _EXP of the
+        exact exponential of their float argument, 3 _EXP + _EXP^2 per entry,
+        twice;
+      - computing alpha_k or beta_k: one complex product, COMPLEX_PRODUCT
+        |phase| max|v|;
+      - forming D in floats: _FORMING (1 + |phase|) max|v|.
+    - for M = 2^t, (1 + |phase|) max|v| (||u|| + e') with ||u|| = max_k
       |DFT(c)_k| (Davis, *Circulant Matrices*, 1979), since ||u V - phase V u||
       <= (1 + |phase|) ||V|| ||u||.  The float FFT of c is within
       t eta / (1 - t eta) ||DFT(c)||_2 of the DFT in 2-norm, eta = _FFT_STAGE
       (Higham, Thm 24.2, stated for radix 2, whence M = 2^t), and
       ||DFT(c)||_2 = sqrt(M) ||c||_2 <= sqrt(M) ||c||_1.  Forming D rounds each
       entry by at most _FORMING |u_ab| (1 + |phase|) max|v|, and
-      ||(|u_ab|)|| <= ||c||_1 = holder_bound(u).  So e = (t eta sqrt(M) /
-      (1 - t eta) + _FORMING) ||c||_1.
-    Both are evaluated from nonnegative floats with at most M + 32 roundings on
-    any path, so dividing by 1 - gamma_{M+32} keeps them upper bounds.
+      ||(|u_ab|)|| <= ||c||_1.  So e' = (t eta sqrt(M) / (1 - t eta) +
+      _FORMING) ||c||_1.
+    The remaining roundings (the differences and moduli of alpha and beta, the
+    slack, the products with |c_k|, the prefix and suffix sums, the FFT
+    bound) are relative errors of sums and products of nonnegative floats, at
+    most M + 32 on any path, so dividing by 1 - gamma_{M+32} keeps the
+    smaller bound an upper bound.
     """
     m = len(c)
-    bound = float(holder_bound(defect))
+    mag = np.abs(c)
+    p = float(abs(phase))
+    v_max = float(np.abs(v).max())
+    e = (4 * gamma_n(4) * t_half_length + 2 * (3 * _EXP + _EXP**2)
+         + (COMPLEX_PRODUCT * p + _FORMING * (1 + p)) * v_max)
+    rows = np.cumsum(mag * (np.abs(v[0] - phase * v) + e))  # k = 0 .. M-1, k <= a
+    # k = M-1 .. 1: beta_k reads v_(M-k) = v[1:]; reversed, the sums over k > a
+    rows[:-1] += np.cumsum(mag[:0:-1] * (np.abs(v[1:] - phase * v[0]) + e))[::-1]
+    bound = float(rows.max())
     if m & (m - 1) == 0:
         stages = (m.bit_length() - 1) * _FFT_STAGE
-        c_sum = float(np.abs(c).sum())
-        excess = (stages * sqrt(m) / (1 - stages) + _FORMING) * c_sum
-        peak = float(np.abs(np.fft.fft(c)).max())
-        bound = min(bound, (1 + float(abs(phase))) * float(np.abs(v).max()) * (peak + excess))
+        excess = (stages * sqrt(m) / (1 - stages) + _FORMING) * float(mag.sum())
+        peak = float(np.abs(c_hat).max())
+        bound = min(bound, (1 + p) * v_max * (peak + excess))
     return bound / (1 - gamma_n(m + 32))
 
 

@@ -255,7 +255,9 @@ class TestCliBasics:
         if content is not None:
             path.write_bytes(content)
         assert main(["algebra", "--input", str(path)]) == EXIT_INVALID
-        assert f"cannot read input {path}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"cannot read input {path}" in err
+        assert "malformed" not in err  # an unreadable file is not malformed JSON
 
     def test_config_integer_past_digit_limit_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

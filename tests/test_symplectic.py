@@ -57,6 +57,8 @@ from ncspaces.weyl_dynamics import (
     audit_interpolation_constants,
     check_assembly_identities,
     generator_bound_check,
+    modulation_unitary,
+    translation_unitary,
     weyl_residual,
 )
 
@@ -376,6 +378,9 @@ THETA_HALF = SkewMatrix.from_upper(2, [0.5])
                  id="skew-random-scale-negative"),
     pytest.param(lambda x: interior_frequency_mask(GridFunction.gaussian(1, 8.0, 16), x), -1.0,
                  id="interior-mask-margin-negative"),
+    # a margin above 1 would select every frequency point
+    pytest.param(lambda x: interior_frequency_mask(GridFunction.gaussian(1, 8.0, 16), x), 1.5,
+                 id="interior-mask-margin-above-one"),
     pytest.param(lambda x: generator_bound_check(HermitianPair(np.eye(2), np.diag([1.0, -1.0])), [x]),
                  "0.1", id="generator-bound-t-str"),
     pytest.param(lambda x: check_assembly_identities(None, np.zeros((2, 2)), 2, [[0.0, 0.0]], x),
@@ -414,6 +419,8 @@ def test_non_finite_input_rejected(entry_point, bad):
     pytest.param(lambda x: quantization_constant(5.0, 2, x), id="quantization-c"),
     pytest.param(lambda x: weyl_residual(x, 0.37, 0.37, GridSpec(16, 4.0)), id="weyl-theta"),
     pytest.param(lambda x: weyl_residual(1.0, 0.37, x, GridSpec(16, 4.0)), id="weyl-t"),
+    pytest.param(lambda x: translation_unitary(x, GridSpec(16, 4.0)), id="translation-s"),
+    pytest.param(lambda x: modulation_unitary(x, GridSpec(16, 4.0)), id="modulation-t"),
     pytest.param(lambda x: generator_bound_check(HermitianPair(np.eye(2), np.diag([1.0, -1.0])), [x, 0.1]),
                  id="generator-bound-t"),
     pytest.param(lambda x: SkewMatrix.random(2, np.random.default_rng(0), scale=x), id="skew-random-scale"),
@@ -460,6 +467,9 @@ def test_as_real_applies_minimum_and_above():
     assert as_real("x", 1e-300, above=0) == 1e-300
     with pytest.raises(ValidationError, match="x must be > 0"):
         as_real("x", 0.0, above=0)
+    assert as_real("x", 1, maximum=1) == 1.0
+    with pytest.raises(ValidationError, match="x must be <= 1"):
+        as_real("x", 1.5, maximum=1)
 
 
 @pytest.mark.parametrize("m", [(True, False), (1, True), [0, 1.0]])

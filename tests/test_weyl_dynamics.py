@@ -1,11 +1,14 @@
 """Tests for the discrete unitary groups, assembly identities, and the
 refinement-constant audit."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from ncspaces.errors import DegenerateFitError, ValidationError
+from ncspaces.errors import DENSE_CAP, DegenerateFitError, SizeCapError, ValidationError
+from ncspaces.linalg import gamma_n, holder_bound
 from ncspaces.symplectic import GridSpec, gaussian_state
 from ncspaces.weyl_dynamics import (
     HermitianPair,
@@ -105,18 +108,61 @@ class TestWeylResidual:
             assert rep.commensurate_shift and rep.commensurate_modulation
             assert rep.operator_defect <= 1e-12
 
-    @pytest.mark.parametrize("m", [64, 256])
-    def test_residual_bits_fixed_by_the_operand_order(self, m):
-        # the defect is (v_b - phase v_a) times u_ab, in that operand order at
-        # every M: numpy's complex product is not bitwise commutative, and
-        # u * (...) was evaluated in either order depending on M
-        grid = GridSpec.self_dual(m)
-        v = np.exp(1j * grid.axis() * 0.37)
-        defect = np.multiply(v[None, :] - np.exp(1j * 0.37 * 0.37 * 1.0) * v[:, None],
-                             translation_unitary(0.37, grid))
-        psi = gaussian_state(grid, 1, grid.half_length / 32.0)
-        rep = weyl_residual(1.0, 0.37, 0.37, grid)
-        assert rep.residual == float(np.linalg.norm(defect @ psi))
+    @staticmethod
+    def _dense_defect(theta, s, t, grid):
+        """The defect formed as a dense M x M array, the oracle of the FFT route."""
+        u = translation_unitary(theta * s, grid)
+        v = np.exp(1j * grid.axis() * t)
+        return u * (v[None, :] - np.exp(1j * s * t * theta) * v[:, None])
+
+    @pytest.mark.parametrize("m", [48, 64, 100, 256])
+    def test_residual_matches_the_dense_defect(self, m):
+        for grid in (GridSpec.self_dual(m), GridSpec(m, 6.0)):
+            psi = gaussian_state(grid, 1, grid.half_length / 32.0)
+            for theta, s, t in ((1.0, 0.37, 0.37), (1.3, 0.21, 0.55),
+                                (1.0, 3 * grid.step, 5 * grid.dual_step)):
+                rep = weyl_residual(theta, s, t, grid)
+                dense = float(np.linalg.norm(self._dense_defect(theta, s, t, grid) @ psi))
+                assert abs(rep.residual - dense) <= 1e-14
+                assert weyl_residual(theta, s, t, grid) == rep  # bit-identical run to run
+
+    @pytest.mark.parametrize("m", [48, 100])
+    def test_non_power_of_two_bound_keeps_its_value(self, m):
+        rng = np.random.default_rng(m)
+        for grid in (GridSpec.self_dual(m), GridSpec(m, 6.0)):
+            theta, s, t = rng.uniform(0.2, 2.0), rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)
+            rep = weyl_residual(theta, s, t, grid)
+            assert not (rep.commensurate_shift or rep.commensurate_modulation)
+            defect = self._dense_defect(theta, s, t, grid)
+            hoelder = float(holder_bound(defect)) / (1 - gamma_n(m + 32))
+            assert rep.operator_defect == pytest.approx(hoelder, rel=1e-12)
+            assert rep.operator_defect >= np.linalg.svd(defect, compute_uv=False)[0]
+            lattice = weyl_residual(1.0, 3 * grid.step, 5 * grid.dual_step, grid)
+            assert lattice.commensurate_shift and lattice.commensurate_modulation
+            assert lattice.operator_defect <= 1e-12
+
+    def test_no_m_by_m_array(self):
+        grid = GridSpec.self_dual(4096)
+        weyl_residual(1.0, 0.37, 0.37, grid)  # numpy's FFT caches its plans on first use
+        tracemalloc.start()
+        try:
+            weyl_residual(1.0, 0.37, 0.51, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one complex M x M array is 256 MB here; the O(M) route stays below 1 MB
+        assert peak < 2 * 2**20
+
+    def test_cost_guards(self):
+        big = GridSpec.self_dual(2 * DENSE_CAP)
+        rep = weyl_residual(1.0, 0.37, 0.37, big)
+        assert rep.operator_defect <= 2.0 + 1e-9
+        with pytest.raises(SizeCapError):
+            translation_unitary(0.37, big)
+        with pytest.raises(SizeCapError):
+            modulation_unitary(0.37, big)
+        with pytest.raises(SizeCapError):
+            weyl_residual(1.0, 0.37, 0.37, GridSpec(DENSE_CAP**2 + 1, 10.0))
 
     def test_no_svd(self, monkeypatch):
         def svd(*args, **kwargs):
