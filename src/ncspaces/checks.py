@@ -9,7 +9,7 @@ depth from the command line, and at the criteria's sizes from the tests.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import List, NamedTuple
 
@@ -17,6 +17,7 @@ import numpy as np
 
 from . import finite_reps as fr
 from . import moyal, spectra, symplectic, twisted_algebra as ta, weyl_dynamics as wd
+from .errors import as_index
 from .gridfn import GridFunction, integral
 from .phases import Cyclotomic
 from .skew import SkewMatrix, upper_pairs
@@ -35,6 +36,14 @@ class CheckConfig:
     hermitian_pairs: int = 100
     moyal_points: int = 32
     holder_max_k: int = 5  # offsets 1/8 .. 1/2^k
+
+    def __post_init__(self):
+        """Every field an integer at or above its minimum: a seed >= 0, pairs
+        from d = 2, at least two Hoelder offsets, and one case of every other
+        size, so that no check passes on an empty run."""
+        minimum = {"seed": 0, "tensor_max_d": 2, "holder_max_k": 4}
+        for f in fields(self):
+            setattr(self, f.name, as_index(f.name, getattr(self, f.name), minimum.get(f.name, 1)))
 
 
 class Record(NamedTuple):

@@ -1,13 +1,11 @@
 """Command-line front end.
 
-Subcommands: algebra, relations, symplectic, moyal, weyl, butterfly, holder,
-audit, all-checks.  Each parameter is declared once, in _PARAMS (or _SHARED
-for out and seed), as key -> (kind, default, help).  Parameters come from a
-JSON file passed as --config and from flags, which override the file; unknown
-config keys are rejected.  Every given value, flag or config, is converted by
-its kind on one path (load_config); a default fills an absent key; a key with
-help text gets a flag.  Exit codes: 0 success, 2 invalid input, 3 a check
-failed.
+Each subcommand is one entry of _COMMANDS: its handler and its parameters.
+Parameters come from a JSON file passed as --config and from flags, which
+override the file; unknown config keys are rejected.  Every given value, flag
+or config, is converted by its kind on one path (load_config); a default
+fills an absent key; a key with help text gets a flag.  Exit codes: 0
+success, 2 invalid input, 3 a check failed.
 
 Outputs are written atomically (temp file + rename) and are byte-identical
 for identical configs and seeds.
@@ -31,7 +29,7 @@ from . import moyal as moyal_mod
 from . import spectra, symplectic
 from . import weyl_dynamics as wd
 from .checks import DEFAULT_SEED
-from .errors import ValidationError
+from .errors import ValidationError, as_index
 from .gridfn import GridFunction, GridSpec, atomic_open, read_gridfn, write_gridfn
 from .serialize import matrix_to_json, poly_from_json, poly_to_json
 from .skew import SkewMatrix, upper_pairs
@@ -58,13 +56,24 @@ def parse_value(key: str, value, kind: Callable):
         raise ValidationError(f"cannot parse {key} spec {value!r}: {e}") from e
 
 
+def _rational(x) -> Fraction:
+    """A number or a numeric string ("8100", "0.5", "1/3") as an exact Fraction;
+    a boolean is rejected, since str(True) is no number."""
+    return Fraction(str(x))
+
+
 def _integer(x) -> int:
     """An integral value (8100, "8100", 8100.0) as an int; 8100.5 is rejected,
     not truncated."""
-    value = Fraction(str(x))
+    value = _rational(x)
     if value.denominator != 1:
         raise ValueError("not an integer")
     return int(value)
+
+
+def _seed(x) -> int:
+    """A non-negative integer, as np.random.default_rng takes."""
+    return as_index("seed", _integer(x), 0)
 
 
 def _real(x) -> float:
@@ -73,8 +82,13 @@ def _real(x) -> float:
     return float(str(x))
 
 
-def _floats(values) -> List[float]:
-    return list(map(_real, values))
+def _list_of(kind: Callable) -> Callable:
+    """A JSON array, each entry converted by kind; a string is not iterated."""
+    def convert(values) -> list:
+        if not isinstance(values, list):
+            raise TypeError(f"expected a JSON array, got {type(values).__name__}")
+        return [kind(x) for x in values]
+    return convert
 
 
 def _scalar_theta(text: str):
@@ -85,64 +99,15 @@ def _scalar_theta(text: str):
 def _audit_target(x):
     """An integral target (2500, 2500.0, "2500.0") as an int, so a square k
     keeps the audit exact; any other value as a float."""
-    value = Fraction(str(x))
+    value = _rational(x)
     return int(value) if value.denominator == 1 else float(x)
-
-
-_DIM_HELP = "number of generators / dimension"
-_THETA_HELP = "theta spec: zero|canonical|random|p/q|float|file.csv"
-
-# key -> (kind, default, help).  Defaults are typed values; None marks a key
-# with no default, for which a JSON null also counts as absent.  Theta specs
-# and moyal's grid stay strings: they parse in the command, from d, the seed
-# or the grid functions.
-_SHARED = {
-    "out": (str, None, "output path (atomic write); stdout if omitted"),
-    "seed": (_integer, DEFAULT_SEED, f"RNG seed (default {DEFAULT_SEED:#x})"),
-}
-_PARAMS = {
-    "algebra": {"input": (str, None, "input file (algebra polynomials)")},
-    "relations": {
-        "theta": (str, "identity-pairs", "pair spec: identity-pairs|random|p/q"),
-        "d": (_integer, 3, _DIM_HELP),
-    },
-    "symplectic": {"theta": (str, None, _THETA_HELP), "d": (_integer, 2, _DIM_HELP)},
-    "moyal": {
-        "theta": (str, "1", _THETA_HELP),
-        "grid": (str, "64,8.0", "grid spec 'M,L'"),
-        "f": (str, None, "first grid-function file (moyal)"),
-        "g": (str, None, "second grid-function file (moyal)"),
-        "method": (str, "fourier", "moyal method: direct|fourier"),
-    },
-    "weyl": {
-        "theta": (lambda x: float(_scalar_theta(str(x))), 1.0, "theta value: p/q|float"),
-        "s": (_floats, (0.37,), None),
-        "t": (_floats, (0.37,), None),
-        "grids": (lambda ms: [_integer(m) for m in ms], (64, 128, 256), None),
-        "L": (_real, None, None),
-    },
-    "butterfly": {"qmax": (_integer, None, "largest flux denominator")},
-    "holder": {
-        "qmax": (_integer, spectra.DEFAULT_Q_CAP, "largest flux denominator"),
-        "base": (lambda x: Fraction(str(x)), Fraction(0), "base flux p/q (holder)"),
-        "offsets": (lambda xs: [Fraction(str(x)) for x in xs],
-                    tuple(Fraction(1, 2**n) for n in range(3, 8)), None),
-    },
-    "audit": {
-        "k": (_integer, 8100, "refinement division count"),
-        "target": (_audit_target, 2500, "constant budget for the audit"),
-        "levels": (_integer, 6, None),
-    },
-    "all-checks": {f.name: (_integer, f.default, None)
-                   for f in dataclasses.fields(checks_mod.CheckConfig) if f.name != "seed"},
-}
 
 
 def load_config(command: str, path: Optional[str], flags: Dict[str, object]) -> Dict[str, object]:
     """Every parameter of command, typed: the config file's values, overridden
     by the flags given (not None), each converted by its kind once; a default
     fills each absent key."""
-    table = {**_SHARED, **_PARAMS[command]}
+    table = {**_SHARED, **_COMMANDS[command][1]}
     given: Dict[str, object] = {}
     if path:
         given = read_json_object(path, "config")
@@ -207,7 +172,7 @@ def parse_theta_spec(spec: Optional[str], d: int, rng) -> SkewMatrix:
     if spec is None:
         raise ValidationError("missing --theta")
     if os.path.exists(spec) and spec.endswith(".csv"):
-        rows = [parse_value("theta", line, lambda row: _floats(row.split(",")))
+        rows = [parse_value("theta", line.split(","), _list_of(_real))
                 for line in map(str.strip, read_text(spec, "theta").splitlines()) if line]
         return SkewMatrix.from_matrix(rows)
     if spec == "zero":
@@ -256,16 +221,14 @@ def cmd_algebra(p: dict) -> int:
 def _pair_table_from_spec(spec: str, d: int, rng) -> dict:
     if spec == "random":
         return checks_mod.random_pair_table(rng, d)
-    table = {}
-    for jk in upper_pairs(d):
-        if spec == "identity-pairs":
-            table[jk] = fr.clock_shift(1, 2)
-        elif "/" in spec:
-            frac = parse_value("theta", spec, Fraction)
-            table[jk] = fr.clock_shift(frac.numerator, frac.denominator)
-        else:
-            raise ValidationError(f"unknown pair spec {spec!r}")
-    return table
+    if spec == "identity-pairs":
+        pair = fr.clock_shift(1, 2)
+    elif "/" in spec:
+        frac = parse_value("theta", spec, Fraction)
+        pair = fr.clock_shift(frac.numerator, frac.denominator)
+    else:
+        raise ValidationError(f"unknown pair spec {spec!r}")
+    return {jk: pair for jk in upper_pairs(d)}
 
 
 def cmd_relations(p: dict) -> int:
@@ -296,7 +259,6 @@ def cmd_symplectic(p: dict) -> int:
 
 
 def cmd_moyal(p: dict) -> int:
-    rng = np.random.default_rng(p["seed"])
     if p["f"] is not None or p["g"] is not None:
         if p["f"] is None or p["g"] is None:
             raise ValidationError("moyal needs both 'f' and 'g' grid files")
@@ -309,7 +271,7 @@ def cmd_moyal(p: dict) -> int:
         f = GridFunction.gaussian(2, grid.half_length, grid.points, sigma=1.0)
         g = GridFunction.gaussian(2, grid.half_length, grid.points, sigma=1.3,
                                   center=(0.4, -0.3))
-    theta = parse_theta_spec(p["theta"], f.dim, rng)
+    theta = parse_theta_spec(p["theta"], f.dim, np.random.default_rng(p["seed"]))
     if p["method"] == "direct":
         prod = moyal_mod.moyal_direct(f, g, theta)
     elif p["method"] == "fourier":
@@ -385,8 +347,7 @@ def cmd_audit(p: dict) -> int:
 
 
 def cmd_all_checks(p: dict) -> int:
-    ccfg = checks_mod.CheckConfig(**{f.name: p[f.name]
-                                     for f in dataclasses.fields(checks_mod.CheckConfig)})
+    ccfg = checks_mod.CheckConfig(**{key: value for key, value in p.items() if key != "out"})
     results = checks_mod.run_all_checks(ccfg)
     failed = sum(not result.passed for result in results)
     lines = [result.line() for result in results]
@@ -397,16 +358,54 @@ def cmd_all_checks(p: dict) -> int:
     return EXIT_OK
 
 
+_DIM_HELP = "number of generators / dimension"
+_THETA_HELP = "theta spec: zero|canonical|random|p/q|float|file.csv"
+
+# name -> (handler, parameters); a parameter is key -> (kind, default, help).
+# Defaults are typed values; None marks a key with no default, for which a
+# JSON null also counts as absent.  Theta specs and moyal's grid stay strings:
+# they parse in the command, from d, the seed or the grid functions.
+_SHARED = {
+    "out": (str, None, "output path (atomic write); stdout if omitted"),
+    "seed": (_seed, DEFAULT_SEED, f"RNG seed (default {DEFAULT_SEED:#x})"),
+}
 _COMMANDS = {
-    "algebra": cmd_algebra,
-    "relations": cmd_relations,
-    "symplectic": cmd_symplectic,
-    "moyal": cmd_moyal,
-    "weyl": cmd_weyl,
-    "butterfly": cmd_butterfly,
-    "holder": cmd_holder,
-    "audit": cmd_audit,
-    "all-checks": cmd_all_checks,
+    "algebra": (cmd_algebra, {"input": (str, None, "input file (algebra polynomials)")}),
+    "relations": (cmd_relations, {
+        "theta": (str, "identity-pairs", "pair spec: identity-pairs|random|p/q"),
+        "d": (_integer, 3, _DIM_HELP),
+    }),
+    "symplectic": (cmd_symplectic, {"theta": (str, None, _THETA_HELP),
+                                    "d": (_integer, 2, _DIM_HELP)}),
+    "moyal": (cmd_moyal, {
+        "theta": (str, "1", _THETA_HELP),
+        "grid": (str, "64,8.0", "grid spec 'M,L'"),
+        "f": (str, None, "first grid-function file (moyal)"),
+        "g": (str, None, "second grid-function file (moyal)"),
+        "method": (str, "fourier", "moyal method: direct|fourier"),
+    }),
+    "weyl": (cmd_weyl, {
+        "theta": (lambda x: float(_scalar_theta(str(x))), 1.0, "theta value: p/q|float"),
+        "s": (_list_of(_real), (0.37,), None),
+        "t": (_list_of(_real), (0.37,), None),
+        "grids": (_list_of(_integer), (64, 128, 256), None),
+        "L": (_real, None, None),
+    }),
+    "butterfly": (cmd_butterfly, {"qmax": (_integer, None, "largest flux denominator")}),
+    "holder": (cmd_holder, {
+        "qmax": (_integer, spectra.DEFAULT_Q_CAP, "largest flux denominator"),
+        "base": (_rational, Fraction(0), "base flux p/q (holder)"),
+        "offsets": (_list_of(_rational), tuple(Fraction(1, 2**n) for n in range(3, 8)), None),
+    }),
+    "audit": (cmd_audit, {
+        "k": (_integer, 8100, "refinement division count"),
+        "target": (_audit_target, 2500, "constant budget for the audit"),
+        "levels": (_integer, 6, None),
+    }),
+    "all-checks": (cmd_all_checks, {
+        f.name: (_integer, f.default, None)
+        for f in dataclasses.fields(checks_mod.CheckConfig) if f.name != "seed"
+    }),
 }
 
 
@@ -416,10 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Noncommutative tori and Moyal planes: experiments and checks",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, params) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON parameter file (flags override it)")
-        for key, (_, _, help_text) in {**_SHARED, **_PARAMS[name]}.items():
+        for key, (_, _, help_text) in {**_SHARED, **params}.items():
             if help_text:
                 sp.add_argument(f"--{key}", help=help_text)
     return ap
@@ -430,7 +429,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     command = flags.pop("command")
     try:
         params = load_config(command, flags.pop("config"), flags)
-        return _COMMANDS[command](params)
+        return _COMMANDS[command][0](params)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

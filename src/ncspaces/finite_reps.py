@@ -445,7 +445,6 @@ class FockReport:
     n: int
     cutoff: int
     clifford_dim: int
-    interior_dim: int
     product_identity_residual: float   # A*A vs 1 (x) sum_j a_j a_j*
     adjoint_identity_residual: float   # AA* vs 1 (x) sum_j a_j* a_j
     number_action_residual: float      # (sum_j a_j a_j*) phi_m vs (|m|+n) phi_m
@@ -493,7 +492,6 @@ def fock_identities_check(n: int, cutoff: int) -> FockReport:
         n,
         cutoff,
         N,
-        int(mask.sum()),
         float(prod_res),
         float(adj_res),
         number_res,

@@ -143,7 +143,6 @@ class HolderScanResult:
     offsets: List[Fraction]
     distances: List[float]
     slope: float
-    intercept: float
     c_fit: float                   # max D / sqrt(delta) over the rows
     lip_half_ok: bool              # c_fit <= LIP_HALF_BOUND
     excluded_zero_offsets: int
@@ -197,14 +196,13 @@ def holder_scan(
         raise DegenerateFitError("fewer than two nonzero distances; cannot fit")
     ld = np.log([x for x, _ in pos])
     lD = np.log([d for _, d in pos])
-    slope, intercept = np.polyfit(ld, lD, 1)
+    slope = np.polyfit(ld, lD, 1)[0]
     c_fit = max(d / float(x) ** 0.5 for x, d in pos)
     return HolderScanResult(
         base,
         work,
         dists,
         float(slope),
-        float(intercept),
         float(c_fit),
         bool(c_fit <= LIP_HALF_BOUND),
         zero_count,

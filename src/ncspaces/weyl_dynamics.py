@@ -342,8 +342,6 @@ class AssemblyReport:
     chain_rule_residual: float      # (a): d w_k / d x_j vs single-factor form, j < k
     diagonal_identity_residual: float  # (b): d w_j / d x_j - i sum_k d_kj x_k w_j
     triangle_ok: bool               # (c): assembled derivative bound
-    triangle_slack: float
-    probes: int
 
 
 def check_assembly_identities(
@@ -384,7 +382,6 @@ def check_assembly_identities(
     res_a = 0.0
     res_b = 0.0
     tri_ok = True
-    tri_slack = float("inf")
     for x in probes:
         factors = [_factors(w, deltas, k, x) for k in range(d)]
         dx = {}
@@ -416,10 +413,8 @@ def check_assembly_identities(
                 bound += abs(deltas[k, j]) * spectral_norm(bracket[k, j])
             for k in range(j + 1, d):
                 bound += spectral_norm(dx[j, k])
-            slack = bound - lhs + 50.0 * h**2  # finite-difference headroom
-            tri_ok = tri_ok and (lhs <= bound + 50.0 * h**2)
-            tri_slack = min(tri_slack, slack)
-    return AssemblyReport(h, res_a, res_b, tri_ok, tri_slack, len(probes))
+            tri_ok = tri_ok and (lhs <= bound + 50.0 * h**2)  # finite-difference headroom
+    return AssemblyReport(h, res_a, res_b, tri_ok)
 
 
 def assembly_convergence_order(

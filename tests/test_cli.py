@@ -176,6 +176,16 @@ class TestCliBasics:
                      id="all-checks-size-non-integral"),
         pytest.param(["weyl"], {"grids": [32.5]}, "grids", id="weyl-grids-non-integral"),
         pytest.param(["moyal", "--grid", "16.5,6.0"], None, "grid", id="moyal-grid-M-non-integral"),
+        # a list key given a string was iterated: "grids": "64" ran M = 6 and M = 4
+        pytest.param(["weyl"], {"grids": "64"}, "grids", id="weyl-grids-string"),
+        pytest.param(["weyl"], {"s": "37"}, "s", id="weyl-s-string"),
+        pytest.param(["weyl"], {"t": "5"}, "t", id="weyl-t-string"),
+        pytest.param(["holder"], {"offsets": "12"}, "offsets", id="holder-offsets-string"),
+        # a negative seed ended in a ValueError traceback from the RNG
+        pytest.param(["moyal", "--seed", "-1"], None, "seed", id="moyal-seed-negative"),
+        pytest.param(["relations", "--theta", "random", "--seed", "-1"], None, "seed",
+                     id="relations-seed-negative"),
+        pytest.param(["all-checks", "--seed", "-1"], None, "seed", id="all-checks-seed-negative"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, argv, config, key):
         csv = tmp_path / "bad.csv"
@@ -187,6 +197,25 @@ class TestCliBasics:
             argv += ["--config", str(cfg)]
         assert main(argv) == EXIT_INVALID
         assert f"cannot parse {key} spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("algebra_triples", 0), ("tensor_max_d", 1), ("symplectic_cases", -3),
+        ("metric_pairs", 0), ("hermitian_pairs", 0), ("moyal_points", 0), ("holder_max_k", 3),
+    ])
+    def test_all_checks_size_below_minimum_exits_2(self, tmp_path, capsys, key, value):
+        # each once ran, most to a vacuous PASS line ("0 rational triples", "d=2..1")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMOKE_SIZES, key: value}))
+        assert main(["all-checks", "--config", str(cfg)]) == EXIT_INVALID
+        assert f"{key} must be >= " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", -1), ("algebra_triples", 0), ("tensor_max_d", 1), ("holder_max_k", 3),
+        ("metric_pairs", 2.0), ("hermitian_pairs", True),
+    ])
+    def test_check_config_rejects_bad_sizes(self, key, value):
+        with pytest.raises(ValidationError, match=key):
+            checks.CheckConfig(**{key: value})
 
     @pytest.mark.parametrize("argv, config", [
         pytest.param(["symplectic", "--theta", "nan", "--d", "2"], None, id="symplectic-theta"),

@@ -41,9 +41,7 @@ def band_limited(rng, dim, half_length, points, fraction=1 / 3):
     shape = (points,) * dim
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     proto = GridFunction(dim, half_length, points, raw, side="frequency")
-    vec = freq_grid_vectors(proto)
-    smax = np.abs(proto.freq_axis()).max()
-    mask = np.all(np.abs(vec) <= fraction * smax, axis=1).reshape(shape)
+    mask = interior_frequency_mask(proto, fraction).reshape(shape)
     return to_position(GridFunction(dim, half_length, points, raw * mask, side="frequency"))
 
 
