@@ -91,6 +91,12 @@ def _list_of(kind: Callable) -> Callable:
     return convert
 
 
+def _complex(x) -> complex:
+    """A pair [re, im] of reals (see _real) as a complex number."""
+    re, im = _list_of(_real)(x)
+    return complex(re, im)
+
+
 def _scalar_theta(text: str):
     """A scalar theta: a rational 'p/q' or a float."""
     return Fraction(text) if "/" in text else float(text)
@@ -212,7 +218,7 @@ def cmd_algebra(p: dict) -> int:
         axis = parse_value("axis", obj["axis"], _integer)
         result["expectation"] = poly_to_json(ta.cond_expectation(a, axis))
     if "z" in obj:
-        z = parse_value("z", obj["z"], lambda pairs: [complex(re, im) for re, im in pairs])
+        z = parse_value("z", obj["z"], _list_of(_complex))
         result["transferred"] = poly_to_json(ta.transference(a, z))
     emit(p["out"], json.dumps(result, indent=2, sort_keys=True) + "\n")
     return EXIT_OK

@@ -95,6 +95,7 @@ def amo_spectrum(p: int, q: int, *, q_cap: int = DEFAULT_Q_CAP) -> BandSpectrum:
     (pi/q, pi/q), where q is the reduced denominator (Chambers' relation); the
     cost guard q_cap applies to that reduced q."""
     p, q = as_index("p", p), as_index("q", q, minimum=1)
+    q_cap = as_index("q_cap", q_cap, 1)
     g = gcd(p, q)
     pr, qr = p // g, q // g
     guard("reduced flux denominator q =", qr, q_cap)

@@ -462,7 +462,7 @@ def audit_interpolation_constants(
     bound B to 1224 + 45 B / sqrt(k); the audit reproduces the closing
     arithmetic at k = 8100: 1224 + 2500 * 45 / 90 = 2474 <= 2500.
     """
-    k, levels = as_index("k", k, 1), as_index("levels", levels)
+    k, levels = as_index("k", k, 1), as_index("levels", levels, 1)
     exact = isqrt(k) ** 2 == k
     root = Fraction(isqrt(k)) if exact else float(k) ** 0.5
     real = as_real("target", target, above=0)

@@ -212,10 +212,43 @@ class TestCliBasics:
     @pytest.mark.parametrize("key, value", [
         ("seed", -1), ("algebra_triples", 0), ("tensor_max_d", 1), ("holder_max_k", 3),
         ("metric_pairs", 2.0), ("hermitian_pairs", True),
+        ("algebra_triples", checks.COUNT_CAP + 1), ("symplectic_cases", checks.COUNT_CAP + 1),
+        ("metric_pairs", checks.COUNT_CAP + 1), ("hermitian_pairs", checks.COUNT_CAP + 1),
     ])
     def test_check_config_rejects_bad_sizes(self, key, value):
         with pytest.raises(ValidationError, match=key):
             checks.CheckConfig(**{key: value})
+
+    @pytest.mark.parametrize("argv, content, message", [
+        # levels 0 and -1 applied no refinement step and printed "holds: True"
+        pytest.param(["audit", "--config"], {"levels": 0}, "levels must be >= 1",
+                     id="audit-levels-0"),
+        pytest.param(["audit", "--config"], {"levels": -1}, "levels must be >= 1",
+                     id="audit-levels-negative"),
+        # a boolean z entry was taken as 1; a z entry is exactly two reals
+        pytest.param(["algebra", "--input"],
+                     {"a": {"dim": 2, "upper": [0.5], "terms": [{"m": [1, 0], "re": 1.0}]},
+                      "z": [[True, False], [0, 1]]}, "cannot parse z spec", id="algebra-z-bool"),
+        pytest.param(["algebra", "--input"],
+                     {"a": {"dim": 2, "upper": [0.5], "terms": [{"m": [1, 0], "re": 1.0}]},
+                      "z": [[1, 0, 0], [0, 1]]}, "cannot parse z spec", id="algebra-z-triple"),
+        # reported as "q = 1 exceeds cap -5"
+        pytest.param(["holder", "--config"], {"qmax": -5}, "q_cap must be >= 1",
+                     id="holder-qmax-negative"),
+    ])
+    def test_value_out_of_range_exits_2(self, tmp_path, capsys, argv, content, message):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(content))
+        assert main(argv + [str(path)]) == EXIT_INVALID
+        assert message in capsys.readouterr().err
+
+    def test_all_checks_size_past_cap_exits_2_before_any_check(self, tmp_path, capsys, monkeypatch):
+        # accepted before, a run of about a week at criterion 01's pace
+        monkeypatch.setattr(checks, "run_all_checks", lambda cfg: pytest.fail("a check ran"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"algebra_triples": 10**9}))
+        assert main(["all-checks", "--config", str(cfg)]) == EXIT_INVALID
+        assert "algebra_triples 1000000000 exceeds cap 10000" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, config", [
         pytest.param(["symplectic", "--theta", "nan", "--d", "2"], None, id="symplectic-theta"),

@@ -131,6 +131,12 @@ class TestAmoSpectrum:
         with pytest.raises(TypeError):  # the cap is keyword-only
             amo_spectrum(1, 3, 128)
 
+    @pytest.mark.parametrize("q_cap", [-5, 0, True, 8.0])
+    def test_q_cap_must_be_a_positive_integer(self, q_cap):
+        # -5 was reported as "q = 1 exceeds cap -5"; a bool or a float went unchecked
+        with pytest.raises(ValidationError, match="q_cap must be"):
+            amo_spectrum(1, 3, q_cap=q_cap)
+
     def test_q_cap_guards_the_reduced_denominator(self):
         # 2/400 is the flux 1/200, at the default cap of 200
         assert amo_spectrum(2, 400).bands == amo_spectrum(1, 200).bands
