@@ -46,7 +46,6 @@ from typing import Dict, Iterable, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DENSE_CAP, ThetaMismatchError, ValidationError, as_index, guard
-from .linalg import box_points
 from .phases import TWO_PI, Cyclotomic, canonical_form, exact_dtype, integer_form
 from .skew import SkewMatrix, upper_pairs
 
@@ -102,13 +101,30 @@ class _Twist:
             self.form[j, k] = v
         self.weight = sum(map(abs, values))
 
-    def scaled(self, m, m2):
-        """order * c(m, m') for multi-index arrays of shape (..., d), broadcast."""
+    def _bounded(self, m, m2):
+        """m and m' in the form's dtype, float exponents past FLOAT_PHASE_CAP rejected."""
         m, m2 = (np.array(x, dtype=self.form.dtype) for x in (m, m2))
         if self.order == 1:
             guard("float structure exponent bound", self.weight * _max_abs(m) * _max_abs(m2),
                   FLOAT_PHASE_CAP)
+        return m, m2
+
+    def scaled(self, m, m2):
+        """order * c(m, m') for multi-index arrays of shape (..., d), broadcast."""
+        m, m2 = self._bounded(m, m2)
         return -((m @ self.form.T) * m2).sum(axis=-1)
+
+    def axis_roots(self, m, axis) -> np.ndarray:
+        """exp(2 pi i c(m, m')) factored over the axes of m': for v = form m,
+        the (..., d, len(axis)) roots exp(-2 pi i v_k x / order) at x in axis,
+        whose product over k at x = m'_k is the phase.  Rational v is reduced
+        mod Q first, so each root's exponent is exact."""
+        m, axis = self._bounded(m, axis)
+        v = m @ self.form.T
+        if self.order > 1:
+            v = (v % self.order).astype(exact_dtype(self.order * max(_max_abs(axis), 1)))
+            axis = axis.astype(v.dtype)
+        return _root(-v[..., None] * axis, self.order)
 
     def phases(self, m, m2) -> np.ndarray:
         """exp(2 pi i c(m, m')), c reduced mod 1 first (exactly, for rational theta)."""
@@ -490,26 +506,46 @@ def gns_matrix(a: NCPolynomial, radius: int) -> np.ndarray:
     box are dropped (hard truncation, no wraparound), so columns whose target
     escapes simply lose that contribution.  Guarded to (2 radius + 1)^d <=
     DENSE_CAP basis vectors.
+
+    c(m, m') is linear in m', so each term's phases over the box are the outer
+    product of d per-axis root tables.  Cost: T (2 radius + 1) roots per axis
+    for the T terms near the box, one put of at most T n entries, and the
+    n x n zeros.
     """
     radius = as_index("truncation radius", radius, 0)
     d, side = a.dim, 2 * radius + 1
     n = guard("GNS basis (2 radius + 1)^d =", side**d, DENSE_CAP)
-    box = box_points(np.arange(-radius, radius + 1), d)  # sup-norm <= radius, C order
-    out = np.zeros((n, n), dtype=complex)
+    # the output before the (t, n) temporaries, so that they are not laid out
+    # below it: allocated after them, it raised the benchmark's peak RSS by
+    # about one matrix
+    out = np.zeros(n * n + 1, dtype=complex)
     af = a.to_float()
     near = (np.abs(af._ms) <= 2 * radius).all(axis=1)  # terms keeping some |m'> inside
     ms = af._ms[near].astype(np.int64)
-    phases = af._structure().phases(ms[:, None, :], box)
-    # distinct terms send a column to distinct rows: one scatter writes them all
-    terms, cols = (np.abs(box + ms[:, None, :]) <= radius).all(axis=2).nonzero()
-    rows = cols + (ms @ side ** np.arange(d - 1, -1, -1))[terms]
-    out[rows, cols] += af._cs[near][terms] * phases[terms, cols]
-    return out
+    t = len(ms)
+    axis = np.arange(-radius, radius + 1)
+    roots = af._structure().axis_roots(ms, axis)  # (t, d, side)
+    # per axis k, the image coordinate m_k + x and the part of the flat index
+    # row * n + col that axis contributes; an image leaving the box gets the
+    # index n * n, past every entry, so its sum lands there whatever the rest
+    image = ms[:, :, None] + axis
+    stride = side ** np.arange(d - 1, -1, -1)[:, None]
+    index = np.where(np.abs(image) <= radius, ((image + radius) * n + axis + radius) * stride, n * n)
+    values, flat = af._cs[near], np.zeros(t, dtype=np.int64)
+    for k in range(d):  # broadcast over (t, side, ..., side), C order as the basis
+        shape = (t,) + (1,) * k + (side,)
+        values = values[..., None] * roots[:, k].reshape(shape)
+        flat = flat[..., None] + index[:, k].reshape(shape)
+    # distinct terms send a column to distinct rows: one put writes them all,
+    # the images that left the box onto the one extra entry
+    np.put(out, flat, values, mode="clip")
+    return out[:-1].reshape(n, n)
 
 
 def gns_vacuum_index(radius: int, dim: int) -> int:
     """Flat index of |0> in the box basis used by gns_matrix."""
-    return (2 * radius + 1) ** dim // 2
+    radius = as_index("truncation radius", radius, 0)
+    return (2 * radius + 1) ** as_index("dimension", dim, 1) // 2
 
 
 # -- cocycle diagnostics ------------------------------------------------------

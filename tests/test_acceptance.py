@@ -1,6 +1,8 @@
-"""Acceptance suite: one test per entry of ncspaces.checks.CRITERIA.  Each
-prints its criterion's result lines (run with -s to see them) and asserts that
-all pass; a documented negative result fails with its entry's reason."""
+"""Acceptance suite: one test per entry of ncspaces.checks.CRITERIA, named by
+the test's criterion marker.  Each prints its criterion's result lines (run
+with -s to see them) and asserts that all pass; a documented negative result
+fails with its entry's reason, and the ledger of conftest.py lists it apart
+from any other failure."""
 import pytest
 
 from ncspaces.checks import CRITERIA, run_criterion
@@ -13,46 +15,57 @@ def assert_criterion(criterion):
     assert all(result.passed for result in results), CRITERIA[criterion].reason
 
 
-def test_criterion_01_algebraic_exactness():
-    assert_criterion("01")
+@pytest.mark.criterion("01")
+def test_criterion_01_algebraic_exactness(criterion):
+    assert_criterion(criterion)
 
 
-def test_criterion_02_tensor_construction():
-    assert_criterion("02")
+@pytest.mark.criterion("02")
+def test_criterion_02_tensor_construction(criterion):
+    assert_criterion(criterion)
 
 
-def test_criterion_03_constant_audit():
-    assert_criterion("03")
+@pytest.mark.criterion("03")
+def test_criterion_03_constant_audit(criterion):
+    assert_criterion(criterion)
 
 
-def test_criterion_04_symplectic_normalization():
-    assert_criterion("04")
+@pytest.mark.criterion("04")
+def test_criterion_04_symplectic_normalization(criterion):
+    assert_criterion(criterion)
 
 
-def test_criterion_05_metric_lower_bound():
-    assert_criterion("05")
+@pytest.mark.criterion("05")
+def test_criterion_05_metric_lower_bound(criterion):
+    assert_criterion(criterion)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # the offsets span 1.2 decades
-def test_criterion_06_holder_continuity():
-    assert_criterion("06")
+@pytest.mark.criterion("06")
+def test_criterion_06_holder_continuity(criterion):
+    assert_criterion(criterion)
 
 
-def test_criterion_07_moyal_engine():
-    assert_criterion("07")
+@pytest.mark.criterion("07")
+def test_criterion_07_moyal_engine(criterion):
+    assert_criterion(criterion)
 
 
-def test_criterion_08_generator_group_equivalence():
-    assert_criterion("08")
+@pytest.mark.criterion("08")
+def test_criterion_08_generator_group_equivalence(criterion):
+    assert_criterion(criterion)
 
 
-def test_criterion_09_assembly_convergence():
-    assert_criterion("09")
+@pytest.mark.criterion("09")
+def test_criterion_09_assembly_convergence(criterion):
+    assert_criterion(criterion)
 
 
-def test_criterion_10_fock_clifford_single_mode():
-    assert_criterion("10a")
+@pytest.mark.criterion("10a")
+def test_criterion_10_fock_clifford_single_mode(criterion):
+    assert_criterion(criterion)
 
 
-def test_criterion_10_fock_clifford_two_modes():
-    assert_criterion("10b")
+@pytest.mark.criterion("10b")
+def test_criterion_10_fock_clifford_two_modes(criterion):
+    assert_criterion(criterion)

@@ -591,6 +591,47 @@ class TestGnsMatrix:
                     g = gns_matrix(p, radius)
                     assert np.abs(g - self.oracle(p, radius)).max() < 1e-13
 
+    def test_every_entry_matches_the_action_at_the_benchmark_shape(self):
+        # d = 4 at radius 1, and d = 3 at radius 4 (9^3 = 729 basis vectors)
+        # on float and exact products of two 8-term polynomials, about 50
+        # terms each: the sizes of the benchmark's float items
+        rng = np.random.default_rng(29)
+
+        def exact_poly(theta, terms):
+            q = ta.phase_order(theta)
+            box = list(itertools.product(range(-2, 3), repeat=theta.dim))
+            picks = rng.choice(len(box), size=terms, replace=False)
+            return NCPolynomial(theta, {box[k]: Cyclotomic.root(q, int(rng.integers(0, q)),
+                                                                Fraction(int(rng.integers(1, 4))))
+                                        for k in picks})
+
+        for d, radius in ((4, 1), (3, 4)):
+            rational, irrational = random_rational_theta(rng, d), SkewMatrix.random(d, rng)
+            polys = [poly_mul(random_poly(rng, irrational, 8), random_poly(rng, irrational, 8)),
+                     poly_mul(exact_poly(rational, 8), exact_poly(rational, 8))]
+            for p in polys:
+                assert len(p.coeffs) >= 30
+                g = gns_matrix(p, radius)
+                assert g.shape == ((2 * radius + 1) ** d,) * 2
+                assert np.abs(g - self.oracle(p, radius)).max() < 1e-13
+
+    def test_float_exponent_guard(self):
+        # sum |theta_jk| max|m| radius = 3000.5 * 62 * 31 = 5,766,961 > 2^22:
+        # float phases there would have lost their digits
+        theta = SkewMatrix.rotation(3000.5)
+        with pytest.raises(SizeCapError, match="5766961"):
+            gns_matrix(NCPolynomial.monomial(theta, (62, 0)), 31)
+        # 3000.5 * 30 * 31 = 2,790,465 is below it; u^(30, 0) has c = 0, so a 1
+        # in each of the 33 * 63 columns whose image stays in the box
+        g = gns_matrix(NCPolynomial.monomial(theta, (30, 0)), 31)
+        assert np.count_nonzero(g) == 33 * 63 and (g[g != 0] == 1).all()
+
+    def test_vacuum_index_rejects_bad_arguments(self):
+        assert gns_vacuum_index(2, 2) == 12
+        for radius, dim in ((-1, 2), (2, -1), (2, 0), (1.0, 2)):
+            with pytest.raises(ValidationError):
+                gns_vacuum_index(radius, dim)
+
     def test_clock_shift_relation_on_interior(self):
         # commutator of the GNS generators reproduces the clock/shift phase
         g1 = gns_matrix(NCPolynomial.monomial(THETA_QUARTER, (1, 0)), 3)
