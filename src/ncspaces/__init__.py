@@ -41,7 +41,6 @@ from .symplectic import (
 )
 from .gridfn import GridFunction, GridSpec, read_gridfn, to_frequency, to_position, write_gridfn
 from .moyal import (
-    QuantizationConstant,
     dimension_reduction_check,
     moyal_direct,
     quantization_constant,

@@ -17,7 +17,6 @@ import dataclasses
 import json
 import os
 import sys
-import warnings
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
@@ -320,9 +319,7 @@ def cmd_butterfly(p: dict) -> int:
 
 
 def cmd_holder(p: dict) -> int:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # decade span is reported in the CSV
-        res = spectra.holder_scan(p["base"], p["offsets"], q_cap=p["qmax"])
+    res = spectra.holder_scan(p["base"], p["offsets"], q_cap=p["qmax"])
     rows = ["delta,distance"]
     for x, dist in zip(res.offsets, res.distances):
         rows.append(f"{float(x)!r},{fmt(dist)}")

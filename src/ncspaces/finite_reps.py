@@ -442,8 +442,6 @@ def ladder_operator(cutoff: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockReport:
-    n: int
-    cutoff: int
     clifford_dim: int
     product_identity_residual: float   # A*A vs 1 (x) sum_j a_j a_j*
     adjoint_identity_residual: float   # AA* vs 1 (x) sum_j a_j* a_j
@@ -488,12 +486,4 @@ def fock_identities_check(n: int, cutoff: int) -> FockReport:
     number_res = float(np.abs(number_cols).max())
 
     kdim = kernel_dimension(a_mat.conj().T[:, mask])
-    return FockReport(
-        n,
-        cutoff,
-        N,
-        float(prod_res),
-        float(adj_res),
-        number_res,
-        kdim,
-    )
+    return FockReport(N, float(prod_res), float(adj_res), number_res, kdim)

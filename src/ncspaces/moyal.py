@@ -34,8 +34,9 @@ wraparound).  Since Theta_dd = 0, the twist splits as
     theta(s, t) = (Theta^T s') . t + s_d sum_{k<d} Theta_dk t_k,   s = (s', s_d),
 
 a phase in t times a chirp in s_d, so for each of the M^(d-1) values of s'
-the sum over s_d is one FFT convolution along the last axis: the frequency
-route costs O(M^(d+1) log M), O(M^3 log M) on the plane.  Consecutive values
+the sum over s_d is one FFT convolution along the last axis for each of the
+M^(d-1) values of t': the frequency route transforms about M^(2d-2) rows of
+3M/2 values, O(M^(2d-1) log M), O(M^3 log M) on the plane.  Consecutive values
 of the last coordinate of s' share one batched FFT of at most about FFT_ROWS
 rows.  The two routes share only to_frequency, so their agreement is a
 meaningful cross-check.
@@ -55,6 +56,9 @@ from .gridfn import GridFunction, freq_grid_vectors, l2_norm, to_frequency, to_p
 from .skew import SkewMatrix
 
 DIRECT_CAP = 4096  # M^d cap for the position-side quadrature
+# M^(2d-1) cap for twisted_convolve, whose cost is O(M^(2d-1) log M): the
+# plane up to M = 256 and d = 3 up to M = 16
+CONVOLVE_CAP = 2**24
 # FFT rows per batched call of twisted_convolve: a block of B values of the
 # last lead coordinate, B = max(1, FFT_ROWS // M^(d-1)), with their boxes of
 # at most M^(d-1) values of t' each; at M = 64 on the plane that is a working
@@ -164,14 +168,16 @@ def twisted_convolve(
     transform padded along that axis.  A block costs
     O(B M^(d-1) M log M) and holds about FFT_ROWS rows of 3M/2 values, so the
     working set stays cache-sized while the Python loop runs M^(d-1) / B
-    times; the cost is O(M^(d+1) log M): O(M^3 log M) on the plane, where the
-    per-point sum costs O(M^4).  For d = 1 it is one FFT pair.
+    times; about M^(2d-2) rows in all, so the cost is O(M^(2d-1) log M):
+    O(M^3 log M) on the plane, where the per-point sum costs O(M^4).  For
+    d = 1 it is one FFT pair.  Guarded to M^(2d-1) <= CONVOLVE_CAP.
     """
     fhat.require_same_grid(ghat)
     _check_theta(fhat, theta)
     if fhat.side != "frequency":
         raise ValidationError("twisted_convolve expects frequency-side functions")
     m, d = fhat.points, fhat.dim
+    guard("twisted convolution M^(2d-1) =", m ** (2 * d - 1), CONVOLVE_CAP)
     lead, half, n = d - 1, m // 2, 3 * m // 2
     theta_arr = theta.as_array()
     freqs = fhat.freq_axis()
@@ -311,20 +317,12 @@ def sobolev_norm(f: GridFunction, alpha: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class QuantizationConstant:
-    alpha: float
-    dim: int
-    path_constant: float
-    value: float
-
-
 def sphere_surface(d: int) -> float:
     """Surface measure of the unit (d-1)-sphere in R^d."""
     return 2.0 * pi ** (d / 2.0) / gamma(d / 2.0)
 
 
-def quantization_constant(alpha: float, d: int, path_constant: float) -> QuantizationConstant:
+def quantization_constant(alpha: float, d: int, path_constant: float) -> float:
     """(V_d / (2 alpha - d - 2))^{1/2} * C; finite exactly when alpha > d/2 + 1."""
     d = as_index("dimension", d, 1)
     alpha, path_constant = as_real("alpha", alpha), as_real("C", path_constant)
@@ -332,8 +330,7 @@ def quantization_constant(alpha: float, d: int, path_constant: float) -> Quantiz
         raise ValidationError(
             f"alpha must exceed d/2 + 1 = {d / 2 + 1}; the frequency integral diverges"
         )
-    value = sqrt(sphere_surface(d) / (2.0 * alpha - d - 2.0)) * path_constant
-    return QuantizationConstant(alpha, d, path_constant, value)
+    return sqrt(sphere_surface(d) / (2.0 * alpha - d - 2.0)) * path_constant
 
 
 # -- dimension reduction --------------------------------------------------------
@@ -341,12 +338,10 @@ def quantization_constant(alpha: float, d: int, path_constant: float) -> Quantiz
 
 @dataclass(frozen=True)
 class DimensionReductionReport:
-    epsilons: List[float]
     norms: List[float]
     reference_norm: float
     deviations: List[float]
     bounds: List[float]       # beta_n * ||f||_2 ||g||_2 (||phi_n||_2 = 1)
-    betas: List[float]
     observed_rate: float
 
 
@@ -405,7 +400,7 @@ def dimension_reduction_check(
     norm_g = l2_norm(g)
     ref_l2 = l2_norm(ref)
 
-    epsilons, norms, devs, bounds, betas = [], [], [], [], []
+    epsilons, norms, devs, bounds = [], [], [], []
     for nstep in range(1, n_steps + 1):
         eps = 2.0 ** (-nstep)
         tgrid = np.linspace(-eps, eps, 129)
@@ -428,7 +423,6 @@ def dimension_reduction_check(
         norms.append(float(np.sqrt(norm_sq * two_pi_d)))
         devs.append(float(np.sqrt(dev_sq * two_pi_d)))
         bounds.append(beta * norm_f * norm_g)
-        betas.append(beta)
         epsilons.append(eps)
 
     pos = [(e, dv) for e, dv in zip(epsilons, devs) if dv > 0]
@@ -438,6 +432,4 @@ def dimension_reduction_check(
         rate = float(np.polyfit(le, ld, 1)[0])
     else:
         rate = float("nan")
-    return DimensionReductionReport(
-        epsilons, norms, ref_l2, devs, bounds, betas, rate
-    )
+    return DimensionReductionReport(norms, ref_l2, devs, bounds, rate)

@@ -17,7 +17,6 @@ two points and no phase grid is needed.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -55,11 +54,9 @@ def bloch_matrix(p: int, q: int, k1: float, k2: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BandSpectrum:
-    """Sorted disjoint closed intervals: the spectrum at flux p/q."""
+    """Sorted disjoint closed intervals: a band spectrum at rational flux."""
 
     bands: Tuple[Tuple[float, float], ...]
-    p: int
-    q: int
 
     def __post_init__(self):
         for a, b in self.bands:
@@ -102,7 +99,7 @@ def amo_spectrum(p: int, q: int, *, q_cap: int = DEFAULT_Q_CAP) -> BandSpectrum:
     e0 = np.linalg.eigvalsh(bloch_matrix(pr, qr, 0.0, 0.0))
     e1 = np.linalg.eigvalsh(bloch_matrix(pr, qr, np.pi / qr, np.pi / qr))
     bands = merge_intervals(zip(np.minimum(e0, e1), np.maximum(e0, e1)))
-    return BandSpectrum(bands, p, q)
+    return BandSpectrum(bands)
 
 
 # -- Hausdorff distance ----------------------------------------------------------
@@ -140,14 +137,13 @@ def hausdorff_distance(a: BandSpectrum, b: BandSpectrum) -> float:
 
 @dataclass(frozen=True)
 class HolderScanResult:
-    base: Fraction
     offsets: List[Fraction]
     distances: List[float]
     slope: float
     c_fit: float                   # max D / sqrt(delta) over the rows
     lip_half_ok: bool              # c_fit <= LIP_HALF_BOUND
     excluded_zero_offsets: int
-    decade_span: float
+    decade_span: float             # log10 of the largest over the smallest offset
 
 
 def holder_scan(
@@ -165,9 +161,9 @@ def holder_scan(
     reported, not gated.
 
     Zero offsets give D = 0 and are excluded from the fit (but counted).  The
-    fit needs at least two distinct positive offsets; a span under two decades
-    is allowed but flagged in `decade_span` since the fitted exponent is then
-    poorly conditioned.
+    fit needs at least two distinct positive offsets.  The span of the positive
+    offsets is returned as `decade_span`; under two decades the fitted exponent
+    is poorly conditioned.
     """
     for x in (base, *offsets):  # checked as reals, then taken exactly
         as_real("flux", x)
@@ -186,12 +182,6 @@ def holder_scan(
     base_spec, rest = specs[0], specs[1:]
     dists = [hausdorff_distance(base_spec, s) for s in rest]
 
-    span = float(np.log10(float(work[-1]) / float(work[0])))
-    if span < 2.0:
-        warnings.warn(
-            f"offsets span only {span:.2f} decades; exponent fit is poorly conditioned",
-            stacklevel=2,
-        )
     pos = [(float(x), d) for x, d in zip(work, dists) if d > 0]
     if len(pos) < 2:
         raise DegenerateFitError("fewer than two nonzero distances; cannot fit")
@@ -200,14 +190,13 @@ def holder_scan(
     slope = np.polyfit(ld, lD, 1)[0]
     c_fit = max(d / float(x) ** 0.5 for x, d in pos)
     return HolderScanResult(
-        base,
         work,
         dists,
         float(slope),
         float(c_fit),
         bool(c_fit <= LIP_HALF_BOUND),
         zero_count,
-        span,
+        float(np.log10(float(work[-1]) / float(work[0]))),
     )
 
 

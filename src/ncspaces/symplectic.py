@@ -41,7 +41,6 @@ class SymplecticForm:
 
 @dataclass(frozen=True, eq=False)
 class SkewDecomposition:
-    theta: np.ndarray
     rank: int
     basis: np.ndarray  # rows: x_1, y_1, ..., x_r, y_r, kernel directions
     residual: float
@@ -115,7 +114,7 @@ def skew_rank_decompose(theta: SkewMatrix) -> SkewDecomposition:
     target = np.zeros((theta.dim, theta.dim))
     target[:2 * r, :2 * r] = kron([np.eye(r), canonical_block(1)])
     res = float(np.abs(basis @ arr @ basis.T - target).max())
-    return SkewDecomposition(arr, 2 * r, basis, res)
+    return SkewDecomposition(2 * r, basis, res)
 
 
 # -- discretized canonical pairs ---------------------------------------------

@@ -553,7 +553,6 @@ def gns_vacuum_index(radius: int, dim: int) -> int:
 
 @dataclass(frozen=True)
 class CocycleReport:
-    samples: int
     max_associativity_defect: float
     max_normalization_defect: float
     exact: bool
@@ -579,4 +578,4 @@ def cocycle_validate(theta: SkewMatrix, triples: Iterable) -> CocycleReport:
     norm = [c(g, zero) for g in (m1, m2, m3)] + [c(zero, g) for g in (m1, m2, m3)]
     max_assoc = float(twist.circle_distance(assoc).max())
     max_norm = max(float(twist.circle_distance(e).max()) for e in norm)
-    return CocycleReport(len(triples), max_assoc, max_norm, theta.is_rational)
+    return CocycleReport(max_assoc, max_norm, theta.is_rational)

@@ -338,7 +338,6 @@ def _fd_along(field: Callable, x: Sequence[float], axis: int, h: float) -> np.nd
 
 @dataclass(frozen=True)
 class AssemblyReport:
-    step: float
     chain_rule_residual: float      # (a): d w_k / d x_j vs single-factor form, j < k
     diagonal_identity_residual: float  # (b): d w_j / d x_j - i sum_k d_kj x_k w_j
     triangle_ok: bool               # (c): assembled derivative bound
@@ -414,7 +413,7 @@ def check_assembly_identities(
             for k in range(j + 1, d):
                 bound += spectral_norm(dx[j, k])
             tri_ok = tri_ok and (lhs <= bound + 50.0 * h**2)  # finite-difference headroom
-    return AssemblyReport(h, res_a, res_b, tri_ok)
+    return AssemblyReport(res_a, res_b, tri_ok)
 
 
 def assembly_convergence_order(

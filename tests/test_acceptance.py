@@ -40,7 +40,6 @@ def test_criterion_05_metric_lower_bound(criterion):
     assert_criterion(criterion)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")  # the offsets span 1.2 decades
 @pytest.mark.criterion("06")
 def test_criterion_06_holder_continuity(criterion):
     assert_criterion(criterion)

@@ -338,6 +338,14 @@ class TestCliBasics:
         assert main(["moyal", "--f", str(f), "--g", str(g)]) == EXIT_INVALID
         assert f"cannot read grid file {f}" in capsys.readouterr().err
 
+    def test_moyal_fourier_past_convolve_cap_exits_2(self, tmp_path, capsys):
+        # three axes at M = 32: M^5 = 2^25 is past the cap of 2^24
+        f = GridFunction.gaussian(3, 8.0, 32, sigma=1.0)
+        fp = tmp_path / "f.gridfn"
+        write_gridfn(f, fp)
+        assert main(["moyal", "--f", str(fp), "--g", str(fp), "--method", "fourier"]) == EXIT_INVALID
+        assert "twisted convolution M^(2d-1) = 33554432 exceeds cap 16777216" in capsys.readouterr().err
+
     def test_symplectic_unreadable_theta_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "theta.csv"
         path.write_bytes(b"\xff\xfe0,1\n")
@@ -494,6 +502,19 @@ class TestCliPipelines:
         assert "PASS" in lines[0] and not any("FAIL" in line for line in lines)
         assert lines[-1] == "14/14 checks passed"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_all_checks_fails_on_a_division_by_zero_in_a_check(self, monkeypatch):
+        # no warning filter of all-checks may hide a nan or a division by zero
+        audit = checks.check_audit
+
+        def audit_dividing_by_zero(cfg):
+            np.float64(1.0) / np.float64(0.0)
+            return audit(cfg)
+
+        monkeypatch.setattr(checks, "check_audit", audit_dividing_by_zero)
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            main(["all-checks"])
+
     def test_all_checks_lines_print_every_record(self, tmp_path, capsys):
         _, lines = run_all_checks_smoke(tmp_path, capsys)
         results = checks.run_all_checks(checks.CheckConfig(**SMOKE_SIZES))
@@ -517,7 +538,6 @@ class TestCliPipelines:
         assert main(["symplectic", "--theta", "canonical", "--d", "4"]) == EXIT_CHECK_FAILED
         assert f"> {checks.NORMAL_FORM_TOL:g}" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")  # short offset spans
     def test_lip_half_bound_gates_holder_and_all_checks(self, tmp_path, capsys, monkeypatch):
         # D = 5 is 14.1 sqrt(delta) already at the largest offset 1/8, past the
         # Hoelder-1/2 bound 12 sqrt(delta)

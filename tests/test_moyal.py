@@ -307,6 +307,15 @@ class TestTwistedConvolve:
         with pytest.raises(ValidationError):
             twisted_convolve(f, f, SkewMatrix.zero(1))
 
+    @pytest.mark.parametrize("dim, points", [(2, 512), (3, 32)])
+    def test_size_cap(self, dim, points):
+        # M^(2d-1) is 2^27 and 2^25, past CONVOLVE_CAP = 2^24 (the plane at
+        # M = 256, three axes at M = 16, the largest grids admitted)
+        fhat = GridFunction(dim, 8.0, points, np.zeros((points,) * dim), side="frequency")
+        theta = SkewMatrix.from_upper(dim, {(0, 1): 1.0})
+        with pytest.raises(SizeCapError, match="twisted convolution M"):
+            twisted_convolve(fhat, fhat, theta)
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("points", [8, 16])
     def test_matches_brute_force_oracle(self, dim, points):
@@ -496,15 +505,14 @@ class TestSobolev:
 
 class TestQuantizationConstant:
     def test_plane_value(self):
-        qc = quantization_constant(3.0, 2, 1.0)
-        assert qc.value == pytest.approx(np.sqrt(np.pi), rel=1e-15)
+        assert quantization_constant(3.0, 2, 1.0) == pytest.approx(np.sqrt(np.pi), rel=1e-15)
 
     def test_sphere_surfaces(self):
         assert sphere_surface(2) == pytest.approx(2 * np.pi)
         assert sphere_surface(3) == pytest.approx(4 * np.pi)
 
     def test_large_alpha_limit(self):
-        vals = [quantization_constant(a, 2, 1.0).value for a in (3.0, 10.0, 100.0, 1000.0)]
+        vals = [quantization_constant(a, 2, 1.0) for a in (3.0, 10.0, 100.0, 1000.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 0.06
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from ncspaces import spectra
+from ncspaces.checks import run_criterion
 from ncspaces.errors import DegenerateFitError, SizeCapError, ValidationError
 from ncspaces.spectra import (
     LIP_HALF_BOUND,
@@ -19,8 +20,8 @@ from ncspaces.spectra import (
 )
 
 
-def spectrum_from_bands(bands, p=0, q=1):
-    return BandSpectrum(tuple(bands), p, q)
+def spectrum_from_bands(bands):
+    return BandSpectrum(tuple(bands))
 
 
 def sweep_branch_hulls(p, q, res):
@@ -167,7 +168,7 @@ class TestHausdorff:
     def test_empty_rejected(self):
         a = spectrum_from_bands([(-1.0, 1.0)])
         with pytest.raises(ValidationError):
-            hausdorff_distance(a, BandSpectrum((), 0, 1))
+            hausdorff_distance(a, BandSpectrum(()))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -188,7 +189,7 @@ class TestHausdorff:
 class TestBandSpectrumInvariants:
     def test_rejects_unsorted(self):
         with pytest.raises(ValidationError):
-            BandSpectrum(((0.0, 2.0), (1.0, 3.0)), 0, 1)
+            BandSpectrum(((0.0, 2.0), (1.0, 3.0)))
 
     def test_merge_tolerance(self):
         merged = merge_intervals([(0.0, 1.0), (1.0 + 1e-12, 2.0)])
@@ -201,17 +202,15 @@ class TestHolderScan:
             holder_scan(Fraction(0), [Fraction(1, 8), Fraction(1, 8)])
 
     def test_zero_offset_excluded_but_counted(self):
-        with pytest.warns(UserWarning):
-            res = holder_scan(
-                Fraction(0), [Fraction(0), Fraction(1, 4), Fraction(1, 8)]
-            )
+        res = holder_scan(Fraction(0), [Fraction(0), Fraction(1, 4), Fraction(1, 8)])
+        assert res.decade_span == pytest.approx(np.log10(2))
         assert res.excluded_zero_offsets == 1
         assert len(res.distances) == 2
 
     def test_pointwise_bound_and_positive_slope(self):
         offsets = [Fraction(1, 8), Fraction(1, 16), Fraction(1, 32)]
-        with pytest.warns(UserWarning):
-            res = holder_scan(Fraction(0), offsets)
+        res = holder_scan(Fraction(0), offsets)
+        assert res.decade_span == pytest.approx(np.log10(4))
         assert res.lip_half_ok
         assert res.slope > 0
         assert all(d <= res.c_fit * float(x) ** 0.5 + 1e-12
@@ -224,8 +223,8 @@ class TestHolderScan:
         # larger row crosses the bound 12, and the gate has to see it
         rows = iter([0.25, 6.5])
         monkeypatch.setattr(spectra, "hausdorff_distance", lambda a, b: next(rows))
-        with pytest.warns(UserWarning):
-            res = holder_scan(Fraction(0), [Fraction(1, 4), Fraction(1, 16)])
+        res = holder_scan(Fraction(0), [Fraction(1, 4), Fraction(1, 16)])
+        assert res.decade_span == pytest.approx(np.log10(4))
         assert res.c_fit == 13.0
         assert not res.lip_half_ok
 
@@ -233,8 +232,8 @@ class TestHolderScan:
         # gap ladders opening off the two-band degeneracy scale like sqrt(delta):
         # the smallest-offset pair of the scan exhibits the limiting exponent
         offsets = [Fraction(1, 2**k) for k in (5, 6, 7)]
-        with pytest.warns(UserWarning):
-            res = holder_scan(Fraction(1, 2), offsets)
+        res = holder_scan(Fraction(1, 2), offsets)
+        assert res.decade_span == pytest.approx(np.log10(4))
         # offsets (and distances) come back sorted ascending
         local = np.log(res.distances[1] / res.distances[0]) / np.log(2.0)
         assert 0.4 <= local <= 0.6
@@ -242,6 +241,15 @@ class TestHolderScan:
     def test_q_cap_guard(self):
         with pytest.raises(SizeCapError):
             holder_scan(Fraction(0), [Fraction(1, 8), Fraction(1, 256)], q_cap=128)
+
+    def test_criterion_06_runs_one_scan(self, monkeypatch):
+        # the pointwise record and the exponent window read the same scan
+        scans = []
+        scan = spectra.holder_scan
+        monkeypatch.setattr(spectra, "holder_scan", lambda *a, **k: scans.append(a) or scan(*a, **k))
+        names = [result.name for result in run_criterion("06")]
+        assert names == ["spectra/lip-half-pointwise", "spectra/exponent-window", "time"]
+        assert len(scans) == 1
 
 
 class TestCoprimeFluxes:
