@@ -1,10 +1,10 @@
-"""The property suite behind the `all-checks` command, and CRITERIA, the
-acceptance criteria that tests/test_acceptance.py runs through run_criterion.
+"""CRITERIA, the one list of checks, run by tests/test_acceptance.py through
+run_criterion and by the `all-checks` command through run_all_checks.
 
 Every check returns (name, context, records); each record is a measured value
 beside its tolerance, and CheckResult derives pass/fail and the printed line.
-Sizes are configurable so the suite can run quickly in smoke mode, at full
-depth from the command line, and at each criterion's sizes.
+The CheckConfig defaults are the criterion sizes.  sort_failures gives every
+failure its verdict by DOCUMENTED, the results that fail for a stated reason.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -25,19 +25,30 @@ from .skew import SkewMatrix, upper_pairs
 
 DEFAULT_SEED = 0xA1B2C3D4
 NORMAL_FORM_TOL = 1e-10  # symplectic/normal-form and `ncspaces symplectic`
-COUNT_CAP = 10_000  # the draws of a counted check; 10 times criterion 01's 1000
+COUNT_CAP = 10_000  # the draws of a counted check; 10 times the default algebra_triples
+
+# the documented negative results (README, "Known negative results"): each
+# result name that fails for a stated mathematical reason, with that reason
+DOCUMENTED = {
+    "spectra/exponent-window": "from base flux 0 band-edge erosion makes D(delta) track 2 pi "
+    "delta, so the fitted exponent sits near 1; the sqrt regime lives at base flux 1/2",
+    "fock/two-mode-identities": "for two or more modes the terms c_k c_j (x) (a_k a_j* - a_j "
+    "a_k*) do not cancel, and ker A* gains one Clifford copy per occupation level",
+}
 
 
 @dataclass
 class CheckConfig:
+    """The sizes of the checks; each size feeds one check, and its default is
+    the size its acceptance criterion runs at."""
     seed: int = DEFAULT_SEED
-    algebra_triples: int = 200
+    algebra_triples: int = 1000
     tensor_max_d: int = 5
-    symplectic_cases: int = 100
-    metric_pairs: int = 60
-    hermitian_pairs: int = 100
-    moyal_points: int = 32
-    holder_max_k: int = 5  # offsets 1/8 .. 1/2^k
+    symplectic_cases: int = 500
+    metric_pairs: int = 200
+    hermitian_pairs: int = 500
+    moyal_points: int = 64
+    holder_max_k: int = 7  # offsets 1/8 .. 1/2^k
 
     def __post_init__(self):
         """Every field an integer at or above its minimum: a seed >= 0, pairs
@@ -70,9 +81,26 @@ class CheckResult(NamedTuple):
         return all(r.value <= r.tol for r in self.records)
 
     def line(self) -> str:
-        """`PASS name: context; label value (tol t), ...`, or FAIL."""
+        """`PASS name: context; label value (tol t), ...`, or FAIL; a failing
+        DOCUMENTED result's line ends with `; documented: reason`."""
         measured = ", ".join(f"{r.label} {r.value:.4g} (tol {r.tol:g})" for r in self.records)
-        return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.context}; {measured}"
+        line = f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.context}; {measured}"
+        if not self.passed and self.name in DOCUMENTED:
+            line += f"; documented: {DOCUMENTED[self.name]}"
+        return line
+
+
+def sort_failures(failures: Iterable[Tuple[str, Optional[str]]]) -> Tuple[list, list, list]:
+    """The one verdict on failures, per result.  Each failure is a pair (where,
+    name): where it was seen, and the failing result's name, or None when it
+    named none (a check that raised).  Returns the documented failures, whose
+    name is in DOCUMENTED, the unexpected ones, and the DOCUMENTED names that
+    did not fail: they passed or did not run."""
+    failures = list(failures)
+    failed = {name for _, name in failures}
+    return ([f for f in failures if f[1] in DOCUMENTED],
+            [f for f in failures if f[1] not in DOCUMENTED],
+            [name for name in DOCUMENTED if name not in failed])
 
 
 def random_rational_theta(rng, d: int) -> SkewMatrix:
@@ -319,11 +347,6 @@ def check_holder_scan(cfg: CheckConfig) -> List[CheckResult]:
     ]
 
 
-def check_holder(cfg: CheckConfig) -> List[CheckResult]:
-    """The pointwise record of check_holder_scan alone."""
-    return check_holder_scan(cfg)[:1]
-
-
 def check_assembly(cfg: CheckConfig) -> List[CheckResult]:
     """The assembly deviation of w(x, y) = exp(i y arctan x) at d = 3 falls
     at order 2 in h over h = 2e-2 and two halvings."""
@@ -339,48 +362,40 @@ def check_assembly(cfg: CheckConfig) -> List[CheckResult]:
     ])]
 
 
-def run_all_checks(cfg: CheckConfig) -> List[CheckResult]:
-    checks = (check_algebra_exactness, check_tensor_relations, check_symplectic,
-              check_metric_lower_bound, check_generator_bound, check_moyal, check_fock,
-              check_audit, check_holder)
-    return [result for check in checks for result in check(cfg)]
-
-
 class Criterion(NamedTuple):
-    """An acceptance criterion: its checks, the CheckConfig sizes they run at,
-    a time budget in seconds (None: no budget) and, for a documented negative
-    result, the one-line reason it fails."""
+    """An acceptance criterion: its checks, run at the CheckConfig defaults,
+    and a time budget in seconds (None: no budget)."""
     checks: Tuple[Callable[[CheckConfig], List[CheckResult]], ...]
-    sizes: Dict[str, int] = {}
     budget: Optional[float] = None
-    reason: Optional[str] = None
 
 
 CRITERIA = {
-    "01": Criterion((check_algebra_exactness,), {"algebra_triples": 1000}, 30.0),
-    "02": Criterion((check_tensor_relations,), budget=60.0),
+    "01": Criterion((check_algebra_exactness,), 30.0),
+    "02": Criterion((check_tensor_relations,), 60.0),
     "03": Criterion((check_audit,)),
-    "04": Criterion((check_symplectic,), {"symplectic_cases": 500}, 20.0),
-    "05": Criterion((check_metric_lower_bound,), {"metric_pairs": 200}),
-    "06": Criterion((check_holder_scan,), {"holder_max_k": 7}, 300.0, reason=(
-        "from base flux 0 band-edge erosion makes D(delta) track 2 pi delta, so the fitted "
-        "exponent sits near 1; the sqrt regime lives at base flux 1/2")),
-    "07": Criterion((check_moyal, check_moyal_band_limited), {"moyal_points": 64}),
-    "08": Criterion((check_generator_bound,), {"hermitian_pairs": 500}),
+    "04": Criterion((check_symplectic,), 20.0),
+    "05": Criterion((check_metric_lower_bound,)),
+    "06": Criterion((check_holder_scan,), 300.0),
+    "07": Criterion((check_moyal, check_moyal_band_limited)),
+    "08": Criterion((check_generator_bound,)),
     "09": Criterion((check_assembly,)),
     "10a": Criterion((check_fock,)),
-    "10b": Criterion((partial(check_fock, modes=2),), reason=(
-        "for two or more modes the terms c_k c_j (x) (a_k a_j* - a_j a_k*) do not cancel, "
-        "and ker A* gains one Clifford copy per occupation level")),
+    "10b": Criterion((partial(check_fock, modes=2),)),
 }
 
 
+def run_all_checks(cfg: CheckConfig) -> List[CheckResult]:
+    """The results of every entry of CRITERIA, in criterion order, at cfg's sizes."""
+    return [result for entry in CRITERIA.values() for check in entry.checks
+            for result in check(cfg)]
+
+
 def run_criterion(criterion: str) -> List[CheckResult]:
-    """The results of one entry of CRITERIA at its sizes, with the elapsed
-    time as one more record when the criterion has a budget."""
+    """The results of one entry of CRITERIA at the default sizes, with the
+    elapsed time as one more record when the criterion has a budget."""
     entry = CRITERIA[criterion]
     start = time.perf_counter()
-    cfg = CheckConfig(**entry.sizes)
+    cfg = CheckConfig()
     results = [result for check in entry.checks for result in check(cfg)]
     if entry.budget is not None:
         results.append(CheckResult("time", "the criterion's budget",

@@ -352,12 +352,16 @@ def cmd_audit(p: dict) -> int:
 def cmd_all_checks(p: dict) -> int:
     ccfg = checks_mod.CheckConfig(**{key: value for key, value in p.items() if key != "out"})
     results = checks_mod.run_all_checks(ccfg)
-    failed = sum(not result.passed for result in results)
+    failed = [("all-checks", result.name) for result in results if not result.passed]
+    documented, unexpected, not_failed = checks_mod.sort_failures(failed)
     lines = [result.line() for result in results]
-    lines.append(f"{len(results) - failed}/{len(results)} checks passed")
+    lines.append(f"{len(results) - len(failed)}/{len(results)} checks passed; "
+                 f"expected (documented): {len(documented)}; unexpected: {len(unexpected)}; "
+                 f"documented, not failed: {len(not_failed)}")
     emit(p["out"], "\n".join(lines) + "\n")
-    if failed:
-        raise CheckFailure(f"{failed} checks failed")
+    if unexpected or not_failed:
+        raise CheckFailure(f"unexpected: {', '.join(name for _, name in unexpected) or 'none'}; "
+                           f"documented, not failed: {', '.join(not_failed) or 'none'}")
     return EXIT_OK
 
 

@@ -46,6 +46,9 @@ class UnitaryTuple:
     def __post_init__(self):
         object.__setattr__(self, "matrices", tuple(np.array(u) for u in self.matrices))
         object.__setattr__(self, "sigma", np.array(self.sigma, dtype=complex))
+        # here, not in _admit: an assembled tuple's legs were checked here
+        if not all(np.isfinite(a).all() for a in (self.sigma, *self.matrices)):
+            raise ValidationError("tuple matrices and sigma must be finite")
         self._admit(_measure_relations)
 
     def _admit(self, report_of: Callable[[UnitaryTuple], RelationReport]) -> None:

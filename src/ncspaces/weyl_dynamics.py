@@ -208,6 +208,8 @@ class HermitianPair:
         b = np.asarray(self.second, dtype=complex)
         if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError("need two square matrices of equal size")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValidationError("matrices must be finite")
         tol = 1e-12
         if hermiticity_defect(a) > tol or hermiticity_defect(b) > tol:
             raise ValidationError(f"matrices must be Hermitian to {tol:g}")
@@ -287,6 +289,8 @@ class UnitaryField:
         u = np.asarray(self.fn(x, y), dtype=complex)
         if u.ndim == 0:
             u = u.reshape(1, 1)
+        if not np.isfinite(u).all():
+            raise ValidationError(f"field sample at ({x},{y}) is not finite")
         defect = spectral_norm(u.conj().T @ u - np.eye(u.shape[0]))
         if defect > 1e-10:
             raise ValidationError(f"field sample at ({x},{y}) is not unitary ({defect:.1e})")

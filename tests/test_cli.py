@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from ncspaces import checks, spectra, symplectic
+from ncspaces import checks, spectra, symplectic, weyl_dynamics as wd
 from ncspaces.cli import EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, main
 from ncspaces.errors import ValidationError
 from ncspaces.gridfn import GridFunction, read_gridfn, write_gridfn
@@ -35,12 +35,22 @@ def assert_close(a, b, tol):
     assert max(map(abs, gap), default=0.0) <= tol
 
 
+def config_file(tmp_path, params) -> str:
+    """The path of a config file in tmp_path holding params as JSON."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(params))
+    return str(path)
+
+
 def run_all_checks_smoke(tmp_path, capsys):
     """`ncspaces all-checks` at the smoke sizes: (exit code, output lines)."""
-    cfg = tmp_path / "smoke.json"
-    cfg.write_text(json.dumps(SMOKE_SIZES))
-    code = main(["all-checks", "--config", str(cfg)])
+    code = main(["all-checks", "--config", config_file(tmp_path, SMOKE_SIZES)])
     return code, capsys.readouterr().out.splitlines()
+
+
+def failing_names(lines):
+    """The result names of the FAIL lines among all-checks output lines."""
+    return [line[5:line.index(":")] for line in lines if line.startswith("FAIL ")]
 
 
 class TestSerialization:
@@ -71,9 +81,7 @@ class TestCliBasics:
     def test_audit_integral_target_as_string(self, tmp_path, capsys):
         assert main(["audit", "--target", "2500"]) == EXIT_OK
         expected = capsys.readouterr().out
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"target": "2500.0"}))
-        assert main(["audit", "--config", str(cfg)]) == EXIT_OK
+        assert main(["audit", "--config", config_file(tmp_path, {"target": "2500.0"})]) == EXIT_OK
         assert capsys.readouterr().out == expected
 
     def test_audit_failing_k(self, capsys):
@@ -100,11 +108,9 @@ class TestCliBasics:
         assert residual <= 1e-13
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
         for command, key in [("audit", "bogus"), ("butterfly", "resolution"),
                              ("holder", "jobs"), ("all-checks", "holder_resolution")]:
-            cfg.write_text(json.dumps({key: 1}))
-            assert main([command, "--config", str(cfg)]) == EXIT_INVALID
+            assert main([command, "--config", config_file(tmp_path, {key: 1})]) == EXIT_INVALID
             assert "unknown config key" in capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self, capsys):
@@ -123,38 +129,32 @@ class TestCliBasics:
         ("holder", {"qmax": 0}),
     ])
     def test_explicit_zero_is_not_replaced_by_default(self, tmp_path, command, params):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(params))
-        assert main([command, "--config", str(cfg)]) == EXIT_INVALID
+        assert main([command, "--config", config_file(tmp_path, params)]) == EXIT_INVALID
 
     def test_weyl_explicit_zero_theta(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"theta": 0, "grids": [32]}))
-        assert main(["weyl", "--config", str(cfg)]) == EXIT_OK
+        cfg = config_file(tmp_path, {"theta": 0, "grids": [32]})
+        assert main(["weyl", "--config", cfg]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[1].split(",")[2] == "0.0"
 
     def test_weyl_rational_theta(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grids": [32]}))
-        assert main(["weyl", "--config", str(cfg), "--theta", "1/3"]) == EXIT_OK
+        cfg = config_file(tmp_path, {"grids": [32]})
+        assert main(["weyl", "--config", cfg, "--theta", "1/3"]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[1].split(",")[2] == repr(1 / 3)
 
     def test_weyl_unparsable_theta_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grids": [32]}))
+        cfg = config_file(tmp_path, {"grids": [32]})
         for theta in ("1/0", "abc"):
-            assert main(["weyl", "--config", str(cfg), "--theta", theta]) == EXIT_INVALID
+            assert main(["weyl", "--config", cfg, "--theta", theta]) == EXIT_INVALID
             assert "cannot parse theta spec" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("L", True), ("s", [False]), ("t", [True])])
     def test_weyl_real_key_rejects_bool_and_takes_numeric_string(self, tmp_path, capsys, key, value):
         # read by float(), a boolean was 1.0 or 0.0; the integer keys reject it
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"L": "6.0", "grids": [16], "s": ["0.5"], "t": [0.37]}))
-        assert main(["weyl", "--config", str(cfg)]) == EXIT_OK
+        cfg = config_file(tmp_path, {"L": "6.0", "grids": [16], "s": ["0.5"], "t": [0.37]})
+        assert main(["weyl", "--config", cfg]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[1].startswith("16,6.0,1.0,0.5,0.37,")
-        cfg.write_text(json.dumps({"grids": [16], key: value}))
-        assert main(["weyl", "--config", str(cfg)]) == EXIT_INVALID
+        cfg = config_file(tmp_path, {"grids": [16], key: value})
+        assert main(["weyl", "--config", cfg]) == EXIT_INVALID
         assert f"cannot parse {key} spec" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, config, key", [
@@ -192,9 +192,7 @@ class TestCliBasics:
         csv.write_text("0,x\n-1,0\n")
         argv = [arg.format(csv=csv) for arg in argv]
         if config is not None:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(config))
-            argv += ["--config", str(cfg)]
+            argv += ["--config", config_file(tmp_path, config)]
         assert main(argv) == EXIT_INVALID
         assert f"cannot parse {key} spec" in capsys.readouterr().err
 
@@ -204,9 +202,8 @@ class TestCliBasics:
     ])
     def test_all_checks_size_below_minimum_exits_2(self, tmp_path, capsys, key, value):
         # each once ran, most to a vacuous PASS line ("0 rational triples", "d=2..1")
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**SMOKE_SIZES, key: value}))
-        assert main(["all-checks", "--config", str(cfg)]) == EXIT_INVALID
+        cfg = config_file(tmp_path, {**SMOKE_SIZES, key: value})
+        assert main(["all-checks", "--config", cfg]) == EXIT_INVALID
         assert f"{key} must be >= " in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
@@ -245,9 +242,8 @@ class TestCliBasics:
     def test_all_checks_size_past_cap_exits_2_before_any_check(self, tmp_path, capsys, monkeypatch):
         # accepted before, a run of about a week at criterion 01's pace
         monkeypatch.setattr(checks, "run_all_checks", lambda cfg: pytest.fail("a check ran"))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"algebra_triples": 10**9}))
-        assert main(["all-checks", "--config", str(cfg)]) == EXIT_INVALID
+        cfg = config_file(tmp_path, {"algebra_triples": 10**9})
+        assert main(["all-checks", "--config", cfg]) == EXIT_INVALID
         assert "algebra_triples 1000000000 exceeds cap 10000" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, config", [
@@ -261,9 +257,8 @@ class TestCliBasics:
     ])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, argv, config):
         if config is not None:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(config))  # NaN and Infinity, as Python's json reads them
-            argv = argv + ["--config", str(cfg)]
+            cfg = config_file(tmp_path, config)  # NaN and Infinity, as Python's json reads them
+            argv = argv + ["--config", cfg]
         assert main(argv) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -306,9 +301,7 @@ class TestCliBasics:
 
     @pytest.mark.parametrize("k", [8100, 8100.0, "8100"])
     def test_integral_int_values_accepted(self, tmp_path, capsys, k):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"k": k}))
-        assert main(["audit", "--config", str(cfg)]) == EXIT_OK
+        assert main(["audit", "--config", config_file(tmp_path, {"k": k})]) == EXIT_OK
         assert capsys.readouterr().out.startswith("k: 8100 (sqrt exact)\n")
 
     @pytest.mark.parametrize("content", [None, b"\xff\xfe"], ids=["missing", "not-utf8"])
@@ -391,9 +384,8 @@ class TestCliBasics:
         assert "integer" in capsys.readouterr().err
 
     def test_flags_override_config(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"k": 100, "target": 2500}))
-        assert main(["audit", "--config", str(cfg), "--k", "8100"]) == EXIT_OK
+        cfg = config_file(tmp_path, {"k": 100, "target": 2500})
+        assert main(["audit", "--config", cfg, "--k", "8100"]) == EXIT_OK
 
 
 class TestCliPipelines:
@@ -408,11 +400,8 @@ class TestCliPipelines:
 
     def test_holder_csv(self, tmp_path):
         out = tmp_path / "scan.csv"
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "base": "0", "offsets": ["1/4", "1/8", "1/16"],
-        }))
-        code = main(["holder", "--config", str(cfg), "--out", str(out)])
+        cfg = config_file(tmp_path, {"base": "0", "offsets": ["1/4", "1/8", "1/16"]})
+        code = main(["holder", "--config", cfg, "--out", str(out)])
         assert code == EXIT_OK
         lines = out.read_text().splitlines()
         assert lines[0] == "delta,distance"
@@ -470,61 +459,74 @@ class TestCliPipelines:
         assert np.isfinite(prod.values).all()
 
     def test_moyal_direct_deterministic_bytes(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grid": "32,6.0", "theta": "1"}))
+        cfg = config_file(tmp_path, {"grid": "32,6.0", "theta": "1"})
         out1, out2 = tmp_path / "a.gridfn", tmp_path / "b.gridfn"
         for out in (out1, out2):
-            assert main(["moyal", "--config", str(cfg), "--method", "direct",
+            assert main(["moyal", "--config", cfg, "--method", "direct",
                          "--out", str(out)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_weyl_scan_csv(self, tmp_path):
         out = tmp_path / "weyl.csv"
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grids": [32, 64], "s": [0.37], "t": [0.37]}))
-        assert main(["weyl", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        cfg = config_file(tmp_path, {"grids": [32, 64], "s": [0.37], "t": [0.37]})
+        assert main(["weyl", "--config", cfg, "--out", str(out)]) == EXIT_OK
         lines = out.read_text().splitlines()
         assert lines[0].startswith("M,L,theta,s,t,residual")
         assert len(lines) == 3
 
     def test_weyl_deterministic_bytes(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grids": [64, 512], "s": [0.37], "t": [0.37, 0.51]}))
+        cfg = config_file(tmp_path, {"grids": [64, 512], "s": [0.37], "t": [0.37, 0.51]})
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (out1, out2):
-            assert main(["weyl", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            assert main(["weyl", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
         assert len(out1.read_text().splitlines()) == 5
 
     def test_all_checks_smoke(self, tmp_path, capsys):
         code, lines = run_all_checks_smoke(tmp_path, capsys)
         assert code == EXIT_OK, lines
-        assert "PASS" in lines[0] and not any("FAIL" in line for line in lines)
-        assert lines[-1] == "14/14 checks passed"
+        assert failing_names(lines) == list(checks.DOCUMENTED)
+        assert lines[-1] == ("16/18 checks passed; expected (documented): 2; unexpected: 0; "
+                             "documented, not failed: 0")
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_all_checks_fails_on_a_division_by_zero_in_a_check(self, monkeypatch):
-        # no warning filter of all-checks may hide a nan or a division by zero
-        audit = checks.check_audit
-
-        def audit_dividing_by_zero(cfg):
-            np.float64(1.0) / np.float64(0.0)
-            return audit(cfg)
-
-        monkeypatch.setattr(checks, "check_audit", audit_dividing_by_zero)
-        with pytest.raises(RuntimeWarning, match="divide by zero"):
-            main(["all-checks"])
-
-    def test_all_checks_lines_print_every_record(self, tmp_path, capsys):
-        _, lines = run_all_checks_smoke(tmp_path, capsys)
-        results = checks.run_all_checks(checks.CheckConfig(**SMOKE_SIZES))
-        assert len(lines) == len(results) + 1
+    def test_all_checks_lines_print_every_record(self, capsys):
+        # a default run prints the lines of every criterion's run, less the time lines
+        assert main(["all-checks"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        results = [result for criterion in checks.CRITERIA
+                   for result in checks.run_criterion(criterion) if result.name != "time"]
+        assert lines[:-1] == [result.line() for result in results]
+        assert failing_names(lines) == list(checks.DOCUMENTED)
         for line, result in zip(lines, results):
-            assert line.startswith(f"PASS {result.name}: {result.context}; ")
+            status = "PASS" if result.passed else "FAIL"
+            assert line.startswith(f"{status} {result.name}: {result.context}; ")
             for r in result.records:
                 assert f"{r.label} {r.value:.4g} (tol {r.tol:g})" in line
         fock = next(line for line in lines if "fock/single-mode-identities" in line)
         assert "number action residual" in fock
+
+    def test_all_checks_exits_3_when_a_documented_result_passes(self, tmp_path, capsys, monkeypatch):
+        real = spectra.holder_scan
+        monkeypatch.setattr(spectra, "holder_scan", lambda base, offsets: dataclasses.replace(
+            real(base, offsets), slope=0.5))
+        cfg = config_file(tmp_path, SMOKE_SIZES)
+        assert main(["all-checks", "--config", cfg]) == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert failing_names(captured.out.splitlines()) == ["fock/two-mode-identities"]
+        assert "unexpected: none; documented, not failed: spectra/exponent-window" in captured.err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_all_checks_fails_on_a_division_by_zero_in_a_check(self, tmp_path, capsys, monkeypatch):
+        # no warning filter of all-checks may hide a nan or a division by zero
+        audit = wd.audit_interpolation_constants
+
+        def audit_dividing_by_zero(*args, **kwargs):
+            np.float64(1.0) / np.float64(0.0)
+            return audit(*args, **kwargs)
+
+        monkeypatch.setattr(wd, "audit_interpolation_constants", audit_dividing_by_zero)
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            run_all_checks_smoke(tmp_path, capsys)
 
     def test_normal_form_tolerance_gates_both_commands(self, tmp_path, capsys, monkeypatch):
         real = symplectic.symplectic_normalize
@@ -532,9 +534,8 @@ class TestCliPipelines:
                             lambda theta: dataclasses.replace(real(theta), residual=1.0))
         code, lines = run_all_checks_smoke(tmp_path, capsys)
         assert code == EXIT_CHECK_FAILED
-        fail = [line for line in lines if line.startswith("FAIL ")]
-        assert len(fail) == 1 and fail[0].startswith("FAIL symplectic/normal-form: ")
-        assert f"worst residual 1 (tol {checks.NORMAL_FORM_TOL:g})" in fail[0]
+        assert failing_names(lines) == ["symplectic/normal-form", *checks.DOCUMENTED]
+        assert f"worst residual 1 (tol {checks.NORMAL_FORM_TOL:g})" in lines[6]
         assert main(["symplectic", "--theta", "canonical", "--d", "4"]) == EXIT_CHECK_FAILED
         assert f"> {checks.NORMAL_FORM_TOL:g}" in capsys.readouterr().err
 
@@ -548,6 +549,6 @@ class TestCliPipelines:
         assert "# lip_half_pointwise,0" in capsys.readouterr().out.splitlines()
         code, lines = run_all_checks_smoke(tmp_path, capsys)
         assert code == EXIT_CHECK_FAILED
-        assert [line.split(":")[0] for line in lines if line.startswith("FAIL ")] == [
-            "FAIL spectra/lip-half-pointwise"]
-        assert lines[-1] == "13/14 checks passed"
+        assert failing_names(lines) == ["spectra/lip-half-pointwise", *checks.DOCUMENTED]
+        assert lines[-1] == ("15/18 checks passed; expected (documented): 2; unexpected: 1; "
+                             "documented, not failed: 0")

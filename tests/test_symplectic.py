@@ -52,6 +52,7 @@ from ncspaces.twisted_algebra import (
 )
 from ncspaces.weyl_dynamics import (
     HermitianPair,
+    UnitaryField,
     assembled_field,
     assembly_convergence_order,
     audit_interpolation_constants,
@@ -401,6 +402,17 @@ THETA_HALF = SkewMatrix.from_upper(2, [0.5])
     pytest.param(lambda x: holder_scan(x, [Fraction(1, 8), Fraction(1, 16)]), None,
                  id="holder-base-none"),
     pytest.param(lambda x: holder_scan(0, [x, 0.25]), np.nan, id="holder-offset-nan"),
+    # non-finite matrices: each raised numpy's LinAlgError "SVD did not converge"
+    pytest.param(lambda x: HermitianPair(np.full((2, 2), x), np.eye(2)), np.nan,
+                 id="hermitian-pair-nan"),
+    pytest.param(lambda x: UnitaryTuple((np.full((2, 2), x), np.eye(2)), np.ones((2, 2))), np.nan,
+                 id="tuple-matrix-nan"),
+    pytest.param(lambda x: UnitaryTuple((np.full((2, 2), x), np.eye(2)), np.ones((2, 2))), np.inf,
+                 id="tuple-matrix-inf"),
+    pytest.param(lambda x: UnitaryTuple((np.eye(2), np.eye(2)), np.full((2, 2), x)), np.nan,
+                 id="tuple-sigma-nan"),
+    pytest.param(lambda x: UnitaryField(lambda a, b: np.full((2, 2), x, complex)).sample(0.1, 0.2),
+                 np.nan, id="field-sample-nan"),
 ])
 def test_non_finite_input_rejected(entry_point, bad):
     with pytest.raises(ValidationError):
