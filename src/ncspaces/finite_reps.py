@@ -56,6 +56,8 @@ class UnitaryTuple:
         report_of(self) and gate it against tol: the one way into relation_report."""
         object.__setattr__(self, "tol", as_real("tolerance", self.tol, minimum=0))
         d = len(self.matrices)
+        if not d:
+            raise ValidationError("a tuple needs at least one matrix")
         sigma = self.sigma
         for a in (sigma, *self.matrices):
             a.flags.writeable = False

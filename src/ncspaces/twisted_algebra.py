@@ -19,13 +19,29 @@ phase_order(theta), nonzero integer numerators and coefficients in Q(zeta_Q):
 they are elements of the group ring of the central extension Z^d x Z_Q.
 Float polynomials are the case Q = 1: r = 0, complex numerators and
 denominator 1.  Each operation is one array computation for both kinds; only
-the coefficient arithmetic differs.  A product sums the outer product of the
-numerators at the rows m + m' with one sort and one segmented sum
-(``_collect``), an exact pair shifting r by Q c(m, m') mod Q and a float pair
-multiplying by exp(2 pi i c(m, m')); sums below COEFF_DROP_TOL in magnitude,
-for integer numerators exactly the zero sums, are dropped.  Integer arrays are
-int64 while every value an operation forms stays below 2^62 in magnitude and
-Python ints (dtype object) past that, through the same code.
+the coefficient arithmetic differs.
+
+Every polynomial carries Python-int upper bounds, set where its arrays are
+first formed and derived, never rescanned, for results: ``mbound`` >= max|m|
+and, when exact, ``cbound`` >= max|numerator|.  A product has deg a + deg b
+and |num a| |num b| min(len a, len b) (a product row gets at most one pair per
+term of either operand); an adjoint, a conditional expectation and a
+transference keep the operand's bounds; a sum or a scaling gets the scaled
+maxima.  ``degree()`` still scans.  From mbound each term (m, r) gets one
+packed key Q sum_k m_k R^(d-1-k) + r, R = 2 mbound + 1, whose signed digits
+below R/2 keep the order lexicographic in (m, r) (Kronecker substitution, as
+in Monagan and Pearce, ACM Commun. Comput. Algebra 44, 2010).  A product's
+pair keys are the outer sum of the operands' m keys plus each pair's root
+index, an exact pair shifting r by Q c(m, m') mod Q and a float pair
+multiplying by exp(2 pi i c(m, m')): one sort and one segmented sum collect
+them, sums below COEFF_DROP_TOL in magnitude, for integer numerators exactly
+the zero sums, are dropped, and m + m' is formed only for the rows that
+survive.  An adjoint maps distinct rows to distinct rows and only re-sorts.
+Exponents, numerators and Q c are int64 while the bounds keep every value an
+operation forms below 2^62 in magnitude, and Python ints (dtype object) past
+that, through the same code; a key takes its own dtype by the same rule from
+Q R^d + Q, so large exponents can give Python-int keys beside int64
+numerators.
 
 Float arrays are canonical.  Two exact forms of one value can differ, since
 the powers of zeta are dependent (zeta^(Q/2) = -1); ``==`` compares the forms
@@ -40,6 +56,7 @@ import operator
 from cmath import isfinite
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, Iterable, Sequence, Tuple, Union
 
@@ -84,8 +101,9 @@ class _Twist:
 
     For rational theta ``order`` is Q = phase_order(theta) and ``form`` is the
     integer matrix K = Q U held as Python ints (dtype object), so Q c is exact
-    for exponents of any size.  Otherwise ``order`` is 1 and ``form`` is U in
-    float64.  Either way ``weight`` = sum |form_jk| bounds
+    for exponents of any size; ``coupling`` gives -K^T in int64, for operands
+    whose bounds allow it, or in Python ints, each converted once.  Otherwise
+    ``order`` is 1 and ``form`` is U in float64.  Either way ``weight`` = sum |form_jk| bounds
     |order c(m, m')| <= weight max|m| max|m'|.  In float64 that bound B also
     sets the error of c: while B <= FLOAT_PHASE_CAP = 2^22 an ulp of c is at
     most 2^-30 turns, and past it c mod 1 loses its digits, so float
@@ -100,6 +118,7 @@ class _Twist:
         for (j, k), v in zip(upper_pairs(theta.dim), values):
             self.form[j, k] = v
         self.weight = sum(map(abs, values))
+        self._coupling = {}
 
     def _bounded(self, m, m2):
         """m and m' in the form's dtype, float exponents past FLOAT_PHASE_CAP rejected."""
@@ -108,6 +127,13 @@ class _Twist:
             guard("float structure exponent bound", self.weight * _max_abs(m) * _max_abs(m2),
                   FLOAT_PHASE_CAP)
         return m, m2
+
+    def coupling(self, dtype) -> np.ndarray:
+        """-form.T in ``dtype`` (int64 or object), converted once: at rational
+        theta, Q c(m, m') = (m @ coupling) . m'."""
+        if dtype not in self._coupling:
+            self._coupling[dtype] = -self.form.T.astype(dtype)
+        return self._coupling[dtype]
 
     def scaled(self, m, m2):
         """order * c(m, m') for multi-index arrays of shape (..., d), broadcast."""
@@ -140,37 +166,49 @@ def _max_abs(x: np.ndarray) -> int:
     return int(np.abs(x).max(initial=0))
 
 
-def _scaled(cs: np.ndarray, f: int) -> np.ndarray:
-    """Integer numerators times f, as Python ints where a product may reach
-    2^62 (a sum of two such products still fits int64)."""
-    return cs.astype(exact_dtype(max(_max_abs(cs), 1) * abs(f)), copy=False) * f
+def _scaled(cs: np.ndarray, bound: int, f: int) -> np.ndarray:
+    """Integer numerators, max|cs| <= bound, times f, as Python ints where a
+    product may reach 2^62 (a sum of two such products still fits int64)."""
+    return cs.astype(exact_dtype(max(bound, 1) * abs(f)), copy=False) * f
 
 
-def _collect(ms: np.ndarray, rs: np.ndarray, cs: np.ndarray, order: int):
-    """The terms (ms, rs, cs) sorted by (m, r), with the cs of equal (m, r)
-    summed and sums below COEFF_DROP_TOL in magnitude dropped.
+@lru_cache(maxsize=1024)
+def _strides(order: int, bound: int, d: int) -> np.ndarray:
+    """Strides of the packed key Q sum_k m_k R^(d-1-k) + r, R = 2 bound + 1,
+    of the terms with max|m| <= bound: digits of magnitude below R/2 keep the
+    key lexicographic in (m_0, ..., m_{d-1}, r).  int64 while Q R^d + Q, which
+    caps |key|, stays below 2^62, else Python ints.  Read-only, as cached."""
+    radix = 2 * bound + 1
+    dtype = exact_dtype(order * radix**d + order)
+    strides = np.array([order * radix ** (d - 1 - k) for k in range(d)], dtype=dtype)
+    strides.flags.writeable = False
+    return strides
 
-    Each row gets one mixed-radix key, lexicographic in (m_0, ..., m_{d-1}, r)
-    whatever the offsets: one stable argsort and one np.add.reduceat do the
-    rest.  Keys are int64 while their range stays below 2^62, else Python ints.
-    """
-    if not len(cs):
-        return ms, rs, cs
-    lo = ms.min(axis=0)
-    stride, strides = order, []
-    for span in reversed((ms.max(axis=0) - lo + 1).tolist()):
-        strides.append(stride)
-        stride *= span
-    dtype = exact_dtype(stride)
-    key = (ms.astype(dtype, copy=False) - lo) @ np.array(strides[::-1], dtype=dtype)
-    key += rs.astype(dtype, copy=False)
+
+def _key(ms: np.ndarray, strides: np.ndarray) -> np.ndarray:
+    """The m part of each row's packed key (``_strides``)."""
+    return ms.astype(strides.dtype, copy=False).dot(strides)
+
+
+def _sum_equal(key: np.ndarray, cs: np.ndarray):
+    """One row of each distinct key, in key order, and the sum of the cs of
+    the rows sharing it; sums below COEFF_DROP_TOL in magnitude are dropped.
+    One stable argsort and one np.add.reduceat."""
     perm = key.argsort(kind="stable")
+    if not len(perm):
+        return perm, cs
     key = key[perm]
     starts = np.concatenate(([True], key[1:] != key[:-1])).nonzero()[0]
     sums = np.add.reduceat(cs[perm], starts)
     keep = np.abs(sums) >= COEFF_DROP_TOL
-    rows = perm[starts[keep]]
-    return ms[rows], rs[rows], sums[keep]
+    return perm[starts[keep]], sums[keep]
+
+
+def _collect(ms: np.ndarray, rs: np.ndarray, cs: np.ndarray, order: int, bound: int):
+    """The terms (ms, rs, cs), max|m| <= bound, sorted by (m, r), with the cs
+    of equal (m, r) summed and sums below COEFF_DROP_TOL in magnitude dropped."""
+    rows, sums = _sum_equal(_key(ms, _strides(order, bound, ms.shape[1])) + rs, cs)
+    return ms[rows], rs[rows], sums
 
 
 def structure_exponent(m: Sequence[int], m2: Sequence[int], theta: SkewMatrix):
@@ -201,7 +239,8 @@ class NCPolynomial:
     arrays on first access and kept.
     """
 
-    __slots__ = ("theta", "_coeffs", "_order", "_twist", "_ms", "_rs", "_cs", "_den")
+    __slots__ = ("theta", "_coeffs", "_order", "_twist", "_ms", "_rs", "_cs", "_den",
+                 "_mbound", "_cbound")
 
     def __init__(
         self,
@@ -238,8 +277,9 @@ class NCPolynomial:
                     )
             rows = sorted((m, r, c) for m, cy in items for r, c in cy.terms.items())
             cs, den = integer_form(c for _, _, c in rows)
+            cbound = max(map(abs, cs.tolist()), default=0)
         else:
-            q, den = 1, 1
+            q, den, cbound = 1, 1, None
             values = [(m, complex(c)) for m, c in items]
             for m, c in values:
                 if not isfinite(c):
@@ -247,19 +287,22 @@ class NCPolynomial:
             rows = sorted((m, 0, c) for m, c in values if abs(c) >= COEFF_DROP_TOL)
             cs = np.array([c for _, _, c in rows], dtype=complex)
         # distinct keys and nonzero terms: sorting the rows was all there was to do
-        table = [(*m, r) for m, r, _ in rows]
-        dtype = exact_dtype(max([q, *(abs(x) for row in table for x in row)]))
-        table = np.array(table, dtype=dtype).reshape(len(rows), theta.dim + 1)
-        self._from_terms(q, None, table[:, :-1], table[:, -1].astype(np.int64), cs, den)
+        mbound = max((abs(x) for m, _, _ in rows for x in m), default=0)
+        table = np.array([(*m, r) for m, r, _ in rows], dtype=exact_dtype(max(q, mbound)))
+        table = table.reshape(len(rows), theta.dim + 1)
+        self._from_terms(q, None, table[:, :-1], table[:, -1].astype(np.int64), cs, den,
+                         mbound, cbound)
 
-    def _from_terms(self, order, twist, ms, rs, cs, den) -> "NCPolynomial":
-        """Set the term arrays, already sorted and summed; numerators and
-        denominator are reduced to lowest terms."""
+    def _from_terms(self, order, twist, ms, rs, cs, den, mbound, cbound) -> "NCPolynomial":
+        """Set the term arrays, already sorted and summed, and the upper bounds
+        mbound >= max|m| and, when exact, cbound >= max|numerator| (None when
+        float); numerators and denominator are reduced to lowest terms."""
         if den > 1:
             g = gcd(den, *cs.tolist())
-            cs, den = cs // g, den // g
+            cs, den, cbound = cs // g, den // g, cbound // g
         self._order, self._twist = order, twist
         self._ms, self._rs, self._cs, self._den = ms, rs, cs, den
+        self._mbound, self._cbound = mbound, cbound
         return self
 
     def _structure(self) -> _Twist:
@@ -269,12 +312,13 @@ class NCPolynomial:
             self._twist = _Twist(self.theta)
         return self._twist
 
-    def _result(self, order, ms, rs, cs, den) -> "NCPolynomial":
+    def _result(self, order, ms, rs, cs, den, mbound, cbound) -> "NCPolynomial":
         """A polynomial of the given order over this one's theta from internal
-        term arrays, without the public constructor's validation."""
+        term arrays and their bounds, without the public constructor's
+        validation."""
         out = object.__new__(NCPolynomial)
         out.theta, out._coeffs = self.theta, None
-        return out._from_terms(order, self._twist, ms, rs, cs, den)
+        return out._from_terms(order, self._twist, ms, rs, cs, den, mbound, cbound)
 
     # -- constructors --------------------------------------------------
 
@@ -343,7 +387,8 @@ class NCPolynomial:
         if not self.exact:
             return self
         values = np.asarray(self._cs / self._den, dtype=float) * _root(self._rs, self._order)
-        return self._result(1, *_collect(self._ms, np.zeros_like(self._rs), values, 1), 1)
+        terms = _collect(self._ms, np.zeros_like(self._rs), values, 1, self._mbound)
+        return self._result(1, *terms, 1, self._mbound, None)
 
     def _canonical(self):
         """Exponents with a nonzero coefficient, and each such coefficient's
@@ -390,9 +435,15 @@ class NCPolynomial:
         den = lcm(self._den, other._den)
         ms = np.concatenate((self._ms, other._ms))
         rs = np.concatenate((self._rs, other._rs))
-        cs = np.concatenate([_scaled(p._cs, den // p._den) if self.exact else p._cs
-                             for p in (self, other)])
-        return self._result(self._order, *_collect(ms, rs, cs, self._order), den)
+        if self.exact:
+            parts = [(p, den // p._den) for p in (self, other)]
+            cs = np.concatenate([_scaled(p._cs, p._cbound, f) for p, f in parts])
+            cbound = sum(p._cbound * f for p, f in parts)
+        else:
+            cs, cbound = np.concatenate((self._cs, other._cs)), None
+        mbound = max(self._mbound, other._mbound)
+        return self._result(self._order, *_collect(ms, rs, cs, self._order, mbound), den,
+                            mbound, cbound)
 
     def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
         return self + other.scale(-1)
@@ -400,10 +451,12 @@ class NCPolynomial:
     def scale(self, factor) -> "NCPolynomial":
         if self.exact:
             f = Fraction(factor)
-            cs, den = _scaled(self._cs, f.numerator), self._den * f.denominator
+            cs, den = _scaled(self._cs, self._cbound, f.numerator), self._den * f.denominator
+            cbound = self._cbound * abs(f.numerator)
         else:
-            cs, den = self._cs * complex(factor), 1
-        return self._result(self._order, *_collect(self._ms, self._rs, cs, self._order), den)
+            cs, den, cbound = self._cs * complex(factor), 1, None
+        terms = _collect(self._ms, self._rs, cs, self._order, self._mbound)
+        return self._result(self._order, *terms, den, self._mbound, cbound)
 
 
 def poly_mul(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
@@ -411,43 +464,53 @@ def poly_mul(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
 
     The exponents of all term pairs come from one bilinear form of the two
     exponent arrays.  Exact terms multiply to c c' zeta^(r + r' + Q c(m, m'))
-    u^(m + m'), float terms to c c' exp(2 pi i c(m, m')) u^(m + m'), summed by
-    one sort of the term keys (see ``_collect``).
+    u^(m + m'), float terms to c c' exp(2 pi i c(m, m')) u^(m + m').  The
+    packed key of a pair (``_strides``, radix from deg a + deg b) is the sum
+    of its two terms' m keys plus its root index: one sort of the pair keys
+    sums the pairs, and m + m' is formed only for the rows that survive.
     """
     a._check_compatible(b)
     twist, q = a._structure(), a._order
-    big, small = max(_max_abs(a._ms), 1), max(_max_abs(b._ms), 1)
-    bound = big + small
+    deg = a._mbound + b._mbound
     if a.exact:
-        bound = max(bound, twist.weight * big * small + 2 * q,
-                    _max_abs(a._cs) * _max_abs(b._cs) * len(a._cs) * len(b._cs))
-    dtype = exact_dtype(bound)
+        # distinct (m', r') rows: a product row gets at most one pair per term of a or b
+        cbound = a._cbound * b._cbound * min(len(a._cs), len(b._cs))
+        qc_bound = twist.weight * max(a._mbound, 1) * max(b._mbound, 1) + 2 * q
+        dtype = exact_dtype(max(deg, qc_bound, cbound))
+    else:
+        cbound, dtype = None, exact_dtype(deg)
     ma, mb = a._ms.astype(dtype, copy=False), b._ms.astype(dtype, copy=False)
-    ms = (ma[:, None, :] + mb).reshape(-1, a.dim)
     if a.exact:
-        qc = -(ma @ twist.form.T.astype(dtype)) @ mb.T
+        qc = (ma @ twist.coupling(dtype)) @ mb.T
         rs = (a._rs.astype(dtype, copy=False)[:, None] + b._rs.astype(dtype, copy=False) + qc) % q
         cs = np.multiply.outer(a._cs.astype(dtype, copy=False), b._cs.astype(dtype, copy=False))
     else:
         rs = np.zeros((len(ma), len(mb)), dtype=np.int64)
         cs = np.multiply.outer(a._cs, b._cs) * twist.phases(ma[:, None, :], mb)
-    rs = rs.ravel().astype(np.int64, copy=False)
-    return a._result(q, *_collect(ms, rs, cs.ravel(), q), a._den * b._den)
+    strides = _strides(q, deg, a.dim)
+    key = _key(ma, strides)[:, None] + _key(mb, strides) + rs.astype(strides.dtype, copy=False)
+    rows, cs = _sum_equal(key.ravel(), cs.ravel())
+    i, j = np.divmod(rows, len(mb))
+    rs = rs.ravel()[rows].astype(np.int64, copy=False)
+    return a._result(q, ma[i] + mb[j], rs, cs, a._den * b._den, deg, cbound)
 
 
 def poly_adjoint(a: NCPolynomial) -> NCPolynomial:
     """Involution: (u^m)* = exp(2 pi i c(m,m)) u^{-m}, coefficients conjugated
     (c(m, m) = -c(m, -m) by bilinearity); the exact term c zeta^r u^m goes to
-    c zeta^(Q c(m, m) - r) u^(-m)."""
+    c zeta^(Q c(m, m) - r) u^(-m).  Distinct (m, r) rows go to distinct rows,
+    so the terms are only re-sorted, never summed."""
     twist, q = a._structure(), a._order
     if a.exact:
-        ms = a._ms.astype(exact_dtype(twist.weight * _max_abs(a._ms) ** 2 + 2 * q))
-        qc = -((ms @ twist.form.T.astype(ms.dtype)) * ms).sum(axis=1)
+        ms = a._ms.astype(exact_dtype(twist.weight * max(a._mbound, 1) ** 2 + 2 * q))
+        qc = ((ms @ twist.coupling(ms.dtype)) * ms).sum(axis=1)
         rs, cs = ((qc - a._rs) % q).astype(np.int64, copy=False), a._cs
     else:
         ms, rs = a._ms, a._rs
         cs = a._cs.conj() * twist.phases(ms, ms)
-    return a._result(q, *_collect(-ms, rs, cs, q), a._den)
+    ms = -ms
+    perm = (_key(ms, _strides(q, a._mbound, a.dim)) + rs).argsort()
+    return a._result(q, ms[perm], rs[perm], cs[perm], a._den, a._mbound, a._cbound)
 
 
 def trace(a: NCPolynomial) -> Coefficient:
@@ -461,7 +524,8 @@ def cond_expectation(a: NCPolynomial, j: int) -> NCPolynomial:
     if j >= a.dim:
         raise ValidationError(f"axis {j} out of range for d={a.dim}")
     keep = a._ms[:, j] == 0
-    return a._result(a._order, a._ms[keep], a._rs[keep], a._cs[keep], a._den)
+    return a._result(a._order, a._ms[keep], a._rs[keep], a._cs[keep], a._den, a._mbound,
+                     a._cbound)
 
 
 def transference(a: NCPolynomial, z: Sequence) -> NCPolynomial:
@@ -475,7 +539,7 @@ def transference(a: NCPolynomial, z: Sequence) -> NCPolynomial:
     if all(isinstance(x, (Fraction, int)) for x in z):
         nums, den = integer_form(Fraction(x) for x in z)
         # s = den * (t . m), exact, for every row
-        dtype = exact_dtype(max(_max_abs(a._ms), 1) * max(_max_abs(nums) * a.dim, 1) * a._order)
+        dtype = exact_dtype(max(a._mbound, 1) * max(_max_abs(nums) * a.dim, 1) * a._order)
         s = a._ms.astype(dtype, copy=False) @ nums.astype(dtype)
         if a.exact:
             off = s * a._order % den
@@ -493,7 +557,8 @@ def transference(a: NCPolynomial, z: Sequence) -> NCPolynomial:
         a = a.to_float()
         rs, cs = a._rs, a._cs * np.prod(np.array(zc) ** a._ms, axis=1)
     rs = rs.astype(np.int64, copy=False)
-    return a._result(a._order, *_collect(a._ms, rs, cs, a._order), a._den)
+    terms = _collect(a._ms, rs, cs, a._order, a._mbound)
+    return a._result(a._order, *terms, a._den, a._mbound, a._cbound)
 
 
 # -- GNS truncation ---------------------------------------------------------

@@ -289,6 +289,8 @@ class UnitaryField:
         u = np.asarray(self.fn(x, y), dtype=complex)
         if u.ndim == 0:
             u = u.reshape(1, 1)
+        if u.ndim != 2 or u.shape[0] != u.shape[1]:
+            raise ValidationError(f"field sample at ({x},{y}) has shape {u.shape}, not square")
         if not np.isfinite(u).all():
             raise ValidationError(f"field sample at ({x},{y}) is not finite")
         defect = spectral_norm(u.conj().T @ u - np.eye(u.shape[0]))

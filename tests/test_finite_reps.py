@@ -91,6 +91,11 @@ class TestVerifyRelations:
         assert rep.max_commutation == 0
         assert rep.worst_pair is None
 
+    def test_empty_tuple_rejected(self):
+        # it raised IndexError from matrices[0]
+        with pytest.raises(ValidationError, match="at least one matrix"):
+            UnitaryTuple((), np.ones((0, 0), dtype=complex))
+
     def test_tolerance_enforced_at_construction(self):
         base = clock_shift(1, 2)
         bad_sigma = base.sigma.copy()

@@ -74,6 +74,40 @@ class TestStructurePhase:
             structure_phase((1, 0, 0), (0, 1), THETA_QUARTER)
 
 
+def definition(theta, m, m2):
+    """c(m, m') = -sum_{j<k} theta_jk m_k m'_j from the Fraction entries."""
+    d = theta.dim
+    return -sum(theta.entry(j, k) * m[k] * m2[j] for j in range(d) for k in range(j + 1, d))
+
+
+def reference(a, b):
+    """The term-pair loop on term dicts {r: rational}, each phase from the
+    Fraction definition: an oracle independent of the term arrays."""
+    q, want = ta.phase_order(a.theta), {}
+    for (m, ca), (m2, cb) in itertools.product(a.coeffs.items(), b.coeffs.items()):
+        shift = int(definition(a.theta, m, m2) * q)
+        out = want.setdefault(tuple(x + y for x, y in zip(m, m2)), {})
+        for (r1, c1), (r2, c2) in itertools.product(ca.terms.items(), cb.terms.items()):
+            r = (r1 + r2 + shift) % q
+            out[r] = out.get(r, 0) + c1 * c2
+    return NCPolynomial(a.theta, {n: Cyclotomic(q, t) for n, t in want.items()}, exact=True)
+
+
+def reference_adjoint(a):
+    """The adjoint term by term: c zeta^r u^m goes to c zeta^(Q c(m, m) - r) u^(-m)."""
+    q, want = ta.phase_order(a.theta), {}
+    for m, c in a.coeffs.items():
+        shift = int(definition(a.theta, m, m) * q)
+        want[tuple(-x for x in m)] = Cyclotomic(q, {shift - r: x for r, x in c.terms.items()})
+    return NCPolynomial(a.theta, want, exact=True)
+
+
+def assert_rows_increase(p):
+    """The term rows (m, r) of p are strictly increasing."""
+    rows = [(*m, r) for m, r in zip(p._ms.tolist(), p._rs.tolist())]
+    assert all(x < y for x, y in zip(rows, rows[1:]))
+
+
 class TestLargeExponents:
     # Q = lcm(4, 9, 5, 7) = 1260; exponents near 2^40 make the products
     # m_k m'_j near 2^80, which int64 arithmetic would wrap
@@ -82,9 +116,7 @@ class TestLargeExponents:
     M2 = (-(2**40) - 5, 2**40 + 13, -(2**40) + 1)
 
     def definition(self, m, m2):
-        return -sum(
-            self.THETA.entry(j, k) * m[k] * m2[j] for j in range(3) for k in range(j + 1, 3)
-        )
+        return definition(self.THETA, m, m2)
 
     def test_phase_order(self):
         assert ta.phase_order(self.THETA) == 1260
@@ -103,17 +135,7 @@ class TestLargeExponents:
         assert poly_mul(a, b).coeffs == {n: Cyclotomic.root(1260, int(shift))}
 
     def reference(self, a, b):
-        """The term-pair loop on term dicts {r: rational}, each phase from the
-        Fraction definition: an oracle independent of the term arrays."""
-        want = {}
-        for (m, ca), (m2, cb) in itertools.product(a.coeffs.items(), b.coeffs.items()):
-            shift = int(self.definition(m, m2) * 1260)
-            out = want.setdefault(tuple(x + y for x, y in zip(m, m2)), {})
-            for (r1, c1), (r2, c2) in itertools.product(ca.terms.items(), cb.terms.items()):
-                r = (r1 + r2 + shift) % 1260
-                out[r] = out.get(r, 0) + c1 * c2
-        return NCPolynomial(self.THETA, {n: Cyclotomic(1260, t) for n, t in want.items()},
-                            exact=True)
+        return reference(a, b)
 
     def rand_exact(self, rng, terms=6):
         coeffs = {}
@@ -195,6 +217,70 @@ class TestLargeExponents:
             for p in (a, poly_mul(a, b), poly_adjoint(poly_mul(b, a))):
                 again = NCPolynomial(self.THETA, p.coeffs, exact=True)
                 assert again == p and again.coeffs == p.coeffs
+
+
+class TestPackedKeys:
+    """Products and adjoints on packed keys, from the carried bounds."""
+
+    @staticmethod
+    def draws(rng, d, count):
+        """Pairs of random exact polynomials at d, exponents in -2..2 or
+        -40..40, some with a common denominator above 1."""
+        theta = random_rational_theta(rng, d)
+        for k in range(count):
+            a, b = random_exact_poly(rng, theta), random_exact_poly(rng, theta)
+            if k % 3 == 1:
+                a = a + NCPolynomial.exact_monomial(theta, rng.integers(-40, 41, size=d), 2, -1)
+            if k % 3 == 2:
+                b = b.scale(Fraction(3, 4))
+            yield a, b
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_products_and_adjoints_match_the_oracles(self, d):
+        rng = np.random.default_rng(40 + d)
+        for a, b in self.draws(rng, d, 25):
+            ab = poly_mul(a, b)
+            for got, want in ((ab, reference(a, b)), (poly_adjoint(a), reference_adjoint(a)),
+                              (poly_adjoint(ab), reference_adjoint(ab))):
+                assert got == want and got.coeffs == want.coeffs
+                assert_rows_increase(got)
+
+    def test_carried_bounds_cover_the_terms(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        pairs = [pair for d in (1, 2, 3, 4) for pair in self.draws(rng, d, 6)]
+        # derived bounds: no result of the chain scans its arrays
+        monkeypatch.setattr(ta, "_max_abs", None)
+        for a, b in pairs:
+            steps = (poly_adjoint, lambda p: p + a, lambda p: p.scale(Fraction(-2, 3)),
+                     lambda p: poly_mul(p, b), lambda p: cond_expectation(p, 0),
+                     lambda p: poly_mul(b, p) - a)
+            p = poly_mul(a, b)
+            chain = [p, a + a, a.scale(-4)]
+            for step in steps:
+                p = step(p)
+                chain.append(p)
+            for p in chain:
+                assert_rows_increase(p)
+                assert p._mbound >= int(np.abs(p._ms).max(initial=0))
+                assert p._cbound >= int(np.abs(p._cs).max(initial=0))
+
+    def test_key_past_int64_beside_int64_numerators(self):
+        # d = 3, Q = 1260, exponents near 10^6: Q c stays near 2216 * 10^12, in
+        # int64, while Q (2 deg + 1)^3 is near 10^23, so the keys are Python ints
+        theta, e = TestLargeExponents.THETA, 10**6
+        rng = np.random.default_rng(46)
+        for _ in range(5):
+            a, b = (NCPolynomial(theta, {
+                tuple(int(x) for x in e * rng.integers(-1, 2, size=3) + rng.integers(-2, 3, size=3)):
+                Cyclotomic.root(1260, int(rng.integers(0, 1260)), int(rng.integers(1, 4)))
+                for _ in range(6)}) for _ in range(2))
+            ab = poly_mul(a, b)
+            assert ta._strides(1260, a._mbound + b._mbound, 3).dtype == object
+            assert ab._cs.dtype == np.int64 and ab._ms.dtype == np.int64
+            assert ab == reference(a, b) and ab.coeffs == reference(a, b).coeffs
+            assert poly_adjoint(ab) == reference_adjoint(ab)
+            for p in (ab, poly_adjoint(ab)):
+                assert_rows_increase(p)
 
 
 class TestCanonicalEquality:

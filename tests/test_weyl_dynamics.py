@@ -305,6 +305,13 @@ class TestAssembly:
         assert all(a > b for a, b in zip(devs, devs[1:]))
         assert 1.8 <= order <= 2.2
 
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2)])
+    def test_non_square_sample_rejected(self, shape):
+        # each raised a numpy ValueError
+        w = UnitaryField(lambda x, y: np.ones(shape, dtype=complex))
+        with pytest.raises(ValidationError, match="not square"):
+            w.sample(0.1, 0.2)
+
     def test_box_guard(self):
         w = UnitaryField(lambda x, y: np.eye(1, dtype=complex), box=1.0)
         with pytest.raises(ValidationError):
