@@ -4,11 +4,14 @@ Each subcommand is one entry of _COMMANDS: its handler and its parameters.
 Parameters come from a JSON file passed as --config and from flags, which
 override the file; unknown config keys are rejected.  Every given value, flag
 or config, is converted by its kind on one path (load_config); a default
-fills an absent key; a key with help text gets a flag.  Exit codes: 0
-success, 2 invalid input, 3 a check failed.
+fills an absent key, and an absent REQUIRED key is invalid input; a key with
+help text gets a flag.
 
-Outputs are written atomically (temp file + rename) and are byte-identical
-for identical configs and seeds.
+A handler maps its checked parameters to (output, failure): the output is
+text, or a grid file's bytes, and the failure is the reason its gate failed,
+or None.  main writes the output, atomically (temp file + rename) to --out or
+else to stdout, and picks the exit code: 0 success, 2 invalid input, 3 a
+check failed.  Outputs are byte-identical for identical configs and seeds.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -28,8 +31,8 @@ from . import moyal as moyal_mod
 from . import spectra, symplectic
 from . import weyl_dynamics as wd
 from .checks import DEFAULT_SEED
-from .errors import ValidationError, as_index
-from .gridfn import GridFunction, GridSpec, atomic_open, read_gridfn, write_gridfn
+from .errors import ValidationError, as_index, guard
+from .gridfn import GridFunction, GridSpec, atomic_open, encode_gridfn, read_gridfn
 from .serialize import matrix_to_json, poly_from_json, poly_to_json
 from .skew import SkewMatrix, upper_pairs
 from . import twisted_algebra as ta
@@ -38,9 +41,8 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_CHECK_FAILED = 3
 
-
-class CheckFailure(Exception):
-    """A verification ran fine but did not hold."""
+REQUIRED = object()  # the default of a parameter that must be given
+Result = Tuple[Union[str, bytes], Optional[str]]  # a handler's (output, failure)
 
 
 # -- parameter values -------------------------------------------------------------
@@ -111,7 +113,7 @@ def _audit_target(x):
 def load_config(command: str, path: Optional[str], flags: Dict[str, object]) -> Dict[str, object]:
     """Every parameter of command, typed: the config file's values, overridden
     by the flags given (not None), each converted by its kind once; a default
-    fills each absent key."""
+    fills each absent key, and an absent REQUIRED key is invalid input."""
     table = {**_SHARED, **_COMMANDS[command][1]}
     given: Dict[str, object] = {}
     if path:
@@ -124,10 +126,12 @@ def load_config(command: str, path: Optional[str], flags: Dict[str, object]) -> 
     given.update((key, value) for key, value in flags.items() if value is not None)
     params = {}
     for key, (kind, default, _) in table.items():
-        value = given.get(key, default)
-        if key in given and not (value is None and default is None):
-            value = parse_value(key, value, kind)
-        params[key] = value
+        if key in given and not (given[key] is None and default in (None, REQUIRED)):
+            params[key] = parse_value(key, given[key], kind)
+        elif default is REQUIRED:
+            raise ValidationError(f"missing --{key}")
+        else:
+            params[key] = default
     return params
 
 
@@ -159,23 +163,22 @@ def read_json_object(path: str, what: str) -> dict:
     return obj
 
 
-def emit(out: Optional[str], text: str) -> None:
+def emit(out: Optional[str], output: Union[str, bytes]) -> None:
+    """output, text (as UTF-8) or bytes, written atomically to out, else to stdout."""
     if out:
         with atomic_open(out) as fh:
-            fh.write(text.encode("utf-8"))
+            fh.write(output.encode("utf-8") if isinstance(output, str) else output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(output)
 
 
 def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def parse_theta_spec(spec: Optional[str], d: int, rng) -> SkewMatrix:
+def parse_theta_spec(spec: str, d: int, rng) -> SkewMatrix:
     """Accepted forms: 'zero', 'canonical', 'random', a rational 'p/q', a float,
     or a path to a CSV file holding the full matrix."""
-    if spec is None:
-        raise ValidationError("missing --theta")
     if os.path.exists(spec) and spec.endswith(".csv"):
         rows = [parse_value("theta", line.split(","), _list_of(_real))
                 for line in map(str.strip, read_text(spec, "theta").splitlines()) if line]
@@ -199,10 +202,8 @@ def _grid(text: str) -> GridSpec:
 # -- subcommands ------------------------------------------------------------------
 
 
-def cmd_algebra(p: dict) -> int:
+def cmd_algebra(p: dict) -> Result:
     path = p["input"]
-    if not path:
-        raise ValidationError("algebra needs an input polynomial file (config key 'input')")
     obj = read_json_object(path, "input")
     if "a" not in obj:
         raise ValidationError(f"{path}: missing polynomial 'a'")
@@ -219,8 +220,7 @@ def cmd_algebra(p: dict) -> int:
     if "z" in obj:
         z = parse_value("z", obj["z"], _list_of(_complex))
         result["transferred"] = poly_to_json(ta.transference(a, z))
-    emit(p["out"], json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
+    return json.dumps(result, indent=2, sort_keys=True) + "\n", None
 
 
 def _pair_table_from_spec(spec: str, d: int, rng) -> dict:
@@ -236,7 +236,7 @@ def _pair_table_from_spec(spec: str, d: int, rng) -> dict:
     return {jk: pair for jk in upper_pairs(d)}
 
 
-def cmd_relations(p: dict) -> int:
+def cmd_relations(p: dict) -> Result:
     table = _pair_table_from_spec(p["theta"], p["d"], np.random.default_rng(p["seed"]))
     t = fr.tensor_construct(table)
     rep = fr.verify_relations(t)
@@ -245,25 +245,22 @@ def cmd_relations(p: dict) -> int:
         f"commutation residual: {fmt(rep.max_commutation)}",
         f"unitarity residual: {fmt(rep.max_unitarity)}",
     ]
-    emit(p["out"], "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n", None
 
 
-def cmd_symplectic(p: dict) -> int:
+def cmd_symplectic(p: dict) -> Result:
     theta = parse_theta_spec(p["theta"], p["d"], np.random.default_rng(p["seed"]))
     sf = symplectic.symplectic_normalize(theta)
     out = {
         "residual": sf.residual,
         "transform": matrix_to_json(sf.transform.astype(complex)),
     }
-    emit(p["out"], json.dumps(out, indent=2, sort_keys=True) + "\n")
     tol = checks_mod.NORMAL_FORM_TOL
-    if sf.residual > tol:
-        raise CheckFailure(f"normal-form residual {sf.residual:.2e} > {tol:g}")
-    return EXIT_OK
+    failure = f"normal-form residual {sf.residual:.2e} > {tol:g}" if sf.residual > tol else None
+    return json.dumps(out, indent=2, sort_keys=True) + "\n", failure
 
 
-def cmd_moyal(p: dict) -> int:
+def cmd_moyal(p: dict) -> Result:
     if p["f"] is not None or p["g"] is not None:
         if p["f"] is None or p["g"] is None:
             raise ValidationError("moyal needs both 'f' and 'g' grid files")
@@ -284,13 +281,11 @@ def cmd_moyal(p: dict) -> int:
     else:
         raise ValidationError(f"unknown method {p['method']!r}")
     if p["out"]:
-        write_gridfn(prod, p["out"])
-    else:
-        sys.stdout.write(f"star product computed: max |value| = {fmt(np.abs(prod.values).max())}\n")
-    return EXIT_OK
+        return encode_gridfn(prod), None
+    return f"star product computed: max |value| = {fmt(np.abs(prod.values).max())}\n", None
 
 
-def cmd_weyl(p: dict) -> int:
+def cmd_weyl(p: dict) -> Result:
     theta, L = p["theta"], p["L"]
     rows = ["M,L,theta,s,t,residual,commensurate_shift,commensurate_modulation"]
     for m in p["grids"]:
@@ -301,24 +296,21 @@ def cmd_weyl(p: dict) -> int:
                 rows.append(f"{m},{fmt(grid.half_length)},{fmt(theta)},{fmt(s)},{fmt(t)},"
                             f"{fmt(rep.residual)},{int(rep.commensurate_shift)},"
                             f"{int(rep.commensurate_modulation)}")
-    emit(p["out"], "\n".join(rows) + "\n")
-    return EXIT_OK
+    return "\n".join(rows) + "\n", None
 
 
-def cmd_butterfly(p: dict) -> int:
-    qmax = p["qmax"]
-    if qmax is None:
-        raise ValidationError("butterfly needs --qmax")
+def cmd_butterfly(p: dict) -> Result:
+    # checked before the O(qmax^2) listing of fluxes, as amo_spectrum checks each q
+    qmax = guard("reduced flux denominator q =", p["qmax"], spectra.DEFAULT_Q_CAP)
     rows = ["p,q,band_index,a,b"]
     for fl in spectra.coprime_fluxes(qmax):
         sp = spectra.amo_spectrum(fl.numerator, fl.denominator)
         for i, (a, b) in enumerate(sp.bands):
             rows.append(f"{fl.numerator},{fl.denominator},{i},{fmt(a)},{fmt(b)}")
-    emit(p["out"], "\n".join(rows) + "\n")
-    return EXIT_OK
+    return "\n".join(rows) + "\n", None
 
 
-def cmd_holder(p: dict) -> int:
+def cmd_holder(p: dict) -> Result:
     res = spectra.holder_scan(p["base"], p["offsets"], q_cap=p["qmax"])
     rows = ["delta,distance"]
     for x, dist in zip(res.offsets, res.distances):
@@ -327,13 +319,11 @@ def cmd_holder(p: dict) -> int:
     rows.append(f"# c_fit,{fmt(res.c_fit)}")
     rows.append(f"# lip_half_pointwise,{int(res.lip_half_ok)}")
     rows.append(f"# decade_span,{fmt(res.decade_span)}")
-    emit(p["out"], "\n".join(rows) + "\n")
-    if not res.lip_half_ok:
-        raise CheckFailure("pointwise Lip-1/2 bound failed")
-    return EXIT_OK
+    failure = None if res.lip_half_ok else "pointwise Lip-1/2 bound failed"
+    return "\n".join(rows) + "\n", failure
 
 
-def cmd_audit(p: dict) -> int:
+def cmd_audit(p: dict) -> Result:
     k, target = p["k"], p["target"]
     rep = wd.audit_interpolation_constants(k, target, p["levels"])
     lines = [
@@ -343,13 +333,11 @@ def cmd_audit(p: dict) -> int:
         "level bounds: " + ", ".join(fmt(b) for b in rep.level_bounds),
         f"holds: {rep.holds}",
     ]
-    emit(p["out"], "\n".join(lines) + "\n")
-    if not rep.holds:
-        raise CheckFailure(f"bound map exceeds target {target} at k={k}")
-    return EXIT_OK
+    failure = None if rep.holds else f"bound map exceeds target {target} at k={k}"
+    return "\n".join(lines) + "\n", failure
 
 
-def cmd_all_checks(p: dict) -> int:
+def cmd_all_checks(p: dict) -> Result:
     ccfg = checks_mod.CheckConfig(**{key: value for key, value in p.items() if key != "out"})
     results = checks_mod.run_all_checks(ccfg)
     failed = [("all-checks", result.name) for result in results if not result.passed]
@@ -358,31 +346,31 @@ def cmd_all_checks(p: dict) -> int:
     lines.append(f"{len(results) - len(failed)}/{len(results)} checks passed; "
                  f"expected (documented): {len(documented)}; unexpected: {len(unexpected)}; "
                  f"documented, not failed: {len(not_failed)}")
-    emit(p["out"], "\n".join(lines) + "\n")
-    if unexpected or not_failed:
-        raise CheckFailure(f"unexpected: {', '.join(name for _, name in unexpected) or 'none'}; "
-                           f"documented, not failed: {', '.join(not_failed) or 'none'}")
-    return EXIT_OK
+    failure = (f"unexpected: {', '.join(name for _, name in unexpected) or 'none'}; "
+               f"documented, not failed: {', '.join(not_failed) or 'none'}"
+               if unexpected or not_failed else None)
+    return "\n".join(lines) + "\n", failure
 
 
 _DIM_HELP = "number of generators / dimension"
 _THETA_HELP = "theta spec: zero|canonical|random|p/q|float|file.csv"
 
 # name -> (handler, parameters); a parameter is key -> (kind, default, help).
-# Defaults are typed values; None marks a key with no default, for which a
-# JSON null also counts as absent.  Theta specs and moyal's grid stay strings:
-# they parse in the command, from d, the seed or the grid functions.
+# Defaults are typed values; None marks an optional key with no default and
+# REQUIRED a key that must be given; for both, a JSON null counts as absent.
+# Theta specs and moyal's grid stay strings: they parse in the command, from
+# d, the seed or the grid functions.
 _SHARED = {
     "out": (str, None, "output path (atomic write); stdout if omitted"),
     "seed": (_seed, DEFAULT_SEED, f"RNG seed (default {DEFAULT_SEED:#x})"),
 }
 _COMMANDS = {
-    "algebra": (cmd_algebra, {"input": (str, None, "input file (algebra polynomials)")}),
+    "algebra": (cmd_algebra, {"input": (str, REQUIRED, "input file (algebra polynomials)")}),
     "relations": (cmd_relations, {
         "theta": (str, "identity-pairs", "pair spec: identity-pairs|random|p/q"),
         "d": (_integer, 3, _DIM_HELP),
     }),
-    "symplectic": (cmd_symplectic, {"theta": (str, None, _THETA_HELP),
+    "symplectic": (cmd_symplectic, {"theta": (str, REQUIRED, _THETA_HELP),
                                     "d": (_integer, 2, _DIM_HELP)}),
     "moyal": (cmd_moyal, {
         "theta": (str, "1", _THETA_HELP),
@@ -398,7 +386,7 @@ _COMMANDS = {
         "grids": (_list_of(_integer), (64, 128, 256), None),
         "L": (_real, None, None),
     }),
-    "butterfly": (cmd_butterfly, {"qmax": (_integer, None, "largest flux denominator")}),
+    "butterfly": (cmd_butterfly, {"qmax": (_integer, REQUIRED, "largest flux denominator")}),
     "holder": (cmd_holder, {
         "qmax": (_integer, spectra.DEFAULT_Q_CAP, "largest flux denominator"),
         "base": (_rational, Fraction(0), "base flux p/q (holder)"),
@@ -436,13 +424,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     command = flags.pop("command")
     try:
         params = load_config(command, flags.pop("config"), flags)
-        return _COMMANDS[command][0](params)
+        output, failure = _COMMANDS[command][0](params)
+        emit(params["out"], output)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except CheckFailure as e:
-        print(f"check failed: {e}", file=sys.stderr)
+    if failure:
+        print(f"check failed: {failure}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    return EXIT_OK
 
 
 if __name__ == "__main__":

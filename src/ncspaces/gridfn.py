@@ -266,16 +266,16 @@ def atomic_open(path):
         raise
 
 
+def encode_gridfn(f: GridFunction) -> bytes:
+    """The file bytes of f: its header line, then its samples."""
+    header = {"d": f.dim, "L": f.half_length, "M": f.points, "side": f.side}
+    payload = np.ascontiguousarray(f.values, dtype="<c8").tobytes()
+    return (json.dumps(header) + "\n").encode("utf-8") + payload
+
+
 def write_gridfn(f: GridFunction, path) -> None:
-    header = {
-        "d": f.dim,
-        "L": f.half_length,
-        "M": f.points,
-        "side": f.side,
-    }
     with atomic_open(path) as fh:
-        fh.write((json.dumps(header) + "\n").encode("utf-8"))
-        fh.write(np.ascontiguousarray(f.values, dtype="<c8").tobytes())
+        fh.write(encode_gridfn(f))
 
 
 def read_gridfn(path) -> GridFunction:

@@ -2,7 +2,8 @@
 
 A ``SkewMatrix`` stores only the strict upper triangle, so skew-symmetry
 holds by construction.  Entries given as ``int`` or ``Fraction`` stay exact
-rationals; ``float`` entries put the matrix on the floating-point path.
+rationals; ``float`` entries put the matrix on the floating-point path.  Each
+entry is checked once, at construction: it must be finite as a float.
 """
 from __future__ import annotations
 
@@ -19,17 +20,18 @@ Entry = Union[Fraction, float]
 
 
 def _coerce_entry(x) -> Entry:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return Fraction(as_index("skew matrix entry", x))
-    if isinstance(x, (float, np.floating)):
-        return as_real("skew matrix entry", x)
+    """x as a float, or as an exact Fraction if it is an int, a Fraction or a
+    numeric string; either way it must be finite as a float."""
     if isinstance(x, str):
         try:
-            return Fraction(x)  # "nan" and "inf" are no Fraction literals
+            x = Fraction(x)  # "nan" and "inf" are no Fraction literals
         except (ValueError, ZeroDivisionError) as e:
             raise ValidationError(f"skew matrix entry {x!r}: {e}") from e
+    if isinstance(x, (float, np.floating)):
+        return as_real("skew matrix entry", x)
+    if isinstance(x, (Fraction, int, np.integer)):
+        as_real("skew matrix entry", x)  # a bool, or past the float range, is rejected
+        return Fraction(x)
     raise ValidationError(f"unsupported skew matrix entry {x!r}")
 
 
@@ -47,11 +49,13 @@ class SkewMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", as_index("dimension", self.dim, 1))
+        upper = tuple(map(_coerce_entry, self.upper))
         n = self.dim * (self.dim - 1) // 2
-        if len(self.upper) != n:
+        if len(upper) != n:
             raise ValidationError(
-                f"expected {n} strict-upper entries for d={self.dim}, got {len(self.upper)}"
+                f"expected {n} strict-upper entries for d={self.dim}, got {len(upper)}"
             )
+        object.__setattr__(self, "upper", upper)
 
     # -- constructors ------------------------------------------------------
 
@@ -62,22 +66,13 @@ class SkewMatrix:
         ``entries`` is either a flat sequence in lexicographic (j,k) order or
         a mapping {(j,k): value} with 0-based j < k; omitted pairs are zero.
         """
-        pairs = upper_pairs(as_index("dimension", dim, 1))
         if isinstance(entries, Mapping):
-            vals = []
+            pairs = upper_pairs(as_index("dimension", dim, 1))
             unknown = set(entries) - set(pairs)
             if unknown:
                 raise ValidationError(f"invalid upper-triangle keys {sorted(unknown)}")
-            for jk in pairs:
-                vals.append(_coerce_entry(entries.get(jk, 0)))
-        else:
-            seq = list(entries)
-            if len(seq) != len(pairs):
-                raise ValidationError(
-                    f"expected {len(pairs)} entries, got {len(seq)}"
-                )
-            vals = [_coerce_entry(x) for x in seq]
-        return cls(dim, tuple(vals))
+            entries = [entries.get(jk, 0) for jk in pairs]
+        return cls(dim, tuple(entries))
 
     @classmethod
     def from_matrix(cls, mat) -> "SkewMatrix":

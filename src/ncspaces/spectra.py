@@ -24,7 +24,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateFitError, ValidationError, as_index, as_real, guard
+from .errors import DENSE_CAP, DegenerateFitError, ValidationError, as_index, as_real, guard
 
 MERGE_TOL = 1e-9
 DEFAULT_Q_CAP = 200
@@ -36,8 +36,9 @@ LIP_HALF_BOUND = 12.0
 
 
 def bloch_matrix(p: int, q: int, k1: float, k2: float) -> np.ndarray:
-    """The q x q Hermitian Bloch matrix at flux p/q and phases (k1, k2)."""
-    p, q = as_index("p", p), as_index("q", q, 1)
+    """The q x q Hermitian Bloch matrix at flux p/q and phases (k1, k2);
+    guarded to q <= DENSE_CAP."""
+    p, q = as_index("p", p), guard("Bloch matrix side q =", as_index("q", q, 1), DENSE_CAP)
     k1, k2 = as_real("Bloch phase k1", k1), as_real("Bloch phase k2", k2)
     j = np.arange(q)
     h = np.diag(2.0 * np.cos(k2 + 2.0 * np.pi * p * j / q)).astype(complex)

@@ -22,6 +22,8 @@ from ncspaces.serialize import (
 from ncspaces.skew import SkewMatrix
 from ncspaces.twisted_algebra import NCPolynomial, poly_mul
 
+THETA_PAST_FLOAT_RANGE = "1" + "0" * 400 + "/3"
+
 SMOKE_SIZES = {
     "algebra_triples": 5, "tensor_max_d": 3, "symplectic_cases": 5,
     "metric_pairs": 5, "hermitian_pairs": 5, "moyal_points": 16,
@@ -254,6 +256,11 @@ class TestCliBasics:
         pytest.param(["moyal", "--theta", "nan", "--grid", "16,6.0"], None, id="moyal-theta-nan"),
         pytest.param(["moyal", "--theta", "inf", "--grid", "16,6.0"], None, id="moyal-theta-inf"),
         pytest.param(["moyal", "--grid", "16,nan"], None, id="moyal-grid-L"),
+        # an exact theta past the float range ended in an OverflowError traceback
+        pytest.param(["symplectic", "--theta", THETA_PAST_FLOAT_RANGE, "--d", "2"], None,
+                     id="symplectic-theta-past-float-range"),
+        pytest.param(["moyal", "--theta", THETA_PAST_FLOAT_RANGE, "--grid", "16,6.0"], None,
+                     id="moyal-theta-past-float-range"),
     ])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, argv, config):
         if config is not None:
@@ -279,6 +286,27 @@ class TestCliBasics:
     def test_symplectic_missing_theta(self, capsys):
         assert main(["symplectic"]) == EXIT_INVALID
         assert "missing --theta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [("algebra", "input"), ("butterfly", "qmax"),
+                                              ("symplectic", "theta")])
+    def test_required_parameter_absent_or_null_exits_2(self, tmp_path, capsys, command, key):
+        # a JSON null counts as absent
+        for argv in ([command], [command, "--config", config_file(tmp_path, {key: None})]):
+            assert main(argv) == EXIT_INVALID
+            assert capsys.readouterr().err == f"error: missing --{key}\n"
+
+    def test_butterfly_qmax_past_cap_exits_2_before_listing_fluxes(self, capsys, monkeypatch):
+        # listing every flux up to q = 6000 took two minutes before the first one was rejected
+        monkeypatch.setattr(spectra, "coprime_fluxes", lambda qmax: pytest.fail("fluxes listed"))
+        assert main(["butterfly", "--qmax", "1000000"]) == EXIT_INVALID
+        assert "reduced flux denominator q = 1000000 exceeds cap 200" in capsys.readouterr().err
+
+    def test_holder_flux_past_dense_cap_exits_2(self, tmp_path, capsys):
+        # under a qmax of 10^7 the Bloch matrix of q = 9999991 was allocated:
+        # numpy's MemoryError, exit 1
+        cfg = config_file(tmp_path, {"qmax": 10**7, "offsets": ["1/9999991", "1/9999989"]})
+        assert main(["holder", "--config", cfg]) == EXIT_INVALID
+        assert "Bloch matrix side q = 9999991 exceeds cap 4096" in capsys.readouterr().err
 
     def test_out_file_gets_plain_open_mode(self, tmp_path):
         old = os.umask(0o022)

@@ -96,6 +96,21 @@ class TestVerifyRelations:
         with pytest.raises(ValidationError, match="at least one matrix"):
             UnitaryTuple((), np.ones((0, 0), dtype=complex))
 
+    @pytest.mark.parametrize("matrices, sigma, message", [
+        pytest.param((np.eye(2), np.eye(2)), np.ones((3, 3)), "sigma must be 2x2", id="sigma-shape"),
+        pytest.param((np.eye(2), np.eye(3)), np.ones((2, 2)), "share one square size",
+                     id="matrix-sizes"),
+        pytest.param((np.eye(2), np.eye(2)), [[1, 0.5], [0.5, 1]], "unimodular",
+                     id="sigma-not-unimodular"),
+        pytest.param((np.eye(2), np.eye(2)), [[-1, 1], [1, 1]], "diagonal must be 1",
+                     id="sigma-diagonal"),
+        pytest.param((np.eye(2), np.eye(2)), [[1, 1j], [1j, 1]], "sigma_kj = conj",
+                     id="sigma-not-hermitian"),
+    ])
+    def test_malformed_sigma_or_sizes_rejected(self, matrices, sigma, message):
+        with pytest.raises(ValidationError, match=message):
+            UnitaryTuple(matrices, sigma)
+
     def test_tolerance_enforced_at_construction(self):
         base = clock_shift(1, 2)
         bad_sigma = base.sigma.copy()
@@ -167,6 +182,16 @@ class TestTensorConstruct:
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
             tensor_construct(pair_table(5, lambda jk: clock_shift(1, 3)))
+
+    @pytest.mark.parametrize("table, message", [
+        pytest.param({(0, 1): clock_shift(1, 2), (1, 1): clock_shift(1, 2)},
+                     r"invalid keys \[\(1, 1\)\]", id="diagonal-key"),
+        pytest.param({(0, 1): UnitaryTuple.identity(3)}, r"pair \(0, 1\) is not a 2-tuple",
+                     id="three-tuple"),
+    ])
+    def test_malformed_pair_table_rejected(self, table, message):
+        with pytest.raises(ValidationError, match=message):
+            tensor_construct(table)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**32 - 1))

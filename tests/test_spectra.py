@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncspaces import spectra
 from ncspaces.checks import run_criterion
-from ncspaces.errors import DegenerateFitError, SizeCapError, ValidationError
+from ncspaces.errors import DENSE_CAP, DegenerateFitError, SizeCapError, ValidationError
 from ncspaces.spectra import (
     LIP_HALF_BOUND,
     BandSpectrum,
@@ -59,6 +59,14 @@ class TestBlochMatrix:
     def test_invalid_q(self):
         with pytest.raises(ValidationError):
             bloch_matrix(1, 0, 0.0, 0.0)
+
+    def test_dense_cap(self):
+        # amo_spectrum's q_cap is per call, so the dense cap is the one bound on q
+        assert bloch_matrix(1, DENSE_CAP, 0.0, 0.0).shape == (DENSE_CAP, DENSE_CAP)
+        with pytest.raises(SizeCapError, match="Bloch matrix side q = 4097 exceeds cap 4096"):
+            bloch_matrix(1, DENSE_CAP + 1, 0.0, 0.0)
+        with pytest.raises(SizeCapError, match="Bloch matrix side q = 10000000 exceeds cap"):
+            amo_spectrum(1, 10**7, q_cap=10**8)
 
 
 class TestAmoSpectrum:

@@ -275,6 +275,14 @@ THETA_HALF = SkewMatrix.from_upper(2, [0.5])
     pytest.param(lambda x: SkewMatrix.rotation(np.float64(x)), -np.inf, id="skew-neg-inf"),
     pytest.param(lambda x: SkewMatrix.from_upper(2, [str(x)]), np.nan, id="skew-nan-string"),
     pytest.param(lambda x: theta_from_json({"dim": 2, "upper": [str(x)]}), np.inf, id="theta-json"),
+    # entries given to the constructor directly; an exact entry past the
+    # float range once failed later, in as_array and hash
+    pytest.param(lambda x: SkewMatrix(2, (x,)), np.nan, id="skew-direct-nan"),
+    pytest.param(lambda x: SkewMatrix(2, (x,)), "abc", id="skew-direct-str"),
+    pytest.param(lambda x: SkewMatrix(2, (x,)), Fraction(10**400, 3), id="skew-direct-past-float-range"),
+    pytest.param(lambda x: SkewMatrix.from_upper(2, [x]), 10**400, id="skew-int-past-float-range"),
+    pytest.param(lambda x: theta_from_json({"dim": 2, "upper": [x]}), "1" + "0" * 400 + "/3",
+                 id="theta-json-past-float-range"),
     pytest.param(lambda x: GridSpec(8, x), np.nan, id="grid-L-nan"),
     pytest.param(lambda x: GridSpec(8, x), np.inf, id="grid-L-inf"),
     pytest.param(lambda x: GridFunction(1, x, 8, np.zeros(8)), np.nan, id="gridfn-L-nan"),

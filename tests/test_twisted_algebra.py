@@ -577,6 +577,20 @@ class TestTransference:
         with pytest.raises(ValidationError):
             transference(a, [0.5, 1.0])
 
+    def test_exact_turns_off_the_lattice_rejected(self):
+        # 1/5 of a turn is no power of the order-12 root the coefficients live on
+        a = NCPolynomial.exact_monomial(THETA_THIRD, (1, 2))
+        with pytest.raises(ValidationError, match="rotation by 1/5 turns leaves the zeta_12 lattice"):
+            transference(a, [Fraction(1, 5), Fraction(0)])
+
+    def test_exact_turns_on_a_float_polynomial(self):
+        # turns t act on float coefficients as the unimodular z = exp(2 pi i t)
+        a = random_poly(np.random.default_rng(12), THETA_THIRD, 6)
+        turns = [Fraction(1, 4), Fraction(-2, 3)]
+        out = transference(a, turns)
+        assert not out.exact
+        assert_close(out, transference(a, [cmath.exp(2j * math.pi * t) for t in turns]), 1e-14)
+
 
 class TestGnsMatrix:
     def test_identity_polynomial(self):
