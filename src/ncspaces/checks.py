@@ -350,7 +350,7 @@ def check_holder_scan(cfg: CheckConfig) -> List[CheckResult]:
 def check_assembly(cfg: CheckConfig) -> List[CheckResult]:
     """The assembly deviation of w(x, y) = exp(i y arctan x) at d = 3 falls
     at order 2 in h over h = 2e-2 and two halvings."""
-    field = wd.UnitaryField(lambda x, y: np.atleast_2d(np.exp(1j * y * np.arctan(x))), step=1e-3)
+    field = wd.UnitaryField(lambda x, y: np.atleast_2d(np.exp(1j * y * np.arctan(x))))
     deltas = np.array([[0.0, 0.8, -0.5], [0.0, 0.0, 1.1], [0.0, 0.0, 0.0]])
     probes = [[0.3, -0.7, 0.9], [1.1, 0.2, -0.4]]
     devs, order = wd.assembly_convergence_order(field, deltas, 3, probes, 2e-2, 2)

@@ -31,9 +31,9 @@ from . import moyal as moyal_mod
 from . import spectra, symplectic
 from . import weyl_dynamics as wd
 from .checks import DEFAULT_SEED
-from .errors import ValidationError, as_index, guard
+from .errors import ValidationError, as_index, clip, guard
 from .gridfn import GridFunction, GridSpec, atomic_open, encode_gridfn, read_gridfn
-from .serialize import matrix_to_json, poly_from_json, poly_to_json
+from .serialize import list_of, matrix_to_json, poly_from_json, poly_to_json, real
 from .skew import SkewMatrix, upper_pairs
 from . import twisted_algebra as ta
 
@@ -54,7 +54,7 @@ def parse_value(key: str, value, kind: Callable):
     try:
         return kind(value)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as e:
-        raise ValidationError(f"cannot parse {key} spec {value!r}: {e}") from e
+        raise ValidationError(f"cannot parse {key} spec {clip(repr(value))}: {e}") from e
 
 
 def _rational(x) -> Fraction:
@@ -77,24 +77,9 @@ def _seed(x) -> int:
     return as_index("seed", _integer(x), 0)
 
 
-def _real(x) -> float:
-    """A number or a numeric string ("0.5") as a float; a boolean is rejected,
-    as by the integer keys, since str(True) is no float literal."""
-    return float(str(x))
-
-
-def _list_of(kind: Callable) -> Callable:
-    """A JSON array, each entry converted by kind; a string is not iterated."""
-    def convert(values) -> list:
-        if not isinstance(values, list):
-            raise TypeError(f"expected a JSON array, got {type(values).__name__}")
-        return [kind(x) for x in values]
-    return convert
-
-
 def _complex(x) -> complex:
-    """A pair [re, im] of reals (see _real) as a complex number."""
-    re, im = _list_of(_real)(x)
+    """A pair [re, im] of reals (see serialize.real) as a complex number."""
+    re, im = list_of(real)(x)
     return complex(re, im)
 
 
@@ -180,7 +165,7 @@ def parse_theta_spec(spec: str, d: int, rng) -> SkewMatrix:
     """Accepted forms: 'zero', 'canonical', 'random', a rational 'p/q', a float,
     or a path to a CSV file holding the full matrix."""
     if os.path.exists(spec) and spec.endswith(".csv"):
-        rows = [parse_value("theta", line.split(","), _list_of(_real))
+        rows = [parse_value("theta", line.split(","), list_of(real))
                 for line in map(str.strip, read_text(spec, "theta").splitlines()) if line]
         return SkewMatrix.from_matrix(rows)
     if spec == "zero":
@@ -208,19 +193,25 @@ def cmd_algebra(p: dict) -> Result:
     if "a" not in obj:
         raise ValidationError(f"{path}: missing polynomial 'a'")
     a = poly_from_json(obj["a"])
-    result = {"trace_a": [ta.trace(a).real, ta.trace(a).imag],
-              "adjoint_a": poly_to_json(ta.poly_adjoint(a))}
-    if "b" in obj:
-        b = poly_from_json(obj["b"])
-        result["product_ab"] = poly_to_json(ta.poly_mul(a, b))
-        result["product_ba"] = poly_to_json(ta.poly_mul(b, a))
-    if "axis" in obj:
-        axis = parse_value("axis", obj["axis"], _integer)
-        result["expectation"] = poly_to_json(ta.cond_expectation(a, axis))
-    if "z" in obj:
-        z = parse_value("z", obj["z"], _list_of(_complex))
-        result["transferred"] = poly_to_json(ta.transference(a, z))
-    return json.dumps(result, indent=2, sort_keys=True) + "\n", None
+    # a float product past the float range leaves inf or nan in a coefficient:
+    # no warning here, and invalid input when the output refuses it below
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = {"trace_a": [ta.trace(a).real, ta.trace(a).imag],
+                  "adjoint_a": poly_to_json(ta.poly_adjoint(a))}
+        if "b" in obj:
+            b = poly_from_json(obj["b"])
+            result["product_ab"] = poly_to_json(ta.poly_mul(a, b))
+            result["product_ba"] = poly_to_json(ta.poly_mul(b, a))
+        if "axis" in obj:
+            axis = parse_value("axis", obj["axis"], _integer)
+            result["expectation"] = poly_to_json(ta.cond_expectation(a, axis))
+        if "z" in obj:
+            z = parse_value("z", obj["z"], list_of(_complex))
+            result["transferred"] = poly_to_json(ta.transference(a, z))
+    try:
+        return json.dumps(result, indent=2, sort_keys=True, allow_nan=False) + "\n", None
+    except ValueError as e:
+        raise ValidationError(f"{path}: a result coefficient is not finite: {e}") from e
 
 
 def _pair_table_from_spec(spec: str, d: int, rng) -> dict:
@@ -381,16 +372,16 @@ _COMMANDS = {
     }),
     "weyl": (cmd_weyl, {
         "theta": (lambda x: float(_scalar_theta(str(x))), 1.0, "theta value: p/q|float"),
-        "s": (_list_of(_real), (0.37,), None),
-        "t": (_list_of(_real), (0.37,), None),
-        "grids": (_list_of(_integer), (64, 128, 256), None),
-        "L": (_real, None, None),
+        "s": (list_of(real), (0.37,), None),
+        "t": (list_of(real), (0.37,), None),
+        "grids": (list_of(_integer), (64, 128, 256), None),
+        "L": (real, None, None),
     }),
     "butterfly": (cmd_butterfly, {"qmax": (_integer, REQUIRED, "largest flux denominator")}),
     "holder": (cmd_holder, {
         "qmax": (_integer, spectra.DEFAULT_Q_CAP, "largest flux denominator"),
         "base": (_rational, Fraction(0), "base flux p/q (holder)"),
-        "offsets": (_list_of(_rational), tuple(Fraction(1, 2**n) for n in range(3, 8)), None),
+        "offsets": (list_of(_rational), tuple(Fraction(1, 2**n) for n in range(3, 8)), None),
     }),
     "audit": (cmd_audit, {
         "k": (_integer, 8100, "refinement division count"),

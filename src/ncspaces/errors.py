@@ -41,6 +41,12 @@ class DegenerateFitError(ValidationError):
     """Scan data cannot support a least-squares fit."""
 
 
+def clip(text: str) -> str:
+    """text, or past 60 characters its first 57 and '...': an error message
+    shows a rejected value in one readable line however large the value."""
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def as_index(name: str, value, minimum: int = None) -> int:
     """value as an int by operator.index, which takes ints and NumPy integers
     but no float; a bool (which operator.index reads as 0 or 1), another
@@ -50,9 +56,9 @@ def as_index(name: str, value, minimum: int = None) -> int:
             raise TypeError("bool is not an integer here")
         n = operator.index(value)
     except TypeError as e:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from e
+        raise ValidationError(f"{name} must be an integer, got {clip(repr(value))}") from e
     if minimum is not None and n < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {n}")
+        raise ValidationError(f"{name} must be >= {minimum}, got {clip(str(n))}")
     return n
 
 
@@ -68,7 +74,7 @@ def as_real(
     except OverflowError:  # an int or a Fraction past the float range
         x = inf
     if not isfinite(x):
-        raise ValidationError(f"{name} must be a finite real number, got {value!r}")
+        raise ValidationError(f"{name} must be a finite real number, got {clip(repr(value))}")
     if minimum is not None and x < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {x!r}")
     if above is not None and not x > above:
@@ -81,5 +87,5 @@ def as_real(
 def guard(what: str, size, cap):
     """size, if it is at most cap; past it, a SizeCapError naming what."""
     if size > cap:
-        raise SizeCapError(f"{what} {size} exceeds cap {cap}")
+        raise SizeCapError(f"{what} {clip(str(size))} exceeds cap {cap}")
     return size

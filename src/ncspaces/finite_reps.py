@@ -91,7 +91,8 @@ class UnitaryTuple:
 
     @classmethod
     def identity(cls, d: int, size: int = 1) -> "UnitaryTuple":
-        d, size = as_index("d", d, 1), as_index("size", size, 1)
+        d = as_index("d", d, 1)
+        size = guard("identity side size =", as_index("size", size, 1), DENSE_CAP)
         return cls((np.eye(size, dtype=complex),) * d, np.ones((d, d), dtype=complex), 1e-15)
 
 
@@ -286,11 +287,11 @@ def _assemble(
 def clock_shift(p: int, q: int) -> UnitaryTuple:
     """Clock U = diag(w^0..w^{q-1}) and cyclic shift V e_k = e_{k+1 mod q},
     w = exp(2 pi i p/q); they satisfy U V = w V U exactly, and the tuple
-    declares tolerance 1e-14.
+    declares tolerance 1e-14.  Guarded to q <= DENSE_CAP.
 
     Each w^j is evaluated as exp(2 pi i (p j mod q)/q): powers of the rounded
     w drift past that tolerance (1.15e-14 at p/q = 11/15)."""
-    p, q = as_index("p", p), as_index("q", q, 1)
+    p, q = as_index("p", p), guard("clock and shift side q =", as_index("q", q, 1), DENSE_CAP)
     w = np.exp(1j * TWO_PI * (Fraction(p, q) % 1).__float__())
     u = np.diag(np.exp(1j * TWO_PI * (p % q * np.arange(q) % q) / q))
     v = np.zeros((q, q), dtype=complex)

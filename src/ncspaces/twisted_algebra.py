@@ -62,7 +62,7 @@ from typing import Dict, Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DENSE_CAP, ThetaMismatchError, ValidationError, as_index, guard
+from .errors import DENSE_CAP, ThetaMismatchError, ValidationError, as_index, clip, guard
 from .phases import TWO_PI, Cyclotomic, canonical_form, exact_dtype, integer_form
 from .skew import SkewMatrix, upper_pairs
 
@@ -79,9 +79,9 @@ def as_multi_index(m: Sequence[int]) -> MultiIndex:
     try:
         mi = tuple(map(operator.index, m))
     except TypeError as e:
-        raise ValidationError(f"multi-index {m!r} has non-integer entries") from e
+        raise ValidationError(f"multi-index {clip(repr(m))} has non-integer entries") from e
     if bool in map(type, m):
-        raise ValidationError(f"multi-index {m!r} has non-integer entries")
+        raise ValidationError(f"multi-index {clip(repr(m))} has non-integer entries")
     return mi
 
 

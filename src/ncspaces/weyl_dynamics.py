@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import isqrt, sqrt
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -274,11 +274,10 @@ class UnitaryField:
 
     Finite differences probe the field at stencil points chosen at check
     time, so the field is sampled on demand; `box` bounds the arguments the
-    caller promises to cover and `step` is the default stencil width.
+    caller promises to cover.
     """
 
     fn: Callable[[float, float], np.ndarray]
-    step: float = 1e-3
     box: float = 50.0
 
     def sample(self, x: float, y: float) -> np.ndarray:
@@ -300,46 +299,21 @@ class UnitaryField:
 
     def fd(self, x: float, y: float, axis: int, h: float) -> np.ndarray:
         """Central difference at (x, y) along x (axis 0) or y (axis 1)."""
-        return _fd_along(lambda p: self.sample(*p), (x, y), axis, h)
+        plus, minus = [x, y], [x, y]
+        plus[axis] += h
+        minus[axis] -= h
+        return (self.sample(*plus) - self.sample(*minus)) / (2.0 * h)
 
 
-def _factors(w: UnitaryField, deltas: np.ndarray, j: int, x: Sequence[float]) -> List[np.ndarray]:
-    """The factors w(x_k, delta_kj x_j), k < j, of the j-th composed field at x."""
-    return [w.sample(x[k], deltas[k, j] * x[j]) for k in range(j)]
+def _factors(w: UnitaryField, deltas: np.ndarray, x: Sequence[float]) -> List[List[np.ndarray]]:
+    """The factor table at x: row j holds w(x_k, delta_kj x_j), k < j, the
+    factors of the composed field w_j(x) = w(x_0, delta_0j x_j) ... in order."""
+    return [[w.sample(x[k], deltas[k, j] * x[j]) for k in range(j)] for j in range(len(x))]
 
 
 def _replaced(factors: List[np.ndarray], k: int, m: np.ndarray) -> np.ndarray:
     """The ordered product of factors with factor k replaced by m."""
     return reduce(np.matmul, factors[:k] + [m] + factors[k + 1:])
-
-
-def composed_field(w: UnitaryField, deltas: np.ndarray, j: int) -> Callable:
-    """w_j(x) = w(x_0, d_0j x_j) w(x_1, d_1j x_j) ... w(x_{j-1}, d_{j-1,j} x_j).
-
-    Axis indices are 0-based; j >= 1.  The empty product (j = 0) is the identity.
-    """
-
-    def field(x: Sequence[float]) -> np.ndarray:
-        factors = _factors(w, deltas, j, x)
-        if not factors:
-            return np.eye(w.sample(0.0, 0.0).shape[0], dtype=complex)
-        return reduce(np.matmul, factors)
-
-    return field
-
-
-def assembled_field(w: UnitaryField, deltas: np.ndarray, d: int) -> Callable:
-    """W(x) = w_1(x) w_2(x) ... w_{d-1}(x) (0-based axis labels)."""
-    parts = [composed_field(w, deltas, j) for j in range(1, as_index("axes d", d, 2))]
-    return lambda x: reduce(np.matmul, [p(x) for p in parts])
-
-
-def _fd_along(field: Callable, x: Sequence[float], axis: int, h: float) -> np.ndarray:
-    xp = list(x)
-    xm = list(x)
-    xp[axis] += h
-    xm[axis] -= h
-    return (np.asarray(field(xp)) - np.asarray(field(xm))) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -354,7 +328,7 @@ def check_assembly_identities(
     deltas: np.ndarray,
     d: int,
     probes: Sequence[Sequence[float]],
-    h: Optional[float] = None,
+    h: float,
 ) -> AssemblyReport:
     """Finite-difference validation of the composed-field derivative identities.
 
@@ -367,14 +341,16 @@ def check_assembly_identities(
     (c) The assembled W = w_1 ... w_{d-1} then satisfies the triangle bound
             || dW/dx_j - i sum_{k<j} delta_kj x_k W || <= sum of per-factor norms.
 
-    The x-derivative and the bracket [dw/dy - i x_j w] at each pair point
-    (x_j, delta_jk x_k), j < k, are built once per probe and read by all three.
+    Per probe x the factor table is sampled at x and at x +- h e_a for each
+    axis a; every central difference along an axis is read from those tables,
+    and only the bracket [dw/dy - i x_j w] of each pair j < k samples apart:
+    (2d + 3) d (d - 1) / 2 samples per probe.
     """
     d = as_index("axes d", d, 2)
     deltas = np.asarray(deltas, dtype=float)
     if deltas.shape != (d, d):
         raise ValidationError(f"deltas must be {d}x{d}")
-    h = as_real("finite-difference step", w.step if h is None else h, above=0)
+    h = as_real("finite-difference step", h, above=0)
     probes = [[as_real("probe coordinate", c) for c in p] for p in probes]
     if not probes:
         raise ValidationError("need at least one probe point")
@@ -382,37 +358,41 @@ def check_assembly_identities(
         if len(p) != d:
             raise ValidationError("probe dimension mismatch")
 
-    fields = [composed_field(w, deltas, j) for j in range(d)]
-    big = assembled_field(w, deltas, d)
-    res_a = 0.0
-    res_b = 0.0
-    tri_ok = True
+    def assembled(table):  # W = w_1 ... w_{d-1}, each w_j the product of row j
+        return reduce(np.matmul, [reduce(np.matmul, row) for row in table[1:]])
+
+    res_a, res_b, tri_ok = 0.0, 0.0, True
     for x in probes:
-        factors = [_factors(w, deltas, k, x) for k in range(d)]
-        dx = {}
-        bracket = {}
+        factors = _factors(w, deltas, x)
+        moved = [[_factors(w, deltas, x[:a] + [x[a] + s] + x[a + 1:]) for s in (h, -h)]
+                 for a in range(d)]
+
+        def fd(a, value):  # central difference along axis a of value(table)
+            return (value(moved[a][0]) - value(moved[a][1])) / (2.0 * h)
+
+        dx, bracket = {}, {}
         for k in range(d):
             for j in range(k):
-                y = deltas[j, k] * x[k]
-                dx[j, k] = w.fd(x[j], y, 0, h)
-                bracket[j, k] = w.fd(x[j], y, 1, h) - 1j * x[j] * factors[k][j]
+                dx[j, k] = fd(j, lambda t: t[k][j])
+                bracket[j, k] = w.fd(x[j], deltas[j, k] * x[k], 1, h) - 1j * x[j] * factors[k][j]
         drift = [1j * sum(deltas[k, j] * x[k] for k in range(j)) for j in range(d)]
         # (a) off-diagonal derivatives
         for k in range(1, d):
             for j in range(k):
-                fd = _fd_along(fields[k], x, j, h)
-                res_a = max(res_a, spectral_norm(fd - _replaced(factors[k], j, dx[j, k])))
+                res_a = max(res_a, spectral_norm(fd(j, lambda t: reduce(np.matmul, t[k]))
+                                                 - _replaced(factors[k], j, dx[j, k])))
         # (b) diagonal identity
         for j in range(1, d):
-            lhs = _fd_along(fields[j], x, j, h) - drift[j] * reduce(np.matmul, factors[j])
+            lhs = (fd(j, lambda t: reduce(np.matmul, t[j]))
+                   - drift[j] * reduce(np.matmul, factors[j]))
             rhs = np.zeros_like(lhs)
             for k in range(j):
                 rhs = rhs + deltas[k, j] * _replaced(factors[j], k, bracket[k, j])
             res_b = max(res_b, spectral_norm(lhs - rhs))
         # (c) triangle bound for the assembled field
-        big_x = big(x)
+        big_x = assembled(factors)
         for j in range(d):
-            lhs = spectral_norm(_fd_along(big, x, j, h) - drift[j] * big_x)
+            lhs = spectral_norm(fd(j, assembled) - drift[j] * big_x)
             bound = 0.0
             for k in range(j):
                 bound += abs(deltas[k, j]) * spectral_norm(bracket[k, j])

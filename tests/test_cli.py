@@ -231,6 +231,16 @@ class TestCliBasics:
         pytest.param(["algebra", "--input"],
                      {"a": {"dim": 2, "upper": [0.5], "terms": [{"m": [1, 0], "re": 1.0}]},
                       "z": [[1, 0, 0], [0, 1]]}, "cannot parse z spec", id="algebra-z-triple"),
+        # a boolean re was taken as 1.0 and a number of terms iterated (TypeError,
+        # exit 1); re past the float range was an OverflowError
+        pytest.param(["algebra", "--input"],
+                     {"a": {"dim": 2, "upper": [0.5], "terms": [{"m": [1, 0], "re": True}]}},
+                     "bad polynomial term", id="algebra-re-bool"),
+        pytest.param(["algebra", "--input"], {"a": {"dim": 2, "upper": [0.5], "terms": 5}},
+                     "bad polynomial terms: expected a JSON array", id="algebra-terms-int"),
+        pytest.param(["algebra", "--input"],
+                     {"a": {"dim": 2, "upper": [0.5], "terms": [{"m": [1, 0], "re": 10**400}]}},
+                     "not finite", id="algebra-re-past-float-range"),
         # reported as "q = 1 exceeds cap -5"
         pytest.param(["holder", "--config"], {"qmax": -5}, "q_cap must be >= 1",
                      id="holder-qmax-negative"),
@@ -275,6 +285,43 @@ class TestCliBasics:
         path.write_text(json.dumps({"a": {"dim": 2, "upper": [0.5], "terms": [term]}}))
         assert main(["algebra", "--input", str(path)]) == EXIT_INVALID
         assert "not finite" in capsys.readouterr().err
+
+    def test_algebra_product_past_float_range_exits_2(self, tmp_path, capsys):
+        # 1e200 u^(1,0) squared wrote "re": Infinity, "im": NaN (no JSON) and exited 0
+        poly = {"dim": 2, "upper": ["1/2"], "terms": [{"m": [1, 0], "re": 1e200, "im": 0.0}]}
+        path, out = tmp_path / "in.json", tmp_path / "out.json"
+        path.write_text(json.dumps({"a": poly, "b": poly}))
+        assert main(["algebra", "--input", str(path), "--out", str(out)]) == EXIT_INVALID
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, name", [
+        pytest.param(["symplectic", "--theta", THETA_PAST_FLOAT_RANGE, "--d", "2"],
+                     "skew matrix entry", id="symplectic-theta"),
+        pytest.param(["moyal", "--seed", "-1" + "0" * 400], "seed", id="moyal-seed"),
+        pytest.param(["butterfly", "--qmax", "1" + "0" * 400], "flux denominator q",
+                     id="butterfly-qmax"),
+        # checked against DENSE_CAP before the clock and shift matrices are
+        # built: this ended in numpy's "Maximum allowed size exceeded" (exit 1)
+        pytest.param(["relations", "--theta", "1/1" + "0" * 400, "--d", "2"],
+                     "clock and shift side q = 1000", id="relations-theta"),
+    ])
+    def test_rejected_value_clipped_in_message(self, capsys, argv, name):
+        # the whole value was printed: lines of 473, over 850 and over 450 characters
+        assert main(argv) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert name in err and "..." in err
+        assert max(map(len, err.splitlines())) < 200
+
+    def test_rejected_algebra_term_clipped_in_message(self, tmp_path, capsys):
+        # the term and its multi-index were each printed whole: a line of 899 characters
+        term = {"m": [1.5, 10**400], "re": 1.0}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"a": {"dim": 2, "upper": [0.5], "terms": [term]}}))
+        assert main(["algebra", "--input", str(path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "bad polynomial term" in err and "non-integer entries" in err
+        assert max(map(len, err.splitlines())) < 200
 
     @pytest.mark.parametrize("command", ["relations", "weyl"])
     def test_theta_help_lists_only_accepted_forms(self, capsys, command):

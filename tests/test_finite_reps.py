@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncspaces import finite_reps
 from ncspaces.checks import random_pair_table, random_tuple_pair
-from ncspaces.errors import SizeCapError, ValidationError
+from ncspaces.errors import DENSE_CAP, SizeCapError, ValidationError
 from ncspaces.finite_reps import (
     UnitaryTuple,
     clifford_generators,
@@ -67,6 +67,14 @@ class TestClockShift:
     def test_invalid_size(self):
         with pytest.raises(ValidationError):
             clock_shift(1, 0)
+
+    @pytest.mark.parametrize("size", [DENSE_CAP + 1, 10**7])
+    def test_dense_cap(self, size):
+        # checked before any size x size matrix is built; 10^7 was numpy's MemoryError
+        with pytest.raises(SizeCapError, match=f"clock and shift side q = {size} exceeds cap"):
+            clock_shift(1, size)
+        with pytest.raises(SizeCapError, match=f"identity side size = {size} exceeds cap"):
+            UnitaryTuple.identity(2, size)
 
     def test_default_tolerance_holds_for_every_flux(self):
         for q in range(1, 33):

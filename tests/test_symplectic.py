@@ -13,6 +13,7 @@ from ncspaces.errors import (
     ValidationError,
     as_index,
     as_real,
+    clip,
     guard,
 )
 from ncspaces.finite_reps import (
@@ -53,7 +54,6 @@ from ncspaces.twisted_algebra import (
 from ncspaces.weyl_dynamics import (
     HermitianPair,
     UnitaryField,
-    assembled_field,
     assembly_convergence_order,
     audit_interpolation_constants,
     check_assembly_identities,
@@ -329,7 +329,8 @@ THETA_HALF = SkewMatrix.from_upper(2, [0.5])
                                                      THETA_HALF, x), 2.5, id="reduction-steps"),
     pytest.param(lambda x: assembly_convergence_order(None, None, 2, [], 0.1, x), 2.5,
                  id="assembly-halvings"),
-    pytest.param(lambda x: assembled_field(None, None, x), 2.5, id="assembled-field-d"),
+    pytest.param(lambda x: check_assembly_identities(None, None, x, [], 0.1), 2.5,
+                 id="assembly-d"),
     pytest.param(lambda x: quantization_constant(10.0, x, 1.0), 2.5, id="quantization-d"),
     pytest.param(lambda x: cond_expectation(NCPolynomial.monomial(THETA_HALF, (1, 0)), x), 0.5,
                  id="cond-expectation-axis"),
@@ -506,3 +507,21 @@ def test_guard_returns_size_at_cap_and_raises_past_it():
     assert guard("size", 4096, 4096) == 4096
     with pytest.raises(SizeCapError, match="size 4097 exceeds cap 4096"):
         guard("size", 4097, 4096)
+
+
+@pytest.mark.parametrize("reject", [
+    pytest.param(lambda v: as_index("n", Fraction(v, 3)), id="as-index-type"),
+    pytest.param(lambda v: as_index("n", -v, 0), id="as-index-minimum"),
+    pytest.param(lambda v: as_real("x", Fraction(v, 3)), id="as-real"),
+    pytest.param(lambda v: guard("size", v, 4096), id="guard"),
+])
+def test_rejected_value_clipped_in_message(reject):
+    # the whole value was printed: 400 digits past the float range
+    with pytest.raises(ValidationError) as exc:
+        reject(10**400)
+    assert len(str(exc.value)) < 100 and "0" * 40 + "..." in str(exc.value)
+
+
+def test_clip_keeps_60_characters():
+    assert clip("x" * 60) == "x" * 60
+    assert clip("x" * 61) == "x" * 57 + "..."

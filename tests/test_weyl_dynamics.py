@@ -13,7 +13,6 @@ from ncspaces.symplectic import GridSpec, gaussian_state
 from ncspaces.weyl_dynamics import (
     HermitianPair,
     UnitaryField,
-    assembled_field,
     assembly_convergence_order,
     audit_interpolation_constants,
     check_assembly_identities,
@@ -272,14 +271,26 @@ class TestAssembly:
             assert np.abs(fd - arc_dfdy(x, y)).max() <= 1e-7
 
     def test_zero_deltas_order_independent(self):
-        w = ARC_FIELD
-        zero = np.zeros((3, 3))
-        big = assembled_field(w, zero, 3)
-        # with all couplings zero every factor is w(x_k, 0) = 1 for this field
-        val = big([0.4, -0.2, 0.7])
-        assert np.abs(val - np.eye(1)).max() <= 1e-12
-        rep = check_assembly_identities(w, zero, 3, PROBES3, h=1e-3)
+        # with all couplings zero every factor is w(x_k, 0) = 1 for this field,
+        # so every difference and every residual is exactly 0
+        rep = check_assembly_identities(ARC_FIELD, np.zeros((3, 3)), 3, PROBES3, h=1e-3)
+        assert rep.chain_rule_residual == 0.0
+        assert rep.diagonal_identity_residual == 0.0
         assert rep.triangle_ok
+
+    @pytest.mark.parametrize("d, deltas, probes", [(3, DELTAS3, PROBES3), (4, DELTAS4, PROBES4)],
+                             ids=["d3", "d4"])
+    def test_one_factor_table_per_stencil_point(self, d, deltas, probes):
+        # the table at x and at x +- h e_a for each axis a, plus the two
+        # y-samples of each pair's bracket: 27 samples at d = 3 and 66 at d = 4
+        calls = []
+
+        def fn(x, y):
+            calls.append((x, y))
+            return np.exp(1j * y * np.arctan(x))
+
+        check_assembly_identities(UnitaryField(fn), deltas, d, probes[:1], h=1e-3)
+        assert len(calls) <= (2 * d + 3) * d * (d - 1) // 2
 
     # d = 4 reaches three-factor products with the middle factor replaced and
     # triangle bounds with terms on both sides of the axis
@@ -295,7 +306,7 @@ class TestAssembly:
             w, v = np.linalg.eigh(h)
             return (v * np.exp(1j * w)) @ v.conj().T
 
-        w = UnitaryField(fn, step=1e-3)
+        w = UnitaryField(fn)
         rep = check_assembly_identities(w, deltas, d, probes, h=1e-3)
         assert rep.diagonal_identity_residual <= 1e-4
         assert rep.triangle_ok
@@ -322,9 +333,8 @@ class TestAssembly:
          ValidationError),
         (lambda: check_assembly_identities(ARC_FIELD, DELTAS3, 3, PROBES3, h=-1e-3),
          ValidationError),
-        (lambda: check_assembly_identities(ARC_FIELD, np.zeros((1, 1)), 1, [[0.3]]),
+        (lambda: check_assembly_identities(ARC_FIELD, np.zeros((1, 1)), 1, [[0.3]], h=1e-3),
          ValidationError),
-        (lambda: assembled_field(ARC_FIELD, np.zeros((1, 1)), 1), ValidationError),
         (lambda: assembly_convergence_order(ARC_FIELD, DELTAS3, 3, PROBES3, 0.0),
          ValidationError),
         (lambda: assembly_convergence_order(ARC_FIELD, DELTAS3, 3, PROBES3, -2e-2),
@@ -334,7 +344,7 @@ class TestAssembly:
         # every deviation of a constant field is 0: there is no order to fit
         (lambda: assembly_convergence_order(CONSTANT_FIELD, DELTAS3, 3, PROBES3, 2e-2),
          DegenerateFitError),
-    ], ids=["h-zero", "h-negative", "d-one", "assembled-d-one", "h0-zero", "h0-negative",
+    ], ids=["h-zero", "h-negative", "d-one", "h0-zero", "h0-negative",
             "no-halvings", "constant-field"])
     def test_rejects_invalid_input(self, run, error):
         with pytest.raises(error):
