@@ -196,7 +196,10 @@ def _assemble(
     anything.  For one fixed-seed random unit vector x, reshaped to the axes,
     M_g x is applied one axis at a time, a (pre, q, post) reshape and a q x q
     matmul per leg: O(N sum q) per apply instead of an O(N^2) matvec.  Identity
-    legs are skipped, which is exact.  Each u_g is formed once by kron, O(N^2).
+    legs are skipped, which is exact.  Each u_g is formed once by kron.  On
+    legs with one nonzero per row, as clock, shift and identity legs have,
+    its last product writes only the N q entries of the first half's nonzero
+    blocks, q the side of the second half, into a zeroed N x N array.
 
     Round-off of the probe (barring underflow).  A leg's apply forms each entry
     as a complex inner product of length q, off by at most c_q |V| |z|

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_index
 
 UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 # relative error of one floating-point complex product, sqrt(2) gamma_2
@@ -25,28 +25,47 @@ def gamma_n(n: int) -> float:
 def kron(mats: Sequence[np.ndarray]) -> np.ndarray:
     """The Kronecker product mats[0] (x) mats[1] (x) ..., of 2-D arrays.
 
-    Each half of the legs is formed recursively, and the full product is
-    written by one broadcast multiply into a preallocated (m, p, n, q) array,
-    viewed as (mp, nq): no transpose copy and no chain of full-size
-    intermediates.  Each entry is the product of one entry per leg, associated
-    as the halving tree; entries of exact factors come out exact, and the
-    rounded ones as bounded in finite_reps._assemble.  One leg comes back
-    as is; an empty list is a ValidationError."""
+    Each half of the legs is formed recursively, and the product of the two
+    halves a (m x n) and b (p x q) is written into a preallocated (m, p, n, q)
+    array, viewed as (mp, nq): no transpose copy and no chain of full-size
+    intermediates.  When at most half of a's entries are nonzero, as for the
+    clock, shift and identity legs of finite_reps (one nonzero per row), the
+    array starts zeroed and only the blocks a_ij b with a_ij != 0 are written,
+    in one fancy-index assignment: O(nnz(a) pq) products on top of the zero
+    fill, and a block with a_ij = 0 stays 0 even where b is not finite.  A
+    denser a is written by one broadcast multiply, O(mnpq).  Either way each
+    entry is the product of one entry per leg, associated as the halving
+    tree; entries of exact factors come out exact, and the rounded ones as
+    bounded in finite_reps._assemble.  One leg comes back as is; an empty
+    list, or a leg that is not 2-D, is a ValidationError."""
     if not mats:
         raise ValidationError("kron needs at least one leg")
     if len(mats) == 1:
-        return mats[0]
+        leg = np.asarray(mats[0])
+        if leg.ndim != 2:
+            raise ValidationError(f"kron legs must be 2-D, got shape {leg.shape}")
+        return leg
     half = len(mats) // 2
     a, b = kron(mats[:half]), kron(mats[half:])
     (m, n), (p, q) = a.shape, b.shape
-    out = np.empty((m, p, n, q), dtype=np.result_type(a, b))
-    np.multiply(a[:, None, :, None], b[None, :, None, :], out=out)
+    dtype = np.result_type(a, b)
+    if 2 * np.count_nonzero(a) <= a.size:
+        rows, cols = np.nonzero(a)
+        out = np.zeros((m, p, n, q), dtype=dtype)
+        out[rows, :, cols, :] = a[rows, cols, None, None] * b
+    else:
+        out = np.empty((m, p, n, q), dtype=dtype)
+        np.multiply(a[:, None, :, None], b[None, :, None, :], out=out)
     return out.reshape(m * p, n * q)
 
 
 def on_leg(op: np.ndarray, k: int, n: int) -> np.ndarray:
     """op on leg k of n equal legs, the identity on the others:
-    I (x) ... (x) op (x) ... (x) I."""
+    I (x) ... (x) op (x) ... (x) I.  A leg k outside 0..n-1 is a
+    ValidationError."""
+    k, n = as_index("k", k), as_index("n", n)
+    if not 0 <= k < n:
+        raise ValidationError(f"leg k = {k} is not one of the {n} legs")
     eye = np.eye(op.shape[0], dtype=op.dtype)
     return kron([op if leg == k else eye for leg in range(n)])
 

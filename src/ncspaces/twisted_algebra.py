@@ -62,7 +62,7 @@ from typing import Dict, Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DENSE_CAP, ThetaMismatchError, ValidationError, as_index, clip, guard
+from .errors import DENSE_CAP, ThetaMismatchError, ValidationError, as_index, as_real, clip, guard
 from .phases import TWO_PI, Cyclotomic, canonical_form, exact_dtype, integer_form
 from .skew import SkewMatrix, upper_pairs
 
@@ -121,12 +121,13 @@ class _Twist:
         self._coupling = {}
 
     def _bounded(self, m, m2):
-        """m and m' in the form's dtype, float exponents past FLOAT_PHASE_CAP rejected."""
-        m, m2 = (np.array(x, dtype=self.form.dtype) for x in (m, m2))
+        """m and m' in the form's dtype, float exponents past FLOAT_PHASE_CAP
+        rejected; the bound is checked before any exponent becomes a float, so
+        an exponent past the float range is a ValidationError too."""
         if self.order == 1:
-            guard("float structure exponent bound", self.weight * _max_abs(m) * _max_abs(m2),
-                  FLOAT_PHASE_CAP)
-        return m, m2
+            top, top2 = (as_real("float structure exponent", _max_abs(x)) for x in (m, m2))
+            guard("float structure exponent bound", self.weight * top * top2, FLOAT_PHASE_CAP)
+        return tuple(np.array(x, dtype=self.form.dtype) for x in (m, m2))
 
     def coupling(self, dtype) -> np.ndarray:
         """-form.T in ``dtype`` (int64 or object), converted once: at rational

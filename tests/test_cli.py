@@ -241,6 +241,10 @@ class TestCliBasics:
         pytest.param(["algebra", "--input"],
                      {"a": {"dim": 2, "upper": [0.5], "terms": [{"m": [1, 0], "re": 10**400}]}},
                      "not finite", id="algebra-re-past-float-range"),
+        # at float theta an exponent past the float range was an OverflowError
+        pytest.param(["algebra", "--input"],
+                     {"a": {"dim": 2, "upper": [0.5], "terms": [{"m": [10**400, 0], "re": 1.0}]}},
+                     "float structure exponent", id="algebra-exponent-past-float-range"),
         # reported as "q = 1 exceeds cap -5"
         pytest.param(["holder", "--config"], {"qmax": -5}, "q_cap must be >= 1",
                      id="holder-qmax-negative"),

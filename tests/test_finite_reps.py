@@ -310,6 +310,110 @@ class TestKron:
         assert got.shape == expected.shape
         assert np.all(np.abs(got - expected) <= bound)
 
+    # exact legs: entries 0, +-1, +-i (and one leg of other values among
+    # them), so every product is exact and both sides agree bit for bit
+    UNITS = np.array([1, -1, 1j, -1j])
+
+    @staticmethod
+    def assert_equals_np_kron(legs):
+        got, expected = kron(legs), reduce(np.kron, legs)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, expected)
+        return got
+
+    def monomial_leg(self, rng, q):
+        # a clock diag(i^(s j)), the cyclic shift or the identity, of side q
+        kind = int(rng.integers(3))
+        if kind == 0:
+            powers = np.array([1, 1j, -1, -1j])
+            return np.diag(powers[int(rng.integers(1, 4)) * np.arange(q) % 4])
+        if kind == 1:
+            return np.roll(np.eye(q, dtype=complex), 1, axis=0)
+        return np.eye(q, dtype=complex)
+
+    @pytest.mark.parametrize("count", range(1, 11))
+    def test_monomial_legs_equal_np_kron(self, count):
+        # sides 2..5, drawn so that the product stays at most 1024 square
+        rng = np.random.default_rng(200 + count)
+        legs, dim = [], 1
+        for left in reversed(range(count)):
+            q = int(rng.integers(2, 6))
+            q = q if dim * q * 2**left <= 1024 else 2
+            dim *= q
+            legs.append(self.monomial_leg(rng, q))
+        self.assert_equals_np_kron(legs)
+
+    @pytest.mark.parametrize("special", [
+        # a truncated lowering operator: its last row and first column are 0
+        pytest.param(ladder_operator(3), id="zero-row"),
+        pytest.param(np.zeros((3, 3), dtype=complex), id="all-zero"),
+    ])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_legs_with_zero_rows_equal_np_kron(self, special, at):
+        rng = np.random.default_rng(300 + at)
+        legs = [self.monomial_leg(rng, int(rng.integers(2, 4))) for _ in range(4)]
+        legs.insert(at, special)
+        got = self.assert_equals_np_kron(legs)
+        assert np.count_nonzero(got) == np.prod([np.count_nonzero(v) for v in legs])
+
+    def test_real_legs_stay_real(self):
+        rng = np.random.default_rng(400)
+        legs = [rng.choice([0.0, 1.0, -1.0, 0.5, 2.0], size=(q, q)) for q in (2, 3, 4, 2, 3)]
+        legs[1] = np.roll(np.eye(3), 1, axis=0)
+        assert self.assert_equals_np_kron(legs).dtype == np.float64
+
+    def test_mixed_real_and_complex_legs(self):
+        rng = np.random.default_rng(500)
+        legs = [np.roll(np.eye(3), 1, axis=0), self.monomial_leg(rng, 2),
+                rng.choice([0.0, 1.0, -2.0], size=(2, 2)), np.eye(4), self.monomial_leg(rng, 3)]
+        assert self.assert_equals_np_kron(legs).dtype == np.complex128
+
+    @pytest.mark.parametrize("density", [0.2, 1.0])
+    def test_non_square_legs(self, density):
+        rng = np.random.default_rng(int(density * 10))
+        shapes = [(2, 3), (3, 1), (1, 4), (4, 2), (2, 5)]
+        legs = [rng.choice(self.UNITS, size=s) * (rng.random(s) < density) for s in shapes]
+        self.assert_equals_np_kron(legs)
+
+    @pytest.mark.parametrize("a, sparse", [
+        # at most half of a's entries nonzero: only a's nonzero blocks are written
+        pytest.param([[1.0, -1.0], [0.0, 0.0]], True, id="half-filled-written-by-blocks"),
+        pytest.param([[1.0, -1.0], [2.0, 0.0]], False, id="denser-broadcast"),
+    ])
+    def test_each_branch_equals_np_kron(self, a, sparse):
+        a = np.array(a)
+        self.assert_equals_np_kron([a, np.array([[2.0, 0.0, -1.0], [0.5, 1.0, 0.0]])])
+        # which branch ran: the broadcast multiply writes 0 * inf = nan at a
+        # zero of a, a skipped block stays 0
+        with np.errstate(invalid="ignore"):
+            got = kron([a, np.array([[np.inf]])])
+        assert np.isnan(got).any() != sparse
+
+    def test_identity_pairs_generators_equal_np_kron(self):
+        # the N = 1024 table of relations --theta identity-pairs --d 5: on the
+        # pairs (j, k) in order, generator g's leg is U if g = j, V if g = k,
+        # and the identity otherwise
+        pair = clock_shift(1, 2)
+        u, v = pair.matrices
+        t = tensor_construct(pair_table(5, lambda jk: pair))
+        assert t.dim_hilbert == 1024
+        for g, got in enumerate(t.matrices):
+            legs = [u if g == j else v if g == k else np.eye(2) for j, k in upper_pairs(5)]
+            assert np.array_equal(got, reduce(np.kron, legs))
+
+    @pytest.mark.parametrize("k", [3, -1])
+    def test_on_leg_outside_the_legs_rejected(self, k):
+        # both returned the 8 x 8 identity, dropping the operator
+        with pytest.raises(ValidationError, match="not one of the 3 legs"):
+            on_leg(np.diag([1.0, -1.0]), k, 3)
+
+    @pytest.mark.parametrize("leg", [np.ones(2), np.ones((2, 2, 2)), 1.0])
+    def test_leg_not_2d_rejected(self, leg):
+        # a bare ValueError from unpacking its shape
+        with pytest.raises(ValidationError, match="must be 2-D"):
+            kron([np.eye(2), leg])
+
 
 class TestTensorTranslate:
     def test_phase_cancellation(self):

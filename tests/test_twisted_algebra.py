@@ -797,6 +797,18 @@ class TestFloatPhaseGuard:
         expected = cmath.exp(2j * math.pi * float(exact))
         assert abs(prod.coefficient((7240, 4096)) - expected) <= 2 * math.pi * 2.0**-30
 
+    @pytest.mark.parametrize("operation", [
+        pytest.param(poly_adjoint, id="adjoint"),
+        pytest.param(lambda a: poly_mul(a, a), id="square"),
+        # max|m'| = 0 makes the bound 0: the exponent itself is past the float range
+        pytest.param(lambda a: poly_mul(a, NCPolynomial.monomial(a.theta, (0, 0))), id="times-one"),
+    ])
+    def test_exponent_past_float_range_rejected(self, operation):
+        # each ended in OverflowError: int too large to convert to float
+        a = NCPolynomial.monomial(SkewMatrix.from_upper(2, [0.5]), (10**400, 0))
+        with pytest.raises(ValidationError, match="float structure exponent"):
+            operation(a)
+
 
 class TestNormalization:
     def test_zero_coefficients_dropped(self):
