@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -395,6 +396,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built once per process; parse_args keeps no state on it
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ncspaces",

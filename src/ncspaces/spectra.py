@@ -13,7 +13,10 @@ sorted eigenvalue branch sweeps out one closed band.  By Chambers' relation
 of H(k1, k2) depends on the phases only through cos(q k1) + cos(q k2), whose
 range [-2, 2] is attained at (0, 0) and (pi/q, pi/q).  Each branch is
 monotone in that sum, so band j is the hull of the j-th eigenvalue at those
-two points and no phase grid is needed.
+two points and no phase grid is needed.  At both points H is real symmetric
+(its corner phase is +1 or -1), and amo_spectrum solves the two matrices as
+one real (2, q, q) stack; bloch_matrix, the general-phase matrix, is kept as
+the tests' and the benchmark's oracle.
 """
 from __future__ import annotations
 
@@ -36,8 +39,9 @@ LIP_HALF_BOUND = 12.0
 
 
 def bloch_matrix(p: int, q: int, k1: float, k2: float) -> np.ndarray:
-    """The q x q Hermitian Bloch matrix at flux p/q and phases (k1, k2);
-    guarded to q <= DENSE_CAP."""
+    """The q x q Hermitian Bloch matrix at flux p/q and any phases (k1, k2);
+    guarded to q <= DENSE_CAP.  amo_spectrum does not call it: it is the
+    general-phase oracle of the tests and of the benchmark."""
     p, q = as_index("p", p), guard("Bloch matrix side q =", as_index("q", q, 1), DENSE_CAP)
     k1, k2 = as_real("Bloch phase k1", k1), as_real("Bloch phase k2", k2)
     j = np.arange(q)
@@ -91,15 +95,30 @@ def merge_intervals(intervals: Sequence[Tuple[float, float]]) -> Tuple[Tuple[flo
 def amo_spectrum(p: int, q: int, *, q_cap: int = DEFAULT_Q_CAP) -> BandSpectrum:
     """Bands of h at flux p/q from the Bloch eigenvalues at (0, 0) and
     (pi/q, pi/q), where q is the reduced denominator (Chambers' relation); the
-    cost guard q_cap applies to that reduced q."""
+    cost guard q_cap applies to that reduced q, and DENSE_CAP bounds it too.
+
+    The two real symmetric matrices (diagonal 2 cos(pi (2 p j + s) / q),
+    corners e^(i pi s) = +-1, for s = 0, 1) are solved as one (2, q, q) stack.
+    The corners are added, not assigned: at q = 1 they land on the diagonal
+    and at q = 2 on the off-diagonal."""
     p, q = as_index("p", p), as_index("q", q, minimum=1)
     q_cap = as_index("q_cap", q_cap, 1)
     g = gcd(p, q)
     pr, qr = p // g, q // g
     guard("reduced flux denominator q =", qr, q_cap)
-    e0 = np.linalg.eigvalsh(bloch_matrix(pr, qr, 0.0, 0.0))
-    e1 = np.linalg.eigvalsh(bloch_matrix(pr, qr, np.pi / qr, np.pi / qr))
-    bands = merge_intervals(zip(np.minimum(e0, e1), np.maximum(e0, e1)))
+    guard("Bloch matrix side q =", qr, DENSE_CAP)
+    h = np.zeros((2, qr, qr))
+    flat = h.reshape(2, qr * qr)  # a view: row i of matrix s starts at i qr
+    s = np.arange(2)[:, None]
+    # the angle's multiple of pi/q is reduced mod 2q exactly, in integers
+    flat[:, :: qr + 1] = 2.0 * np.cos(np.pi / qr * ((2 * pr * np.arange(qr) + s) % (2 * qr)))
+    flat[:, 1 :: qr + 1] = 1.0  # superdiagonal
+    flat[:, qr :: qr + 1] = 1.0  # subdiagonal
+    for corner in ((0, qr - 1), (qr - 1, 0)):
+        h[(0, *corner)] += 1.0
+        h[(1, *corner)] -= 1.0
+    e0, e1 = np.linalg.eigvalsh(h)
+    bands = merge_intervals(zip(np.minimum(e0, e1).tolist(), np.maximum(e0, e1).tolist()))
     return BandSpectrum(bands)
 
 

@@ -9,7 +9,7 @@ import pytest
 from fractions import Fraction
 
 from ncspaces import checks, spectra, symplectic, weyl_dynamics as wd
-from ncspaces.cli import EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, main
+from ncspaces.cli import EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, build_parser, main
 from ncspaces.errors import ValidationError
 from ncspaces.gridfn import GridFunction, read_gridfn, write_gridfn
 from ncspaces.serialize import (
@@ -123,6 +123,29 @@ class TestCliBasics:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == EXIT_INVALID
+
+    def test_calls_in_a_row_keep_no_state(self, tmp_path, capsys):
+        # every call in a process parses with the one parser built by the first
+        assert build_parser() is build_parser()
+        assert main(["butterfly"]) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: missing --qmax\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["butterfly", "--qmax", "3", "--theta", "1/3"])
+        assert exc.value.code == EXIT_INVALID
+        capsys.readouterr()
+        assert main(["butterfly", "--qmax", "3"]) == EXIT_OK
+        printed = capsys.readouterr()
+        assert printed.out.startswith("p,q,band_index,a,b\n") and printed.err == ""
+        out = tmp_path / "b.csv"
+        assert main(["butterfly", "--qmax", "3", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert main(["butterfly", "--qmax", "3"]) == EXIT_OK
+        assert capsys.readouterr().out == printed.out == out.read_text()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["butterfly", "--help"])
+            assert exc.value.code == EXIT_OK
+            assert "--qmax" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command, params", [
         ("audit", {"k": 0}),

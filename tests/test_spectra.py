@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +33,13 @@ def sweep_branch_hulls(p, q, res):
         [[np.linalg.eigvalsh(bloch_matrix(p, q, k1, k2)) for k2 in ks] for k1 in ks]
     )
     return evs.min(axis=(0, 1)), evs.max(axis=(0, 1))
+
+
+def complex_chambers_bands(p, q):
+    """Oracle: the merged hulls of the complex Bloch eigenvalues at the phases
+    (0, 0) and (pi/q, pi/q)."""
+    e0, e1 = (np.linalg.eigvalsh(bloch_matrix(p, q, k, k)) for k in (0.0, np.pi / q))
+    return merge_intervals(zip(np.minimum(e0, e1), np.maximum(e0, e1)))
 
 
 def distance_to_bands(x, bands):
@@ -126,6 +134,31 @@ class TestAmoSpectrum:
                 for e in np.linalg.eigvalsh(bloch_matrix(p, q, k, k)):
                     assert distance_to_bands(e, bands) <= 1e-12
         assert len(amo_spectrum(3, 128).bands) == 87
+
+    @pytest.mark.parametrize("q", [
+        pytest.param(1, id="q1-corners-on-the-diagonal"),
+        pytest.param(2, id="q2-corners-on-the-off-diagonal"),
+        *range(3, 41),
+    ])
+    def test_real_stack_matches_complex_oracle(self, q):
+        # every reduced p/q, and one unreduced pair naming the flux (q - 1)/q
+        fluxes = [(p, q, p) for p in range(q) if gcd(p, q) == 1]
+        fluxes.append((3 * (q - 1), 3 * q, q - 1))
+        for p, q_given, p_reduced in fluxes:
+            bands = amo_spectrum(p, q_given).bands
+            oracle = complex_chambers_bands(p_reduced, q)
+            assert len(bands) == len(oracle)
+            assert np.abs(np.subtract(bands, oracle)).max() <= 1e-12
+
+    def test_one_real_stack_per_flux(self, monkeypatch):
+        # both Chambers points go to LAPACK as one real (2, q, q) stack
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: shapes.append((a.shape, a.dtype)) or eigvalsh(a))
+        for p, q in [(0, 1), (1, 2), (6, 14)]:  # 6/14 reduces to 3/7
+            amo_spectrum(p, q)
+        assert shapes == [((2, q, q), np.float64) for q in (1, 2, 7)]
 
     @pytest.mark.parametrize("p, q", [(1.5, 3), (1, 3.0), (1, 0)])
     def test_non_integral_or_zero_flux_rejected(self, p, q):
