@@ -3,7 +3,21 @@ failed or an acceptance test ran.  Each acceptance test records its failing
 result names (user property failed_results); any other failure, or a test that
 raised before recording, names none.  ncspaces.checks.sort_failures sorts them;
 the ledger only reads the reports, and no outcome or exit status changes."""
+import functools
+
+import pytest
+
 pytest_plugins = ["pytester"]  # for the inner sessions of test_ledger.py
+
+
+@pytest.fixture(scope="session")
+def criterion_results():
+    """ncspaces.checks.run_criterion, run once per criterion in a session.  A
+    session fixture, not a process-wide cache: the inner sessions of
+    test_ledger.py patch the criteria and must run them afresh."""
+    from ncspaces.checks import run_criterion
+
+    return functools.cache(run_criterion)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,14 +1,20 @@
-"""End-to-end tests of the command-line interface and the JSON schemas."""
+"""End-to-end tests of the command-line interface and the JSON schemas, and of
+its contract: exit codes, atomic writes, byte-identical output for the same
+config and seed, and exit 2 on invalid input with no stderr line over 200
+characters."""
 import dataclasses
 import json
 import os
 import stat
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from fractions import Fraction
 
-from ncspaces import checks, spectra, symplectic, weyl_dynamics as wd
+from ncspaces import checks, cli, spectra, symplectic, weyl_dynamics as wd
 from ncspaces.cli import EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, build_parser, main
 from ncspaces.errors import ValidationError
 from ncspaces.gridfn import GridFunction, read_gridfn, write_gridfn
@@ -55,6 +61,120 @@ def failing_names(lines):
     return [line[5:line.index(":")] for line in lines if line.startswith("FAIL ")]
 
 
+def invalid_input_stderr(capsys, argv) -> str:
+    """The stderr of main(argv), which must exit 2 (argparse's own errors exit
+    by SystemExit) with no stderr line over 200 characters."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == EXIT_INVALID, err
+    assert max(map(len, err.splitlines()), default=0) <= 200, err
+    return err
+
+
+# Output name -> arguments of one run whose output must be the same bytes in
+# two processes under different hash seeds, so that no output follows set or
+# dict iteration order.  all-checks runs every criterion at its sizes; the
+# relations runs assemble a 1024-dimensional tuple from identity pairs and
+# from drawn pairs, a 729-dimensional one from legs of size 3 and the
+# single-leg tuple that shares its pair's read-only arrays; symplectic at d = 6
+# reads its transform from an eigendecomposition, whose eigenvector phases and
+# plane order must not vary; algebra sums float products, adjoints and
+# transferred coefficients through argsort and reduceat; weyl runs on grids
+# that only GridSpec admits (48, 100) and on its FFT route at a power of two
+# and past DENSE_CAP (1024, 8192).
+BYTE_IDENTICAL_RUNS = {
+    "algebra.json": "algebra --input algebra-in.json",
+    "all-checks.txt": "all-checks",
+    "relations-d5.txt": "relations --theta identity-pairs --d 5",
+    "relations-random-d5.txt": "relations --theta random --d 5",
+    "relations-third-d4.txt": "relations --theta 1/3 --d 4",
+    "relations-half-d2.txt": "relations --theta 1/2 --d 2",
+    "moyal-direct.gridfn": "moyal --method direct",
+    "moyal-fourier.gridfn": "moyal --method fourier",
+    "symplectic-d6.txt": "symplectic --theta random --d 6",
+    "holder.csv": "holder",
+    "audit.txt": "audit",
+    "weyl.csv": "weyl",
+    "weyl-any-m.csv": "weyl --config weyl-any-m.json",
+    "weyl-fft.csv": "weyl --config weyl-fft.json",
+    "butterfly.csv": "butterfly --qmax 10",
+}
+UPPER = [0.1414213562373095, -0.4487989505128276, 0.31]
+RUN_INPUTS = {
+    "algebra-in.json": {
+        "a": {"dim": 3, "upper": UPPER, "terms": [
+            {"m": [1, 0, -2], "re": 0.5, "im": -1.25}, {"m": [0, 2, 1], "re": -0.75, "im": 0.3},
+            {"m": [-1, 1, 0], "re": 1.1, "im": 0.0}, {"m": [0, 0, 0], "re": 0.2, "im": 0.9}]},
+        "b": {"dim": 3, "upper": UPPER, "terms": [
+            {"m": [0, -2, 1], "re": -1.5, "im": 0.4}, {"m": [1, 1, 1], "re": 0.6, "im": 0.6},
+            {"m": [-1, 1, 0], "re": -0.3, "im": 1.7}]},
+        "axis": 1,
+        "z": [[0.6, 0.8], [0.0, 1.0], [-0.8, 0.6]],
+    },
+    "weyl-any-m.json": {"grids": [48, 100], "L": 6.0},
+    "weyl-fft.json": {"grids": [1024, 8192]},
+}
+# one child process: every run, each to --out in the directory named by argv[1]
+# (run from the directory of the input files); prints the exit codes as JSON
+CHILD = """import json, sys
+from ncspaces.cli import main
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+print(json.dumps({name: main([*args.split(), "--out", f"{out}/{name}"])
+                  for name, args in runs.items()}))
+"""
+
+
+@pytest.fixture(scope="module")
+def hash_seed_runs(tmp_path_factory):
+    """Every run of BYTE_IDENTICAL_RUNS in two child processes at once, one
+    under PYTHONHASHSEED=1 and one under 2: {seed: (output directory, exit
+    codes by output name)}.  The children import the ncspaces under test."""
+    root = tmp_path_factory.mktemp("runs")
+    for name, content in RUN_INPUTS.items():
+        (root / name).write_text(json.dumps(content))
+    path = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(cli.__file__)),
+                                         os.environ.get("PYTHONPATH")]))
+
+    def run(seed):
+        (root / seed).mkdir()
+        child = subprocess.run(
+            [sys.executable, "-c", CHILD, seed, json.dumps(BYTE_IDENTICAL_RUNS)], cwd=root,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            stdin=subprocess.DEVNULL, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        return seed, (root / seed, json.loads(child.stdout))
+
+    with ThreadPoolExecutor(2) as pool:
+        return dict(pool.map(run, ["1", "2"]))
+
+
+class TestCliContract:
+    @pytest.mark.parametrize("name", BYTE_IDENTICAL_RUNS)
+    def test_output_is_byte_identical_across_hash_seeds(self, hash_seed_runs, name):
+        (one, codes_one), (two, codes_two) = hash_seed_runs.values()
+        assert codes_one[name] == codes_two[name] == EXIT_OK
+        assert (one / name).read_bytes() == (two / name).read_bytes()
+
+    def test_moyal_demo_direct_and_fourier_agree(self, hash_seed_runs):
+        # the two routes share only to_frequency; 1e-6 is criterion 07's cross
+        # tolerance (their difference is at round-off, about 6e-14)
+        out, _ = hash_seed_runs["1"]
+        direct = read_gridfn(out / "moyal-direct.gridfn").values
+        fourier = read_gridfn(out / "moyal-fourier.gridfn").values
+        assert float(np.abs(direct - fourier).max()) <= 1e-6
+
+    @pytest.mark.parametrize("command", cli._COMMANDS)
+    def test_every_subcommand_help_exits_0(self, capsys, command):
+        # every flag is built from the one command table, which also names the subcommands
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"usage: ncspaces {command} ")
+
+
 class TestSerialization:
     def test_theta_rational_roundtrip(self):
         theta = SkewMatrix.from_upper(3, {(0, 1): Fraction(1, 3), (1, 2): Fraction(-2, 7)})
@@ -89,8 +209,8 @@ class TestCliBasics:
     def test_audit_failing_k(self, capsys):
         assert main(["audit", "--k", "100", "--target", "2500"]) == EXIT_CHECK_FAILED
 
-    def test_butterfly_rejects_qmax_zero(self):
-        assert main(["butterfly", "--qmax", "0"]) == EXIT_INVALID
+    def test_butterfly_rejects_qmax_zero(self, capsys):
+        invalid_input_stderr(capsys, ["butterfly", "--qmax", "0"])
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_relations_random_d5(self, tmp_path, seed):
@@ -112,27 +232,22 @@ class TestCliBasics:
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         for command, key in [("audit", "bogus"), ("butterfly", "resolution"),
                              ("holder", "jobs"), ("all-checks", "holder_resolution")]:
-            assert main([command, "--config", config_file(tmp_path, {key: 1})]) == EXIT_INVALID
-            assert "unknown config key" in capsys.readouterr().err
+            argv = [command, "--config", config_file(tmp_path, {key: 1})]
+            assert "unknown config key" in invalid_input_stderr(capsys, argv)
 
     def test_unknown_flag_exits_2(self, capsys):
         for argv in (["butterfly", "--qmax", "3", "--resolution", "64"],
                      ["holder", "--jobs", "2"],
                      ["butterfly", "--qmax", "3", "--theta", "1/3"],
                      ["weyl", "--grid", "64,8"]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == EXIT_INVALID
+            assert "unrecognized arguments: " in invalid_input_stderr(capsys, argv)
 
     def test_calls_in_a_row_keep_no_state(self, tmp_path, capsys):
         # every call in a process parses with the one parser built by the first
         assert build_parser() is build_parser()
-        assert main(["butterfly"]) == EXIT_INVALID
-        assert capsys.readouterr().err == "error: missing --qmax\n"
-        with pytest.raises(SystemExit) as exc:
-            main(["butterfly", "--qmax", "3", "--theta", "1/3"])
-        assert exc.value.code == EXIT_INVALID
-        capsys.readouterr()
+        assert invalid_input_stderr(capsys, ["butterfly"]) == "error: missing --qmax\n"
+        argv = ["butterfly", "--qmax", "3", "--theta", "1/3"]
+        assert "unrecognized arguments: --theta 1/3" in invalid_input_stderr(capsys, argv)
         assert main(["butterfly", "--qmax", "3"]) == EXIT_OK
         printed = capsys.readouterr()
         assert printed.out.startswith("p,q,band_index,a,b\n") and printed.err == ""
@@ -153,8 +268,8 @@ class TestCliBasics:
         ("weyl", {"L": 0, "grids": [32]}),
         ("holder", {"qmax": 0}),
     ])
-    def test_explicit_zero_is_not_replaced_by_default(self, tmp_path, command, params):
-        assert main([command, "--config", config_file(tmp_path, params)]) == EXIT_INVALID
+    def test_explicit_zero_is_not_replaced_by_default(self, tmp_path, capsys, command, params):
+        invalid_input_stderr(capsys, [command, "--config", config_file(tmp_path, params)])
 
     def test_weyl_explicit_zero_theta(self, tmp_path, capsys):
         cfg = config_file(tmp_path, {"theta": 0, "grids": [32]})
@@ -169,8 +284,8 @@ class TestCliBasics:
     def test_weyl_unparsable_theta_exits_2(self, tmp_path, capsys):
         cfg = config_file(tmp_path, {"grids": [32]})
         for theta in ("1/0", "abc"):
-            assert main(["weyl", "--config", cfg, "--theta", theta]) == EXIT_INVALID
-            assert "cannot parse theta spec" in capsys.readouterr().err
+            argv = ["weyl", "--config", cfg, "--theta", theta]
+            assert "cannot parse theta spec" in invalid_input_stderr(capsys, argv)
 
     @pytest.mark.parametrize("key, value", [("L", True), ("s", [False]), ("t", [True])])
     def test_weyl_real_key_rejects_bool_and_takes_numeric_string(self, tmp_path, capsys, key, value):
@@ -179,8 +294,7 @@ class TestCliBasics:
         assert main(["weyl", "--config", cfg]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[1].startswith("16,6.0,1.0,0.5,0.37,")
         cfg = config_file(tmp_path, {"grids": [16], key: value})
-        assert main(["weyl", "--config", cfg]) == EXIT_INVALID
-        assert f"cannot parse {key} spec" in capsys.readouterr().err
+        assert f"cannot parse {key} spec" in invalid_input_stderr(capsys, ["weyl", "--config", cfg])
 
     @pytest.mark.parametrize("argv, config, key", [
         pytest.param(["symplectic", "--theta", "{csv}"], None, "theta", id="symplectic-csv-cell"),
@@ -218,8 +332,7 @@ class TestCliBasics:
         argv = [arg.format(csv=csv) for arg in argv]
         if config is not None:
             argv += ["--config", config_file(tmp_path, config)]
-        assert main(argv) == EXIT_INVALID
-        assert f"cannot parse {key} spec" in capsys.readouterr().err
+        assert f"cannot parse {key} spec" in invalid_input_stderr(capsys, argv)
 
     @pytest.mark.parametrize("key, value", [
         ("algebra_triples", 0), ("tensor_max_d", 1), ("symplectic_cases", -3),
@@ -228,8 +341,7 @@ class TestCliBasics:
     def test_all_checks_size_below_minimum_exits_2(self, tmp_path, capsys, key, value):
         # each once ran, most to a vacuous PASS line ("0 rational triples", "d=2..1")
         cfg = config_file(tmp_path, {**SMOKE_SIZES, key: value})
-        assert main(["all-checks", "--config", cfg]) == EXIT_INVALID
-        assert f"{key} must be >= " in capsys.readouterr().err
+        assert f"{key} must be >= " in invalid_input_stderr(capsys, ["all-checks", "--config", cfg])
 
     @pytest.mark.parametrize("key, value", [
         ("seed", -1), ("algebra_triples", 0), ("tensor_max_d", 1), ("holder_max_k", 3),
@@ -275,15 +387,14 @@ class TestCliBasics:
     def test_value_out_of_range_exits_2(self, tmp_path, capsys, argv, content, message):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(content))
-        assert main(argv + [str(path)]) == EXIT_INVALID
-        assert message in capsys.readouterr().err
+        assert message in invalid_input_stderr(capsys, argv + [str(path)])
 
     def test_all_checks_size_past_cap_exits_2_before_any_check(self, tmp_path, capsys, monkeypatch):
         # accepted before, a run of about a week at criterion 01's pace
         monkeypatch.setattr(checks, "run_all_checks", lambda cfg: pytest.fail("a check ran"))
         cfg = config_file(tmp_path, {"algebra_triples": 10**9})
-        assert main(["all-checks", "--config", cfg]) == EXIT_INVALID
-        assert "algebra_triples 1000000000 exceeds cap 10000" in capsys.readouterr().err
+        err = invalid_input_stderr(capsys, ["all-checks", "--config", cfg])
+        assert "algebra_triples 1000000000 exceeds cap 10000" in err
 
     @pytest.mark.parametrize("argv, config", [
         pytest.param(["symplectic", "--theta", "nan", "--d", "2"], None, id="symplectic-theta"),
@@ -293,6 +404,7 @@ class TestCliBasics:
         pytest.param(["moyal", "--theta", "nan", "--grid", "16,6.0"], None, id="moyal-theta-nan"),
         pytest.param(["moyal", "--theta", "inf", "--grid", "16,6.0"], None, id="moyal-theta-inf"),
         pytest.param(["moyal", "--grid", "16,nan"], None, id="moyal-grid-L"),
+        pytest.param(["moyal", "--grid", "64,inf"], None, id="moyal-grid-L-inf"),
         # an exact theta past the float range ended in an OverflowError traceback
         pytest.param(["symplectic", "--theta", THETA_PAST_FLOAT_RANGE, "--d", "2"], None,
                      id="symplectic-theta-past-float-range"),
@@ -303,23 +415,21 @@ class TestCliBasics:
         if config is not None:
             cfg = config_file(tmp_path, config)  # NaN and Infinity, as Python's json reads them
             argv = argv + ["--config", cfg]
-        assert main(argv) == EXIT_INVALID
-        assert capsys.readouterr().err.startswith("error: ")
+        assert invalid_input_stderr(capsys, argv).startswith("error: ")
 
     def test_algebra_non_finite_coefficient_exits_2(self, tmp_path, capsys):
         path = tmp_path / "in.json"
         term = {"m": [1, 0], "re": float("nan"), "im": 0.0}  # written as NaN
         path.write_text(json.dumps({"a": {"dim": 2, "upper": [0.5], "terms": [term]}}))
-        assert main(["algebra", "--input", str(path)]) == EXIT_INVALID
-        assert "not finite" in capsys.readouterr().err
+        assert "not finite" in invalid_input_stderr(capsys, ["algebra", "--input", str(path)])
 
     def test_algebra_product_past_float_range_exits_2(self, tmp_path, capsys):
         # 1e200 u^(1,0) squared wrote "re": Infinity, "im": NaN (no JSON) and exited 0
         poly = {"dim": 2, "upper": ["1/2"], "terms": [{"m": [1, 0], "re": 1e200, "im": 0.0}]}
         path, out = tmp_path / "in.json", tmp_path / "out.json"
         path.write_text(json.dumps({"a": poly, "b": poly}))
-        assert main(["algebra", "--input", str(path), "--out", str(out)]) == EXIT_INVALID
-        assert "not finite" in capsys.readouterr().err
+        argv = ["algebra", "--input", str(path), "--out", str(out)]
+        assert "not finite" in invalid_input_stderr(capsys, argv)
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, name", [
@@ -335,8 +445,7 @@ class TestCliBasics:
     ])
     def test_rejected_value_clipped_in_message(self, capsys, argv, name):
         # the whole value was printed: lines of 473, over 850 and over 450 characters
-        assert main(argv) == EXIT_INVALID
-        err = capsys.readouterr().err
+        err = invalid_input_stderr(capsys, argv)
         assert name in err and "..." in err
         assert max(map(len, err.splitlines())) < 200
 
@@ -345,8 +454,7 @@ class TestCliBasics:
         term = {"m": [1.5, 10**400], "re": 1.0}
         path = tmp_path / "in.json"
         path.write_text(json.dumps({"a": {"dim": 2, "upper": [0.5], "terms": [term]}}))
-        assert main(["algebra", "--input", str(path)]) == EXIT_INVALID
-        err = capsys.readouterr().err
+        err = invalid_input_stderr(capsys, ["algebra", "--input", str(path)])
         assert "bad polynomial term" in err and "non-integer entries" in err
         assert max(map(len, err.splitlines())) < 200
 
@@ -358,29 +466,27 @@ class TestCliBasics:
         assert "canonical" not in capsys.readouterr().out
 
     def test_symplectic_missing_theta(self, capsys):
-        assert main(["symplectic"]) == EXIT_INVALID
-        assert "missing --theta" in capsys.readouterr().err
+        assert "missing --theta" in invalid_input_stderr(capsys, ["symplectic"])
 
     @pytest.mark.parametrize("command, key", [("algebra", "input"), ("butterfly", "qmax"),
                                               ("symplectic", "theta")])
     def test_required_parameter_absent_or_null_exits_2(self, tmp_path, capsys, command, key):
         # a JSON null counts as absent
         for argv in ([command], [command, "--config", config_file(tmp_path, {key: None})]):
-            assert main(argv) == EXIT_INVALID
-            assert capsys.readouterr().err == f"error: missing --{key}\n"
+            assert invalid_input_stderr(capsys, argv) == f"error: missing --{key}\n"
 
     def test_butterfly_qmax_past_cap_exits_2_before_listing_fluxes(self, capsys, monkeypatch):
         # listing every flux up to q = 6000 took two minutes before the first one was rejected
         monkeypatch.setattr(spectra, "coprime_fluxes", lambda qmax: pytest.fail("fluxes listed"))
-        assert main(["butterfly", "--qmax", "1000000"]) == EXIT_INVALID
-        assert "reduced flux denominator q = 1000000 exceeds cap 200" in capsys.readouterr().err
+        err = invalid_input_stderr(capsys, ["butterfly", "--qmax", "1000000"])
+        assert "reduced flux denominator q = 1000000 exceeds cap 200" in err
 
     def test_holder_flux_past_dense_cap_exits_2(self, tmp_path, capsys):
         # under a qmax of 10^7 the Bloch matrix of q = 9999991 was allocated:
         # numpy's MemoryError, exit 1
         cfg = config_file(tmp_path, {"qmax": 10**7, "offsets": ["1/9999991", "1/9999989"]})
-        assert main(["holder", "--config", cfg]) == EXIT_INVALID
-        assert "Bloch matrix side q = 9999991 exceeds cap 4096" in capsys.readouterr().err
+        err = invalid_input_stderr(capsys, ["holder", "--config", cfg])
+        assert "Bloch matrix side q = 9999991 exceeds cap 4096" in err
 
     def test_out_file_gets_plain_open_mode(self, tmp_path):
         old = os.umask(0o022)
@@ -397,8 +503,7 @@ class TestCliBasics:
     def test_malformed_config_line_diagnostic(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{\n  "k": 8100,\n  bad\n}')
-        assert main(["audit", "--config", str(cfg)]) == EXIT_INVALID
-        err = capsys.readouterr().err
+        err = invalid_input_stderr(capsys, ["audit", "--config", str(cfg)])
         assert ":3:" in err  # line number of the defect
 
     @pytest.mark.parametrize("k", [8100, 8100.0, "8100"])
@@ -407,45 +512,50 @@ class TestCliBasics:
         assert capsys.readouterr().out.startswith("k: 8100 (sqrt exact)\n")
 
     @pytest.mark.parametrize("content", [None, b"\xff\xfe"], ids=["missing", "not-utf8"])
-    def test_algebra_unreadable_input_exits_2(self, tmp_path, capsys, content):
-        path = tmp_path / "in.json"
+    def test_algebra_unreadable_input_exits_2(self, tmp_path, capsys, monkeypatch, content):
+        # file names here are relative, as typed: a message shows a path whole
+        # (an OSError's twice), so a deep temporary path alone passes 200 characters
+        monkeypatch.chdir(tmp_path)
+        path = "in.json"
         if content is not None:
-            path.write_bytes(content)
-        assert main(["algebra", "--input", str(path)]) == EXIT_INVALID
-        err = capsys.readouterr().err
+            (tmp_path / path).write_bytes(content)
+        err = invalid_input_stderr(capsys, ["algebra", "--input", path])
         assert f"cannot read input {path}" in err
         assert "malformed" not in err  # an unreadable file is not malformed JSON
 
-    def test_config_integer_past_digit_limit_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"k": ' + "1" * 5000 + "}")
-        assert main(["audit", "--config", str(cfg)]) == EXIT_INVALID
-        assert f"{cfg}: malformed JSON config" in capsys.readouterr().err
+    def test_config_integer_past_digit_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a relative file name, as in the test above
+        cfg = "cfg.json"
+        (tmp_path / cfg).write_text('{"k": ' + "1" * 5000 + "}")
+        err = invalid_input_stderr(capsys, ["audit", "--config", cfg])
+        assert f"{cfg}: malformed JSON config" in err
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b"\xff\xfe")
-        assert main(["audit", "--config", str(cfg)]) == EXIT_INVALID
-        assert f"cannot read config {cfg}" in capsys.readouterr().err
+        err = invalid_input_stderr(capsys, ["audit", "--config", str(cfg)])
+        assert f"cannot read config {cfg}" in err
 
-    def test_moyal_missing_input_exits_2(self, tmp_path, capsys):
-        f, g = tmp_path / "a.gridfn", tmp_path / "b.gridfn"
-        assert main(["moyal", "--f", str(f), "--g", str(g)]) == EXIT_INVALID
-        assert f"cannot read grid file {f}" in capsys.readouterr().err
+    def test_moyal_missing_input_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # relative file names, as in the tests above
+        f, g = "a.gridfn", "b.gridfn"
+        err = invalid_input_stderr(capsys, ["moyal", "--f", f, "--g", g])
+        assert f"cannot read grid file {f}" in err
 
     def test_moyal_fourier_past_convolve_cap_exits_2(self, tmp_path, capsys):
         # three axes at M = 32: M^5 = 2^25 is past the cap of 2^24
         f = GridFunction.gaussian(3, 8.0, 32, sigma=1.0)
         fp = tmp_path / "f.gridfn"
         write_gridfn(f, fp)
-        assert main(["moyal", "--f", str(fp), "--g", str(fp), "--method", "fourier"]) == EXIT_INVALID
-        assert "twisted convolution M^(2d-1) = 33554432 exceeds cap 16777216" in capsys.readouterr().err
+        argv = ["moyal", "--f", str(fp), "--g", str(fp), "--method", "fourier"]
+        err = invalid_input_stderr(capsys, argv)
+        assert "twisted convolution M^(2d-1) = 33554432 exceeds cap 16777216" in err
 
     def test_symplectic_unreadable_theta_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "theta.csv"
         path.write_bytes(b"\xff\xfe0,1\n")
-        assert main(["symplectic", "--theta", str(path)]) == EXIT_INVALID
-        assert f"cannot read theta {path}" in capsys.readouterr().err
+        err = invalid_input_stderr(capsys, ["symplectic", "--theta", str(path)])
+        assert f"cannot read theta {path}" in err
 
     # each payload has the length the truncated header would ask for
     @pytest.mark.parametrize("header, samples, message", [
@@ -469,8 +579,8 @@ class TestCliBasics:
         path.write_bytes(header + b"\n" + np.array(samples, dtype="<c8").tobytes())
         with pytest.raises(ValidationError, match=message):
             read_gridfn(path)
-        assert main(["moyal", "--f", str(path), "--g", str(path)]) == EXIT_INVALID
-        assert message in capsys.readouterr().err
+        argv = ["moyal", "--f", str(path), "--g", str(path)]
+        assert message in invalid_input_stderr(capsys, argv)
 
     @pytest.mark.parametrize("poly", [
         pytest.param({"dim": 2, "upper": [0.5], "terms": [{"m": [1.5, 0], "re": 1.0}]},
@@ -482,8 +592,7 @@ class TestCliBasics:
     def test_algebra_non_integral_input_exits_2(self, tmp_path, capsys, poly):
         path = tmp_path / "in.json"
         path.write_text(json.dumps({"a": poly}))
-        assert main(["algebra", "--input", str(path)]) == EXIT_INVALID
-        assert "integer" in capsys.readouterr().err
+        assert "integer" in invalid_input_stderr(capsys, ["algebra", "--input", str(path)])
 
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = config_file(tmp_path, {"k": 100, "target": 2500})
@@ -591,12 +700,13 @@ class TestCliPipelines:
         assert lines[-1] == ("16/18 checks passed; expected (documented): 2; unexpected: 0; "
                              "documented, not failed: 0")
 
-    def test_all_checks_lines_print_every_record(self, capsys):
+    def test_all_checks_lines_print_every_record(self, hash_seed_runs, criterion_results):
         # a default run prints the lines of every criterion's run, less the time lines
-        assert main(["all-checks"]) == EXIT_OK
-        lines = capsys.readouterr().out.splitlines()
+        out, codes = hash_seed_runs["1"]
+        assert codes["all-checks.txt"] == EXIT_OK
+        lines = (out / "all-checks.txt").read_text().splitlines()
         results = [result for criterion in checks.CRITERIA
-                   for result in checks.run_criterion(criterion) if result.name != "time"]
+                   for result in criterion_results(criterion) if result.name != "time"]
         assert lines[:-1] == [result.line() for result in results]
         assert failing_names(lines) == list(checks.DOCUMENTED)
         for line, result in zip(lines, results):
