@@ -107,7 +107,7 @@ def load_config(command: str, path: Optional[str], flags: Dict[str, object]) -> 
         for key in given:
             if key not in table:
                 raise ValidationError(
-                    f"{path}: unknown config key {key!r} for command {command!r}"
+                    f"{clip(path)}: unknown config key {key!r} for command {command!r}"
                 )
     given.update((key, value) for key, value in flags.items() if value is not None)
     params = {}
@@ -124,6 +124,13 @@ def load_config(command: str, path: Optional[str], flags: Dict[str, object]) -> 
 # -- input and output helpers ---------------------------------------------------
 
 
+def _unreadable(what: str, path, e: Exception) -> ValidationError:
+    """The invalid input of a file that cannot be read: what, the path once
+    (clipped) and the reason, an OSError's strerror without its path."""
+    reason = getattr(e, "strerror", None) or e
+    return ValidationError(f"cannot read {what} {clip(str(path))}: {reason}")
+
+
 def read_text(path: str, what: str) -> str:
     """The text of the UTF-8 file at path; a file that cannot be opened or
     decoded is invalid input, reported with what and the path."""
@@ -131,7 +138,7 @@ def read_text(path: str, what: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as e:
-        raise ValidationError(f"cannot read {what} {path}: {e}") from e
+        raise _unreadable(what, path, e) from e
 
 
 def read_json_object(path: str, what: str) -> dict:
@@ -141,11 +148,12 @@ def read_json_object(path: str, what: str) -> dict:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}:{e.lineno}:{e.colno}: malformed JSON {what}: {e.msg}") from e
+        where = f"{clip(path)}:{e.lineno}:{e.colno}"
+        raise ValidationError(f"{where}: malformed JSON {what}: {e.msg}") from e
     except ValueError as e:  # an integer literal past the interpreter's digit limit
-        raise ValidationError(f"{path}: malformed JSON {what}: {e}") from e
+        raise ValidationError(f"{clip(path)}: malformed JSON {what}: {clip(str(e))}") from e
     if not isinstance(obj, dict):
-        raise ValidationError(f"{path}:1: {what} must be a JSON object")
+        raise ValidationError(f"{clip(path)}:1: {what} must be a JSON object")
     return obj
 
 
@@ -192,7 +200,7 @@ def cmd_algebra(p: dict) -> Result:
     path = p["input"]
     obj = read_json_object(path, "input")
     if "a" not in obj:
-        raise ValidationError(f"{path}: missing polynomial 'a'")
+        raise ValidationError(f"{clip(path)}: missing polynomial 'a'")
     a = poly_from_json(obj["a"])
     # a float product past the float range leaves inf or nan in a coefficient:
     # no warning here, and invalid input when the output refuses it below
@@ -212,7 +220,7 @@ def cmd_algebra(p: dict) -> Result:
     try:
         return json.dumps(result, indent=2, sort_keys=True, allow_nan=False) + "\n", None
     except ValueError as e:
-        raise ValidationError(f"{path}: a result coefficient is not finite: {e}") from e
+        raise ValidationError(f"{clip(path)}: a result coefficient is not finite: {e}") from e
 
 
 def _pair_table_from_spec(spec: str, d: int, rng) -> dict:
@@ -259,7 +267,7 @@ def cmd_moyal(p: dict) -> Result:
         try:
             f, g = read_gridfn(p["f"]), read_gridfn(p["g"])
         except OSError as e:
-            raise ValidationError(f"cannot read grid file {e.filename}: {e}") from e
+            raise _unreadable("grid file", e.filename, e) from e
     else:
         grid = parse_value("grid", p["grid"], _grid)
         f = GridFunction.gaussian(2, grid.half_length, grid.points, sigma=1.0)

@@ -29,22 +29,19 @@ FFT itself: the sample-grid signs (-1)^n sit in its (M, M) shear table, so no
 pass over an (M, M, M) array applies them.
 
 twisted_convolve performs the frequency-side sum with zero padding (no
-wraparound).  Since Theta_dd = 0, the twist splits as
-
-    theta(s, t) = (Theta^T s') . t + s_d sum_{k<d} Theta_dk t_k,   s = (s', s_d),
-
-a phase in t times a chirp in s_d, so for each of the M^(d-1) values of s'
-the sum over s_d is one FFT convolution along the last axis for each of the
-M^(d-1) values of t': the frequency route transforms about M^(2d-2) rows of
-3M/2 values, O(M^(2d-1) log M), O(M^3 log M) on the plane.  Consecutive values
-of the last coordinate of s' share one batched FFT of at most about FFT_ROWS
-rows.  The two routes share only to_frequency, so their agreement is a
-meaningful cross-check.
+wraparound).  With u = t - s the twist is theta(s, u); since Theta_dd = 0 it
+splits into a chirp on each row of fhat, a chirp on each row of ghat and a
+phase on the output (see twisted_convolve).  So each row of either operand is
+transformed once at length 3M/2, and each pair (s', t') of points of the first
+d-1 axes costs one product of two stored row spectra and one inverse FFT:
+2 M^(d-1) forward and about M^(2d-2) inverse rows, O(M^(2d-1) log M),
+O(M^3 log M) on the plane, run in blocks of about FFT_ROWS pairs.  The two
+routes share only to_frequency, so their agreement is a meaningful cross-check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from math import gamma, pi, sqrt
 from typing import List
 
@@ -59,10 +56,10 @@ DIRECT_CAP = 4096  # M^d cap for the position-side quadrature
 # M^(2d-1) cap for twisted_convolve, whose cost is O(M^(2d-1) log M): the
 # plane up to M = 256 and d = 3 up to M = 16
 CONVOLVE_CAP = 2**24
-# FFT rows per batched call of twisted_convolve: a block of B values of the
-# last lead coordinate, B = max(1, FFT_ROWS // M^(d-1)), with their boxes of
-# at most M^(d-1) values of t' each; at M = 64 on the plane that is a working
-# set of 256 rows of 96 complex values, 0.4 MB.  Larger blocks measured slower.
+# inverse FFT rows per batched call of twisted_convolve: a block is a run of
+# consecutive t' whose pairs (s', t') number about FFT_ROWS; at M = 64 on the
+# plane that is 5 values of t_0, a working set of about 256 rows of 96 complex
+# values, 0.4 MB.  Larger blocks measured slower on the plane.
 FFT_ROWS = 256
 
 
@@ -139,6 +136,32 @@ def moyal_direct(f: GridFunction, g: GridFunction, theta: SkewMatrix) -> GridFun
 # -- star product: frequency-side twisted convolution --------------------------
 
 
+@cache
+def _convolution_pairs(m: int, lead: int):
+    """The pairs (t', s') of points of the (M,)*lead box whose row u' = t' - s'
+    lies in the box, t'-major, for twisted_convolve: their indices idx per axis
+    (t' axes, then s'), flat s' and u', the offset of each t''s first pair and
+    the number of t' per block, which holds about FFT_ROWS pairs.  Cached per
+    (M, lead), read-only."""
+    half, rows = m // 2, m**lead
+    # on each axis u_a sits at index t_a - s_a + M/2, so flat(u') = flat(t') -
+    # flat(s') + (M/2)(1 + M + ... + M^(lead-1))
+    step = np.subtract.outer(np.arange(m), np.arange(m)) + half
+    inside = (step >= 0) & (step < m)
+    idx = np.nonzero(reduce(np.logical_and, [
+        inside.reshape([m if ax in (a, lead + a) else 1 for ax in range(2 * lead)])
+        for a in range(lead)
+    ]))
+    t_flat = np.ravel_multi_index(idx[:lead], (m,) * lead)
+    s_flat = np.ravel_multi_index(idx[lead:], (m,) * lead)
+    u_flat = t_flat - s_flat + half * (rows - 1) // (m - 1)
+    counts = reduce(np.multiply.outer, [inside.sum(axis=1)] * lead).ravel()
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    for arr in (*idx, s_flat, u_flat, offsets):
+        arr.flags.writeable = False
+    return idx, s_flat, u_flat, offsets, max(1, round(FFT_ROWS * rows / offsets[-1]))
+
+
 def twisted_convolve(
     fhat: GridFunction, ghat: GridFunction, theta: SkewMatrix
 ) -> GridFunction:
@@ -148,29 +171,27 @@ def twisted_convolve(
     twist phase is not periodic in s, so wraparound would be wrong.  Output is
     reported on the input frequency box.
 
-    Write s = (s', s_d) and t = (t', t_d) with s', t' the first d-1
-    coordinates.  Because Theta_dd = 0 the twist separates as
+    With u = t - s the twist is theta(s, u), since theta(s, s) = 0.  Write
+    s = (s', s_d), t = (t', t_d) and u = (u', u_d) with s', t', u' the first
+    d-1 coordinates, and c(v') = sum_{a<d} v_a Theta_ad.  As Theta_dd = 0,
+    Theta' = Theta[:d-1, :d-1] is skew and c is linear (c(u') = c(t') - c(s')),
 
-        theta(s, t) = (Theta^T s') . t + s_d c(t'),   c(t') = sum_{k<d} Theta_dk t_k,
+        theta(s, u) = s'.Theta' t' + t_d (2 c(s') - c(t')) - s_d c(s') + u_d c(u').
 
-    with (Theta^T s')_b = sum_{a<d} s_a Theta_ab.  For each s' the sum over s_d
-    is then, for every t' at once, a linear convolution along the last axis of
-    fhat(s', .) exp((i/2) s_d c(t')) with the row ghat(t' - s', .), followed by
-    the phase exp((i/2) (Theta^T s') . t).  A cyclic FFT convolution of length
-    3M/2 is exact on the M outputs kept, so the rows of ghat are transformed
-    once per call at that length.  The chirp and the phase are products of the
-    per-pair tables exp((i/2) Theta_ab s_a t_b), also built once per call.
+    The last two terms are chirps on single rows: fhat(s', .) exp(-(i/2) s_d c(s'))
+    and ghat(u', .) exp((i/2) u_d c(u')), each row transformed once at length
+    3M/2, where a cyclic FFT convolution is exact on the M outputs kept.  For
+    each pair (s', t') with t' - s' in the box, the product of the two stored
+    row spectra and one inverse FFT give the linear convolution along the last
+    axis; it is weighted by exp(i t_d c(s')) (and exp((i/2) s'.Theta' t') for
+    d > 2) and summed over s', and exp(-(i/2) t_d c(t')) is applied once per t'.
 
-    The s' run in blocks of B consecutive values of their last coordinate,
-    B = max(1, FFT_ROWS // M^(d-1)): one batched FFT pair covers a block,
-    with t' over the union of its boxes (at most (B + M - 1) M^(d-2) values),
-    and the rows t' - s' that fall outside ghat's box read zeros from ghat's
-    transform padded along that axis.  A block costs
-    O(B M^(d-1) M log M) and holds about FFT_ROWS rows of 3M/2 values, so the
-    working set stays cache-sized while the Python loop runs M^(d-1) / B
-    times; about M^(2d-2) rows in all, so the cost is O(M^(2d-1) log M):
-    O(M^3 log M) on the plane, where the per-point sum costs O(M^4).  For
-    d = 1 it is one FFT pair.  Guarded to M^(2d-1) <= CONVOLVE_CAP.
+    The pairs run t'-major in blocks of consecutive t' holding about FFT_ROWS
+    pairs: one gather of each operand's rows, one batched inverse FFT and one
+    sum over s' per block.  That is 2 M^(d-1) forward rows and about M^(2d-2)
+    inverse rows of 3M/2 values, so the cost is O(M^(2d-1) log M): O(M^3 log M)
+    on the plane, where the per-point sum costs O(M^4).  For d = 1 it is one
+    FFT pair.  Guarded to M^(2d-1) <= CONVOLVE_CAP.
     """
     fhat.require_same_grid(ghat)
     _check_theta(fhat, theta)
@@ -182,61 +203,39 @@ def twisted_convolve(
     theta_arr = theta.as_array()
     freqs = fhat.freq_axis()
     ds = fhat.freq_step**d
-    gspec = np.fft.fft(ghat.values, n=n, axis=-1)
 
     def ifft_kept(spec):  # the M outputs of the convolution that lie in the box
         return np.fft.ifft(spec, axis=-1)[..., half : half + m]
 
     if d == 1:
-        out = ifft_kept(np.fft.fft(fhat.values, n=n) * gspec)
+        out = ifft_kept(np.fft.fft(fhat.values, n=n) * np.fft.fft(ghat.values, n=n))
         return GridFunction(d, fhat.half_length, m, out * ds, side="frequency")
 
-    # pair[a][b][s_a, t_b] = exp((i/2) Theta_ab s_a t_b) for a < d - 1, a != b
-    products = np.outer(freqs, freqs)
-    pair = [
-        [np.exp(0.5j * theta_arr[a, b] * products) if a != b else None for b in range(d)]
-        for a in range(lead)
-    ]
-    # chirp[t', s_d] = exp((i/2) s_d c(t')) = prod_k conj(pair[k][d-1])[t_k, s_d]
-    chirp = reduce(np.multiply, [
-        pair[k][lead].conj().reshape([m if ax in (k, lead) else 1 for ax in range(d)])
-        for k in range(lead)
-    ])
-    # ghat rows t' - s' along the last lead axis, zero outside the box
-    gpad = np.pad(gspec, [(half, half) if ax == lead - 1 else (0, 0) for ax in range(d)])
-    block = max(1, FFT_ROWS // m**lead)
-    order = (lead - 1, *range(lead - 1), lead, d)  # the block axis first
-
-    out = np.zeros((m,) * d, dtype=complex)
-    for idx in np.ndindex(*(m,) * (lead - 1)):
-        # the leading t' whose row t' - s' lies inside the box, and those rows
-        tbox = tuple(slice(max(0, i - half), min(m, i + half)) for i in idx)
-        gbox = tuple(slice(max(0, half - i), min(m, m + half - i)) for i in idx)
-        # phase exp((i/2) (Theta^T s') . t) = prod_b prod_{a<d-1} pair[a][b][s_a, t_b]
-        # (Theta_bb = 0 drops a = b); fixed[b] holds the factors of the leading s'
-        fixed = [
-            reduce(np.multiply, [pair[a][b][idx[a]] for a in range(lead - 1) if a != b], np.ones(m))
-            for b in range(d)
-        ]
-        for j0 in range(0, m, block):
-            j1 = min(m, j0 + block)
-            t0, t1 = max(0, j0 - half), min(m, j1 - 1 + half)
-            tboxes = tbox + (slice(t0, t1), slice(None))
-            rows = np.arange(t0, t1) - np.arange(j0, j1)[:, None] + m  # padded row of t' - s'
-            fblock = fhat.values[idx + (slice(j0, j1),)]
-            x = fblock.reshape((j1 - j0,) + (1,) * lead + (m,)) * chirp[tboxes]
-            grows = gpad[gbox + (rows,)].transpose(order)
-            conv = ifft_kept(np.fft.fft(x, n=n, axis=-1) * grows)  # [s'_last, t', t_d]
-            if lead > 1:  # the factors of the leading t', where s'_last enters all but one
-                phase = fixed[lead - 1][t0:t1, None]
-                for b in range(lead - 1):
-                    factor = pair[lead - 1][b][j0:j1, tbox[b]] * fixed[b][tbox[b]]
-                    shape = (j1 - j0,) + (1,) * b + (-1,) + (1,) * (d - 1 - b)
-                    phase = phase * factor.reshape(shape)
-                conv = conv * phase
-            last = pair[lead - 1][lead][j0:j1] * fixed[lead]
-            out[tboxes] += np.einsum("b...n,bn->...n", conv, last)
-    return GridFunction(d, fhat.half_length, m, out * ds, side="frequency")
+    rows = m**lead  # the lead points v', row-major
+    c = reduce(np.add.outer, [freqs * theta_arr[a, lead] for a in range(lead)]).ravel()
+    chirp = np.exp(0.5j * np.outer(c, freqs))  # [v', x] = exp((i/2) x c(v'))
+    fspec = np.fft.fft(fhat.values.reshape(rows, m) * chirp.conj(), n=n, axis=-1)
+    gspec = np.fft.fft(ghat.values.reshape(rows, m) * chirp, n=n, axis=-1)
+    weight = chirp * chirp  # exp(i x c(v'))
+    idx, s_flat, u_flat, offsets, block = _convolution_pairs(m, lead)
+    if lead > 1:  # exp((i/2) s'.Theta' t') per pair
+        pair = np.exp(0.5j * sum(
+            theta_arr[a, b] * freqs[idx[lead + a]] * freqs[idx[b]]
+            for a in range(lead) for b in range(lead) if a != b
+        ))
+    out = np.empty((rows, m), dtype=complex)
+    for t0 in range(0, rows, block):
+        t1 = min(rows, t0 + block)
+        p0, p1 = offsets[t0], offsets[t1]
+        spec = fspec.take(s_flat[p0:p1], axis=0)
+        spec *= gspec.take(u_flat[p0:p1], axis=0)
+        conv = weight.take(s_flat[p0:p1], axis=0)
+        conv *= ifft_kept(spec)
+        if lead > 1:
+            conv *= pair[p0:p1, None]
+        out[t0:t1] = np.add.reduceat(conv, offsets[t0:t1] - p0, axis=0)
+    out *= chirp.conj() * ds
+    return GridFunction(d, fhat.half_length, m, out.reshape((m,) * d), side="frequency")
 
 
 def star_product_fourier(

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from ncspaces import checks, cli, spectra, symplectic, weyl_dynamics as wd
 from ncspaces.cli import EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_OK, build_parser, main
-from ncspaces.errors import ValidationError
+from ncspaces.errors import ValidationError, clip
 from ncspaces.gridfn import GridFunction, read_gridfn, write_gridfn
 from ncspaces.serialize import (
     matrix_to_json,
@@ -72,6 +72,14 @@ def invalid_input_stderr(capsys, argv) -> str:
     assert code == EXIT_INVALID, err
     assert max(map(len, err.splitlines()), default=0) <= 200, err
     return err
+
+
+def deep_path(tmp_path, name):
+    """tmp_path / <a 120-character folder> / name, the folder made: an error
+    message can show such a path whole in no line of 200 characters."""
+    folder = tmp_path / ("d" * 120)
+    folder.mkdir(exist_ok=True)
+    return folder / name
 
 
 # Output name -> arguments of one run whose output must be the same bytes in
@@ -512,35 +520,30 @@ class TestCliBasics:
         assert capsys.readouterr().out.startswith("k: 8100 (sqrt exact)\n")
 
     @pytest.mark.parametrize("content", [None, b"\xff\xfe"], ids=["missing", "not-utf8"])
-    def test_algebra_unreadable_input_exits_2(self, tmp_path, capsys, monkeypatch, content):
-        # file names here are relative, as typed: a message shows a path whole
-        # (an OSError's twice), so a deep temporary path alone passes 200 characters
-        monkeypatch.chdir(tmp_path)
-        path = "in.json"
+    def test_algebra_unreadable_input_exits_2(self, tmp_path, capsys, content):
+        path = deep_path(tmp_path, "in.json")
         if content is not None:
-            (tmp_path / path).write_bytes(content)
-        err = invalid_input_stderr(capsys, ["algebra", "--input", path])
-        assert f"cannot read input {path}" in err
+            path.write_bytes(content)
+        err = invalid_input_stderr(capsys, ["algebra", "--input", str(path)])
+        assert f"cannot read input {clip(str(path))}: " in err
         assert "malformed" not in err  # an unreadable file is not malformed JSON
 
-    def test_config_integer_past_digit_limit_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # a relative file name, as in the test above
-        cfg = "cfg.json"
-        (tmp_path / cfg).write_text('{"k": ' + "1" * 5000 + "}")
-        err = invalid_input_stderr(capsys, ["audit", "--config", cfg])
-        assert f"{cfg}: malformed JSON config" in err
+    def test_config_integer_past_digit_limit_exits_2(self, tmp_path, capsys):
+        cfg = deep_path(tmp_path, "cfg.json")
+        cfg.write_text('{"k": ' + "1" * 5000 + "}")
+        err = invalid_input_stderr(capsys, ["audit", "--config", str(cfg)])
+        assert f"{clip(str(cfg))}: malformed JSON config" in err
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b"\xff\xfe")
         err = invalid_input_stderr(capsys, ["audit", "--config", str(cfg)])
-        assert f"cannot read config {cfg}" in err
+        assert f"cannot read config {clip(str(cfg))}: " in err
 
-    def test_moyal_missing_input_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # relative file names, as in the tests above
-        f, g = "a.gridfn", "b.gridfn"
-        err = invalid_input_stderr(capsys, ["moyal", "--f", f, "--g", g])
-        assert f"cannot read grid file {f}" in err
+    def test_moyal_missing_input_exits_2(self, tmp_path, capsys):
+        f, g = deep_path(tmp_path, "a.gridfn"), deep_path(tmp_path, "b.gridfn")
+        err = invalid_input_stderr(capsys, ["moyal", "--f", str(f), "--g", str(g)])
+        assert f"cannot read grid file {clip(str(f))}: " in err
 
     def test_moyal_fourier_past_convolve_cap_exits_2(self, tmp_path, capsys):
         # three axes at M = 32: M^5 = 2^25 is past the cap of 2^24
@@ -555,7 +558,7 @@ class TestCliBasics:
         path = tmp_path / "theta.csv"
         path.write_bytes(b"\xff\xfe0,1\n")
         err = invalid_input_stderr(capsys, ["symplectic", "--theta", str(path)])
-        assert f"cannot read theta {path}" in err
+        assert f"cannot read theta {clip(str(path))}: " in err
 
     # each payload has the length the truncated header would ask for
     @pytest.mark.parametrize("header, samples, message", [

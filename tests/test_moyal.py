@@ -316,8 +316,10 @@ class TestTwistedConvolve:
         with pytest.raises(SizeCapError, match="twisted convolution M"):
             twisted_convolve(fhat, fhat, theta)
 
+    # at M = 2 and 4 one block spans the box, and the rows t' - s' that fall
+    # outside it (a quarter of the pairs per axis at M = 2) are never gathered
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("points", [8, 16])
+    @pytest.mark.parametrize("points", [2, 4, 8, 16])
     def test_matches_brute_force_oracle(self, dim, points):
         rng = np.random.default_rng(10 * dim + points)
         theta = SkewMatrix.random(dim, rng, scale=2.0)
@@ -332,8 +334,8 @@ class TestTwistedConvolve:
         got = twisted_convolve(fh, gh, theta).values
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    # at d = 2 a call runs in blocks of FFT_ROWS // M rows of s_0 (8 at
-    # M = 32, 4 at M = 64); at d = 3, M = 16 every block is one row of s_1
+    # a block holds about FFT_ROWS pairs (s', t'): 11 values of t_0 at M = 32
+    # on the plane, 5 at M = 64 and 2 points t' at d = 3, M = 16
     @pytest.mark.parametrize("dim, points", [(2, 32), (2, 64), (3, 16)])
     def test_blocks_match_brute_force_oracle(self, dim, points):
         rng = np.random.default_rng(1000 * dim + points)
@@ -437,6 +439,20 @@ class TestRegularRepresentation:
         want = entries * np.exp(0.5j * (tvecs @ theta.as_array() @ tvecs.T)) * fhat.freq_step**3
         got = regular_rep_matrix(fhat, theta)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_twisted_convolve_d2(self, sign):
+        rng = np.random.default_rng(7)
+        theta = SkewMatrix.rotation(sign * 1.3)
+        shape = (16,) * 2
+        fhat, ghat = (
+            GridFunction(2, 5.0, 16, rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                         side="frequency")
+            for _ in range(2)
+        )
+        applied = regular_rep_matrix(fhat, theta) @ ghat.values.ravel()
+        expected = twisted_convolve(fhat, ghat, theta).values.ravel()
+        assert np.abs(applied - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_matches_twisted_convolve_d3(self):
         rng = np.random.default_rng(8)
