@@ -76,19 +76,37 @@ def box_points(axis: np.ndarray, dim: int) -> np.ndarray:
     return np.stack([axis[i].ravel() for i in np.indices((len(axis),) * dim)], axis=1)
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value of a dense matrix, or an upper bound on it.
+def spectral_norm(a: np.ndarray) -> float | np.ndarray:
+    """Largest singular value of a dense matrix, or an upper bound on it; one
+    value per matrix of a stack ``(..., m, n)``.
 
     One full SVD at every size (Golub & Van Loan, *Matrix Computations*,
     sec. 2.3), so a gate ``spectral_norm(defect) <= tol`` certifies what it
     says.  A round-off matrix, Frobenius norm at most 1e-13, skips the SVD and
     gets ``min(||A||_F, sqrt(||A||_1 ||A||_inf))``: both bound ``||A||_2``
     from above, and the second is exact for monomial matrices such as
-    clock/shift defects.
+    clock/shift defects.  A matrix gives a float; a stack gives an array, each
+    entry bitwise equal to the call on that matrix alone.
     """
     a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError("spectral_norm expects a matrix")
+    if a.ndim < 2:
+        raise ValueError("spectral_norm expects a matrix or a stack of matrices")
+    if a.ndim == 2:
+        return _matrix_norm(a)
+    out = np.zeros(a.shape[:-2])
+    # Frobenius norms to within a few roundings: a matrix that may lie at or
+    # below the round-off threshold takes the one-matrix path, which decides
+    # exactly; every other matrix is certainly above it, and all of those go
+    # through one stacked SVD
+    fro = np.sqrt(np.einsum("...ij,...ij->...", a.conj(), a).real)
+    near = fro <= 2e-13
+    out[near] = [_matrix_norm(m) for m in a[near]]
+    if not near.all():
+        out[~near] = np.linalg.svd(a[~near], compute_uv=False)[..., 0]
+    return out
+
+
+def _matrix_norm(a: np.ndarray) -> float:
     if min(a.shape) == 0:
         return 0.0
     fro = float(np.sqrt(np.vdot(a, a).real))
@@ -116,9 +134,20 @@ class HermitianExponential:
 
     def __init__(self, p: np.ndarray):
         self._w, self._v = np.linalg.eigh(p)
+        self._radius = float(np.abs(self._w).max(initial=0.0))
 
-    def at(self, t: float) -> np.ndarray:
-        return (self._v * np.exp(1j * t * self._w)) @ self._v.conj().T
+    def at(self, t) -> np.ndarray:
+        """exp(iPt) for a real t, or one exp(iPt) per entry of an array of
+        times, stacked as ``t.shape + (n, n)``.  A time whose product with the
+        largest eigenvalue modulus of P overflows is a ValidationError, raised
+        before any exponential is formed."""
+        t = np.asarray(t, dtype=float)
+        if not math.isfinite(float(np.abs(t).max(initial=0.0)) * self._radius):
+            raise ValidationError(
+                f"sample time times the generator's eigenvalue modulus {self._radius:.3g}"
+                " is not finite")
+        phases = np.exp(1j * t[..., None] * self._w)[..., None, :]
+        return (self._v * phases) @ self._v.conj().T
 
 
 def fourier_multiplier(symbol: np.ndarray) -> np.ndarray:

@@ -236,7 +236,8 @@ def generator_bound_check(pair: HermitianPair, ts: Sequence[float]) -> Generator
     Necessity: ||exp(iPt) - exp(iP't)|| <= ||P - P'|| |t| for every sampled t.
     Sufficiency direction: the small-t ratio sup_t ||...||/|t| recovers
     ||P - P'||; only the samples below 0.01/||P - P'|| enter the estimate, or
-    the 8 smallest when none lies below.
+    the 8 smallest when none lies below.  A sample time whose phases t w
+    overflow is a ValidationError.
     """
     ts = [t for t in (as_real("sample time", t) for t in ts) if t != 0.0]
     if not ts:
@@ -244,10 +245,11 @@ def generator_bound_check(pair: HermitianPair, ts: Sequence[float]) -> Generator
     dnorm = pair.difference_norm()
     ea = HermitianExponential(pair.first)
     eb = HermitianExponential(pair.second)
+    times = np.array(ts)
+    gaps = spectral_norm(ea.at(times) - eb.at(times)).tolist()
     excess = 0.0
     ratios: List[Tuple[float, float]] = []
-    for t in ts:
-        gap = spectral_norm(ea.at(t) - eb.at(t))
+    for t, gap in zip(ts, gaps):
         excess = max(excess, gap - dnorm * abs(t))
         ratios.append((abs(t), gap / abs(t)))
     cutoff = 0.01 / dnorm if dnorm > 0 else float("inf")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncspaces.errors import DENSE_CAP, DegenerateFitError, SizeCapError, ValidationError
-from ncspaces.linalg import gamma_n, holder_bound
+from ncspaces.linalg import HermitianExponential, gamma_n, holder_bound, spectral_norm
 from ncspaces.symplectic import GridSpec, gaussian_state
 from ncspaces.weyl_dynamics import (
     HermitianPair,
@@ -219,6 +219,31 @@ class TestGeneratorBound:
         pair = HermitianPair(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(ValidationError):
             generator_bound_check(pair, [0.0])
+
+    def test_rejects_time_that_overflows_the_phase(self):
+        # t times the eigenvalue 1e10 is past the float range: exp(i t w) would
+        # be NaN and the SVD would not converge
+        pair = HermitianPair(np.diag([1e10, 0.0]), np.diag([1.0, -1.0]))
+        with pytest.raises(ValidationError, match="not finite"):
+            generator_bound_check(pair, [1e300])
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_a_loop_over_single_samples(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        p1 = (x + x.conj().T) / 2
+        ts = [-2.0, 1e-5, 3e-4, 0.1, 0.7, 3.0]
+        for p2 in (p1 + (y + y.conj().T) / 2, p1):  # p1 twice: every gap is round-off
+            pair = HermitianPair(p1, p2)
+            ea, eb = HermitianExponential(pair.first), HermitianExponential(pair.second)
+            gaps = [spectral_norm(ea.at(t) - eb.at(t)) for t in ts]
+            dnorm = pair.difference_norm()
+            small = [g / abs(t) for g, t in zip(gaps, ts) if dnorm == 0 or abs(t) <= 0.01 / dnorm]
+            rep = generator_bound_check(pair, ts)
+            assert rep.max_necessity_excess == max(
+                [0.0] + [g - dnorm * abs(t) for g, t in zip(gaps, ts)])
+            assert rep.slope_estimate == max(small)
 
 
 def scalar_field(fn):
