@@ -12,13 +12,15 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
+from itertools import count
+from math import isqrt
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import finite_reps as fr
 from . import moyal, spectra, symplectic, twisted_algebra as ta, weyl_dynamics as wd
-from .errors import as_index, guard
+from .errors import DENSE_CAP, ValidationError, as_index, guard
 from .gridfn import GridFunction, integral, to_position
 from .phases import Cyclotomic
 from .skew import SkewMatrix, upper_pairs
@@ -26,6 +28,9 @@ from .skew import SkewMatrix, upper_pairs
 DEFAULT_SEED = 0xA1B2C3D4
 NORMAL_FORM_TOL = 1e-10  # symplectic/normal-form and `ncspaces symplectic`
 COUNT_CAP = 10_000  # the draws of a counted check; 10 times the default algebra_triples
+PAIR_QMAX = {2: 16, 3: 5, 4: 3, 5: 2}  # random_pair_table's largest q per d; 2 past d = 5
+# the largest d whose tensor, each pair at its largest q, fits DENSE_CAP (q >= 2: it grows with d)
+TENSOR_D_CAP = next(d - 1 for d in count(2) if PAIR_QMAX.get(d, 2) ** (d * (d - 1) // 2) > DENSE_CAP)
 
 # the documented negative results (README, "Known negative results"): each
 # result name that fails for a stated mathematical reason, with that reason
@@ -54,13 +59,22 @@ class CheckConfig:
         """Every field an integer at or above its minimum: a seed >= 0, pairs
         from d = 2, at least two Hoelder offsets, and one case of every other
         size, so that no check passes on an empty run; the counted draws at
-        most COUNT_CAP (the other sizes meet DENSE_CAP, DIRECT_CAP or q_cap)."""
+        most COUNT_CAP, and the other sizes within the caps of the code they
+        size: the tensor side DENSE_CAP, the Hoelder q = 2^k DEFAULT_Q_CAP, and
+        check_moyal's M = max(32, moyal_points) a power of two with M^2 <=
+        DIRECT_CAP.  All before any check runs."""
         minimum = {"seed": 0, "tensor_max_d": 2, "holder_max_k": 4}
         counted = ("algebra_triples", "symplectic_cases", "metric_pairs", "hermitian_pairs")
         for f in fields(self):
             setattr(self, f.name, as_index(f.name, getattr(self, f.name), minimum.get(f.name, 1)))
         for name in counted:
             guard(name, getattr(self, name), COUNT_CAP)
+        guard("tensor_max_d", self.tensor_max_d, TENSOR_D_CAP)
+        guard("holder_max_k", self.holder_max_k, spectra.DEFAULT_Q_CAP.bit_length() - 1)
+        m = max(32, self.moyal_points)
+        if m & (m - 1):
+            raise ValidationError(f"moyal_points past 32 must be a power of two, got {m}")
+        guard("moyal_points", m, isqrt(moyal.DIRECT_CAP))
 
 
 class Record(NamedTuple):
@@ -166,7 +180,7 @@ def check_algebra_exactness(cfg: CheckConfig) -> List[CheckResult]:
 def random_pair_table(rng, d: int) -> dict:
     """One clock/shift pair at a random rational flux per index pair, with
     denominators small enough for the d-fold tensor assembly."""
-    qmax = {2: 16, 3: 5, 4: 3, 5: 2}.get(d, 2)
+    qmax = PAIR_QMAX.get(d, 2)
     table = {}
     for jk in upper_pairs(d):
         q = int(rng.integers(2, qmax + 1))

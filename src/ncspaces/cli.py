@@ -32,7 +32,7 @@ from . import moyal as moyal_mod
 from . import spectra, symplectic
 from . import weyl_dynamics as wd
 from .checks import DEFAULT_SEED
-from .errors import ValidationError, as_index, clip, guard
+from .errors import ValidationError, as_index, clip, guard, unreadable
 from .gridfn import GridFunction, GridSpec, atomic_open, encode_gridfn, read_gridfn
 from .serialize import list_of, matrix_to_json, poly_from_json, poly_to_json, real
 from .skew import SkewMatrix, upper_pairs
@@ -124,13 +124,6 @@ def load_config(command: str, path: Optional[str], flags: Dict[str, object]) -> 
 # -- input and output helpers ---------------------------------------------------
 
 
-def _unreadable(what: str, path, e: Exception) -> ValidationError:
-    """The invalid input of a file that cannot be read: what, the path once
-    (clipped) and the reason, an OSError's strerror without its path."""
-    reason = getattr(e, "strerror", None) or e
-    return ValidationError(f"cannot read {what} {clip(str(path))}: {reason}")
-
-
 def read_text(path: str, what: str) -> str:
     """The text of the UTF-8 file at path; a file that cannot be opened or
     decoded is invalid input, reported with what and the path."""
@@ -138,7 +131,7 @@ def read_text(path: str, what: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as e:
-        raise _unreadable(what, path, e) from e
+        raise unreadable(what, path, e) from e
 
 
 def read_json_object(path: str, what: str) -> dict:
@@ -264,10 +257,7 @@ def cmd_moyal(p: dict) -> Result:
     if p["f"] is not None or p["g"] is not None:
         if p["f"] is None or p["g"] is None:
             raise ValidationError("moyal needs both 'f' and 'g' grid files")
-        try:
-            f, g = read_gridfn(p["f"]), read_gridfn(p["g"])
-        except OSError as e:
-            raise _unreadable("grid file", e.filename, e) from e
+        f, g = read_gridfn(p["f"]), read_gridfn(p["g"])
     else:
         grid = parse_value("grid", p["grid"], _grid)
         f = GridFunction.gaussian(2, grid.half_length, grid.points, sigma=1.0)

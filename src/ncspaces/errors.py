@@ -47,6 +47,13 @@ def clip(text: str) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
+def unreadable(what: str, path, e: Exception) -> ValidationError:
+    """The invalid input of a file that cannot be read: what, the path once
+    (clipped) and the reason, an OSError's strerror without its path."""
+    reason = getattr(e, "strerror", None) or e
+    return ValidationError(f"cannot read {what} {clip(str(path))}: {reason}")
+
+
 def as_index(name: str, value, minimum: int = None) -> int:
     """value as an int by operator.index, which takes ints and NumPy integers
     but no float; a bool (which operator.index reads as 0 or 1), another

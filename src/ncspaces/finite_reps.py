@@ -420,6 +420,8 @@ def distance_lower_bound_check(a: UnitaryTuple, b: UnitaryTuple) -> LowerBoundRe
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+for _pauli in (_SX, _SY, _SZ):  # read-only: kron hands a single leg back as is
+    _pauli.flags.writeable = False
 
 
 def clifford_generators(n: int) -> Tuple[np.ndarray, ...]:

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import GridMismatchError, ValidationError, as_index, as_real
+from .errors import GridMismatchError, ValidationError, as_index, as_real, unreadable
 from .linalg import box_points
 
 BOUNDARY_DECAY_WARN = 1e-8
@@ -282,10 +282,13 @@ def read_gridfn(path) -> GridFunction:
     """The grid function in path.  A header that is not a JSON object, a d or
     M that is not an integer (1.5 is rejected, not truncated), an L that is no
     number (true included), a payload of the wrong length or a non-finite
-    sample is a ValidationError."""
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
+    sample is a ValidationError, and so is a file that cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            header_line = fh.readline()
+            payload = fh.read()
+    except OSError as e:
+        raise unreadable("grid file", path, e) from e
     try:
         header = json.loads(header_line.decode("utf-8"))
     except ValueError as e:  # not UTF-8, not JSON, or an integer past the digit limit

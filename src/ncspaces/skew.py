@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Mapping, Union
 
@@ -129,6 +130,14 @@ class SkewMatrix:
     @property
     def is_rational(self) -> bool:
         return all(isinstance(x, Fraction) for x in self.upper)
+
+    @cached_property
+    def twist(self):
+        """The structure form of ``twisted_algebra`` over this theta, built on
+        first use and kept on this object (not per equal value: a float and a
+        rational theta compare equal but have different forms)."""
+        from .twisted_algebra import _Twist
+        return _Twist(self)
 
     def denominator_lcm(self) -> int:
         if not self.is_rational:

@@ -97,7 +97,8 @@ def _root(num, den) -> np.ndarray:
 
 class _Twist:
     """The structure exponent c(m, m') = -m'.U m of one theta, U the strict
-    upper triangle of theta, as one bilinear form.
+    upper triangle of theta, as one bilinear form; built once per SkewMatrix
+    object, as ``theta.twist``.
 
     For rational theta ``order`` is Q = phase_order(theta) and ``form`` is the
     integer matrix K = Q U held as Python ints (dtype object), so Q c is exact
@@ -220,9 +221,8 @@ def structure_exponent(m: Sequence[int], m2: Sequence[int], theta: SkewMatrix):
         raise ValidationError(
             f"multi-index dimension {len(m)}/{len(m2)} != theta dimension {theta.dim}"
         )
-    twist = _Twist(theta)
-    c = twist.scaled(m, m2)
-    return Fraction(int(c), twist.order) if theta.is_rational else float(c)
+    c = theta.twist.scaled(m, m2)
+    return Fraction(int(c), theta.twist.order) if theta.is_rational else float(c)
 
 
 def structure_phase(m: Sequence[int], m2: Sequence[int], theta: SkewMatrix):
@@ -235,13 +235,13 @@ class NCPolynomial:
     """Finitely supported sum a = sum_m alpha_m u^m over a fixed theta.
 
     Held as the term arrays of the module docstring, of order Q =
-    phase_order(theta) when exact and 1 when float.  ``coeffs`` is the
-    read-only view {m: coefficient}, complex or Cyclotomic, built from the
-    arrays on first access and kept.
+    phase_order(theta) when exact and 1 when float.  ``coeffs`` is a new dict
+    {m: coefficient}, complex or Cyclotomic, built from the arrays on each
+    access, so writing into it leaves the polynomial as it was.  The structure
+    form is theta's (``SkewMatrix.twist``).
     """
 
-    __slots__ = ("theta", "_coeffs", "_order", "_twist", "_ms", "_rs", "_cs", "_den",
-                 "_mbound", "_cbound")
+    __slots__ = ("theta", "_order", "_ms", "_rs", "_cs", "_den", "_mbound", "_cbound")
 
     def __init__(
         self,
@@ -249,7 +249,6 @@ class NCPolynomial:
         coeffs: Dict[MultiIndex, Coefficient],
         exact: bool = None,
     ):
-        self.theta, self._coeffs = theta, None
         exact_flags = {isinstance(c, Cyclotomic) for c in coeffs.values()}
         if len(exact_flags) > 1:
             raise ValidationError("cannot mix exact and float coefficients")
@@ -291,35 +290,27 @@ class NCPolynomial:
         mbound = max((abs(x) for m, _, _ in rows for x in m), default=0)
         table = np.array([(*m, r) for m, r, _ in rows], dtype=exact_dtype(max(q, mbound)))
         table = table.reshape(len(rows), theta.dim + 1)
-        self._from_terms(q, None, table[:, :-1], table[:, -1].astype(np.int64), cs, den,
-                         mbound, cbound)
+        self._from_terms(theta, q, table[:, :-1], table[:, -1].astype(np.int64), cs, den, mbound,
+                         cbound)
 
-    def _from_terms(self, order, twist, ms, rs, cs, den, mbound, cbound) -> "NCPolynomial":
-        """Set the term arrays, already sorted and summed, and the upper bounds
-        mbound >= max|m| and, when exact, cbound >= max|numerator| (None when
-        float); numerators and denominator are reduced to lowest terms."""
+    def _from_terms(self, theta, order, ms, rs, cs, den, mbound, cbound) -> "NCPolynomial":
+        """Set theta, the order, the term arrays, already sorted and summed, and
+        the upper bounds mbound >= max|m| and, when exact, cbound >= max|numerator|
+        (None when float); numerators and denominator are reduced to lowest terms."""
         if den > 1:
             g = gcd(den, *cs.tolist())
             cs, den, cbound = cs // g, den // g, cbound // g
-        self._order, self._twist = order, twist
-        self._ms, self._rs, self._cs, self._den = ms, rs, cs, den
+        self.theta, self._order, self._den = theta, order, den
+        self._ms, self._rs, self._cs = ms, rs, cs
         self._mbound, self._cbound = mbound, cbound
         return self
-
-    def _structure(self) -> _Twist:
-        """The structure form of theta, built on first use and passed on to
-        every result computed from this polynomial."""
-        if self._twist is None:
-            self._twist = _Twist(self.theta)
-        return self._twist
 
     def _result(self, order, ms, rs, cs, den, mbound, cbound) -> "NCPolynomial":
         """A polynomial of the given order over this one's theta from internal
         term arrays and their bounds, without the public constructor's
         validation."""
-        out = object.__new__(NCPolynomial)
-        out.theta, out._coeffs = self.theta, None
-        return out._from_terms(order, self._twist, ms, rs, cs, den, mbound, cbound)
+        return object.__new__(NCPolynomial)._from_terms(self.theta, order, ms, rs, cs, den,
+                                                        mbound, cbound)
 
     # -- constructors --------------------------------------------------
 
@@ -347,16 +338,13 @@ class NCPolynomial:
 
     @property
     def coeffs(self) -> Dict[MultiIndex, Coefficient]:
-        if self._coeffs is None:
-            keys = map(tuple, self._ms.tolist())
-            if not self.exact:
-                self._coeffs = dict(zip(keys, self._cs.tolist()))
-                return self._coeffs
-            rows: Dict[MultiIndex, list] = {}
-            for m, r, c in zip(keys, self._rs.tolist(), self._cs.tolist()):
-                rows.setdefault(m, []).append((r, c))
-            self._coeffs = {m: self._cyclotomic(t) for m, t in rows.items()}
-        return self._coeffs
+        keys = map(tuple, self._ms.tolist())
+        if not self.exact:
+            return dict(zip(keys, self._cs.tolist()))
+        rows: Dict[MultiIndex, list] = {}
+        for m, r, c in zip(keys, self._rs.tolist(), self._cs.tolist()):
+            rows.setdefault(m, []).append((r, c))
+        return {m: self._cyclotomic(t) for m, t in rows.items()}
 
     def _cyclotomic(self, rows) -> Cyclotomic:
         """The exact coefficient sum c / den zeta^r over the (r, c) rows of one
@@ -471,7 +459,7 @@ def poly_mul(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
     sums the pairs, and m + m' is formed only for the rows that survive.
     """
     a._check_compatible(b)
-    twist, q = a._structure(), a._order
+    twist, q = a.theta.twist, a._order
     deg = a._mbound + b._mbound
     if a.exact:
         # distinct (m', r') rows: a product row gets at most one pair per term of a or b
@@ -501,7 +489,7 @@ def poly_adjoint(a: NCPolynomial) -> NCPolynomial:
     (c(m, m) = -c(m, -m) by bilinearity); the exact term c zeta^r u^m goes to
     c zeta^(Q c(m, m) - r) u^(-m).  Distinct (m, r) rows go to distinct rows,
     so the terms are only re-sorted, never summed."""
-    twist, q = a._structure(), a._order
+    twist, q = a.theta.twist, a._order
     if a.exact:
         ms = a._ms.astype(exact_dtype(twist.weight * max(a._mbound, 1) ** 2 + 2 * q))
         qc = ((ms @ twist.coupling(ms.dtype)) * ms).sum(axis=1)
@@ -590,7 +578,7 @@ def gns_matrix(a: NCPolynomial, radius: int) -> np.ndarray:
     ms = af._ms[near].astype(np.int64)
     t = len(ms)
     axis = np.arange(-radius, radius + 1)
-    roots = af._structure().axis_roots(ms, axis)  # (t, d, side)
+    roots = a.theta.twist.axis_roots(ms, axis)  # (t, d, side)
     # per axis k, the image coordinate m_k + x and the part of the flat index
     # row * n + col that axis contributes; an image leaving the box gets the
     # index n * n, past every entry, so its sum lands there whatever the rest
@@ -636,7 +624,7 @@ def cocycle_validate(theta: SkewMatrix, triples: Iterable) -> CocycleReport:
         raise ValidationError("sample list must be nonempty")
     if any(len(m) != theta.dim for t in triples for m in t):
         raise ValidationError(f"a multi-index dimension != theta dimension {theta.dim}")
-    twist = _Twist(theta)
+    twist = theta.twist
     m1, m2, m3 = (np.array(ms, dtype=twist.form.dtype) for ms in zip(*triples))
     c = twist.scaled
     assoc = c(m1, m2) + c(m1 + m2, m3) - c(m1, m2 + m3) - c(m2, m3)

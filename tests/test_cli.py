@@ -356,10 +356,18 @@ class TestCliBasics:
         ("metric_pairs", 2.0), ("hermitian_pairs", True),
         ("algebra_triples", checks.COUNT_CAP + 1), ("symplectic_cases", checks.COUNT_CAP + 1),
         ("metric_pairs", checks.COUNT_CAP + 1), ("hermitian_pairs", checks.COUNT_CAP + 1),
+        # past the caps of the code they size: the d = 6 tensor side 2^15,
+        # the Hoelder q = 2^8, a grid that is no power of two, M^2 = 128^2
+        ("tensor_max_d", 6), ("holder_max_k", 8), ("moyal_points", 48), ("moyal_points", 128),
     ])
     def test_check_config_rejects_bad_sizes(self, key, value):
         with pytest.raises(ValidationError, match=key):
             checks.CheckConfig(**{key: value})
+
+    def test_check_config_accepts_sizes_at_caps(self):
+        cfg = checks.CheckConfig(tensor_max_d=5, holder_max_k=7, moyal_points=64)
+        assert (cfg.tensor_max_d, cfg.holder_max_k, cfg.moyal_points) == (5, 7, 64)
+        checks.CheckConfig(moyal_points=31)  # below the floor it runs at 32
 
     @pytest.mark.parametrize("argv, content, message", [
         # levels 0 and -1 applied no refinement step and printed "holds: True"
@@ -397,12 +405,21 @@ class TestCliBasics:
         path.write_text(json.dumps(content))
         assert message in invalid_input_stderr(capsys, argv + [str(path)])
 
-    def test_all_checks_size_past_cap_exits_2_before_any_check(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("size, message", [
         # accepted before, a run of about a week at criterion 01's pace
+        ({"algebra_triples": 10**9}, "algebra_triples 1000000000 exceeds cap 10000"),
+        # these met their caps inside the checks, after about 1 s of earlier
+        # criteria; moyal_points 128 first built two M x M Gaussians
+        ({"tensor_max_d": 6}, "tensor_max_d 6 exceeds cap 5"),
+        ({"holder_max_k": 8}, "holder_max_k 8 exceeds cap 7"),
+        ({"moyal_points": 48}, "moyal_points past 32 must be a power of two, got 48"),
+        ({"moyal_points": 128}, "moyal_points 128 exceeds cap 64"),
+    ], ids=["triples", "tensor", "holder", "moyal-48", "moyal-128"])
+    def test_all_checks_size_past_cap_exits_2_before_any_check(self, tmp_path, capsys, monkeypatch,
+                                                               size, message):
         monkeypatch.setattr(checks, "run_all_checks", lambda cfg: pytest.fail("a check ran"))
-        cfg = config_file(tmp_path, {"algebra_triples": 10**9})
-        err = invalid_input_stderr(capsys, ["all-checks", "--config", cfg])
-        assert "algebra_triples 1000000000 exceeds cap 10000" in err
+        cfg = config_file(tmp_path, size)
+        assert message in invalid_input_stderr(capsys, ["all-checks", "--config", cfg])
 
     @pytest.mark.parametrize("argv, config", [
         pytest.param(["symplectic", "--theta", "nan", "--d", "2"], None, id="symplectic-theta"),
@@ -545,6 +562,24 @@ class TestCliBasics:
         err = invalid_input_stderr(capsys, ["moyal", "--f", str(f), "--g", str(g)])
         assert f"cannot read grid file {clip(str(f))}: " in err
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["moyal", "--method", "bogus", "--grid", "16,6.0"], "unknown method 'bogus'",
+                     id="moyal-method"),
+        pytest.param(["relations", "--theta", "bogus"], "unknown pair spec 'bogus'",
+                     id="relations-theta"),
+        pytest.param(["moyal", "--f", "{tmp}/f.gridfn"], "moyal needs both 'f' and 'g' grid files",
+                     id="moyal-f-only"),
+        pytest.param(["algebra", "--input", "{tmp}/b-only.json"], "missing polynomial 'a'",
+                     id="algebra-no-a"),
+        pytest.param(["audit", "--config", "{tmp}/array.json"], "config must be a JSON object",
+                     id="config-array"),
+    ])
+    def test_invalid_input_exits_2(self, tmp_path, capsys, argv, message):
+        (tmp_path / "b-only.json").write_text(json.dumps({"b": {"dim": 2, "upper": [0.5]}}))
+        (tmp_path / "array.json").write_text("[1, 2]")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert message in invalid_input_stderr(capsys, argv)
+
     def test_moyal_fourier_past_convolve_cap_exits_2(self, tmp_path, capsys):
         # three axes at M = 32: M^5 = 2^25 is past the cap of 2^24
         f = GridFunction.gaussian(3, 8.0, 32, sigma=1.0)
@@ -671,6 +706,17 @@ class TestCliPipelines:
                      "--method", "direct", "--out", str(out)]) == EXIT_OK
         prod = read_gridfn(out)
         assert np.isfinite(prod.values).all()
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # products spread past the demo box
+    @pytest.mark.parametrize("theta", ["zero", "random"])
+    def test_moyal_demo_without_out_prints_summary(self, capsys, theta):
+        assert main(["moyal", "--grid", "16,6.0", "--theta", theta, "--method", "direct"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("star product computed: max |value| = ")
+        if theta == "zero":  # the pointwise product of the demo's two Gaussians
+            f = GridFunction.gaussian(2, 6.0, 16, sigma=1.0)
+            g = GridFunction.gaussian(2, 6.0, 16, sigma=1.3, center=(0.4, -0.3))
+            assert float(out.split("= ")[1]) == pytest.approx(np.abs(f.values * g.values).max())
 
     def test_moyal_direct_deterministic_bytes(self, tmp_path):
         cfg = config_file(tmp_path, {"grid": "32,6.0", "theta": "1"})

@@ -531,6 +531,15 @@ class TestClifford:
         with pytest.raises(ValidationError):
             clifford_generators(13)
 
+    def test_generators_are_read_only(self):
+        # n <= 2 handed out the module's Pauli matrices themselves, so a write
+        # changed every later result (fock_identities_check(1, 3) read 147.0)
+        for n in (1, 2):
+            with pytest.raises(ValueError, match="read-only"):
+                clifford_generators(n)[0][0, 0] = 7
+        assert np.array_equal(clifford_generators(1)[0], [[0, 1], [1, 0]])
+        assert finite_reps.fock_identities_check(1, 3).product_identity_residual <= 1e-12
+
 
 class TestFock:
     def test_ladder_matrices_explicit(self):

@@ -13,6 +13,7 @@ from ncspaces.checks import random_exact_poly, random_rational_theta
 from ncspaces.errors import SizeCapError, ThetaMismatchError, ValidationError
 from ncspaces import phases
 from ncspaces.phases import Cyclotomic
+from ncspaces.serialize import poly_to_json
 from ncspaces.skew import SkewMatrix
 from ncspaces import twisted_algebra as ta
 from ncspaces.twisted_algebra import (
@@ -357,6 +358,43 @@ class TestCanonicalEquality:
             assert basis.shape == (q, len(phases.cyclotomic_polynomial(q)) - 1)
             values = basis @ zeta ** np.arange(basis.shape[1])
             assert np.abs(values - zeta ** np.arange(q)).max() < 1e-9
+
+
+class TestHeldState:
+    """A polynomial holds theta, its order and its term arrays; its structure
+    form is theta's."""
+
+    @pytest.mark.parametrize("theta, coeff", [(SkewMatrix.rotation(0.5), 1.0),
+                                              (THETA_QUARTER, Cyclotomic.one(4))],
+                             ids=["float", "exact"])
+    def test_writing_into_coeffs_changes_nothing(self, theta, coeff):
+        # coeffs was the polynomial's cached dict itself: a write changed what
+        # poly_to_json and repr reported, while == still read the arrays
+        p = NCPolynomial(theta, {(1, 0): coeff})
+        before = (p.coeffs, poly_to_json(p), repr(p))
+        p.coeffs[(0, 1)] = coeff
+        assert (p.coeffs, poly_to_json(p), repr(p)) == before
+
+    def test_structure_form_is_built_once_per_theta_object(self, monkeypatch):
+        built = []
+
+        class Counted(ta._Twist):
+            def __init__(self, theta):
+                built.append(theta)
+                super().__init__(theta)
+
+        monkeypatch.setattr(ta, "_Twist", Counted)
+        theta = SkewMatrix.rotation(Fraction(1, 4))
+        a, b = (NCPolynomial.exact_monomial(theta, m) for m in [(1, 0), (0, 1)])
+        poly_adjoint(poly_mul(a, b))
+        gns_matrix(poly_mul(b, a).to_float(), 1)
+        ta.structure_exponent((1, 0), (0, 1), theta)
+        cocycle_validate(theta, [((1, 0), (0, 1), (1, 1))])
+        assert len(built) == 1 and built[0] is theta
+        # an equal theta of float entries is another object with its own form
+        approx = SkewMatrix.rotation(0.25)
+        assert approx == theta and hash(approx) == hash(theta)
+        assert (theta.twist.order, approx.twist.order) == (4, 1)
 
 
 class TestPolyMul:
