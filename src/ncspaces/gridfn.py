@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
+from math import inf
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,6 +30,22 @@ from .errors import GridMismatchError, ValidationError, as_index, as_real, unrea
 from .linalg import box_points
 
 BOUNDARY_DECAY_WARN = 1e-8
+
+
+def checked_power(
+    what: str, base: float, n: int, low: float = 2.0**-1022, high: float = 2.0**1022
+) -> float:
+    """base**n for a base > 0, if it lies in [low, high], by default the
+    normal floats whose reciprocals are normal too; otherwise a
+    ValidationError naming what.  Past that range a cell volume or a
+    transform scale overflows or keeps no digit."""
+    try:
+        power = base**n
+    except OverflowError:
+        power = inf
+    if not low <= power <= high:
+        raise ValidationError(f"{what} = {base!r}^{n} = {power!r} is outside [{low!r}, {high!r}]")
+    return power
 
 
 class UniformGrid:
@@ -42,6 +58,13 @@ class UniformGrid:
     def _check_grid(self):
         object.__setattr__(self, "points", as_index("grid points M", self.points, 2))
         object.__setattr__(self, "half_length", as_real("grid L", self.half_length, above=0))
+
+    def _check_cells(self, dim: int):
+        """The weights of l2_norm and integral and the transforms' scale on
+        dim axes, (2L/M)^dim, (pi/L)^dim and (pi M/L)^dim, are normal floats."""
+        checked_power("cell volume (2L/M)^d", self.step, dim)
+        checked_power("dual cell volume (pi/L)^d", self.freq_step, dim)
+        checked_power("transform scale (pi M/L)^d", 2.0 * np.pi / self.step, dim)
 
     @property
     def step(self) -> float:
@@ -114,6 +137,7 @@ class GridFunction(UniformGrid):
         m = self.points
         if m & (m - 1):
             raise ValidationError(f"points per axis must be a power of two, got {m}")
+        self._check_cells(self.dim)
         if self.side not in ("position", "frequency"):
             raise ValidationError(f"unknown side {self.side!r}")
         vals = np.asarray(self.values, dtype=complex)
@@ -183,7 +207,9 @@ class GridFunction(UniformGrid):
         normalized: bool = True,
     ) -> "GridFunction":
         """exp(-|x - c|^2 / (2 sigma^2)), L2-normalized on the grid by default."""
-        samples = GridSpec(points, half_length).gaussian_samples(dim, sigma, center)
+        grid = GridSpec(points, half_length)
+        grid._check_cells(as_index("dimension", dim, 1))  # before any sample is formed
+        samples = grid.gaussian_samples(dim, sigma, center)
         g = cls(dim, half_length, points, samples)
         if normalized:
             g = GridFunction(dim, half_length, points, g.values / l2_norm(g))
@@ -250,15 +276,20 @@ def freq_grid_vectors(f: GridFunction) -> np.ndarray:
 def atomic_open(path):
     """Binary file handle on a temp file beside path, renamed onto path when
     the block ends; on any error the temp file is removed and path keeps its
-    old contents.  The file gets the mode a plain open would give it
-    (0o666 less the umask), not mkstemp's 0o600."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
+    old contents.  The temp file is created with mode 0o666, so the kernel
+    gives it the mode a plain open would (0o666 less the umask), and the
+    process umask is neither read nor changed."""
+    folder = os.path.dirname(os.path.abspath(path))
+    while True:  # a fresh random name, again if it is taken
+        tmp = os.path.join(folder, f".tmp-{os.urandom(8).hex()}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -24,9 +24,9 @@ the shifted f samples.  On the plane the shift x + (1/2) Theta s moves x_1 by
 -theta s_0 / 2 and x_0 by theta s_1 / 2, so the sum factorizes one axis at a
 time: rows of fhat and ghat interpolated along x_1 at sheared points, their
 products summed over the pairs of first-axis modes with the same total, then
-one transform over that total, O(M^3 log M) in all.  It calls the raw inverse
-FFT itself: the sample-grid signs (-1)^n sit in its (M, M) shear table, so no
-pass over an (M, M, M) array applies them.
+one transform over that total, O(M^3 log M) in all, run in blocks of about
+FFT_ROWS rows.  It calls the raw inverse FFT itself: the sample-grid signs
+(-1)^n sit in its (M, M) shear table, so no pass over the rows applies them.
 
 twisted_convolve performs the frequency-side sum with zero padding (no
 wraparound).  With u = t - s the twist is theta(s, u); since Theta_dd = 0 it
@@ -40,32 +40,61 @@ routes share only to_frequency, so their agreement is a meaningful cross-check.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cache, reduce
-from math import gamma, pi, sqrt
-from typing import List
+from math import gamma, isfinite, pi, sqrt
+from typing import Callable, List
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DENSE_CAP, ValidationError, as_index, as_real, guard
-from .gridfn import GridFunction, freq_grid_vectors, l2_norm, to_frequency, to_position
+from .gridfn import (
+    GridFunction, checked_power, freq_grid_vectors, l2_norm, to_frequency, to_position,
+)
 from .skew import SkewMatrix
 
 DIRECT_CAP = 4096  # M^d cap for the position-side quadrature
 # M^(2d-1) cap for twisted_convolve, whose cost is O(M^(2d-1) log M): the
 # plane up to M = 256 and d = 3 up to M = 16
 CONVOLVE_CAP = 2**24
-# inverse FFT rows per batched call of twisted_convolve: a block is a run of
-# consecutive t' whose pairs (s', t') number about FFT_ROWS; at M = 64 on the
-# plane that is 5 values of t_0, a working set of about 256 rows of 96 complex
-# values, 0.4 MB.  Larger blocks measured slower on the plane.
+# inverse FFT rows per batched call of both star products.  In
+# twisted_convolve a block is a run of consecutive t' whose pairs (s', t')
+# number about FFT_ROWS; at M = 64 on the plane that is 5 values of t_0, a
+# working set of about 256 rows of 96 complex values, 0.4 MB.  In moyal_direct
+# it is FFT_ROWS // M first-axis modes of M rows of M values each, 256 KB per
+# block array at any M.  Larger blocks measured slower on the plane.
 FFT_ROWS = 256
 
 
-def _check_theta(f: GridFunction, theta: SkewMatrix):
+def _check_theta(f: GridFunction, theta: SkewMatrix, phase_weight: Callable[[np.ndarray], float]):
+    """theta fits f's grid: the same dimension, and w s_max^2 finite for
+    w = phase_weight(|Theta|) > 0, the largest twist phase the caller forms
+    on the frequency box: past the float range it would be inf and its
+    exponential NaN.  (For d >= 2 the cell checks keep s_max^2 finite; with
+    w = 0, as on a line, no phase is formed.)"""
     if theta.dim != f.dim:
         raise ValidationError(f"theta dimension {theta.dim} != grid dimension {f.dim}")
+    s_max = f.freq_step * (f.points // 2)
+    weight = phase_weight(np.abs(theta.as_array()))
+    bound = weight * (s_max * s_max)
+    if weight and not isfinite(bound):
+        raise ValidationError(
+            f"twist phase bound {bound!r} for s_max = {s_max!r} leaves the float range"
+        )
+
+
+def _half_largest(theta_abs: np.ndarray) -> float:
+    """(1/2) max |Theta_jk|: each phase table (i/2) Theta_jk s s'."""
+    return 0.5 * float(theta_abs.max())
+
+
+def _convolve_largest(theta_abs: np.ndarray) -> float:
+    """The larger of sum_a |Theta_a,d-1| and sum_{a, b < d-1} |Theta_ab|: the
+    chirp phases x c(v') and the pair phases s'.Theta' t' of twisted_convolve,
+    before their 1/2."""
+    return float(max(theta_abs[:-1, -1].sum(), theta_abs[:-1, :-1].sum()))
 
 
 # -- star product: position-side quadrature -----------------------------------
@@ -93,14 +122,16 @@ def moyal_direct(f: GridFunction, g: GridFunction, theta: SkewMatrix) -> GridFun
     (-1)^(j + n + M/2) e^{2 pi i j n / M}: the signs in n cancel in the
     product of the two interpolants and vanish from e^{i (m_0 + s_0) x_0},
     and the signs (-1)^(m_0 + s_0 + m_1 + s_1) sit in the (M, M) shear table.
-    The passes over (M, M, M) arrays are the two sheared products, their two
-    batched inverse FFTs and one product summed over the diagonals.  For
-    d = 1, Theta = 0 and the sum is the product of the two interpolants, which
-    at the sample points is the pointwise product.  Guarded to d <= 2 and
-    M^d <= DIRECT_CAP.
+    The modes m_0 run in blocks of FFT_ROWS // M (at least one): per block the
+    two sheared products, their two batched inverse FFTs and their product,
+    folded into one (M, M) running total in the order of a sum over all m_0,
+    so the result does not depend on the block size.  That is O(M^3 log M)
+    time and O(M^2 + FFT_ROWS M) memory.  For d = 1, Theta = 0 and the sum is
+    the product of the two interpolants, which at the sample points is the
+    pointwise product.  Guarded to d <= 2 and M^d <= DIRECT_CAP.
     """
     f.require_same_grid(g)
-    _check_theta(f, theta)
+    _check_theta(f, theta, _half_largest)
     if f.side != "position":
         raise ValidationError("moyal_direct expects position-side functions")
     if f.dim > 2:
@@ -110,6 +141,7 @@ def moyal_direct(f: GridFunction, g: GridFunction, theta: SkewMatrix) -> GridFun
 
     if d == 1:
         return GridFunction(d, f.half_length, m, f.values * g.values)
+    scale = checked_power("quadrature weight (pi/L)^4", f.freq_step, 4, 5e-324, sys.float_info.max)
 
     def along_x(values):  # sum_j values_j e^{2 pi i j n / M} along the last axis
         return np.fft.ifft(values, axis=-1, norm="forward")
@@ -126,11 +158,18 @@ def moyal_direct(f: GridFunction, g: GridFunction, theta: SkewMatrix) -> GridFun
     shear *= np.multiply.outer(signs, signs)
     # row m_0 = M-1-i runs down the first axis, so that the row s_0 = k - m_0
     # paired with it on diagonal k is row i + k + 1 of the doubled table
-    fsheared = along_x(fhat.values[::-1, None, :] * diagonals(shear))  # [i, k, x_1]
-    gsheared = along_x(diagonals(ghat) * shear.conj()[::-1, None, :])  # [i, k, x_1]
-    fsheared *= gsheared
-    out = np.fft.ifft(fsheared.sum(axis=0), axis=0, norm="forward")  # [x_0, x_1]
-    return GridFunction(d, f.half_length, m, out * fhat.freq_step**4)
+    frows, fdiag = fhat.values[::-1, None, :], diagonals(shear)
+    grows, gdiag = shear.conj()[::-1, None, :], diagonals(ghat)
+    rows, total = max(1, FFT_ROWS // m), None
+    for i in range(0, m, rows):  # blocks of i, folded into the sum in order
+        block = slice(i, i + rows)
+        sheared = along_x(frows[block] * fdiag[block])  # [i, k, x_1]
+        sheared *= along_x(gdiag[block] * grows[block])
+        if total is not None:
+            sheared[0] += total
+        total = sheared.sum(axis=0)
+    out = np.fft.ifft(total, axis=0, norm="forward")  # [x_0, x_1]
+    return GridFunction(d, f.half_length, m, out * scale)
 
 
 # -- star product: frequency-side twisted convolution --------------------------
@@ -194,7 +233,7 @@ def twisted_convolve(
     FFT pair.  Guarded to M^(2d-1) <= CONVOLVE_CAP.
     """
     fhat.require_same_grid(ghat)
-    _check_theta(fhat, theta)
+    _check_theta(fhat, theta, _convolve_largest)
     if fhat.side != "frequency":
         raise ValidationError("twisted_convolve expects frequency-side functions")
     m, d = fhat.points, fhat.dim
@@ -263,7 +302,7 @@ def regular_rep_matrix(f: GridFunction, theta: SkewMatrix) -> np.ndarray:
     of the matrix: two products over its n^2 entries per pair, and no exp.
     Guarded to M^d <= DENSE_CAP.
     """
-    _check_theta(f, theta)
+    _check_theta(f, theta, _half_largest)
     fhat = to_frequency(f) if f.side == "position" else f
     m, d = fhat.points, fhat.dim
     n = guard("matrix dimension M^d =", m**d, DENSE_CAP)

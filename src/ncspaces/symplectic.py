@@ -15,7 +15,7 @@ from typing import Callable, List
 
 import numpy as np
 
-from .errors import DENSE_CAP, OddDimensionError, RankDeficientError, guard
+from .errors import DENSE_CAP, OddDimensionError, RankDeficientError, ValidationError, guard
 from .gridfn import GridSpec
 from .linalg import fourier_multiplier, kron, on_leg
 from .skew import SkewMatrix
@@ -155,10 +155,13 @@ def schrodinger_generators(sf: SymplecticForm, grid: GridSpec) -> List[np.ndarra
 
 def gaussian_state(grid: GridSpec, n: int, sigma: float = None) -> np.ndarray:
     """Normalized centred Gaussian on the n-fold grid, well separated from the
-    boundary."""
+    boundary; a ValidationError if every sample underflows to 0."""
     if sigma is None:
         # balance position-tail and frequency-tail truncation errors
         kmax = np.pi / grid.step
         sigma = float(np.sqrt(grid.half_length / kmax))
     v = grid.gaussian_samples(n, sigma).ravel().astype(complex)
-    return v / np.linalg.norm(v)
+    norm = np.linalg.norm(v)
+    if not norm > 0:
+        raise ValidationError(f"every sample of the Gaussian of width {sigma!r} on the grid is 0")
+    return v / norm

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import isqrt, sqrt
+from math import inf, isfinite, isqrt, sqrt
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -91,11 +91,29 @@ def weyl_residual(theta: float, s: float, t: float, grid: GridSpec) -> WeylResid
 
     Cost: O(M log M) time in six FFTs and O(M) memory; no M x M array and no
     SVD.  Guarded to M <= DENSE_CAP^2, the entry count of the largest dense
-    matrix the package admits.
+    matrix the package admits.  The reference width's 2 (L/32)^2 must be
+    positive and finite, some sample of the reference state nonzero, and the
+    phases theta s t, t L and k_max theta s (k_max the largest frequency)
+    finite: otherwise a sample below would be NaN.
     """
     theta, s, t = as_real("theta", theta), as_real("s", s), as_real("t", t)
     guard("grid points M", grid.points, DENSE_CAP**2)
+    width = grid.half_length / 32.0
+    try:  # as gaussian_samples forms it
+        spread = 2.0 * width**2
+    except OverflowError:
+        spread = inf
+    if not 0.0 < spread < inf:
+        raise ValidationError(
+            f"grid L = {grid.half_length!r}: the reference width's 2 (L/32)^2 = {spread!r}"
+            " leaves the float range"
+        )
     shift = theta * s
+    k_max = 2.0 * np.pi * (grid.points // 2 * (1.0 / (grid.points * grid.step)))  # as fftfreq
+    for what, phase in (("theta s t", s * t * theta), ("t L", t * grid.half_length),
+                        ("k_max theta s", k_max * shift)):
+        if not isfinite(phase):
+            raise ValidationError(f"Weyl phase {what} = {phase!r} leaves the float range")
     c = np.fft.ifft(_translation_symbol(shift, grid))
     c_hat = np.fft.fft(c)
     v = _modulation_diagonal(t, grid)
@@ -104,7 +122,7 @@ def weyl_residual(theta: float, s: float, t: float, grid: GridSpec) -> WeylResid
     def u(x: np.ndarray) -> np.ndarray:
         return np.fft.ifft(c_hat * np.fft.fft(x))
 
-    psi = gaussian_state(grid, 1, grid.half_length / 32.0)
+    psi = gaussian_state(grid, 1, width)
     res = float(np.linalg.norm(u(v * psi) - phase * (v * u(psi))))
     tol = 1e-9
     com_s = abs(shift / grid.step - round(shift / grid.step)) < tol

@@ -430,6 +430,24 @@ class TestCliBasics:
         pytest.param(["moyal", "--theta", "inf", "--grid", "16,6.0"], None, id="moyal-theta-inf"),
         pytest.param(["moyal", "--grid", "16,nan"], None, id="moyal-grid-L"),
         pytest.param(["moyal", "--grid", "64,inf"], None, id="moyal-grid-L-inf"),
+        # a cell volume or a transform scale past the normal float range ended
+        # in an OverflowError traceback (exit 1)
+        pytest.param(["moyal", "--grid", "64,1e-300"], None, id="moyal-grid-L-1e-300"),
+        pytest.param(["moyal", "--grid", "64,1e-160"], None, id="moyal-grid-L-1e-160"),
+        pytest.param(["moyal", "--grid", "64,1e160"], None, id="moyal-grid-L-1e160"),
+        pytest.param(["moyal", "--grid", "64,1e300"], None, id="moyal-grid-L-1e300"),
+        # the quadrature weight (pi/L)^4 overflowed (exit 1) or was 0 (every sample 0)
+        pytest.param(["moyal", "--grid", "64,1e-100", "--method", "direct"], None,
+                     id="moyal-direct-weight-overflow"),
+        pytest.param(["moyal", "--grid", "64,1e100", "--method", "direct"], None,
+                     id="moyal-direct-weight-underflow"),
+        # each of these wrote NaN with exit 0
+        pytest.param(["moyal", "--theta", "1e308"], None, id="moyal-theta-1e308-direct"),
+        pytest.param(["moyal", "--theta", "1e308", "--method", "fourier"], None,
+                     id="moyal-theta-1e308-fourier"),
+        pytest.param(["weyl"], {"grids": [4], "L": 1e-300}, id="weyl-L-1e-300"),
+        pytest.param(["weyl"], {"grids": [4], "L": 1e300}, id="weyl-L-1e300"),
+        pytest.param(["weyl"], {"grids": [4], "s": [1e308], "t": [1e308]}, id="weyl-s-t-1e308"),
         # an exact theta past the float range ended in an OverflowError traceback
         pytest.param(["symplectic", "--theta", THETA_PAST_FLOAT_RANGE, "--d", "2"], None,
                      id="symplectic-theta-past-float-range"),
@@ -524,6 +542,24 @@ class TestCliBasics:
             os.umask(old)
         mode = stat.S_IMODE(os.stat(out).st_mode)
         assert mode == stat.S_IMODE(os.stat(tmp_path / "plain.txt").st_mode) == 0o644
+
+    def test_out_file_mode_leaves_umask_alone(self, tmp_path, monkeypatch):
+        # each write set the process umask to 0 and back, so a file another
+        # thread created in between got mode 0o666
+        def umask(mask):
+            raise AssertionError("the process umask was touched")
+
+        old = os.umask(0o022)
+        try:
+            with monkeypatch.context() as patched:
+                patched.setattr(os, "umask", umask)
+                out = tmp_path / "a.txt"
+                argv = ["audit", "--k", "8100", "--target", "2500", "--out", str(out)]
+                assert main(argv) == EXIT_OK
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o644
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
     def test_malformed_config_line_diagnostic(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

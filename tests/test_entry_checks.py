@@ -10,13 +10,19 @@ import pytest
 from ncspaces.errors import ValidationError, clip
 from ncspaces.finite_reps import clock_shift, distance_lower_bound_check, tensor_construct
 from ncspaces.gridfn import GridFunction, integral, read_gridfn, to_frequency, to_position
-from ncspaces.moyal import dimension_reduction_check, moyal_direct, twisted_involution
+from ncspaces.moyal import (
+    dimension_reduction_check, moyal_direct, regular_rep_matrix, twisted_convolve,
+    twisted_involution,
+)
 from ncspaces.phases import Cyclotomic
 from ncspaces.serialize import matrix_to_json, theta_from_json
 from ncspaces.skew import SkewMatrix
 from ncspaces.spectra import BandSpectrum, holder_scan
 from ncspaces.twisted_algebra import NCPolynomial, cocycle_validate, poly_mul, transference
-from ncspaces.weyl_dynamics import HermitianPair, UnitaryField, check_assembly_identities
+from ncspaces.symplectic import GridSpec
+from ncspaces.weyl_dynamics import (
+    HermitianPair, UnitaryField, check_assembly_identities, weyl_residual,
+)
 
 HALF = SkewMatrix.rotation(Fraction(1, 2))  # phase order 4
 
@@ -36,6 +42,18 @@ def header_without(key):
             fh.write(json.dumps(header).encode() + b"\n" + bytes(32))
         return read_gridfn("f.gridfn")
     return call
+
+
+def plane(half_length, points=4):
+    """Zeros on the 2-D grid of points^2 points on [-half_length, half_length)."""
+    return GridFunction(2, half_length, points, np.zeros((points, points)))
+
+
+def far_reference_state(grid):
+    """weyl_residual on a grid whose samples' squares overflow to inf: their
+    exponentials are 0, and on an odd grid every sample is."""
+    with np.errstate(over="ignore"):
+        return weyl_residual(1.0, 0.37, 0.37, grid)
 
 
 def identity_field():
@@ -75,9 +93,31 @@ ENTRY_CHECKS = {
     "grid-file-no-d": (header_without("d"), "grid file header missing 'd'"),
     "grid-file-no-L": (header_without("L"), "grid file header missing 'L'"),
     "grid-file-no-M": (header_without("M"), "grid file header missing 'M'"),
+    # the weights and scales (2L/M)^d, (pi/L)^d and (pi M/L)^d past the normal
+    # float range: l2_norm and the transforms overflowed or kept no digit
+    "grid-cell-volume": (lambda: plane(1e-300), "cell volume (2L/M)^d = 5e-301^2 = 0.0 is outside"),
+    "grid-dual-cell-volume": (lambda: plane(1e155, 64), "dual cell volume (pi/L)^d"),
+    "grid-transform-scale": (lambda: GridFunction(1, 1.5 * np.pi * 2.0**-1022, 2, np.zeros(2)),
+                             "transform scale (pi M/L)^d"),
+    "grid-gaussian-cells": (lambda: GridFunction.gaussian(2, 1e300, 64),
+                            "cell volume (2L/M)^d = 3.125e+298^2 = inf is outside"),
     # moyal
     "moyal-theta-dim": (lambda: moyal_direct(line(), line(), SkewMatrix.zero(2)),
                         "theta dimension 2 != grid dimension 1"),
+    # a phase past the float range left NaN samples; the weight past it, an
+    # OverflowError, or all-zero samples
+    "moyal-phase-bound": (lambda: moyal_direct(plane(1.0), plane(1.0), SkewMatrix.rotation(1e308)),
+                          "twist phase bound inf for s_max = 6.283185307179586 leaves"),
+    "moyal-convolve-phase-bound": (
+        lambda: twisted_convolve(*[to_frequency(plane(6.0, 64))] * 2, SkewMatrix.rotation(1e306)),
+        "twist phase bound inf for s_max = 16.755160819145562 leaves"),
+    "moyal-regular-rep-phase-bound": (
+        lambda: regular_rep_matrix(plane(1.0), SkewMatrix.rotation(1e308)),
+        "twist phase bound inf for s_max = 6.283185307179586 leaves"),
+    "moyal-quadrature-weight": (lambda: moyal_direct(plane(1e-100), plane(1e-100), HALF),
+                                "quadrature weight (pi/L)^4 = 3.141592653589793e+100^4 = inf"),
+    "moyal-quadrature-weight-zero": (lambda: moyal_direct(plane(1e100), plane(1e100), HALF),
+                                     "quadrature weight (pi/L)^4 = 3.141592653589793e-100^4 = 0.0"),
     "moyal-involution-side": (lambda: twisted_involution(line()),
                               "twisted_involution expects a frequency-side function"),
     "moyal-reduction-axes": (
@@ -104,6 +144,20 @@ ENTRY_CHECKS = {
     "poly-cocycle-dim": (lambda: cocycle_validate(HALF, [((1, 0), (0, 1), (1,))]),
                          "a multi-index dimension != theta dimension 2"),
     # weyl_dynamics
+    # NaN residuals: the reference width's square left the float range, every
+    # sample of the reference state underflowed, or a phase overflowed
+    "weyl-residual-L": (lambda: weyl_residual(1.0, 0.37, 0.37, GridSpec(4, 1e-300)),
+                        "grid L = 1e-300: the reference width's 2 (L/32)^2 = 0.0 leaves"),
+    "weyl-residual-L-large": (lambda: weyl_residual(1.0, 0.37, 0.37, GridSpec(4, 1e160)),
+                              "grid L = 1e+160: the reference width's 2 (L/32)^2 = inf leaves"),
+    "weyl-residual-state": (lambda: far_reference_state(GridSpec(5, 1e155)),
+                            "every sample of the Gaussian of width 3.125e+153 on the grid is 0"),
+    "weyl-residual-phase": (lambda: weyl_residual(1.0, 1e308, 1e308, GridSpec.self_dual(4)),
+                            "Weyl phase theta s t = inf"),
+    "weyl-residual-modulation": (lambda: weyl_residual(1.0, 0.37, 1e308, GridSpec(4, 1e10)),
+                                 "Weyl phase t L = inf"),
+    "weyl-residual-translation": (lambda: weyl_residual(1e290, 1e10, 1e-300, GridSpec(4, 1e-10)),
+                                  "Weyl phase k_max theta s = inf"),
     "weyl-pair-sizes": (lambda: HermitianPair(np.eye(2), np.eye(3)),
                         "need two square matrices of equal size"),
     "weyl-pair-not-square": (lambda: HermitianPair(np.zeros((2, 3)), np.zeros((2, 3))),

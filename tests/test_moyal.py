@@ -1,5 +1,6 @@
 """Tests for grid functions, transforms, star products, and the twisted
 regular representation."""
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import scipy.integrate
 
+from ncspaces import moyal
 from ncspaces.errors import GridMismatchError, SizeCapError, ValidationError
 from ncspaces.gridfn import (
     GridFunction,
@@ -268,6 +270,35 @@ class TestStarProduct:
             want = brute_moyal_direct(f, g, theta)
             got = moyal_direct(f, g, theta).values
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("points", [8, 32, 64])
+    def test_direct_bits_independent_of_block_size(self, monkeypatch, points):
+        # each block of first-axis modes is folded into the running total in
+        # the order of one sum over all modes: one mode per block, 7 modes
+        # and all M modes in one block give the same bits
+        rng = np.random.default_rng(points)
+        shape = (points, points)
+        f, g = (GridFunction(2, 5.0, points,
+                             rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                for _ in range(2))
+        want = moyal_direct(f, g, THETA).values.tobytes()
+        for rows in (1, 7, 10**6):
+            monkeypatch.setattr(moyal, "FFT_ROWS", rows)
+            assert moyal_direct(f, g, THETA).values.tobytes() == want
+
+    def test_direct_working_set(self):
+        f = GridFunction.gaussian(2, 8.0, 64, sigma=1.0)
+        g = GridFunction.gaussian(2, 8.0, 64, sigma=1.3, center=(0.4, -0.3))
+        moyal_direct(f, g, THETA)  # numpy's FFT caches its plans on first use
+        tracemalloc.start()
+        try:
+            moyal_direct(f, g, THETA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one complex (M, M, M) array is 4 MB here, and four of them were
+        # formed at once; the blocks of 256 KB stay below 1.5 MB
+        assert peak < 4 * 2**20
 
 
 class TestTwistedConvolve:
