@@ -18,13 +18,11 @@ from .twisted_algebra import (
     gns_matrix,
     poly_adjoint,
     poly_mul,
-    structure_phase,
     trace,
     transference,
 )
 from .finite_reps import (
     UnitaryTuple,
-    clifford_generators,
     clock_shift,
     distance_lower_bound_check,
     fock_identities_check,
@@ -33,8 +31,6 @@ from .finite_reps import (
     verify_relations,
 )
 from .symplectic import (
-    SkewDecomposition,
-    SymplecticForm,
     schrodinger_generators,
     skew_rank_decompose,
     symplectic_normalize,
@@ -54,12 +50,9 @@ from .weyl_dynamics import (
     UnitaryField,
     audit_interpolation_constants,
     generator_bound_check,
-    modulation_unitary,
-    translation_unitary,
     weyl_residual,
 )
 from .spectra import (
-    BandSpectrum,
     amo_spectrum,
     bloch_matrix,
     hausdorff_distance,

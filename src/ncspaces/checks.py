@@ -21,7 +21,7 @@ import numpy as np
 from . import finite_reps as fr
 from . import moyal, spectra, symplectic, twisted_algebra as ta, weyl_dynamics as wd
 from .errors import DENSE_CAP, ValidationError, as_index, guard
-from .gridfn import GridFunction, integral, to_position
+from .gridfn import GridFunction, GridSpec, integral, to_position
 from .phases import Cyclotomic
 from .skew import SkewMatrix, upper_pairs
 
@@ -376,6 +376,49 @@ def check_assembly(cfg: CheckConfig) -> List[CheckResult]:
     ])]
 
 
+def check_higher_dimensions(cfg: CheckConfig) -> List[CheckResult]:
+    """The paper's d >= 2 step at d = 4, for one nonsingular random theta: the
+    twisted action of a Gaussian f on three axes, probed through bumps of
+    width eps = 2^-n on the fourth (n = 1..3), against the three-dimensional
+    product; the Schroedinger relations [P_j, P_k] = -i theta_jk on the
+    Gaussian state; and the planes and kernel of a singular d = 5 theta.
+
+    Each deviation is also gated by the Sobolev form of its bound: Young's
+    inequality with |e^{i w t / 2} - 1| <= eps |Theta_(.,3)| |s| / 2 and
+    Cauchy-Schwarz on integral |s| |fhat(s)| ds give (eps / 2) |Theta_(.,3)|
+    C(3, 3) ||f||_(H^3) ||g||_2 / (2 pi)^(3/2), with ||g||_2 = 1 (on this grid
+    the sum of |s|^2 (1 + |s|^2)^-3 ds is 3.06, below C(3, 3)^2 = 4 pi)."""
+    theta = SkewMatrix.random(4, np.random.default_rng(4))
+    f = GridFunction.gaussian(3, 6.0, 8, sigma=1.0)
+    rep = moyal.dimension_reduction_check(f, theta, 3)
+    sobolev = float(np.linalg.norm(theta.as_array()[:3, 3]) * moyal.sobolev_norm(f, 3.0)
+                    * moyal.quantization_constant(3.0, 3, 1.0) / (2 * np.pi) ** 1.5)
+    context = (f"d=4 onto 3 axes, M=8, deviations {[f'{d:.2e}' for d in rep.deviations]}, "
+               f"observed rate {rep.observed_rate:.4f}")
+    grid = GridSpec(24, 10.0)
+    p = symplectic.schrodinger_generators(symplectic.symplectic_normalize(theta), grid)
+    v = symplectic.gaussian_state(grid, 2)
+    images = [mat @ v for mat in p]
+    worst = max(float(np.linalg.norm(p[j] @ images[k] - p[k] @ images[j]
+                                     + 1j * theta.entry(j, k) * v)) for j, k in upper_pairs(4))
+    dec = symplectic.skew_rank_decompose(SkewMatrix.random(5, np.random.default_rng(5)))
+    return [
+        CheckResult("moyal/dimension-reduction", context, [
+            Record("max deviation / bound",
+                   max(d / b for d, b in zip(rep.deviations, rep.bounds)), 1),
+            Record("|rate - 1|", abs(rep.observed_rate - 1), 0.1),
+            Record("max deviation / Sobolev bound",
+                   max(d * 2.0 ** (n + 1) / sobolev for n, d in enumerate(rep.deviations, 1)), 1),
+        ]),
+        CheckResult("symplectic/schrodinger-relations",
+                    f"d=4 on M=24, L=10; singular d=5 theta of rank {dec.rank}", [
+            Record("max commutator residual", worst, 1e-5),
+            Record("|rank - 4|", abs(dec.rank - 4), 0),
+            Record("decomposition residual", dec.residual, NORMAL_FORM_TOL),
+        ]),
+    ]
+
+
 class Criterion(NamedTuple):
     """An acceptance criterion: its checks, run at the CheckConfig defaults,
     and a time budget in seconds (None: no budget)."""
@@ -395,6 +438,7 @@ CRITERIA = {
     "09": Criterion((check_assembly,)),
     "10a": Criterion((check_fock,)),
     "10b": Criterion((partial(check_fock, modes=2),)),
+    "11": Criterion((check_higher_dimensions,), 10.0),
 }
 
 

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 from math import inf
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,15 +92,23 @@ class UniformGrid:
         self, dim: int, sigma: float, center: Sequence[float] = None
     ) -> np.ndarray:
         """exp(-|x - c|^2 / (2 sigma^2)) at every point of the dim-fold grid,
-        shape (M,) * dim; c is the origin by default."""
+        shape (M,) * dim; c is the origin by default.  Where |x - c|^2 leaves
+        the float range the exponent is -|(x - c) / sigma|^2 / 2 instead (-inf,
+        a sample of 0, where that leaves it too); every other sample is
+        formed as above, bit for bit."""
         dim = as_index("dimension", dim, 1)
         center = (0.0,) * dim if center is None else tuple(as_real("center", c) for c in center)
         if len(center) != dim:
             raise ValidationError(f"center must be {dim} finite numbers, got {center!r}")
         sigma = as_real("sigma", sigma, above=0)
-        ax = self.axis()
-        r2 = reduce(np.add.outer, [(ax - c) ** 2 for c in center])
-        return np.exp(-r2 / (2.0 * sigma**2))
+        offsets = [self.axis() - c for c in center]
+        with np.errstate(over="ignore"):  # |x - c|^2 may leave the float range
+            r2 = reduce(np.add.outer, [x**2 for x in offsets])
+            exponent = -r2 / (2.0 * sigma**2)
+            far = np.isinf(r2)
+            if far.any():
+                exponent[far] = -0.5 * reduce(np.add.outer, [(x / sigma) ** 2 for x in offsets])[far]
+        return np.exp(exponent)
 
 
 @dataclass(frozen=True)
@@ -187,14 +195,6 @@ class GridFunction(UniformGrid):
             )
 
     # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def from_function(
-        cls, dim: int, half_length: float, points: int, fn: Callable
-    ) -> "GridFunction":
-        ax = GridSpec(points, half_length).axis()
-        grids = np.meshgrid(*([ax] * as_index("dimension", dim, 1)), indexing="ij")
-        return cls(dim, half_length, points, np.asarray(fn(*grids), dtype=complex))
 
     @classmethod
     def gaussian(
@@ -298,9 +298,14 @@ def atomic_open(path):
 
 
 def encode_gridfn(f: GridFunction) -> bytes:
-    """The file bytes of f: its header line, then its samples."""
+    """The file bytes of f: its header line, then its samples; a sample past
+    the complex64 range is a ValidationError, since the file would hold inf."""
     header = {"d": f.dim, "L": f.half_length, "M": f.points, "side": f.side}
-    payload = np.ascontiguousarray(f.values, dtype="<c8").tobytes()
+    try:
+        with np.errstate(over="raise"):
+            payload = np.ascontiguousarray(f.values, dtype="<c8").tobytes()
+    except FloatingPointError as e:
+        raise ValidationError(f"a grid file sample leaves the complex64 range: {e}") from e
     return (json.dumps(header) + "\n").encode("utf-8") + payload
 
 

@@ -97,6 +97,25 @@ def _convolve_largest(theta_abs: np.ndarray) -> float:
     return float(max(theta_abs[:-1, -1].sum(), theta_abs[:-1, :-1].sum()))
 
 
+def _finite_product(fhat: GridFunction, ghat: GridFunction,
+                    product: Callable[[], GridFunction]) -> GridFunction:
+    """product(), a star product route run over fhat and ghat.  Either route
+    forms values of at most max|fhat| max|ghat| 5 M^(2d+2) max(1, ds)^2, ds =
+    (pi/L)^d (see moyal_direct and star_product_fourier): while that bound is
+    finite nothing can overflow and product() runs as it is.  Past the float
+    range the route runs with overflow ignored, and a ValidationError is
+    raised only if its result holds inf or NaN."""
+    ds = max(1.0, fhat.freq_step**fhat.dim)
+    growth = 5.0 * fhat.points ** (2 * fhat.dim + 2) * ds * ds
+    if isfinite(float(np.abs(fhat.values).max()) * float(np.abs(ghat.values).max()) * growth):
+        return product()
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = product()
+    if not np.isfinite(out.values).all():
+        raise ValidationError("star product values leave the float range")
+    return out
+
+
 # -- star product: position-side quadrature -----------------------------------
 
 
@@ -128,7 +147,10 @@ def moyal_direct(f: GridFunction, g: GridFunction, theta: SkewMatrix) -> GridFun
     so the result does not depend on the block size.  That is O(M^3 log M)
     time and O(M^2 + FFT_ROWS M) memory.  For d = 1, Theta = 0 and the sum is
     the product of the two interpolants, which at the sample points is the
-    pointwise product.  Guarded to d <= 2 and M^d <= DIRECT_CAP.
+    pointwise product.  Guarded to d <= 2 and M^d <= DIRECT_CAP; every value
+    formed is at most 2 M^4 max|fhat| max|ghat| max(1, (pi/L)^4) (row
+    transforms of M terms, a running total of M products, a last transform of
+    M totals), within _finite_product's bound.
     """
     f.require_same_grid(g)
     _check_theta(f, theta, _half_largest)
@@ -142,6 +164,13 @@ def moyal_direct(f: GridFunction, g: GridFunction, theta: SkewMatrix) -> GridFun
     if d == 1:
         return GridFunction(d, f.half_length, m, f.values * g.values)
     scale = checked_power("quadrature weight (pi/L)^4", f.freq_step, 4, 5e-324, sys.float_info.max)
+    fhat, ghat = to_frequency(f), to_frequency(g)
+    return _finite_product(fhat, ghat, lambda: _direct_plane(fhat, ghat.values, theta, scale))
+
+
+def _direct_plane(fhat: GridFunction, ghat: np.ndarray, theta: SkewMatrix, scale: float):
+    """moyal_direct's sum on the plane, from the spectra of f and g."""
+    m = fhat.points
 
     def along_x(values):  # sum_j values_j e^{2 pi i j n / M} along the last axis
         return np.fft.ifft(values, axis=-1, norm="forward")
@@ -149,8 +178,6 @@ def moyal_direct(f: GridFunction, g: GridFunction, theta: SkewMatrix) -> GridFun
     def diagonals(table):  # [i, k] -> table[(k - (M - 1 - i)) mod M]: a view
         return sliding_window_view(np.concatenate((table[1:], table)), m, axis=0).swapaxes(1, 2)
 
-    fhat = to_frequency(f)
-    ghat = to_frequency(g).values
     freqs = fhat.freq_axis()
     signs = (-1.0) ** np.arange(m)
     # shear[s_0, m_1] = (-1)^(s_0 + m_1) e^{-(i/2) theta s_0 m_1}; symmetric
@@ -169,7 +196,7 @@ def moyal_direct(f: GridFunction, g: GridFunction, theta: SkewMatrix) -> GridFun
             sheared[0] += total
         total = sheared.sum(axis=0)
     out = np.fft.ifft(total, axis=0, norm="forward")  # [x_0, x_1]
-    return GridFunction(d, f.half_length, m, out * scale)
+    return GridFunction(2, fhat.half_length, m, out * scale)
 
 
 # -- star product: frequency-side twisted convolution --------------------------
@@ -280,8 +307,14 @@ def twisted_convolve(
 def star_product_fourier(
     f: GridFunction, g: GridFunction, theta: SkewMatrix
 ) -> GridFunction:
-    """Position-side star product through the frequency route."""
-    return to_position(twisted_convolve(to_frequency(f), to_frequency(g), theta))
+    """Position-side star product through the frequency route.  Over
+    max|fhat| max|ghat|, twisted_convolve forms values up to max(3/2 M^3,
+    M^(d+1)) max(1, ds) (row spectra of M terms, unscaled inverse transforms
+    of 3M/2 products, sums of M^(d-1) rows) and outputs up to c = M^(d+1) ds,
+    and to_position forms up to c max(M^d, (pi M/L)^d), ds = (pi/L)^d: all
+    within _finite_product's bound."""
+    fhat, ghat = to_frequency(f), to_frequency(g)
+    return _finite_product(fhat, ghat, lambda: to_position(twisted_convolve(fhat, ghat, theta)))
 
 
 # -- regular representation ----------------------------------------------------
@@ -327,18 +360,6 @@ def interior_frequency_mask(f: GridFunction, margin_fraction: float = 0.5) -> np
     margin_fraction = as_real("margin fraction", margin_fraction, minimum=0, maximum=1)
     smax = np.abs(f.freq_axis()).max()
     return np.all(np.abs(freq_grid_vectors(f)) <= margin_fraction * smax + 1e-12, axis=1)
-
-
-def twisted_involution(fhat: GridFunction) -> GridFunction:
-    """fstar^(s) = conj(fhat(-s)); the cocycle factor sigma(s,-s) is 1."""
-    if fhat.side != "frequency":
-        raise ValidationError("twisted_involution expects a frequency-side function")
-    # ascending order holds -M/2 .. M/2-1 per axis: a flip maps j to -j only
-    # after rolling the unpaired -M/2 entry back to the front
-    flipped = np.roll(np.flip(fhat.values), 1, axis=tuple(range(fhat.dim)))
-    return GridFunction(
-        fhat.dim, fhat.half_length, fhat.points, np.conj(flipped), side="frequency"
-    )
 
 
 # -- Sobolev norms and the quantization constant -------------------------------

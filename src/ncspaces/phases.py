@@ -198,9 +198,3 @@ class Cyclotomic:
 
     def __hash__(self):
         return hash(self.order)
-
-    def __repr__(self):
-        if not self.terms:
-            return f"Cyclotomic({self.order}, 0)"
-        body = " + ".join(f"({c})*z^{r}" for r, c in sorted(self.terms.items()))
-        return f"Cyclotomic({self.order}, {body})"

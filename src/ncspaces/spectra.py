@@ -71,14 +71,6 @@ class BandSpectrum:
             if a2 <= b1:
                 raise ValidationError("bands must be sorted and disjoint")
 
-    @property
-    def min(self) -> float:
-        return self.bands[0][0]
-
-    @property
-    def max(self) -> float:
-        return self.bands[-1][1]
-
 
 def merge_intervals(intervals: Sequence[Tuple[float, float]]) -> Tuple[Tuple[float, float], ...]:
     """Sort and merge intervals that overlap or touch within MERGE_TOL."""

@@ -126,10 +126,6 @@ def spectral_derivative_matrix(grid: GridSpec) -> np.ndarray:
     return fourier_multiplier(grid.frequencies())
 
 
-def position_matrix(grid: GridSpec) -> np.ndarray:
-    return np.diag(grid.axis()).astype(complex)
-
-
 def schrodinger_generators(sf: SymplecticForm, grid: GridSpec) -> List[np.ndarray]:
     """d = 2n Hermitian matrices combining -i d/dx_k and x_k legs on the grid.
 
@@ -142,7 +138,7 @@ def schrodinger_generators(sf: SymplecticForm, grid: GridSpec) -> List[np.ndarra
     guard("grid dimension M^(d/2) =", grid.points ** n, DENSE_CAP)
     coeff = np.linalg.inv(sf.transform)
     deriv = spectral_derivative_matrix(grid)
-    pos = position_matrix(grid)
+    pos = np.diag(grid.axis()).astype(complex)
     derivs = [on_leg(deriv, k, n) for k in range(n)]
     positions = [on_leg(pos, k, n) for k in range(n)]
     out = []

@@ -213,24 +213,6 @@ def _collect(ms: np.ndarray, rs: np.ndarray, cs: np.ndarray, order: int, bound: 
     return ms[rows], rs[rows], sums
 
 
-def structure_exponent(m: Sequence[int], m2: Sequence[int], theta: SkewMatrix):
-    """Raw exponent c(m, m') = -sum_{j<k} theta_jk m_k m'_j (not reduced):
-    a Fraction for rational theta, a float otherwise."""
-    m, m2 = as_multi_index(m), as_multi_index(m2)
-    if len(m) != theta.dim or len(m2) != theta.dim:
-        raise ValidationError(
-            f"multi-index dimension {len(m)}/{len(m2)} != theta dimension {theta.dim}"
-        )
-    c = theta.twist.scaled(m, m2)
-    return Fraction(int(c), theta.twist.order) if theta.is_rational else float(c)
-
-
-def structure_phase(m: Sequence[int], m2: Sequence[int], theta: SkewMatrix):
-    """Exponent c with u^m u^{m'} = exp(2*pi*i*c) u^{m+m'}, reduced into [0, 1):
-    a Fraction for rational theta, a float otherwise."""
-    return structure_exponent(m, m2, theta) % 1
-
-
 class NCPolynomial:
     """Finitely supported sum a = sum_m alpha_m u^m over a fixed theta.
 

@@ -21,7 +21,6 @@ from .linalg import (
     COMPLEX_PRODUCT,
     UNIT_ROUNDOFF,
     HermitianExponential,
-    fourier_multiplier,
     gamma_n,
     hermiticity_defect,
     spectral_norm,
@@ -30,31 +29,7 @@ from .gridfn import GridSpec
 from .symplectic import gaussian_state
 
 
-# -- translation / modulation groups ------------------------------------------
-
-
-def _translation_symbol(s: float, grid: GridSpec) -> np.ndarray:
-    """exp(i k s) at the frequencies k of the discrete Fourier basis."""
-    return np.exp(1j * grid.frequencies() * s)
-
-
-def _modulation_diagonal(t: float, grid: GridSpec) -> np.ndarray:
-    """exp(i x t) at the grid points x."""
-    return np.exp(1j * grid.axis() * t)
-
-
-def translation_unitary(s: float, grid: GridSpec) -> np.ndarray:
-    """(u(s) f)(x) = f(x + s) as a dense unitary: the Fourier multiplier
-    exp(i k s), a circulant built in O(M^2).  Guarded to M <= DENSE_CAP."""
-    guard("grid points M", grid.points, DENSE_CAP)
-    return fourier_multiplier(_translation_symbol(as_real("s", s), grid))
-
-
-def modulation_unitary(t: float, grid: GridSpec) -> np.ndarray:
-    """(v(t) f)(x) = exp(i x t) f(x): a diagonal unitary.  Guarded to
-    M <= DENSE_CAP."""
-    guard("grid points M", grid.points, DENSE_CAP)
-    return np.diag(_modulation_diagonal(as_real("t", t), grid))
+# -- the Weyl relation of the translation and modulation groups ---------------
 
 
 @dataclass(frozen=True)
@@ -78,7 +53,7 @@ def weyl_residual(theta: float, s: float, t: float, grid: GridSpec) -> WeylResid
     L / 32, which the refining grid progressively resolves.
 
     u is the circulant whose first column c is the inverse FFT of the
-    translation symbol (the column translation_unitary builds), applied as
+    translation symbol exp(i k theta s), applied as
     ifft(fft(c) * fft(x)); v is the diagonal exp(i x t).  The residual is
     ||u (v psi) - phase v (u psi)||.
 
@@ -114,9 +89,9 @@ def weyl_residual(theta: float, s: float, t: float, grid: GridSpec) -> WeylResid
                         ("k_max theta s", k_max * shift)):
         if not isfinite(phase):
             raise ValidationError(f"Weyl phase {what} = {phase!r} leaves the float range")
-    c = np.fft.ifft(_translation_symbol(shift, grid))
+    c = np.fft.ifft(np.exp(1j * grid.frequencies() * shift))
     c_hat = np.fft.fft(c)
-    v = _modulation_diagonal(t, grid)
+    v = np.exp(1j * grid.axis() * t)
     phase = np.exp(1j * s * t * theta)
 
     def u(x: np.ndarray) -> np.ndarray:

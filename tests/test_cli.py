@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -35,6 +36,19 @@ SMOKE_SIZES = {
     "metric_pairs": 5, "hermitian_pairs": 5, "moyal_points": 16,
     "holder_max_k": 4,
 }
+
+
+class GaussianFile(NamedTuple):
+    """A grid file of height exp(-|x|^2 / 2) on 64^2 points of [-L, L)^2, not
+    normalized; an argv entry, written to the test's directory on use."""
+    half_length: float
+    height: float = 1.0
+
+    def write(self, folder) -> str:
+        path = folder / f"gaussian-{self.half_length:g}-{self.height:g}.gridfn"
+        f = GridFunction.gaussian(2, self.half_length, 64, normalized=False)
+        write_gridfn(GridFunction(2, self.half_length, 64, self.height * f.values), path)
+        return str(path)
 
 
 def assert_close(a, b, tol):
@@ -453,8 +467,19 @@ class TestCliBasics:
                      id="symplectic-theta-past-float-range"),
         pytest.param(["moyal", "--theta", THETA_PAST_FLOAT_RANGE, "--grid", "16,6.0"], None,
                      id="moyal-theta-past-float-range"),
+        # O(1) samples at a large L: the spectra's products overflowed and each
+        # route reported max |value| = nan with exit 0 (--out wrote NaN samples)
+        pytest.param(["moyal", "--f", GaussianFile(1e78), "--g", GaussianFile(1e78),
+                      "--method", "direct"], None, id="moyal-file-L-1e78-direct"),
+        pytest.param(["moyal", "--f", GaussianFile(1e80), "--g", GaussianFile(1e80),
+                      "--method", "fourier"], None, id="moyal-file-L-1e80-fourier"),
+        # a finite product past the complex64 range was written as inf samples
+        pytest.param(["moyal", "--f", GaussianFile(8.0, 1e20), "--g", GaussianFile(8.0, 1e20),
+                      "--out", "out.gridfn"], None, id="moyal-out-past-complex64"),
     ])
-    def test_non_finite_value_exits_2(self, tmp_path, capsys, argv, config):
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, monkeypatch, argv, config):
+        monkeypatch.chdir(tmp_path)
+        argv = [arg.write(tmp_path) if isinstance(arg, GaussianFile) else arg for arg in argv]
         if config is not None:
             cfg = config_file(tmp_path, config)  # NaN and Infinity, as Python's json reads them
             argv = argv + ["--config", cfg]
@@ -782,7 +807,7 @@ class TestCliPipelines:
         code, lines = run_all_checks_smoke(tmp_path, capsys)
         assert code == EXIT_OK, lines
         assert failing_names(lines) == list(checks.DOCUMENTED)
-        assert lines[-1] == ("16/18 checks passed; expected (documented): 2; unexpected: 0; "
+        assert lines[-1] == ("18/20 checks passed; expected (documented): 2; unexpected: 0; "
                              "documented, not failed: 0")
 
     def test_all_checks_lines_print_every_record(self, hash_seed_runs, criterion_results):
@@ -847,5 +872,5 @@ class TestCliPipelines:
         code, lines = run_all_checks_smoke(tmp_path, capsys)
         assert code == EXIT_CHECK_FAILED
         assert failing_names(lines) == ["spectra/lip-half-pointwise", *checks.DOCUMENTED]
-        assert lines[-1] == ("15/18 checks passed; expected (documented): 2; unexpected: 1; "
+        assert lines[-1] == ("17/20 checks passed; expected (documented): 2; unexpected: 1; "
                              "documented, not failed: 0")

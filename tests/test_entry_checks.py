@@ -9,20 +9,22 @@ import pytest
 
 from ncspaces.errors import ValidationError, clip
 from ncspaces.finite_reps import clock_shift, distance_lower_bound_check, tensor_construct
-from ncspaces.gridfn import GridFunction, integral, read_gridfn, to_frequency, to_position
+from ncspaces.gridfn import (
+    GridFunction, encode_gridfn, integral, read_gridfn, to_frequency, to_position,
+)
 from ncspaces.moyal import (
     dimension_reduction_check, moyal_direct, regular_rep_matrix, twisted_convolve,
-    twisted_involution,
 )
 from ncspaces.phases import Cyclotomic
 from ncspaces.serialize import matrix_to_json, theta_from_json
 from ncspaces.skew import SkewMatrix
 from ncspaces.spectra import BandSpectrum, holder_scan
 from ncspaces.twisted_algebra import NCPolynomial, cocycle_validate, poly_mul, transference
-from ncspaces.symplectic import GridSpec
+from ncspaces.symplectic import GridSpec, gaussian_state
 from ncspaces.weyl_dynamics import (
     HermitianPair, UnitaryField, check_assembly_identities, weyl_residual,
 )
+from oracles import twisted_involution
 
 HALF = SkewMatrix.rotation(Fraction(1, 2))  # phase order 4
 
@@ -47,13 +49,6 @@ def header_without(key):
 def plane(half_length, points=4):
     """Zeros on the 2-D grid of points^2 points on [-half_length, half_length)."""
     return GridFunction(2, half_length, points, np.zeros((points, points)))
-
-
-def far_reference_state(grid):
-    """weyl_residual on a grid whose samples' squares overflow to inf: their
-    exponentials are 0, and on an odd grid every sample is."""
-    with np.errstate(over="ignore"):
-        return weyl_residual(1.0, 0.37, 0.37, grid)
 
 
 def identity_field():
@@ -101,6 +96,9 @@ ENTRY_CHECKS = {
                              "transform scale (pi M/L)^d"),
     "grid-gaussian-cells": (lambda: GridFunction.gaussian(2, 1e300, 64),
                             "cell volume (2L/M)^d = 3.125e+298^2 = inf is outside"),
+    # a sample past the complex64 range was written as inf
+    "grid-file-complex64": (lambda: encode_gridfn(line(np.full(4, 1e39))),
+                            "a grid file sample leaves the complex64 range"),
     # moyal
     "moyal-theta-dim": (lambda: moyal_direct(line(), line(), SkewMatrix.zero(2)),
                         "theta dimension 2 != grid dimension 1"),
@@ -118,6 +116,10 @@ ENTRY_CHECKS = {
                                 "quadrature weight (pi/L)^4 = 3.141592653589793e+100^4 = inf"),
     "moyal-quadrature-weight-zero": (lambda: moyal_direct(plane(1e100), plane(1e100), HALF),
                                      "quadrature weight (pi/L)^4 = 3.141592653589793e-100^4 = 0.0"),
+    # O(1) samples at L = 1e78: the spectra's products overflowed to NaN samples
+    "moyal-product-overflow": (
+        lambda: moyal_direct(*[GridFunction.gaussian(2, 1e78, 64, normalized=False)] * 2, HALF),
+        "star product values leave the float range"),
     "moyal-involution-side": (lambda: twisted_involution(line()),
                               "twisted_involution expects a frequency-side function"),
     "moyal-reduction-axes": (
@@ -150,8 +152,10 @@ ENTRY_CHECKS = {
                         "grid L = 1e-300: the reference width's 2 (L/32)^2 = 0.0 leaves"),
     "weyl-residual-L-large": (lambda: weyl_residual(1.0, 0.37, 0.37, GridSpec(4, 1e160)),
                               "grid L = 1e+160: the reference width's 2 (L/32)^2 = inf leaves"),
-    "weyl-residual-state": (lambda: far_reference_state(GridSpec(5, 1e155)),
-                            "every sample of the Gaussian of width 3.125e+153 on the grid is 0"),
+    # the reference state of weyl_residual: on GridSpec(5, 1e155) its samples
+    # once read 0 because their squares overflowed, and now hold their values
+    "weyl-residual-state": (lambda: gaussian_state(GridSpec(5, 1.0), 1, 1e-3),
+                            "every sample of the Gaussian of width 0.001 on the grid is 0"),
     "weyl-residual-phase": (lambda: weyl_residual(1.0, 1e308, 1e308, GridSpec.self_dual(4)),
                             "Weyl phase theta s t = inf"),
     "weyl-residual-modulation": (lambda: weyl_residual(1.0, 0.37, 1e308, GridSpec(4, 1e10)),

@@ -12,6 +12,7 @@ from ncspaces import moyal
 from ncspaces.errors import GridMismatchError, SizeCapError, ValidationError
 from ncspaces.gridfn import (
     GridFunction,
+    GridSpec,
     freq_grid_vectors,
     integral,
     l2_norm,
@@ -31,9 +32,9 @@ from ncspaces.moyal import (
     sphere_surface,
     star_product_fourier,
     twisted_convolve,
-    twisted_involution,
 )
 from ncspaces.skew import SkewMatrix
+from oracles import grid_function, twisted_involution
 
 THETA = SkewMatrix.rotation(1.0)
 
@@ -128,6 +129,16 @@ class TestGridFunction:
         f = GridFunction.gaussian(1, 10.0, 64, sigma=0.8)
         assert l2_norm(to_frequency(f)) == pytest.approx(l2_norm(f), rel=1e-12)
 
+    def test_gaussian_samples_where_squares_overflow(self):
+        # past |x - c| of about 1.3e154 the sample is exp(-((x - c) / sigma)^2 / 2)
+        grid, sigma = GridSpec(5, 1e155), 1e155 / 32
+        expected = np.exp(-((grid.axis() / sigma) ** 2) / 2)
+        assert np.abs(grid.gaussian_samples(1, sigma) - expected).max() <= 1e-12 * expected.max()
+        # below it every sample is formed as before, bit for bit
+        grid, center = GridSpec(8, 3.0), (0.2, -0.1)
+        r2 = np.add.outer(*[(grid.axis() - c) ** 2 for c in center])
+        assert np.array_equal(grid.gaussian_samples(2, 1.3, center), np.exp(-r2 / (2.0 * 1.3**2)))
+
     def test_gaussian_transform_analytic(self):
         # unit-height Gaussian: fhat(s) = sigma^d (2 pi)^{-d/2} exp(-s^2 sigma^2/2)
         sigma = 1.3
@@ -144,7 +155,7 @@ class TestGridFunction:
     def test_boundary_ratio(self):
         f = GridFunction.gaussian(1, 10.0, 64, sigma=1.0)
         assert f.boundary_ratio() <= 1e-8
-        g = GridFunction.from_function(1, 10.0, 64, lambda x: np.ones_like(x))
+        g = grid_function(1, 10.0, 64, lambda x: np.ones_like(x))
         assert g.boundary_ratio() == 1.0
 
     def test_serialization_roundtrip(self, tmp_path):
@@ -203,8 +214,8 @@ class TestStarProduct:
                 return np.where(np.abs(u) < 1, np.exp(-1 / (1 - u**2 + 1e-300)), 0.0)
             return fn
 
-        f = GridFunction.from_function(1, 10.0, 64, bump(-4.0))
-        g = GridFunction.from_function(1, 10.0, 64, bump(4.0))
+        f = grid_function(1, 10.0, 64, bump(-4.0))
+        g = grid_function(1, 10.0, 64, bump(4.0))
         prod = moyal_direct(f, g, SkewMatrix.zero(1))
         assert np.abs(prod.values).max() <= 1e-12
 
@@ -299,6 +310,19 @@ class TestStarProduct:
         # one complex (M, M, M) array is 4 MB here, and four of them were
         # formed at once; the blocks of 256 KB stay below 1.5 MB
         assert peak < 4 * 2**20
+
+    def test_product_past_its_growth_bound_is_computed(self):
+        # O(1) samples at L = 1e78: the Fourier route's growth bound leaves
+        # the float range, but nothing it forms does, so it answers as the
+        # unchecked route would (the quadrature overflows there and refuses:
+        # the entry row moyal-product-overflow)
+        f = GridFunction.gaussian(2, 1e78, 64, normalized=False)
+        theta = SkewMatrix.rotation(0.5)
+        fhat = to_frequency(f)
+        want = to_position(twisted_convolve(fhat, fhat, theta)).values
+        got = star_product_fourier(f, f, theta).values
+        assert got.tobytes() == want.tobytes()
+        assert np.abs(got).max() == pytest.approx(0.5625)
 
 
 class TestTwistedConvolve:
@@ -524,7 +548,7 @@ class TestSobolev:
 
     def test_single_mode(self):
         m, L = 64, 8.0
-        f0 = GridFunction.from_function(1, L, m, lambda x: np.exp(1j * (np.pi / L) * 4 * x))
+        f0 = grid_function(1, L, m, lambda x: np.exp(1j * (np.pi / L) * 4 * x))
         s0 = (np.pi / L) * 4
         expected = (1 + s0**2) ** 1.25 * l2_norm(f0)
         assert sobolev_norm(f0, 2.5) == pytest.approx(expected, rel=1e-12)

@@ -58,10 +58,9 @@ from ncspaces.weyl_dynamics import (
     audit_interpolation_constants,
     check_assembly_identities,
     generator_bound_check,
-    modulation_unitary,
-    translation_unitary,
     weyl_residual,
 )
+from oracles import modulation_unitary, translation_unitary
 
 
 def random_nonsingular(rng, d, floor=0.05):

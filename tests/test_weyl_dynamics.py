@@ -17,10 +17,9 @@ from ncspaces.weyl_dynamics import (
     audit_interpolation_constants,
     check_assembly_identities,
     generator_bound_check,
-    modulation_unitary,
-    translation_unitary,
     weyl_residual,
 )
+from oracles import modulation_unitary, translation_unitary
 
 GRID = GridSpec.self_dual(64)
 
@@ -139,6 +138,14 @@ class TestWeylResidual:
             lattice = weyl_residual(1.0, 3 * grid.step, 5 * grid.dual_step, grid)
             assert lattice.commensurate_shift and lattice.commensurate_modulation
             assert lattice.operator_defect <= 1e-12
+
+    def test_far_grid_reference_state_has_no_overflow(self):
+        # (x - c)^2 overflowed for |x| past about 1.3e154: the samples it fed
+        # were 0 either way, but each call warned (an error under the test
+        # settings), and on an odd grid every sample read 0
+        rep = weyl_residual(0.5, 1.0, 1.0, GridSpec(64, 1.5e154))
+        assert rep.residual == pytest.approx(0.4948079, abs=1e-7)
+        assert weyl_residual(1.0, 0.37, 0.37, GridSpec(5, 1e155)).residual > 0
 
     def test_no_m_by_m_array(self):
         grid = GridSpec.self_dual(4096)
